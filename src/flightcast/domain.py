@@ -8,7 +8,7 @@ that dirty upstream data can be counted instead of crashing the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
@@ -95,15 +95,40 @@ def validate_waypoint(w: Waypoint) -> Validity:
     return VALID
 
 
+# Powers of ten that round_value scales by; each one is an exact double.
+_SCALES = tuple(float(10**d) for d in range(16))
+# Above this, |x|·10^d no longer has a fractional part to round.
+_FAST_LIMIT = 2.0**52
+
+
 def round_value(value: float, decimals: int) -> float:
     """Round half away from zero at the given decimal count.
 
     Rounding is applied to the shortest decimal representation of the
     float, so ``round_value(125.005, 2) == 125.01`` even though the
     nearest double to 125.005 is slightly below it.
+
+    With ``m = floor(|x|·10^d)``, a value that is not the double nearest
+    the tie ``(m + 1/2)/10^d`` has its shortest repr on the same side of
+    the tie, so comparing against that double decides the rounding
+    exactly, and ``n/10^d`` is the correctly rounded value of the decimal
+    result. The ``Decimal`` rule runs only where that argument does not
+    reach: exact ties, ``decimals`` outside 0..15, ``|x|·10^d >= 2^52``
+    and non-finite input (NaN stays NaN; infinity raises
+    ``decimal.InvalidOperation``).
     """
+    x = float(value)
+    if 0 <= decimals <= 15:
+        scale = _SCALES[decimals]
+        magnitude = abs(x)
+        scaled = magnitude * scale
+        if scaled < _FAST_LIMIT:  # false for NaN and infinity
+            m = int(scaled)
+            tie = (2 * m + 1) / (2 * scale)
+            if magnitude != tie:
+                return math.copysign((m + (magnitude > tie)) / scale, x)
     quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def round_waypoint(w: Waypoint) -> Waypoint:
@@ -115,13 +140,13 @@ def round_waypoint(w: Waypoint) -> Waypoint:
     heading = round_value(w.heading, 2)
     if heading >= 360.0:
         heading = 0.0
-    return replace(
-        w,
-        longitude=round_value(w.longitude, 5),
-        latitude=round_value(w.latitude, 5),
-        altitude=round_value(w.altitude, 3),
-        velocity=round_value(w.velocity, 3),
-        heading=heading,
+    return Waypoint(
+        w.timestamp,
+        round_value(w.longitude, 5),
+        round_value(w.latitude, 5),
+        round_value(w.altitude, 3),
+        round_value(w.velocity, 3),
+        heading,
     )
 
 

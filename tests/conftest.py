@@ -1,10 +1,24 @@
 """Shared builders for randomized, seeded test data."""
 
+from decimal import ROUND_HALF_UP, Decimal
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flightcast.domain import Trajectory, Waypoint, round_waypoint
 from flightcast.windowing import INPUT_LENGTH, Window
+
+# Properties draw the same examples on every run and never time out, so a
+# slow or loaded machine cannot make them flaky.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
+
+
+def decimal_round_value(value: float, decimals: int) -> float:
+    """Bit-exact oracle for ``domain.round_value``: half away from zero on the repr."""
+    quantum = Decimal(1).scaleb(-decimals)
+    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def make_waypoint(timestamp=0, longitude=0.0, latitude=0.0, altitude=0.0,

@@ -1,4 +1,10 @@
+import math
+import struct
+from decimal import InvalidOperation
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flightcast.domain import (
     Waypoint,
@@ -8,7 +14,7 @@ from flightcast.domain import (
     validate_waypoint,
 )
 
-from conftest import make_waypoint, random_canonical_waypoint
+from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint
 
 
 class TestValidateWaypoint:
@@ -143,3 +149,60 @@ class TestCircularMean:
             # Compare on the circle: 0 and 360 are the same direction.
             diff = abs(rotated - expected)
             assert min(diff, 360.0 - diff) < 1e-9
+
+
+ROUNDING_DECIMALS = st.sampled_from((0, 2, 3, 5, 15))
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_matches_oracle(value: float, decimals: int) -> None:
+    """round_value gives the oracle's double bit for bit, or raises as it does."""
+    try:
+        want = decimal_round_value(value, decimals)
+    except InvalidOperation:
+        with pytest.raises(InvalidOperation):
+            round_value(value, decimals)
+        return
+    assert bits(round_value(value, decimals)) == bits(want), (value, decimals)
+
+
+class TestRoundValueMatchesDecimalOracle:
+    @given(st.floats(allow_nan=False, allow_infinity=False), ROUNDING_DECIMALS)
+    def test_any_finite_double(self, value, decimals):
+        assert_matches_oracle(value, decimals)
+
+    @given(st.floats(-1e6, 1e6), ROUNDING_DECIMALS)
+    def test_coordinate_scale_doubles(self, value, decimals):
+        assert_matches_oracle(value, decimals)
+
+    @given(st.integers(0, 2**52), ROUNDING_DECIMALS, st.booleans())
+    def test_ties_and_their_neighbours(self, k, decimals, negative):
+        tie = (2 * k + 1) / (2 * 10**decimals)
+        for value in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
+            assert_matches_oracle(-value if negative else value, decimals)
+
+    @given(st.floats(1.0, 2.0**12), ROUNDING_DECIMALS, st.booleans())
+    def test_magnitudes_past_the_fast_range(self, factor, decimals, negative):
+        value = factor * 2.0**52 / 10**decimals
+        assert_matches_oracle(-value if negative else value, decimals)
+
+    @pytest.mark.parametrize("decimals", [0, 2, 3, 5, 15])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-9, 5e-324, -5e-324])
+    def test_signed_zeros_and_tiny_values(self, value, decimals):
+        assert_matches_oracle(value, decimals)
+
+    def test_negative_value_rounding_to_zero_keeps_sign(self):
+        assert bits(round_value(-0.001, 2)) == bits(-0.0)
+
+    @pytest.mark.parametrize("decimals", [0, 2, 3, 5, 15])
+    def test_nan_stays_nan(self, decimals):
+        assert math.isnan(round_value(math.nan, decimals))
+
+    @pytest.mark.parametrize("decimals", [0, 2, 3, 5, 15])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinity_raises(self, value, decimals):
+        with pytest.raises(InvalidOperation):
+            round_value(value, decimals)

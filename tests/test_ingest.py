@@ -1,8 +1,12 @@
 import io
+import logging
+import random
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from flightcast import domain, synth
 from flightcast.domain import Trajectory, Waypoint
 from flightcast.ingest import (
     MalformedRowError,
@@ -13,11 +17,12 @@ from flightcast.ingest import (
     parse_header,
     parse_record,
     read_adsb_csv,
+    records_to_csv_text,
     write_trajectories_csv,
     _utc_text,
 )
 
-from conftest import random_canonical_waypoint
+from conftest import decimal_round_value, random_canonical_waypoint
 
 HEADER = parse_header("timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading")
 
@@ -243,3 +248,136 @@ class TestCsvRoundTrip:
     def test_missing_header_raises(self):
         with pytest.raises(MalformedRowError, match="header"):
             read_adsb_csv(io.StringIO(""))
+
+
+CSV_HEADER = "timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading"
+
+
+def csv_source(*rows: str) -> io.StringIO:
+    return io.StringIO("\n".join((CSV_HEADER,) + rows) + "\n")
+
+
+def ingest_log(caplog) -> list[tuple[str, str]]:
+    return [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "flightcast.ingest"]
+
+
+class TestUtcAgreementWarnings:
+    def test_non_padded_agreeing_time_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        parse_record(TABLE_ROW, HEADER, row_number=2)
+        assert ingest_log(caplog) == []
+
+    def test_canonical_agreeing_time_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:26"), HEADER)
+        assert ingest_log(caplog) == []
+
+    def test_canonical_disagreeing_time_warns_once_naming_the_row(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:27"), HEADER, row_number=9)
+        assert ingest_log(caplog) == [
+            ("WARNING", "utc_time '2024-10-03 03:29:27' disagrees with timestamp 1727926166 (row 9)")
+        ]
+
+    def test_unparseable_time_logs_only_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "yesterday"), HEADER, row_number=4)
+        assert ingest_log(caplog) == [("DEBUG", "unparseable utc_time 'yesterday' (row 4)")]
+
+    def test_feed_row_by_row(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        rows = [
+            "1727926166,2024-10-03 03:29:26,A1,1.0,2.0,3.0,4.0,5.0",  # row 2: canonical, agrees
+            "1727926226,2024-10-3 3:30:26,A1,1.0,2.0,3.0,4.0,5.0",  # row 3: non-padded, agrees
+            "1727926286,2024-10-03 04:31:26,A1,1.0,2.0,3.0,4.0,5.0",  # row 4: an hour off
+            "1727926346,03/10/2024 03:32:26,A1,1.0,2.0,3.0,4.0,5.0",  # row 5: other format
+            "1727926406,2024-10-3 3:33:27,A1,1.0,2.0,3.0,4.0,5.0",  # row 6: non-padded, a second off
+            "1727926466,,A1,1.0,2.0,3.0,4.0,5.0",  # row 7: no utc_time
+        ]
+        assert len(read_adsb_csv(csv_source(*rows))) == 6
+        assert ingest_log(caplog) == [
+            ("WARNING", "utc_time '2024-10-03 04:31:26' disagrees with timestamp 1727926286 (row 4)"),
+            ("DEBUG", "unparseable utc_time '03/10/2024 03:32:26' (row 5)"),
+            ("WARNING", "utc_time '2024-10-3 3:33:27' disagrees with timestamp 1727926406 (row 6)"),
+        ]
+
+
+    def test_five_digit_year_goes_through_strptime(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        parse_record("253402300800,10000-01-01 00:00:00,A1,1.0,2.0,3.0,4.0,5.0", HEADER, row_number=2)
+        assert ingest_log(caplog) == [("DEBUG", "unparseable utc_time '10000-01-01 00:00:00' (row 2)")]
+
+    @pytest.mark.parametrize(
+        "timestamp", [-30610224001, -30610224000, -1, 0, 1727926166, 253402300799, 253402300800]
+    )
+    def test_utc_text_matches_datetime(self, timestamp):
+        try:
+            want = datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                _utc_text(timestamp)
+        else:
+            assert _utc_text(timestamp) == want
+
+
+class TestMalformedWidthRows:
+    ROWS = (
+        "60,1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
+        "120,1970-01-01 00:02:00,A1,1.0,2.0,3.0,4.0",  # row 3: short
+        "180,1970-01-01 00:03:00,A1,1.0,2.0,3.0,4.0,5.0",
+        "240,1970-01-01 00:04:00,A1,1.0,2.0,3.0,4.0,5.0,extra",  # row 5: long
+        "300,1970-01-01 00:05:00,A1,1.0,2.0",  # row 6: truncated last line
+    )
+
+    def test_tolerant_mode_skips_them_with_one_warning(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        records = read_adsb_csv(csv_source(*self.ROWS))
+        assert [r.timestamp for r in records] == [60, 180]
+        assert ingest_log(caplog) == [
+            ("WARNING", "skipped 3 row(s) whose cell count differs from the header's 8 (first: row 3)")
+        ]
+
+    def test_strict_mode_raises_with_the_row_number(self):
+        with pytest.raises(MalformedRowError, match=r"row 3\): expected 8 cells, got 7"):
+            read_adsb_csv(csv_source(*self.ROWS), strict=True)
+
+    def test_well_formed_feed_logs_no_skip(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        read_adsb_csv(csv_source(self.ROWS[0], self.ROWS[2]))
+        assert ingest_log(caplog) == []
+
+
+def dirty_feed_text(flights: int, seed: int) -> str:
+    """A synthetic feed with a few empty, non-numeric and out-of-range cells."""
+    records, _ = synth.generate_corpus(flights, seed)
+    lines = records_to_csv_text(records).splitlines()
+    rng = random.Random(seed)
+    for bad in ("", "n/a", "-999.5", "400.25", "1e5"):
+        row = rng.randrange(1, len(lines))
+        cells = lines[row].split(",")
+        cells[rng.randrange(3, 8)] = bad
+        lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestRoundingDifferential:
+    """Cleaned and aggregated output equals that of the Decimal rounding rule."""
+
+    def run_ingest(self, text: str) -> tuple[dict, list[Trajectory], str]:
+        result = clean_trajectories(read_adsb_csv(io.StringIO(text)))
+        aggregated = [aggregate_minutes(t) for t in result.trajectories]
+        out = io.StringIO()
+        write_trajectories_csv(aggregated, out)
+        return result.summary(), result.trajectories + aggregated, out.getvalue()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_fast_rounding_matches_decimal_rounding(self, seed, monkeypatch):
+        text = dirty_feed_text(12, seed)
+        shipped = self.run_ingest(text)
+        monkeypatch.setattr(domain, "round_value", decimal_round_value)
+        oracle = self.run_ingest(text)
+        summary, trajectories, csv_text = shipped
+        assert summary == oracle[0]
+        assert summary["kept"] < 12
+        assert repr(trajectories) == repr(oracle[1])
+        assert csv_text.encode() == oracle[2].encode()
