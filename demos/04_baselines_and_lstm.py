@@ -43,7 +43,7 @@ params = lstm_train(train, config)
 predictors = {
     "persistence": lambda w: predict_persistence(w, w.horizon),
     "kinematic": lambda w: predict_kinematic(w, w.horizon),
-    "lstm": lambda w: lstm_predict(params, w, w.horizon),
+    "lstm": lambda w: lstm_predict(params, [w])[0],
 }
 print(f"\n{'model':>12}  {'MAE lon':>9}  {'MAE lat':>9}  {'MAE alt':>9}")
 for name, predict in predictors.items():

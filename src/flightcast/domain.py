@@ -21,6 +21,8 @@ CANONICAL_DECIMALS = (5, 5, 3, 3, 2)
 LONGITUDE_RANGE = (-180.0, 180.0)
 LATITUDE_RANGE = (-90.0, 90.0)
 MIN_ALTITUDE_M = -500.0  # admits below-sea-level airports
+#: Unix timestamps datetime can render: 0001-01-01 00:00:00 to 9999-12-31 23:59:59 UTC.
+TIMESTAMP_RANGE = (-62_135_596_800, 253_402_300_799)
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,11 @@ def validate_waypoint(w: Waypoint) -> Validity:
     """Check a waypoint against the attribute bounds.
 
     Returns ``Validity(True)`` or the first violated bound, checked in
-    attribute order. NaN fails every range test, so a NaN field reports
-    that field as out of range.
+    field order (timestamp first). NaN fails every range test, so a NaN
+    field reports that field as out of range.
     """
+    if not (TIMESTAMP_RANGE[0] <= w.timestamp <= TIMESTAMP_RANGE[1]):
+        return Validity(False, "timestamp out of range")
     if not (LONGITUDE_RANGE[0] <= w.longitude <= LONGITUDE_RANGE[1]):
         return Validity(False, "longitude out of range")
     if not (LATITUDE_RANGE[0] <= w.latitude <= LATITUDE_RANGE[1]):

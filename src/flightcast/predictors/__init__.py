@@ -10,10 +10,8 @@ from .baselines import (
 from .lstm import (
     LstmParams,
     TrainConfig,
-    lstm_forward,
     lstm_predict,
     lstm_train,
-    training_mse,
 )
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "predict_persistence",
     "LstmParams",
     "TrainConfig",
-    "lstm_forward",
     "lstm_predict",
     "lstm_train",
-    "training_mse",
 ]

@@ -24,7 +24,9 @@ from ..windowing import STEP_SECONDS, Window
 logger = logging.getLogger(__name__)
 
 ATTR_DIM = len(ATTRIBUTES)
-FORMAT_TAG = "flightcast-lstm/1"
+FORMAT_TAG = "flightcast-lstm/2"
+# Per-gate arrays w_i..w_g, u_i..u_g, b_i..b_g; load stacks them.
+_FORMAT_TAG_V1 = "flightcast-lstm/1"
 
 _GATES = ("i", "f", "o", "g")
 
@@ -52,7 +54,12 @@ class TrainConfig:
 
 
 class LstmParams:
-    """Gate weights, output projection, and normalization statistics."""
+    """Fused gate weights, output projection, and normalization statistics.
+
+    ``arrays`` holds ``w`` (4H, D), ``u`` (4H, H) and ``b`` (4H,), whose row
+    blocks are the i, f, o and g gates in that order, plus the output
+    projection ``w_out`` (D, H) and ``b_out`` (D,).
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, arrays: dict[str, np.ndarray],
                  norm_mean: np.ndarray, norm_std: np.ndarray):
@@ -75,13 +82,19 @@ class LstmParams:
     ) -> "LstmParams":
         """Uniform(-s, s) weights with s = 1/sqrt(hidden), zero biases."""
         s = 1.0 / np.sqrt(hidden_dim)
-        arrays: dict[str, np.ndarray] = {}
-        for gate in _GATES:
-            arrays[f"w_{gate}"] = rng.uniform(-s, s, size=(hidden_dim, input_dim))
-            arrays[f"u_{gate}"] = rng.uniform(-s, s, size=(hidden_dim, hidden_dim))
-            arrays[f"b_{gate}"] = np.zeros(hidden_dim)
-        arrays["w_out"] = rng.uniform(-s, s, size=(input_dim, hidden_dim))
-        arrays["b_out"] = np.zeros(input_dim)
+        # One draw per gate, w then u, keeps a seed's model the same as when
+        # each gate had its own matrices.
+        w, u = [], []
+        for _ in _GATES:
+            w.append(rng.uniform(-s, s, size=(hidden_dim, input_dim)))
+            u.append(rng.uniform(-s, s, size=(hidden_dim, hidden_dim)))
+        arrays = {
+            "w": np.concatenate(w),
+            "u": np.concatenate(u),
+            "b": np.zeros(4 * hidden_dim),
+            "w_out": rng.uniform(-s, s, size=(input_dim, hidden_dim)),
+            "b_out": np.zeros(input_dim),
+        }
         if norm_mean is None:
             norm_mean = np.zeros(input_dim)
         if norm_std is None:
@@ -123,12 +136,43 @@ class LstmParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "LstmParams":
+        """Read a ``/2`` model file, or a ``/1`` file with one matrix set per gate.
+
+        Raises ValueError naming the first array whose shape does not fit
+        the file's ``input_dim`` and ``hidden_dim``.
+        """
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if obj.get("format") != FORMAT_TAG:
-            raise ValueError(f"unrecognized model file format: {obj.get('format')!r}")
+        fmt = obj.get("format")
+        if fmt not in (FORMAT_TAG, _FORMAT_TAG_V1):
+            raise ValueError(f"unrecognized model file format: {fmt!r}")
+        dim, hidden = obj["input_dim"], obj["hidden_dim"]
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in obj["arrays"].items()}
-        return cls(obj["input_dim"], obj["hidden_dim"], arrays,
-                   np.asarray(obj["norm_mean"]), np.asarray(obj["norm_std"]))
+        arrays["norm_mean"] = np.asarray(obj["norm_mean"], dtype=np.float64)
+        arrays["norm_std"] = np.asarray(obj["norm_std"], dtype=np.float64)
+        shapes = {"w_out": (dim, hidden), "b_out": (dim,), "norm_mean": (dim,), "norm_std": (dim,)}
+        fused = {"w": (dim,), "u": (hidden,), "b": ()}
+        if fmt == _FORMAT_TAG_V1:
+            shapes.update(
+                {f"{k}_{gate}": (hidden,) + tail for k, tail in fused.items() for gate in _GATES}
+            )
+        else:
+            shapes.update({k: (4 * hidden,) + tail for k, tail in fused.items()})
+        unexpected = sorted(arrays.keys() - shapes.keys())
+        if unexpected:
+            raise ValueError(f"unexpected array {unexpected[0]!r} in model file")
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise ValueError(f"model file lacks array {name!r}")
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
+                    f" for input_dim {dim}, hidden_dim {hidden}"
+                )
+        if fmt == _FORMAT_TAG_V1:
+            for k in fused:
+                arrays[k] = np.concatenate([arrays.pop(f"{k}_{gate}") for gate in _GATES])
+        norm_mean, norm_std = arrays.pop("norm_mean"), arrays.pop("norm_std")
+        return cls(dim, hidden, arrays, norm_mean, norm_std)
 
 
 def normalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
@@ -149,66 +193,70 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_batch(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the recurrence over x of shape (batch, steps, input_dim)."""
+def _forward_batch(
+    params: LstmParams, x: np.ndarray, steps: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the recurrence over x of shape (batch, steps, input_dim).
+
+    Returns the prediction and the final hidden state. When ``steps`` is a
+    list, each step's activations are appended to it for the backward pass.
+    """
     a = params.arrays
-    batch, steps, _ = x.shape
-    h = np.zeros((batch, params.hidden_dim))
-    c = np.zeros((batch, params.hidden_dim))
-    cache: dict = {"x": x, "steps": []}
-    for t in range(steps):
+    hidden = params.hidden_dim
+    h = np.zeros((x.shape[0], hidden))
+    c = np.zeros((x.shape[0], hidden))
+    for t in range(x.shape[1]):
         xt = x[:, t, :]
-        i = _sigmoid(xt @ a["w_i"].T + h @ a["u_i"].T + a["b_i"])
-        f = _sigmoid(xt @ a["w_f"].T + h @ a["u_f"].T + a["b_f"])
-        o = _sigmoid(xt @ a["w_o"].T + h @ a["u_o"].T + a["b_o"])
-        g = np.tanh(xt @ a["w_g"].T + h @ a["u_g"].T + a["b_g"])
+        z = xt @ a["w"].T + h @ a["u"].T + a["b"]
+        ifo = _sigmoid(z[:, : 3 * hidden])
+        i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
+        g = np.tanh(z[:, 3 * hidden :])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        cache["steps"].append(
-            {"xt": xt, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o, "g": g, "tanh_c": tanh_c}
-        )
-        h, c = h_new, c_new
-    cache["h_final"] = h
-    prediction = h @ a["w_out"].T + a["b_out"]
-    return prediction, cache
+        if steps is not None:
+            steps.append((xt, h, c, i, f, o, g, tanh_c))
+        h, c = o * tanh_c, c_new
+    return h @ a["w_out"].T + a["b_out"], h
 
 
-def _backward_batch(params: LstmParams, cache: dict, d_prediction: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the cached forward pass for d(loss)/d(prediction)."""
+def _backward_batch(
+    params: LstmParams, steps: list, h_final: np.ndarray, d_prediction: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Exact gradients of a recorded forward pass for d(loss)/d(prediction)."""
     a = params.arrays
     grads = {k: np.zeros_like(v) for k, v in a.items()}
-    grads["w_out"] = d_prediction.T @ cache["h_final"]
+    grads["w_out"] = d_prediction.T @ h_final
     grads["b_out"] = d_prediction.sum(axis=0)
     dh = d_prediction @ a["w_out"]
     dc = np.zeros_like(dh)
-    for step in reversed(cache["steps"]):
-        i, f, o, g, tanh_c = step["i"], step["f"], step["o"], step["g"], step["tanh_c"]
-        da_o = dh * tanh_c * o * (1.0 - o)
+    for xt, h_prev, c_prev, i, f, o, g, tanh_c in reversed(steps):
         dc = dc + dh * o * (1.0 - tanh_c**2)
-        da_f = dc * step["c_prev"] * f * (1.0 - f)
-        da_i = dc * g * i * (1.0 - i)
-        da_g = dc * i * (1.0 - g**2)
-        for gate, da in zip(_GATES, (da_i, da_f, da_o, da_g)):
-            grads[f"w_{gate}"] += da.T @ step["xt"]
-            grads[f"u_{gate}"] += da.T @ step["h_prev"]
-            grads[f"b_{gate}"] += da.sum(axis=0)
-        dh = da_i @ a["u_i"] + da_f @ a["u_f"] + da_o @ a["u_o"] + da_g @ a["u_g"]
+        da = np.hstack([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            dh * tanh_c * o * (1.0 - o),
+            dc * i * (1.0 - g**2),
+        ])
+        grads["w"] += da.T @ xt
+        grads["u"] += da.T @ h_prev
+        grads["b"] += da.sum(axis=0)
+        dh = da @ a["u"]
         dc = dc * f
     return grads
 
 
-def lstm_forward(params: LstmParams, sequence: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One normalized (steps, input_dim) sequence to a next-step prediction.
+def lstm_forward(params: LstmParams, x: np.ndarray) -> np.ndarray:
+    """Next-step predictions for normalized x of shape (batch, steps, input_dim).
 
-    Returns the prediction vector and the activation cache needed for an
-    exact backward pass.
+    Returns a (batch, input_dim) array. Keeps no activations: training
+    goes through :func:`lstm_loss_gradients`.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if not np.all(np.isfinite(sequence)):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected input of shape (batch, steps, input_dim), got {x.shape}")
+    if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in input sequence")
-    prediction, cache = _forward_batch(params, sequence[None, :, :])
-    return prediction[0], cache
+    return _forward_batch(params, x)[0]
 
 
 def lstm_loss_gradients(
@@ -221,11 +269,12 @@ def lstm_loss_gradients(
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    prediction, cache = _forward_batch(params, inputs)
+    steps: list = []
+    prediction, h_final = _forward_batch(params, inputs, steps)
     diff = prediction - targets
     loss = float(np.mean(diff**2))
     d_prediction = 2.0 * diff / diff.size
-    return loss, _backward_batch(params, cache, d_prediction)
+    return loss, _backward_batch(params, steps, h_final, d_prediction)
 
 
 def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -298,20 +347,28 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     return params
 
 
-def lstm_predict(params: LstmParams, window: Window, horizon: int) -> list[Waypoint]:
-    """Iterative rollout: predict, append, slide, repeat.
+def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[list[Waypoint]]:
+    """Iterative rollout of all windows at once: predict, append, slide, repeat.
 
-    Each prediction is denormalized, appended to the raw sequence (the
-    oldest step drops off), and the final outputs are rounded to canonical
-    precision with timestamps advancing by 60 s.
+    The batch rolls forward to the largest horizon and each window keeps
+    its first ``window.horizon`` steps. Each prediction is denormalized and
+    appended to the raw sequence (the oldest step drops off); the outputs
+    are rounded to canonical precision with timestamps advancing by 60 s.
     """
-    sequence = np.array([w.values() for w in window.inputs], dtype=np.float64)
-    last_ts = window.inputs[-1].timestamp
-    out = []
-    for step in range(1, horizon + 1):
-        prediction, _ = lstm_forward(params, normalize(params, sequence))
-        raw = denormalize(params, prediction)
-        sequence = np.vstack([sequence[1:], raw])
-        values = [round_value(float(value), places) for value, places in zip(raw, CANONICAL_DECIMALS)]
-        out.append(Waypoint(last_ts + step * STEP_SECONDS, *values))
-    return out
+    if not windows:
+        return []
+    if len({len(win.inputs) for win in windows}) > 1:
+        raise ValueError("windows mix input lengths")
+    sequence = np.array([[w.values() for w in win.inputs] for win in windows], dtype=np.float64)
+    raw = np.empty((len(windows), max(win.horizon for win in windows), ATTR_DIM))
+    for step in range(raw.shape[1]):
+        raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))
+        sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
+    return [
+        [
+            Waypoint(win.inputs[-1].timestamp + step * STEP_SECONDS,
+                     *map(round_value, values, CANONICAL_DECIMALS))
+            for step, values in enumerate(predicted[: win.horizon], start=1)
+        ]
+        for win, predicted in zip(windows, raw.tolist())
+    ]

@@ -305,7 +305,8 @@ def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
         if backend == "persistence":
             outcome = ParseOutcome.success(tuple(predict_persistence(window, window.horizon)))
         elif backend == "lstm":
-            outcome = ParseOutcome.success(tuple(lstm_predict(params, window, window.horizon)))
+            (predicted,) = lstm_predict(params, [window])
+            outcome = ParseOutcome.success(tuple(predicted))
         else:  # the mock chat backend answering with dead reckoning
             record = build_prompt(window, include_assistant=False)
             reply = mock_complete(record, MockBehavior.KINEMATIC)

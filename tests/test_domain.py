@@ -34,6 +34,10 @@ class TestValidateWaypoint:
     @pytest.mark.parametrize(
         "field,value,ok",
         [
+            ("timestamp", -62_135_596_800, True),  # 0001-01-01 00:00:00 UTC
+            ("timestamp", -62_135_596_801, False),
+            ("timestamp", 253_402_300_799, True),  # 9999-12-31 23:59:59 UTC
+            ("timestamp", 253_402_300_800, False),
             ("longitude", -180.0, True),
             ("longitude", 180.0, True),
             ("longitude", 180.00001, False),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from flightcast.domain import Waypoint
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train
 from flightcast.predictors.lstm import (
     ATTR_DIM,
+    FORMAT_TAG,
     LstmParams,
     denormalize,
     lstm_forward,
@@ -33,6 +36,18 @@ def params_equal(a: LstmParams, b: LstmParams) -> bool:
     )
 
 
+def v1_model(params: LstmParams, path) -> dict:
+    """The saved model rewritten as a /1 file: one w, u and b array per gate."""
+    params.save(path)
+    obj = json.loads(path.read_text())
+    for key in ("w", "u", "b"):
+        blocks = np.split(np.array(obj["arrays"].pop(key)), 4)
+        for gate, block in zip("ifog", blocks):
+            obj["arrays"][f"{key}_{gate}"] = block.tolist()
+    obj["format"] = "flightcast-lstm/1"
+    return obj
+
+
 def relative_errors(params, x, y, eps=1e-5, probes=None, rng=None):
     """Analytic vs central finite-difference gradients on the flat vector."""
     loss, grads = lstm_loss_gradients(params, x, y)
@@ -57,15 +72,15 @@ class TestForward:
         for key in params.arrays:
             params.arrays[key][:] = 0.0
         params.arrays["b_out"][:] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        prediction, _ = lstm_forward(params, np.zeros((INPUT_LENGTH, ATTR_DIM)))
-        assert np.allclose(prediction, [1.0, 2.0, 3.0, 4.0, 5.0])
+        prediction = lstm_forward(params, np.zeros((1, INPUT_LENGTH, ATTR_DIM)))
+        assert np.allclose(prediction, [[1.0, 2.0, 3.0, 4.0, 5.0]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         params = LstmParams.initialize(ATTR_DIM, 8, rng)
         x = rng.normal(size=(INPUT_LENGTH, ATTR_DIM))
-        a, _ = lstm_forward(params, x)
-        b, _ = lstm_forward(params, x)
+        a = lstm_forward(params, x[None])
+        b = lstm_forward(params, x[None])
         assert np.array_equal(a, b)
 
     def test_non_finite_input_rejected(self):
@@ -73,7 +88,7 @@ class TestForward:
         x = np.zeros((INPUT_LENGTH, ATTR_DIM))
         x[3, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            lstm_forward(params, x)
+            lstm_forward(params, x[None])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -104,6 +119,16 @@ class TestTrain:
             trained.norm_mean, trained.norm_std,
         )
         assert all(np.array_equal(trained.arrays[k], expected.arrays[k]) for k in trained.arrays)
+
+    def test_initialize_draws_gate_by_gate(self):
+        # Each gate's w then u, then w_out: a seed gives the same model as
+        # the per-gate /1 layout did.
+        params = LstmParams.initialize(ATTR_DIM, 3, np.random.default_rng(4))
+        rng, s = np.random.default_rng(4), 1.0 / np.sqrt(3)
+        draws = [(rng.uniform(-s, s, (3, ATTR_DIM)), rng.uniform(-s, s, (3, 3))) for _ in range(4)]
+        assert np.array_equal(params.arrays["w"], np.concatenate([w for w, _ in draws]))
+        assert np.array_equal(params.arrays["u"], np.concatenate([u for _, u in draws]))
+        assert np.array_equal(params.arrays["w_out"], rng.uniform(-s, s, (ATTR_DIM, 3)))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -143,9 +168,9 @@ class TestPredict:
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = windows[0]
-        (out,) = lstm_predict(params, window, 1)
+        ((out,),) = lstm_predict(params, [window])
         x = np.array([w.values() for w in window.inputs])
-        raw = denormalize(params, lstm_forward(params, normalize(params, x))[0])
+        raw = denormalize(params, lstm_forward(params, normalize(params, x)[None])[0])
         from flightcast.domain import CANONICAL_DECIMALS, round_value
 
         expected = [round_value(float(v), d) for v, d in zip(raw, CANONICAL_DECIMALS)]
@@ -156,15 +181,36 @@ class TestPredict:
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = cruise_window(rng, 8)
-        assert lstm_predict(params, window, 8) == lstm_predict(params, window, 8)
+        assert lstm_predict(params, [window]) == lstm_predict(params, [window])
 
     def test_rollout_timestamps(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
         window = cruise_window(rng, 4)
-        out = lstm_predict(params, window, 4)
+        (out,) = lstm_predict(params, [window])
         last = window.inputs[-1].timestamp
         assert [w.timestamp for w in out] == [last + 60 * k for k in (1, 2, 3, 4)]
+
+    def test_batch_equals_single_windows(self, rng):
+        windows = [cruise_window(rng, 1) for _ in range(8)]
+        params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
+        mixed = [cruise_window(rng, h) for h in (8, 1, 4, 1, 8, 4)]
+        batch = lstm_predict(params, mixed)
+        assert batch == [out for w in mixed for out in lstm_predict(params, [w])]
+        assert [len(out) for out in batch] == [8, 1, 4, 1, 8, 4]
+
+    def test_mixed_horizons_keep_their_own_steps(self, rng):
+        windows = [cruise_window(rng, 1) for _ in range(8)]
+        params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
+        window = cruise_window(rng, 8)
+        cut = [Window(window.callsign, window.inputs, window.targets[:h]) for h in (1, 4, 8)]
+        h1, h4, h8 = lstm_predict(params, cut)
+        assert (len(h1), len(h4), len(h8)) == (1, 4, 8)
+        assert h1 == h8[:1] and h4 == h8[:4]
+
+    def test_no_windows(self):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        assert lstm_predict(params, []) == []
 
 
 class TestPersistenceFile:
@@ -173,13 +219,43 @@ class TestPersistenceFile:
         params = lstm_train(windows, TrainConfig(epochs=1, seed=2, hidden_dim=4))
         path = tmp_path / "model.json"
         params.save(path)
+        assert json.loads(path.read_text())["format"] == FORMAT_TAG
         loaded = LstmParams.load(path)
         assert params_equal(params, loaded)
         window = cruise_window(rng, 4)
-        assert lstm_predict(params, window, 4) == lstm_predict(loaded, window, 4)
+        assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="format"):
+            LstmParams.load(path)
+
+    def test_v1_file_loads_by_stacking_gates(self, tmp_path, rng):
+        windows = [cruise_window(rng, 1) for _ in range(6)]
+        params = lstm_train(windows, TrainConfig(epochs=1, seed=2, hidden_dim=4))
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(v1_model(params, path)))
+        loaded = LstmParams.load(path)
+        assert params_equal(params, loaded)
+        window = cruise_window(rng, 8)
+        assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
+
+    def test_v2_array_shape_checked(self, tmp_path):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        params.save(path)
+        obj = json.loads(path.read_text())
+        obj["arrays"]["u"] = obj["arrays"]["u"][:-1]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"'u' has shape \(15, 4\), expected \(16, 4\)"):
+            LstmParams.load(path)
+
+    def test_v1_array_shape_checked(self, tmp_path):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        obj = v1_model(params, path)
+        obj["arrays"]["w_f"] = [row[:-1] for row in obj["arrays"]["w_f"]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"'w_f' has shape \(4, 4\), expected \(4, 5\)"):
             LstmParams.load(path)
