@@ -17,7 +17,14 @@ from .domain import (
     validate_waypoint,
 )
 from .evaluation import MetricsReport, evaluate, few_shot_split, mae, mean_latency, rmse, segment_phase
-from .ingest import RawRecord, aggregate_minutes, clean_trajectories, parse_record, read_adsb_csv
+from .ingest import (
+    RawRecord,
+    RecordTable,
+    aggregate_minutes,
+    clean_trajectories,
+    parse_record,
+    read_adsb_csv,
+)
 from .llm import CompletionResult, EndpointConfig, MockBehavior, complete, mock_complete
 from .predictors import (
     LstmParams,

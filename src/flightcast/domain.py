@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
+import numpy as np
+
 #: Attribute order used everywhere a waypoint becomes a vector or a tuple.
 ATTRIBUTES = ("longitude", "latitude", "altitude", "velocity", "heading")
 
@@ -77,26 +79,49 @@ class Validity:
 VALID = Validity(True)
 
 
+#: What validate_waypoint reports, in the order its checks run.
+INVALID_REASONS = (
+    "timestamp out of range",
+    "longitude out of range",
+    "latitude out of range",
+    "altitude out of range",
+    "velocity out of range",
+    "heading out of range",
+)
+
+
+def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Check waypoint columns against the attribute bounds.
+
+    ``timestamp`` has one entry per waypoint and ``values`` one row per
+    attribute, in ATTRIBUTES order. Returns 0 where a waypoint is valid,
+    else 1 + the index in INVALID_REASONS of its first violated bound. NaN
+    fails every range test, and altitude and velocity must be finite.
+    """
+    longitude, latitude, altitude, velocity, heading = values
+    failed = (
+        ~((TIMESTAMP_RANGE[0] <= timestamp) & (timestamp <= TIMESTAMP_RANGE[1])),
+        ~((LONGITUDE_RANGE[0] <= longitude) & (longitude <= LONGITUDE_RANGE[1])),
+        ~((LATITUDE_RANGE[0] <= latitude) & (latitude <= LATITUDE_RANGE[1])),
+        ~((MIN_ALTITUDE_M <= altitude) & (altitude < math.inf)),
+        ~((0.0 <= velocity) & (velocity < math.inf)),
+        ~((0.0 <= heading) & (heading < 360.0)),
+    )
+    reason = np.zeros(len(timestamp), dtype=np.int8)
+    for code in range(len(failed), 0, -1):  # the earliest check is written last
+        reason[failed[code - 1]] = code
+    return reason
+
+
 def validate_waypoint(w: Waypoint) -> Validity:
     """Check a waypoint against the attribute bounds.
 
     Returns ``Validity(True)`` or the first violated bound, checked in
-    field order (timestamp first). NaN fails every range test, so a NaN
-    field reports that field as out of range.
+    field order (timestamp first); see :func:`validate_columns`.
     """
-    if not (TIMESTAMP_RANGE[0] <= w.timestamp <= TIMESTAMP_RANGE[1]):
-        return Validity(False, "timestamp out of range")
-    if not (LONGITUDE_RANGE[0] <= w.longitude <= LONGITUDE_RANGE[1]):
-        return Validity(False, "longitude out of range")
-    if not (LATITUDE_RANGE[0] <= w.latitude <= LATITUDE_RANGE[1]):
-        return Validity(False, "latitude out of range")
-    if not (w.altitude >= MIN_ALTITUDE_M):
-        return Validity(False, "altitude out of range")
-    if not (w.velocity >= 0.0):
-        return Validity(False, "velocity out of range")
-    if not (0.0 <= w.heading < 360.0):
-        return Validity(False, "heading out of range")
-    return VALID
+    timestamp = np.array([w.timestamp], dtype=object)
+    code = validate_columns(timestamp, np.array(w.values(), dtype=np.float64).reshape(5, 1))[0]
+    return Validity(False, INVALID_REASONS[code - 1]) if code else VALID
 
 
 # Powers of ten that round_value scales by; each one is an exact double.
@@ -133,6 +158,38 @@ def round_value(value: float, decimals: int) -> float:
                 return math.copysign((m + (magnitude > tie)) / scale, x)
     quantum = Decimal(1).scaleb(-decimals)
     return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def round_values(values: np.ndarray, decimals: int) -> np.ndarray:
+    """Column form of :func:`round_value`: the same double for every element.
+
+    The exact float rule runs on the whole array. Only the elements it
+    does not reach (exact ties, ``|x|·10^d >= 2^52``, non-finite input, or
+    any ``decimals`` outside 0..15) go through ``round_value`` one by one.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if not 0 <= decimals <= 15:
+        return np.array([round_value(v, decimals) for v in x.flat]).reshape(x.shape)
+    scale = _SCALES[decimals]
+    magnitude = np.abs(x)
+    with np.errstate(over="ignore"):
+        scaled = magnitude * scale
+    fast = scaled < _FAST_LIMIT  # false for NaN and infinity
+    m = np.floor(np.where(fast, scaled, 0.0))
+    tie = (2.0 * m + 1.0) / (2.0 * scale)
+    fast &= magnitude != tie
+    out = np.copysign((m + (magnitude > tie)) / scale, x)
+    for i in np.flatnonzero(~fast):
+        out.flat[i] = round_value(x.flat[i], decimals)
+    return out
+
+
+def round_attributes(values: np.ndarray) -> np.ndarray:
+    """Round attribute rows (ATTRIBUTES order) as round_waypoint rounds one waypoint."""
+    out = np.array([round_values(row, d) for row, d in zip(values, CANONICAL_DECIMALS)])
+    heading = out[4]
+    heading[heading >= 360.0] = 0.0  # wraps inside out, as round_waypoint does
+    return out
 
 
 def round_waypoint(w: Waypoint) -> Waypoint:

@@ -140,6 +140,17 @@ class TestErrorsAndConfig:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary == {"cleaning": {"kept": 1, "incomplete": 0, "invalid": 1, "duplicate": 0}}
 
+    def test_overflowing_altitude_counts_as_invalid(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading\n"
+            "1727926166,2024-10-03 03:29:26,AB1,103.1,30.5,10000.0,900.0,90.0\n"
+            f"1727926166,2024-10-03 03:29:26,CD2,103.2,30.5,1{'0' * 400},900.0,90.0\n"
+        )
+        assert run("ingest", "--in", raw, "--out", tmp_path / "clean.csv") == 0
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary == {"cleaning": {"kept": 1, "incomplete": 0, "invalid": 1, "duplicate": 0}}
+
     def test_unsupported_horizon_exits_1(self, tmp_path):
         raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"
         run("synth", "--flights", 2, "--seed", 0, "--out", raw)

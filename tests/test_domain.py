@@ -2,19 +2,24 @@ import math
 import struct
 from decimal import InvalidOperation
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flightcast.domain import (
+    INVALID_REASONS,
     Waypoint,
     circular_mean,
+    round_attributes,
     round_value,
+    round_values,
     round_waypoint,
+    validate_columns,
     validate_waypoint,
 )
 
-from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint
+from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint, reference_invalid_reason
 
 
 class TestValidateWaypoint:
@@ -49,6 +54,8 @@ class TestValidateWaypoint:
             ("altitude", -500.001, False),
             ("velocity", 0.0, True),
             ("velocity", -0.001, False),
+            ("altitude", math.inf, False),
+            ("velocity", math.inf, False),
             ("heading", 0.0, True),
             ("heading", 359.99, True),
             ("heading", -0.01, False),
@@ -210,3 +217,97 @@ class TestRoundValueMatchesDecimalOracle:
     def test_infinity_raises(self, value, decimals):
         with pytest.raises(InvalidOperation):
             round_value(value, decimals)
+
+
+def rounding_inputs(decimals: int):
+    """Doubles that stress the rounding rule at ``decimals`` places."""
+    tie = st.integers(0, 2**52).map(lambda k: (2 * k + 1) / (2 * 10.0**decimals))
+    return st.one_of(
+        st.floats(allow_infinity=False),
+        tie,
+        tie.map(lambda t: math.nextafter(t, 0.0)),
+        tie.map(lambda t: math.nextafter(t, math.inf)),
+        st.floats(1.0, 2.0**12).map(lambda f: f * 2.0**52 / 10.0**decimals),
+        st.sampled_from((0.0, -0.0, 5e-324, math.nan)),
+    ).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+def scalar_rounding(values: list[float], decimals: int) -> list[float] | None:
+    """round_value on each element, or None where one of them raises."""
+    try:
+        return [round_value(v, decimals) for v in values]
+    except InvalidOperation:
+        return None
+
+
+class TestRoundValuesMatchesRoundValue:
+    @given(
+        st.sampled_from((-1, 0, 2, 3, 5, 15, 16)).flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(rounding_inputs(d), max_size=16))
+        )
+    )
+    def test_elementwise_and_bitwise(self, case):
+        decimals, values = case
+        want = scalar_rounding(values, decimals)
+        if want is None:
+            with pytest.raises(InvalidOperation):
+                round_values(np.array(values), decimals)
+            return
+        got = round_values(np.array(values, dtype=np.float64), decimals)
+        assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinity_raises(self, value):
+        with pytest.raises(InvalidOperation):
+            round_values(np.array([1.5, value]), 2)
+
+    @given(
+        st.lists(
+            st.builds(
+                Waypoint,
+                timestamp=st.just(0),
+                longitude=rounding_inputs(5),
+                latitude=rounding_inputs(5),
+                altitude=rounding_inputs(3),
+                velocity=rounding_inputs(3),
+                heading=st.one_of(
+                    st.floats(0.0, 360.0, exclude_max=True),
+                    st.sampled_from((359.995, math.nextafter(360.0, 0.0), 359.994999, 0.0)),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_round_attributes_is_round_waypoint(self, waypoints):
+        try:
+            want = [round_waypoint(w) for w in waypoints]
+        except InvalidOperation:
+            return
+        got = round_attributes(np.array([w.values() for w in waypoints]).reshape(-1, 5).T)
+        assert [[bits(v) for v in w.values()] for w in want] == [[bits(v) for v in row] for row in got.T.tolist()]
+
+
+class TestValidateColumns:
+    @given(
+        st.lists(
+            st.builds(
+                Waypoint,
+                timestamp=st.one_of(st.integers(-(2**40), 2**40), st.sampled_from((-62_135_596_801, 253_402_300_800))),
+                longitude=st.one_of(st.floats(), st.sampled_from((-180.0, 180.0))),
+                latitude=st.one_of(st.floats(), st.sampled_from((-90.0, 90.0))),
+                altitude=st.one_of(st.floats(), st.sampled_from((-500.0, math.inf))),
+                velocity=st.one_of(st.floats(), st.sampled_from((0.0, -0.0, math.inf))),
+                heading=st.one_of(st.floats(), st.sampled_from((0.0, 360.0, math.nextafter(360.0, 0.0)))),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_per_waypoint_checks(self, waypoints):
+        codes = validate_columns(
+            np.array([w.timestamp for w in waypoints], dtype=np.int64),
+            np.array([w.values() for w in waypoints]).reshape(-1, 5).T,
+        )
+        assert [INVALID_REASONS[c - 1] if c else None for c in codes.tolist()] == [
+            reference_invalid_reason(w) for w in waypoints
+        ]
+        assert [validate_waypoint(w).reason for w in waypoints] == [reference_invalid_reason(w) for w in waypoints]

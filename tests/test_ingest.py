@@ -1,16 +1,20 @@
 import io
 import logging
+import math
 import random
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flightcast import domain, synth
+from flightcast import ingest, synth
 from flightcast.domain import Trajectory, Waypoint
 from flightcast.ingest import (
     MalformedRowError,
     RawRecord,
+    RecordTable,
     aggregate_minutes,
     clean_trajectories,
     minute_means,
@@ -22,7 +26,13 @@ from flightcast.ingest import (
     _utc_text,
 )
 
-from conftest import decimal_round_value, random_canonical_waypoint
+from conftest import (
+    random_canonical_waypoint,
+    reference_aggregate_minutes,
+    reference_clean_trajectories,
+    reference_minute_means,
+    reference_read_adsb_csv,
+)
 
 HEADER = parse_header("timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading")
 
@@ -95,6 +105,15 @@ class TestCleanTrajectories:
         assert result.duplicate == 1
         assert len(result.trajectories) == 1
         assert len(result.trajectories[0].waypoints) == 5
+
+    @pytest.mark.parametrize("first", [10.0, 11.0])
+    def test_first_of_two_parallel_candidates_wins(self, first):
+        second = 21.0 - first
+        flight = [record(timestamp=60 * i, longitude=first) for i in range(3)]
+        flight += [record(timestamp=60 * i, longitude=second) for i in range(3)]
+        result = clean_trajectories(flight)
+        assert result.summary() == {"kept": 1, "incomplete": 0, "invalid": 0, "duplicate": 1}
+        assert {w.longitude for w in result.trajectories[0].waypoints} == {first}
 
     def test_invalid_latitude_drops_trajectory(self):
         flight = [record(timestamp=60 * i) for i in range(3)]
@@ -332,7 +351,7 @@ class TestMalformedWidthRows:
     def test_tolerant_mode_skips_them_with_one_warning(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
         records = read_adsb_csv(csv_source(*self.ROWS))
-        assert [r.timestamp for r in records] == [60, 180]
+        assert records.timestamp.tolist() == [60, 180]
         assert ingest_log(caplog) == [
             ("WARNING", "skipped 3 row(s) whose cell count differs from the header's 8 (first: row 3)")
         ]
@@ -348,36 +367,179 @@ class TestMalformedWidthRows:
 
 
 def dirty_feed_text(flights: int, seed: int) -> str:
-    """A synthetic feed with a few empty, non-numeric and out-of-range cells."""
+    """A shuffled synthetic feed holding every defect ingest must count, log or skip.
+
+    It has a duplicated flight, repeated timestamps, disagreeing,
+    non-padded, unparseable and empty utc_time cells, empty, non-numeric,
+    padded, non-ASCII, overflowing and out-of-range numbers, timestamps past
+    year 9999 and past 64 bits, a missing callsign, exact rounding ties,
+    short and long rows, and blank lines.
+    """
     records, _ = synth.generate_corpus(flights, seed)
-    lines = records_to_csv_text(records).splitlines()
+    header, *lines = records_to_csv_text(records).splitlines()
+    rows = [line.split(",") for line in lines]
     rng = random.Random(seed)
-    for bad in ("", "n/a", "-999.5", "400.25", "1e5"):
-        row = rng.randrange(1, len(lines))
-        cells = lines[row].split(",")
-        cells[rng.randrange(3, 8)] = bad
-        lines[row] = ",".join(cells)
-    return "\n".join(lines) + "\n"
+    twin = [row for row in rows if row[2] == rows[-1][2]]  # kept clean, then sent twice
+    rows = rows[: -len(twin)]
+
+    def some_row() -> list[str]:
+        return rows[rng.randrange(len(rows))]
+
+    for _ in range(6):  # a second report at a timestamp already seen
+        row = list(some_row())
+        row[3] = str(float(row[3]) + 0.01)
+        rows.append(row)
+    for bad in ("", "n/a", "-999.5", "400.25", "1e5", "1" + "0" * 400, " 12.5 ", "\u0663.\u0665"):
+        some_row()[rng.randrange(3, 8)] = bad
+    for _ in range(40):  # exact ties: one more decimal than kept, ending in 5
+        row = some_row()
+        column = rng.randrange(3, 8)
+        row[column] = f"{float(row[column]):.{(5, 5, 3, 3, 2)[column - 3]}f}5"
+    some_row()[7] = "359.995"  # rounds up to 360, which wraps to 0
+    for shift in (1, 3600, -86400):
+        row = some_row()
+        row[1] = _utc_text(int(row[0]) + shift)
+    row = some_row()
+    stamp = datetime.fromtimestamp(int(row[0]), tz=timezone.utc)
+    row[1] = f"{stamp.year}-{stamp.month}-{stamp.day} {stamp.hour}:{stamp.minute}:{stamp.second}"
+    some_row()[1] = "yesterday"
+    some_row()[1] = ""
+    some_row()[0] = "300000000000"
+    some_row()[0] = "-99999999999999999999999"
+    some_row()[0] = ""
+    some_row()[2] = ""
+    rows += twin + [list(row) for row in twin]
+    rng.shuffle(rows)
+    text_rows = [",".join(row) for row in rows]
+    for extra in ("", "1,2,3", ",".join(rows[0] + ["x"]), ""):
+        text_rows.insert(rng.randrange(len(text_rows)), extra)
+    return "\n".join([header] + text_rows) + "\n"
 
 
-class TestRoundingDifferential:
-    """Cleaned and aggregated output equals that of the Decimal rounding rule."""
+def ingest_outputs(records, clean, aggregate, means) -> tuple:
+    """Everything cleaning and aggregation produce, in comparable form."""
+    result = clean(records)
+    aggregated = [aggregate(t) for t in result.trajectories]
+    out = io.StringIO()
+    write_trajectories_csv(aggregated, out)
+    return (
+        result.summary(),
+        repr(result.trajectories),
+        repr(aggregated),
+        repr([means(t) for t in result.trajectories]),
+        out.getvalue().encode(),
+    )
 
-    def run_ingest(self, text: str) -> tuple[dict, list[Trajectory], str]:
-        result = clean_trajectories(read_adsb_csv(io.StringIO(text)))
-        aggregated = [aggregate_minutes(t) for t in result.trajectories]
-        out = io.StringIO()
-        write_trajectories_csv(aggregated, out)
-        return result.summary(), result.trajectories + aggregated, out.getvalue()
 
+class TestReferenceDifferential:
+    """Column ingest equals the per-record reference in tests/conftest.py."""
+
+    @pytest.mark.parametrize("chunk_rows", [ingest._CHUNK_ROWS, 97])
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_fast_rounding_matches_decimal_rounding(self, seed, monkeypatch):
+    def test_dirty_feed(self, seed, chunk_rows, monkeypatch, caplog):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
         text = dirty_feed_text(12, seed)
-        shipped = self.run_ingest(text)
-        monkeypatch.setattr(domain, "round_value", decimal_round_value)
-        oracle = self.run_ingest(text)
-        summary, trajectories, csv_text = shipped
-        assert summary == oracle[0]
-        assert summary["kept"] < 12
-        assert repr(trajectories) == repr(oracle[1])
-        assert csv_text.encode() == oracle[2].encode()
+        table = read_adsb_csv(io.StringIO(text))
+        shipped = ingest_outputs(table, clean_trajectories, aggregate_minutes, minute_means)
+        shipped_log = ingest_log(caplog)
+        caplog.clear()
+        records = reference_read_adsb_csv(text)
+        oracle = ingest_outputs(
+            records, reference_clean_trajectories, reference_aggregate_minutes, reference_minute_means
+        )
+        assert shipped_log == ingest_log(caplog)
+        assert len(table) == len(records)
+        assert repr(table.to_records()) == repr(records)
+        assert shipped == oracle
+        summary = shipped[0]
+        assert summary["kept"] > 0 and summary["incomplete"] and summary["invalid"] and summary["duplicate"]
+
+    @pytest.mark.parametrize("chunk_rows", [ingest._CHUNK_ROWS, 97])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_strict_mode_raises_the_same_first_error(self, seed, chunk_rows, monkeypatch, caplog):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        text = dirty_feed_text(4, seed)
+        with pytest.raises(MalformedRowError) as shipped:
+            read_adsb_csv(io.StringIO(text), strict=True)
+        shipped_log = ingest_log(caplog)
+        caplog.clear()
+        with pytest.raises(MalformedRowError) as oracle:
+            reference_read_adsb_csv(text, strict=True)
+        assert str(shipped.value) == str(oracle.value)
+        assert shipped_log == ingest_log(caplog)
+
+    def test_timestamp_past_64_bits_is_invalid_not_an_error(self):
+        rows = [
+            "60,1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
+            f"{2**64},1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
+            f"{2**64 + 1},1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
+        ]
+        table = read_adsb_csv(csv_source(*rows))
+        assert [r.timestamp for r in table.to_records()] == [60, 2**64, 2**64 + 1]
+        assert clean_trajectories(table).summary() == reference_clean_trajectories(table.to_records()).summary()
+        assert clean_trajectories(table).summary() == {"kept": 0, "incomplete": 0, "invalid": 1, "duplicate": 0}
+
+
+VALID_CELLS = {
+    "longitude": (-180.0, 180.0, 13.611845),
+    "latitude": (-90.0, 90.0, 50.489445),
+    "altitude": (-500.0, 15000.0, 10058.4005),
+    "velocity": (0.0, 1200.0, 968.5965),
+    "heading": (0.0, 359.995, 125.005),
+}
+
+
+def value_cells(name: str):
+    lo, hi, tie = VALID_CELLS[name]
+    valid = st.one_of(st.floats(lo, hi), st.sampled_from((lo, hi, tie, -0.0)))
+    defect = st.sampled_from((None, math.nan, math.inf, -math.inf, hi + 1.0))
+    return st.one_of(*[valid] * 9, defect)
+
+
+RAW_RECORDS = st.builds(
+    RawRecord,
+    timestamp=st.sampled_from((0, 30, 60, 61, 119, 120, None, 253402300800, -(2**70))),
+    utc_time=st.sampled_from(("1970-01-01 00:00:00",) * 5 + (None,)),
+    callsign=st.sampled_from(("A1", "B2", "A1", "B2", "", None)),
+    **{name: value_cells(name) for name in VALID_CELLS},
+)
+
+#: Record lists in any order, part of them (or all) sent twice.
+RECORD_FEEDS = st.lists(RAW_RECORDS, max_size=16).flatmap(
+    lambda rs: st.integers(0, len(rs)).flatmap(lambda k: st.permutations(rs + rs[:k]))
+)
+
+
+class TestCleaningProperty:
+    @given(RECORD_FEEDS)
+    def test_matches_reference(self, records):
+        shipped = clean_trajectories(records)
+        oracle = reference_clean_trajectories(records)
+        assert shipped.summary() == oracle.summary()
+        assert repr(shipped.trajectories) == repr(oracle.trajectories)
+        assert repr(RecordTable.from_records(records).to_records()) == repr(records)
+
+
+WAYPOINTS = st.builds(
+    Waypoint,
+    timestamp=st.one_of(st.integers(-200, 400), st.integers(0, 59)),  # some buckets hold many
+    longitude=st.floats(-180.0, 180.0),
+    latitude=st.sampled_from((0.0, -0.0, 45.000005, -45.000005)),
+    altitude=st.floats(-500.0, 15000.0),
+    velocity=st.sampled_from((0.0, 100.0005, 900.25)),
+    heading=st.one_of(
+        st.floats(0.0, 360.0, exclude_max=True),
+        # -1e-20 % 360 and the mean of the last two are exactly 360, which wraps to 0.
+        st.sampled_from((0.0, 359.995, 180.0, 400.0, -1e-20, 283.9404064087847, 76.05959359121528)),
+    ),
+)
+
+
+class TestAggregationProperty:
+    @given(st.lists(WAYPOINTS, max_size=40))
+    def test_matches_reference_bit_for_bit(self, waypoints):
+        traj = Trajectory("X", tuple(waypoints))
+        assert repr(minute_means(traj)) == repr(reference_minute_means(traj))
+        assert repr(aggregate_minutes(traj)) == repr(reference_aggregate_minutes(traj))
