@@ -199,6 +199,9 @@ def _cmd_prompt(cfg: dict) -> int:
     return 0
 
 
+_LOCAL_PREDICTORS = {"persistence": predict_persistence, "kinematic": predict_kinematic}
+
+
 def _local_forecast(cfg: dict):
     """The batched forecaster of a local backend: windows to rounded waypoints per window."""
     backend = cfg["backend"]
@@ -207,19 +210,14 @@ def _local_forecast(cfg: dict):
             raise ValueError("lstm backend requires --model-file")
         params = LstmParams.load(cfg["model_file"])
         return lambda windows: lstm_predict(params, windows)
-    if backend == "persistence":
-        predict = predict_persistence
-    elif backend == "kinematic":
-        predict = predict_kinematic
-    else:
+    predict = _LOCAL_PREDICTORS.get(backend)
+    if predict is None:
         raise ValueError(f"unknown backend {backend!r}")
     return lambda windows: [[round_waypoint(p) for p in predict(w, w.horizon)] for w in windows]
 
 
 def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
     backend = cfg["backend"]
-    rows = []
-
     if backend == "endpoint":
         if not cfg["base_url"] or not cfg["model"]:
             raise ValueError("endpoint backend requires --base-url and --model")
@@ -234,14 +232,11 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
         prompt_records = [prompts.build_prompt(w, include_assistant=False) for w in windows]
         results = llm.complete_many(prompt_records, endpoint)
         model_id = cfg["model"]
-        completions = [(r.text, r.latency_s) for r in results]
     elif backend == "mock":
         behavior = llm.MockBehavior(cfg["mock_behavior"])
-        completions = []
-        for window in windows:
-            record = prompts.build_prompt(window, include_assistant=False)
-            result = llm.mock_complete(record, behavior)
-            completions.append((result.text, result.latency_s))
+        results = [
+            llm.mock_complete(prompts.build_prompt(w, include_assistant=False), behavior) for w in windows
+        ]
         model_id = f"mock-{behavior.value}"
     else:
         forecast = _local_forecast(cfg)
@@ -249,14 +244,16 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
         predicted = forecast(windows)
         # One call forecasts the whole file; each row gets its share of the time.
         latency = (time.perf_counter() - start) / max(len(windows), 1)
-        completions = [(prompts.serialize_waypoints(p), latency) for p in predicted]
+        results = [llm.CompletionResult(prompts.serialize_waypoints(p), latency, 1) for p in predicted]
         model_id = backend
 
-    for window, (text, latency) in zip(windows, completions):
+    rows = []
+    for window, result in zip(windows, results):
         row = windowing.window_to_obj(window)
         row.update(
-            completion=text,
-            latency_s=latency,
+            completion=result.text,
+            latency_s=result.latency_s,
+            attempts=result.attempts,
             backend=backend,
             model=model_id,
             template_version=prompts.TEMPLATE_VERSION,
@@ -268,10 +265,7 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
 def _cmd_predict(cfg: dict) -> int:
     windows = windowing.read_windows_jsonl(cfg["input"])
     rows = _predict_rows(cfg, windows)
-    with open(cfg["out"], "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row))
-            fh.write("\n")
+    windowing.write_jsonl(rows, cfg["out"])
     logger.info("wrote %d predictions to %s", len(rows), cfg["out"])
     return 0
 
@@ -292,8 +286,7 @@ def _cmd_train_lstm(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    with open(cfg["pred"], encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = list(windowing.read_jsonl(cfg["pred"]))
     if cfg["few_shot"] is not None:
         rows = evaluation.few_shot_split(rows, cfg["few_shot"], cfg["seed"])
 

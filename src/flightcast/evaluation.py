@@ -163,17 +163,14 @@ class MetricsReport:
 EvalSample = tuple[Window, ParseOutcome, float]
 
 
-def _pool_stats(pairs: list[tuple[tuple[float, ...], tuple[float, ...]]]) -> dict[str, AttributeStats]:
-    """Per-attribute MAE/RMSE over pooled (truth, predicted) value tuples."""
-    truth = np.array([t for t, _ in pairs], dtype=np.float64)
-    predicted = np.array([p for _, p in pairs], dtype=np.float64)
-    stats = {}
-    for col, name in enumerate(ATTRIBUTES):
-        stats[name] = AttributeStats(
-            mae=mae(truth[:, col], predicted[:, col]),
-            rmse=rmse(truth[:, col], predicted[:, col]),
-        )
-    return stats
+def _pool_stats(truth: np.ndarray, predicted: np.ndarray) -> dict[str, AttributeStats]:
+    """Per-attribute MAE/RMSE over every waypoint pair of two (..., 5) arrays."""
+    truth = truth.reshape(-1, len(ATTRIBUTES))
+    predicted = predicted.reshape(-1, len(ATTRIBUTES))
+    return {
+        name: AttributeStats(mae=mae(truth[:, col], predicted[:, col]), rmse=rmse(truth[:, col], predicted[:, col]))
+        for col, name in enumerate(ATTRIBUTES)
+    }
 
 
 def evaluate(
@@ -185,9 +182,9 @@ def evaluate(
 
     All samples must share one horizon. Successful outcomes contribute
     each step's (truth, prediction) pair to the pooled per-attribute
-    metrics and to their window's phase bucket; failures only advance the
-    counters. With zero successes the metric fields are None but every
-    count is still populated.
+    metrics, to their window's phase bucket and to their step's bucket;
+    failures only advance the counters. With zero successes the metric
+    fields are None but every count is still populated.
     """
     horizons = {window.horizon for window, _, _ in samples}
     if len(horizons) > 1:
@@ -195,12 +192,7 @@ def evaluate(
     horizon = horizons.pop() if horizons else 0
 
     counts = {kind: 0 for kind in FailureKind}
-    evaluated = 0
-    entire: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
-    by_phase: dict[str, list] = {}
-    phase_samples: dict[str, int] = {}
-    by_step: dict[int, list] = {}
-
+    scored = []
     for window, outcome, _latency in samples:
         if not outcome.ok:
             counts[outcome.failure] += 1
@@ -209,31 +201,37 @@ def evaluate(
             raise ValueError(
                 f"outcome holds {len(outcome.waypoints)} waypoints for a horizon-{window.horizon} window"
             )
-        evaluated += 1
-        phase = segment_phase(window).value
-        phase_samples[phase] = phase_samples.get(phase, 0) + 1
-        for step, (truth, predicted) in enumerate(zip(window.targets, outcome.waypoints), start=1):
-            pair = (truth.values(), predicted.values())
-            entire.append(pair)
-            by_phase.setdefault(phase, []).append(pair)
-            by_step.setdefault(step, []).append(pair)
+        scored.append((window, outcome))
+
+    # (samples, steps, attributes) arrays; every pool below is a slice of them.
+    shape = (len(scored), horizon, len(ATTRIBUTES))
+    truth = np.array([[t.values() for t in w.targets] for w, _ in scored], dtype=np.float64).reshape(shape)
+    predicted = np.array([[p.values() for p in o.waypoints] for _, o in scored], dtype=np.float64).reshape(shape)
+    phases = np.array([segment_phase(w).value for w, _ in scored])
+    pooled = truth.size > 0
 
     latencies = [latency for _, _, latency in samples]
     return MetricsReport(
         model=model,
         horizon=horizon,
         template_version=template_version,
-        evaluated=evaluated,
+        evaluated=len(scored),
         excluded_severe=counts[FailureKind.SEVERE_DEVIATION],
         failed_missing=counts[FailureKind.MISSING_TRAJECTORY],
         failed_format=counts[FailureKind.UNEXPECTED_FORMAT],
         mean_latency_s=mean_latency(latencies) if latencies else None,
-        attributes=_pool_stats(entire) if entire else None,
+        attributes=_pool_stats(truth, predicted) if pooled else None,
         phases={
-            name: PhaseReport(samples=phase_samples[name], attributes=_pool_stats(pairs))
-            for name, pairs in sorted(by_phase.items())
+            name: PhaseReport(
+                samples=int(np.count_nonzero(phases == name)),
+                attributes=_pool_stats(truth[phases == name], predicted[phases == name]),
+            )
+            for name in (sorted(set(phases.tolist())) if pooled else ())
         },
-        per_step={step: _pool_stats(pairs) for step, pairs in sorted(by_step.items())},
+        per_step={
+            step: _pool_stats(truth[:, step - 1], predicted[:, step - 1])
+            for step in (range(1, horizon + 1) if scored else ())
+        },
     )
 
 

@@ -19,6 +19,7 @@ import io
 import logging
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -250,7 +251,21 @@ def _parse_numeric(raw: tuple[str, ...], cell_re, charset: bytes, convert, fill)
             pass
     cells = list(map(str.strip, raw))
     parsed = [cell_re.match(cell) is not None for cell in cells]
-    return [convert(c) if ok else fill for c, ok in zip(cells, parsed)], parsed, cells
+    return [_convert_cell(convert, c) if ok else fill for c, ok in zip(cells, parsed)], parsed, cells
+
+
+def _convert_cell(convert, cell: str):
+    """``convert`` of a cell that matches its grammar.
+
+    Of such cells ``int`` refuses only those with more digits than
+    ``sys.get_int_max_str_digits()``; they saturate at the largest
+    magnitude ``int`` still renders as text, which is out of any range.
+    """
+    try:
+        return convert(cell)
+    except ValueError:
+        bound = 10 ** sys.get_int_max_str_digits() - 1
+        return max(-bound, min(bound, int(Decimal(cell))))
 
 
 def _parse_rows(rows: list[list[str]], row_numbers, header: Header, strict: bool) -> RecordTable:

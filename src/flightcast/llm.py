@@ -24,7 +24,6 @@ from .domain import Waypoint, round_waypoint
 from .predictors import predict_kinematic
 from .prompts import (
     PromptRecord,
-    TokenScheme,
     estimate_tokens,
     extract_tuples,
     horizon_from_system,
@@ -198,8 +197,8 @@ def mock_complete(
     KINEMATIC dead-reckons from the prompt's own waypoints; EMPTY returns
     nothing; GARBLED returns prose with a single 3-field tuple; SIGN_FLIP
     returns the kinematic answer with longitude signs negated. Latency is
-    synthetic: one millisecond per number-atomic token of the user text
-    plus the response text.
+    synthetic: one millisecond per :func:`estimate_tokens` token of the
+    user text plus the response text.
     """
     window, horizon = _window_from_prompt(record)
     if behavior is MockBehavior.EMPTY:
@@ -214,7 +213,5 @@ def mock_complete(
                 for w in predicted
             ]
         text = serialize_waypoints(predicted)
-    tokens = estimate_tokens(record.user, TokenScheme.NUMBER_ATOMIC) + estimate_tokens(
-        text, TokenScheme.NUMBER_ATOMIC
-    )
+    tokens = estimate_tokens(record.user) + estimate_tokens(text)
     return CompletionResult(text=text, latency_s=tokens * MOCK_SECONDS_PER_TOKEN, attempts=1)

@@ -101,28 +101,6 @@ class LstmParams:
             norm_std = np.ones(input_dim)
         return cls(input_dim, hidden_dim, arrays, norm_mean, norm_std)
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(
-            self.input_dim,
-            self.hidden_dim,
-            {k: v.copy() for k, v in self.arrays.items()},
-            self.norm_mean.copy(),
-            self.norm_std.copy(),
-        )
-
-    # Flattened views, used by the finite-difference gradient check.
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.arrays[k].ravel() for k in sorted(self.arrays)])
-
-    def with_vector(self, vec: np.ndarray) -> "LstmParams":
-        out = self.copy()
-        offset = 0
-        for k in sorted(out.arrays):
-            size = out.arrays[k].size
-            out.arrays[k] = vec[offset : offset + size].reshape(out.arrays[k].shape).copy()
-            offset += size
-        return out
-
     def save(self, path: str | Path) -> None:
         obj = {
             "format": FORMAT_TAG,

@@ -10,6 +10,7 @@ every outcome into waypoints or one of three failure classes.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .domain import LATITUDE_RANGE, LONGITUDE_RANGE, Waypoint
-from .windowing import STEP_SECONDS, Window
+from .windowing import STEP_SECONDS, Window, read_jsonl, write_jsonl
 
 TEMPLATE_VERSION = "v1"
 
@@ -177,10 +178,15 @@ def parse_completion(
     """Parse arbitrary model output into waypoints or a failure class.
 
     Never raises. Classification: no numeric tuples at all is a missing
-    trajectory; too few tuples, wrong arity, or non-numeric fields is an
-    unexpected format; an implausible parsed waypoint is a severe
-    deviation. Tuples beyond the requested horizon are ignored.
+    trajectory; a completion that is not text, too few tuples, wrong
+    arity, or non-numeric fields is an unexpected format; an implausible
+    parsed waypoint is a severe deviation. Tuples beyond the requested
+    horizon are ignored.
     """
+    if not isinstance(text, str):
+        return ParseOutcome.failed(
+            FailureKind.UNEXPECTED_FORMAT, f"completion is {type(text).__name__}, not text"
+        )
     candidates = extract_tuples(text)
     if not candidates:
         return ParseOutcome.failed(FailureKind.MISSING_TRAJECTORY, "no coordinate tuples found")
@@ -237,11 +243,9 @@ def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
         raise ValueError(f"records mix template versions: {sorted(versions)}")
 
     path = Path(path)
-    lines = [
-        json.dumps({"system": r.system, "user": r.user, "assistant": r.assistant})
-        for r in records
-    ]
-    payload = "".join(line + "\n" for line in lines)
+    buffer = io.StringIO()
+    write_jsonl(({"system": r.system, "user": r.user, "assistant": r.assistant} for r in records), buffer)
+    payload = buffer.getvalue()
     path.write_text(payload, encoding="utf-8")
 
     manifest = {
@@ -256,42 +260,19 @@ def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
 
 
 def read_dataset(path: str | Path) -> list[PromptRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                records.append(
-                    PromptRecord(system=obj["system"], user=obj["user"], assistant=obj["assistant"])
-                )
-    return records
+    return [PromptRecord(o["system"], o["user"], o["assistant"]) for o in read_jsonl(path)]
 
 
 # --- Token counting ----------------------------------------------------------
 
 
-class TokenScheme(Enum):
-    DIGIT_SPLIT = "digit-split"
-    NUMBER_ATOMIC = "number-atomic"
-
-
 _TOKEN_RE = re.compile(r"\d+(?:\.\d+)?|[A-Za-z]+|.", re.DOTALL)
 
 
-def estimate_tokens(text: str, scheme: TokenScheme) -> int:
+def estimate_tokens(text: str) -> int:
     """Crude token count for latency analysis; never used for truncation.
 
-    Words count 1; every other character (punctuation and whitespace
-    alike) counts 1. A number like "103.25" counts 1 under NUMBER_ATOMIC
-    and as its digit groups plus separators (3) under DIGIT_SPLIT.
+    A number such as "103.25" counts 1, a run of letters counts 1, and
+    every other character (punctuation and whitespace alike) counts 1.
     """
-    count = 0
-    for token in _TOKEN_RE.findall(text):
-        if token[0].isdigit():
-            if scheme is TokenScheme.NUMBER_ATOMIC:
-                count += 1
-            else:
-                count += 2 * len(token.split(".")) - 1
-        else:
-            count += 1
-    return count
+    return len(_TOKEN_RE.findall(text))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .domain import Trajectory, Waypoint
 
@@ -128,18 +128,31 @@ def window_from_obj(obj: dict) -> Window:
     )
 
 
-def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
+def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:
+    """Write each object as one line of JSON."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
-            write_windows_jsonl(windows, fh)
+            write_jsonl(objs, fh)
             return
-    for window in windows:
-        target.write(json.dumps(window_to_obj(window)))
+    for obj in objs:
+        target.write(json.dumps(obj))
         target.write("\n")
 
 
-def read_windows_jsonl(source: str | Path | TextIO) -> list[Window]:
+def read_jsonl(source: str | Path | TextIO) -> Iterator:
+    """Yield the object on each non-blank line."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return read_windows_jsonl(fh)
-    return [window_from_obj(json.loads(line)) for line in source if line.strip()]
+            yield from read_jsonl(fh)
+        return
+    for line in source:
+        if line.strip():
+            yield json.loads(line)
+
+
+def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
+    write_jsonl(map(window_to_obj, windows), target)
+
+
+def read_windows_jsonl(source: str | Path | TextIO) -> list[Window]:
+    return list(map(window_from_obj, read_jsonl(source)))

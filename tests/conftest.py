@@ -5,6 +5,7 @@ import io
 import logging
 import math
 import re
+import sys
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -23,6 +24,7 @@ from flightcast.domain import (
     round_waypoint,
 )
 from flightcast.ingest import CleaningResult, MalformedRowError, RawRecord, parse_header
+from flightcast.predictors.lstm import LstmParams
 from flightcast.windowing import INPUT_LENGTH, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -54,6 +56,16 @@ def _where(row_number):
     return f" (row {row_number})" if row_number is not None else ""
 
 
+def reference_int(text: str) -> int:
+    """``int(text)`` of an integer cell; one with more significant digits
+    than ``int`` converts saturates at the largest magnitude it renders."""
+    negative = text.startswith("-")
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    limit = sys.get_int_max_str_digits()
+    magnitude = int(digits) if not limit or len(digits) <= limit else 10**limit - 1
+    return -magnitude if negative else magnitude
+
+
 def reference_parse_record(cells, header, row_number=None, strict=False) -> RawRecord:
     if len(cells) != header.width:
         raise MalformedRowError(
@@ -72,7 +84,7 @@ def reference_parse_record(cells, header, row_number=None, strict=False) -> RawR
             values.append(None)
     ts_text, *numbers = values
     record = RawRecord(
-        None if ts_text is None else int(ts_text),
+        None if ts_text is None else reference_int(ts_text),
         cells[header.indexes["utc_time"]].strip() or None,
         cells[header.indexes["callsign"]].strip() or None,
         *(None if v is None else float(v) for v in numbers),
@@ -215,6 +227,21 @@ def reference_aggregate_minutes(traj: Trajectory) -> Trajectory:
         traj.callsign,
         tuple(reference_round_waypoint(Waypoint(ts, *values)) for ts, values in reference_minute_means(traj)),
     )
+
+
+def params_vector(params: LstmParams) -> np.ndarray:
+    """An LSTM's arrays flattened in sorted-key order, for finite differences."""
+    return np.concatenate([params.arrays[k].ravel() for k in sorted(params.arrays)])
+
+
+def params_with_vector(params: LstmParams, vec: np.ndarray) -> LstmParams:
+    """A copy of ``params`` whose arrays are read back from ``params_vector`` order."""
+    arrays, offset = {}, 0
+    for k in sorted(params.arrays):
+        size = params.arrays[k].size
+        arrays[k] = vec[offset : offset + size].reshape(params.arrays[k].shape).copy()
+        offset += size
+    return LstmParams(params.input_dim, params.hidden_dim, arrays, params.norm_mean, params.norm_std)
 
 
 def make_waypoint(timestamp=0, longitude=0.0, latitude=0.0, altitude=0.0,

@@ -27,7 +27,14 @@ from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_co
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import INPUT_LENGTH, check_continuity, sample_windows
 
-from conftest import cruise_window, gap_seeded_trajectory, random_canonical_waypoint, random_window
+from conftest import (
+    cruise_window,
+    gap_seeded_trajectory,
+    params_vector,
+    params_with_vector,
+    random_canonical_waypoint,
+    random_window,
+)
 
 
 def _pass(number: int, message: str) -> None:
@@ -77,12 +84,13 @@ def test_criterion_02_lstm_gradient_check():
         y = rng.normal(size=(1, 5))
         _, grads = lstm_loss_gradients(params, x, y)
         analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
-        vec = params.to_vector()
+        vec = params_vector(params)
         for i in range(vec.size):
             up, down = vec.copy(), vec.copy()
             up[i] += eps
             down[i] -= eps
-            fd = (lstm_loss(params.with_vector(up), x, y) - lstm_loss(params.with_vector(down), x, y)) / (2 * eps)
+            loss_up = lstm_loss(params_with_vector(params, up), x, y)
+            fd = (loss_up - lstm_loss(params_with_vector(params, down), x, y)) / (2 * eps)
             rel = abs(fd - analytic[i]) / max(abs(fd) + abs(analytic[i]), 1e-6)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

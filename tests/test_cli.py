@@ -4,7 +4,7 @@ import pytest
 
 from flightcast.cli import main
 from flightcast.evaluation import MetricsReport
-from flightcast.windowing import read_windows_jsonl
+from flightcast.windowing import read_jsonl, read_windows_jsonl
 
 
 def run(*args) -> int:
@@ -50,6 +50,7 @@ class TestStages:
         out = pipeline_dir / "reports" / "mock"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                    "--backend", "mock") == 0
+        assert {row["attempts"] for row in read_jsonl(pred)} == {1}
         assert run("eval", "--pred", pred, "--out-prefix", out) == 0
         report = MetricsReport.from_dict(json.loads((out.parent / "mock.json").read_text()))
         assert report.evaluated > 0
@@ -74,6 +75,7 @@ class TestStages:
             out = pipeline_dir / "reports" / backend
             assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                        "--backend", backend) == 0
+            assert {row["attempts"] for row in read_jsonl(pred)} == {1}
             assert run("eval", "--pred", pred, "--out-prefix", out) == 0
 
     def test_train_and_predict_lstm(self, pipeline_dir, tmp_path):
@@ -86,6 +88,7 @@ class TestStages:
         pred = tmp_path / "pred_lstm.jsonl"
         assert run("predict", "--in", single, "--out", pred,
                    "--backend", "lstm", "--model-file", model) == 0
+        assert {row["attempts"] for row in read_jsonl(pred)} == {1}
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
 
     def test_eval_few_shot_deterministic(self, pipeline_dir):
@@ -140,6 +143,18 @@ class TestErrorsAndConfig:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary == {"cleaning": {"kept": 1, "incomplete": 0, "invalid": 1, "duplicate": 0}}
 
+    def test_timestamp_past_the_int_digit_limit_counts_as_invalid(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading\n"
+            "1727926166,2024-10-03 03:29:26,AB1,103.1,30.5,10000.0,900.0,90.0\n"
+            f"{'1' * 5000},2024-10-03 03:30:26,CD2,103.2,30.5,10000.0,900.0,90.0\n"
+        )
+        for strict in ((), ("--strict",)):
+            assert run("ingest", "--in", raw, "--out", tmp_path / "clean.csv", *strict) == 0
+            summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert summary == {"cleaning": {"kept": 1, "incomplete": 0, "invalid": 1, "duplicate": 0}}
+
     def test_overflowing_altitude_counts_as_invalid(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text(
@@ -173,6 +188,13 @@ class TestErrorsAndConfig:
         assert run("--config", config, "synth", "--out", out_file2, "--flights", 4) == 0
         manifest2 = json.loads((tmp_path / "flag_wins.csv.manifest.json").read_text())
         assert len(manifest2) == 4
+
+    def test_unknown_backend_from_config_exits_1(self, pipeline_dir, caplog):
+        config = pipeline_dir / "config.json"
+        config.write_text(json.dumps({"backend": "oracle"}))
+        assert run("--config", config, "predict", "--in", pipeline_dir / "windows.jsonl",
+                   "--out", pipeline_dir / "p.jsonl") == 1
+        assert "unknown backend 'oracle'" in caplog.text
 
     def test_endpoint_backend_requires_url_and_model(self, pipeline_dir):
         assert run("predict", "--in", pipeline_dir / "windows.jsonl",

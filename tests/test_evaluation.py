@@ -3,7 +3,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flightcast.domain import ATTRIBUTES, PhaseLabel, Waypoint
 from flightcast.evaluation import (
@@ -98,6 +101,29 @@ def success_sample(window: Window, predicted=None, latency=0.5):
 
 def failed_sample(window: Window, kind: FailureKind, latency=0.5):
     return (window, ParseOutcome.failed(kind, "scripted"), latency)
+
+
+#: Climb, level and descent rates (m per minute) on either side of the phase threshold.
+PHASE_RATES = (240.0, 0.0, -240.0)
+OUTCOMES = ("ok",) * 3 + tuple(FailureKind)
+
+
+def phase_sample(rng, horizon: int, rate: float, kind):
+    """A window climbing, cruising or descending at ``rate``, with a noisy
+    prediction when ``kind`` is "ok" and a scripted failure otherwise."""
+    start = int(rng.integers(0, 10_000)) * 60
+    lon, lat = float(rng.uniform(95.0, 115.0)), float(rng.uniform(20.0, 45.0))
+    waypoints = [
+        Waypoint(start + 60 * i, lon + 0.1 * i, lat - 0.05 * i, 5000.0 + rate * i,
+                 float(rng.uniform(300.0, 900.0)), float(rng.uniform(0.0, 360.0)))
+        for i in range(INPUT_LENGTH + horizon)
+    ]
+    window = Window("PHS", tuple(waypoints[:INPUT_LENGTH]), tuple(waypoints[INPUT_LENGTH:]))
+    if kind != "ok":
+        return failed_sample(window, kind, latency=float(rng.uniform(0.0, 2.0)))
+    noise = rng.normal(scale=(0.05, 0.05, 30.0, 10.0, 5.0), size=(horizon, len(ATTRIBUTES)))
+    predicted = [Waypoint(t.timestamp, *(np.array(t.values()) + n).tolist()) for t, n in zip(window.targets, noise)]
+    return success_sample(window, predicted, latency=float(rng.uniform(0.0, 2.0)))
 
 
 class TestEvaluate:
@@ -197,6 +223,48 @@ class TestEvaluate:
         samples = [success_sample(cruise_window(rng, 1)), success_sample(cruise_window(rng, 4))]
         with pytest.raises(ValueError, match="horizons"):
             evaluate(samples)
+
+    @given(
+        horizon=st.sampled_from((1, 4, 8)),
+        kinds=st.lists(st.tuples(st.sampled_from(PHASE_RATES), st.sampled_from(OUTCOMES)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_pool_matches_brute_force(self, horizon, kinds, seed):
+        rng = np.random.default_rng(seed)
+        samples = [phase_sample(rng, horizon, rate, kind) for rate, kind in kinds]
+        report = evaluate(samples)
+
+        entire, by_phase, by_step = [], {}, {}
+        for window, outcome, _ in samples:
+            if outcome.ok:
+                phase = segment_phase(window).value
+                for step, pair in enumerate(zip(window.targets, outcome.waypoints), start=1):
+                    entire.append(pair)
+                    by_phase.setdefault(phase, []).append(pair)
+                    by_step.setdefault(step, []).append(pair)
+
+        def check(stats, pairs):
+            for col, attr in enumerate(ATTRIBUTES):
+                truth = [t.values()[col] for t, _ in pairs]
+                pred = [p.values()[col] for _, p in pairs]
+                assert stats[attr].mae == mae(truth, pred)
+                assert stats[attr].rmse == rmse(truth, pred)
+                assert stats[attr].mae == pytest.approx(brute_mae(truth, pred), rel=1e-12, abs=1e-12)
+                assert stats[attr].rmse == pytest.approx(brute_rmse(truth, pred), rel=1e-12, abs=1e-12)
+
+        assert report.evaluated == sum(outcome.ok for _, outcome, _ in samples)
+        assert report.total_submitted == len(samples)
+        if entire:
+            check(report.attributes, entire)
+        else:
+            assert report.attributes is None
+        assert sorted(report.phases) == sorted(by_phase)
+        for name, pairs in by_phase.items():
+            assert report.phases[name].samples == len(pairs) // horizon
+            check(report.phases[name].attributes, pairs)
+        assert sorted(report.per_step) == sorted(by_step)
+        for step, pairs in by_step.items():
+            check(report.per_step[step], pairs)
 
     def test_phase_subreports(self, rng):
         climb = [

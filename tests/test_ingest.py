@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import random
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -406,6 +407,7 @@ def dirty_feed_text(flights: int, seed: int) -> str:
     some_row()[1] = ""
     some_row()[0] = "300000000000"
     some_row()[0] = "-99999999999999999999999"
+    some_row()[0] = "9" * 5000  # more digits than int() converts
     some_row()[0] = ""
     some_row()[2] = ""
     rows += twin + [list(row) for row in twin]
@@ -480,6 +482,25 @@ class TestReferenceDifferential:
         assert [r.timestamp for r in table.to_records()] == [60, 2**64, 2**64 + 1]
         assert clean_trajectories(table).summary() == reference_clean_trajectories(table.to_records()).summary()
         assert clean_trajectories(table).summary() == {"kept": 0, "incomplete": 0, "invalid": 1, "duplicate": 0}
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_timestamp_past_the_int_digit_limit_is_invalid_not_an_error(self, strict, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        many = sys.get_int_max_str_digits() + 700
+        text = csv_source(
+            "60,1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
+            f"{'9' * many},1970-01-01 00:01:00,B2,1.0,2.0,3.0,4.0,5.0",
+            f"-{'9' * many},1970-01-01 00:01:00,C3,1.0,2.0,3.0,4.0,5.0",
+            f"{'0' * many}120,1970-01-01 00:02:00,D4,1.0,2.0,3.0,4.0,5.0",
+        ).getvalue()
+        table = read_adsb_csv(io.StringIO(text), strict=strict)
+        shipped_log = ingest_log(caplog)
+        caplog.clear()
+        records = reference_read_adsb_csv(text, strict=strict)
+        assert shipped_log == ingest_log(caplog)
+        assert repr(table.to_records()) == repr(records)
+        assert records[3].timestamp == 120
+        assert clean_trajectories(table).summary() == {"kept": 2, "incomplete": 0, "invalid": 2, "duplicate": 0}
 
 
 VALID_CELLS = {

@@ -6,6 +6,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from flightcast import llm
+from flightcast.cli import main
+from flightcast.evaluation import MetricsReport
 from flightcast.llm import (
     EndpointConfig,
     EndpointError,
@@ -15,6 +18,7 @@ from flightcast.llm import (
     mock_complete,
 )
 from flightcast.prompts import FailureKind, PromptRecord, build_prompt, parse_completion
+from flightcast.windowing import read_jsonl, write_windows_jsonl
 
 from conftest import cruise_window
 
@@ -23,6 +27,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     """Scripted chat-completions endpoint; behavior keyed on model name."""
 
     seen: list[dict] = []
+    dropped: set[str] = set()
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
         length = int(self.headers.get("Content-Length", 0))
@@ -36,14 +41,19 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"backend exploded")
             return
+        user = request["messages"][1]["content"]
+        if model == "flaky" and user not in type(self).dropped:
+            type(self).dropped.add(user)
+            self.close_connection = True  # hang up without a reply, once per prompt
+            return
         if model == "slow":
             time.sleep(1.0)
         if model == "junk":
             payload = b"this is not json"
-        else:  # echo: answer with the user message content
-            user = request["messages"][1]["content"]
+        else:  # echo: answer with the user message content; "number" answers 42
+            content = 42 if model == "number" else user
             payload = json.dumps(
-                {"choices": [{"message": {"role": "assistant", "content": user}}]}
+                {"choices": [{"message": {"role": "assistant", "content": content}}]}
             ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -201,3 +211,33 @@ class TestMockComplete:
         broken = PromptRecord(system="You are helpful.", user=record.user, assistant="")
         with pytest.raises(ValueError, match="horizon"):
             mock_complete(broken)
+
+
+class TestCliEndpoint:
+    """predict --backend endpoint, then eval, against the scripted server."""
+
+    def predict(self, tmp_path, rng, url, model, *extra) -> list[dict]:
+        windows = tmp_path / "windows.jsonl"
+        write_windows_jsonl([cruise_window(rng, 4) for _ in range(3)], windows)
+        pred = tmp_path / "pred.jsonl"
+        argv = ["predict", "--in", windows, "--out", pred, "--backend", "endpoint",
+                "--base-url", url, "--model", model, *extra]
+        assert main([str(a) for a in argv]) == 0
+        return list(read_jsonl(pred))
+
+    def test_rows_keep_attempts(self, endpoint_url, tmp_path, rng):
+        assert [row["attempts"] for row in self.predict(tmp_path, rng, endpoint_url, "echo")] == [1, 1, 1]
+
+    def test_rows_count_retried_attempts(self, endpoint_url, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(llm, "_backoff_sleep", lambda cfg, attempt: None)
+        rows = self.predict(tmp_path, rng, endpoint_url, "flaky", "--retries", 2)
+        assert [row["attempts"] for row in rows] == [2, 2, 2]
+        assert all(row["completion"] for row in rows)
+
+    def test_non_string_completion_is_a_format_failure(self, endpoint_url, tmp_path, rng):
+        rows = self.predict(tmp_path, rng, endpoint_url, "number")
+        assert [row["completion"] for row in rows] == [42, 42, 42]
+        prefix = tmp_path / "report"
+        assert main(["eval", "--pred", str(tmp_path / "pred.jsonl"), "--out-prefix", str(prefix)]) == 1  # none scored
+        report = MetricsReport.from_dict(json.loads((tmp_path / "report.json").read_text()))
+        assert (report.failed_format, report.evaluated) == (3, 0)

@@ -17,7 +17,7 @@ from flightcast.predictors.lstm import (
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window
+from conftest import cruise_window, params_vector, params_with_vector
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
@@ -52,15 +52,15 @@ def relative_errors(params, x, y, eps=1e-5, probes=None, rng=None):
     """Analytic vs central finite-difference gradients on the flat vector."""
     loss, grads = lstm_loss_gradients(params, x, y)
     analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
-    vec = params.to_vector()
+    vec = params_vector(params)
     indices = range(vec.size) if probes is None else rng.choice(vec.size, probes, replace=False)
     rel = []
     for i in indices:
         up, down = vec.copy(), vec.copy()
         up[i] += eps
         down[i] -= eps
-        loss_up, _ = lstm_loss_gradients(params.with_vector(up), x, y)
-        loss_down, _ = lstm_loss_gradients(params.with_vector(down), x, y)
+        loss_up, _ = lstm_loss_gradients(params_with_vector(params, up), x, y)
+        loss_down, _ = lstm_loss_gradients(params_with_vector(params, down), x, y)
         fd = (loss_up - loss_down) / (2 * eps)
         rel.append(abs(fd - analytic[i]) / max(abs(fd) + abs(analytic[i]), 1e-6))
     return max(rel)

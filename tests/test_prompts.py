@@ -7,7 +7,6 @@ from flightcast.prompts import (
     FailureKind,
     ParseOutcome,
     PromptRecord,
-    TokenScheme,
     build_prompt,
     classify_severe,
     emit_dataset,
@@ -127,6 +126,12 @@ class TestParseCompletion:
             outcome = parse_completion(text, 4, window)
             assert outcome.ok or outcome.failure is not None
 
+    @pytest.mark.parametrize("text", [42, 4.2, None, ["(1.0, 2.0, 3.0, 4.0, 5.0)"], {"content": "x"}])
+    def test_non_string_completion_is_unexpected_format(self, text, rng):
+        outcome = parse_completion(text, 1, random_window(rng, 1))
+        assert outcome.failure is FailureKind.UNEXPECTED_FORMAT
+        assert type(text).__name__ in outcome.diagnostic
+
     def test_parsed_timestamps_continue_the_window(self, rng):
         window = cruise_window(rng, 4)
         outcome = parse_completion(serialize_waypoints(window.targets), 4, window)
@@ -211,29 +216,16 @@ class TestEmitDataset:
 
 
 class TestEstimateTokens:
-    def test_number_split_into_three(self):
-        assert estimate_tokens("103.25", TokenScheme.DIGIT_SPLIT) == 3
-        assert estimate_tokens("103.25", TokenScheme.NUMBER_ATOMIC) == 1
+    def test_number_is_one_token(self):
+        assert estimate_tokens("103.25") == 1
+
+    def test_word_is_one_token(self):
+        # "climb", "to", "8000", "m" and three spaces
+        assert estimate_tokens("climb to 8000 m") == 7
 
     def test_empty(self):
-        assert estimate_tokens("", TokenScheme.DIGIT_SPLIT) == 0
-        assert estimate_tokens("", TokenScheme.NUMBER_ATOMIC) == 0
+        assert estimate_tokens("") == 0
 
     def test_small_tuple(self):
         # 2 numbers + "(" + "," + " " + ")" = 6
-        assert estimate_tokens("(1.0, 2.0)", TokenScheme.NUMBER_ATOMIC) == 6
-
-    def test_digit_split_never_smaller(self, rng):
-        samples = [
-            "(13.61184, 50.48944, 10058.400, 968.596, 125.00)",
-            "climbing through 8000 meters at 850 km/h",
-            "no numbers here at all",
-            "",
-        ]
-        for _ in range(100):
-            blob = bytes(rng.integers(32, 127, size=int(rng.integers(0, 60)), dtype="uint8"))
-            samples.append(blob.decode("ascii"))
-        for text in samples:
-            assert estimate_tokens(text, TokenScheme.DIGIT_SPLIT) >= estimate_tokens(
-                text, TokenScheme.NUMBER_ATOMIC
-            )
+        assert estimate_tokens("(1.0, 2.0)") == 6
