@@ -132,7 +132,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _config_value(action: argparse.Action, value):
+    """A config-file value read as if its text had been given to the flag."""
+    if value is not None and action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise ValueError(
+                f"invalid {action.type.__name__} value for {action.dest} in config file: {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"unknown {action.dest} {value!r} in config file"
+                         f" (choose from {', '.join(map(str, action.choices))})")
+    return value
+
+
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Apply precedence: explicit flags > config file > defaults."""
     resolved = dict(vars(args))
     config_path = resolved.pop("config", None)
@@ -141,11 +156,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
     defaults = DEFAULTS.get(args.command, {})
     for key, value in resolved.items():
         if value is None:
             if key in file_values:
-                resolved[key] = file_values[key]
+                resolved[key] = _config_value(actions[key], file_values[key])
             elif key in defaults:
                 resolved[key] = defaults[key]
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True, default=str))
@@ -210,9 +227,7 @@ def _local_forecast(cfg: dict):
             raise ValueError("lstm backend requires --model-file")
         params = LstmParams.load(cfg["model_file"])
         return lambda windows: lstm_predict(params, windows)
-    predict = _LOCAL_PREDICTORS.get(backend)
-    if predict is None:
-        raise ValueError(f"unknown backend {backend!r}")
+    predict = _LOCAL_PREDICTORS[backend]
     return lambda windows: [[round_waypoint(p) for p in predict(w, w.horizon)] for w in windows]
 
 
@@ -343,9 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg = _resolve(args, parser)
         return _COMMANDS[args.command](cfg)
     except Exception as exc:  # argparse exits separately with code 2
         logger.error("%s", exc)

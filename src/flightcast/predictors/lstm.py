@@ -1,11 +1,12 @@
 """Single-layer LSTM forecaster with hand-written backpropagation.
 
 Everything is plain numpy in float64: forward recurrence, exact gradients
-through the gate algebra, and an Adam loop. The model predicts the next
-waypoint from the previous 16; longer horizons roll the model forward on
-its own output. Feature scaling is z-score with statistics taken from the
-training inputs and stored inside the parameters, so a saved model is
-self-contained.
+through the gate algebra, and an Adam loop over one flat weight vector
+whose named arrays are views (model files still store the named arrays).
+The model predicts the next waypoint from the previous 16; longer horizons
+roll the model forward on its own output. Feature scaling is z-score with
+statistics taken from the training inputs and stored inside the
+parameters, so a saved model is self-contained.
 """
 
 from __future__ import annotations
@@ -53,19 +54,27 @@ class TrainConfig:
             raise ValueError("hidden dim must be >= 1")
 
 
+def _views(vector: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into a flat vector, shaped like ``like``'s arrays and laid out in sorted-name order."""
+    names = sorted(like)
+    blocks = np.split(vector, np.cumsum([np.size(like[k]) for k in names])[:-1])
+    return {k: block.reshape(np.shape(like[k])) for k, block in zip(names, blocks)}
+
+
 class LstmParams:
     """Fused gate weights, output projection, and normalization statistics.
 
-    ``arrays`` holds ``w`` (4H, D), ``u`` (4H, H) and ``b`` (4H,), whose row
-    blocks are the i, f, o and g gates in that order, plus the output
-    projection ``w_out`` (D, H) and ``b_out`` (D,).
+    ``arrays`` names in-place views into ``vector``: ``w`` (4H, D), ``u``
+    (4H, H) and ``b`` (4H,), whose row blocks are the i, f, o and g gates in
+    that order, plus the output projection ``w_out`` (D, H) and ``b_out`` (D,).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, arrays: dict[str, np.ndarray],
                  norm_mean: np.ndarray, norm_std: np.ndarray):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.arrays = arrays
+        self.vector = np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)], dtype=np.float64)
+        self.arrays = _views(self.vector, arrays)
         self.norm_mean = np.asarray(norm_mean, dtype=np.float64)
         self.norm_std = np.asarray(norm_std, dtype=np.float64)
         if np.any(self.norm_std <= 0):
@@ -84,10 +93,8 @@ class LstmParams:
         s = 1.0 / np.sqrt(hidden_dim)
         # One draw per gate, w then u, keeps a seed's model the same as when
         # each gate had its own matrices.
-        w, u = [], []
-        for _ in _GATES:
-            w.append(rng.uniform(-s, s, size=(hidden_dim, input_dim)))
-            u.append(rng.uniform(-s, s, size=(hidden_dim, hidden_dim)))
+        w, u = zip(*[(rng.uniform(-s, s, size=(hidden_dim, input_dim)),
+                      rng.uniform(-s, s, size=(hidden_dim, hidden_dim))) for _ in _GATES])
         arrays = {
             "w": np.concatenate(w),
             "u": np.concatenate(u),
@@ -117,7 +124,8 @@ class LstmParams:
         """Read a ``/2`` model file, or a ``/1`` file with one matrix set per gate.
 
         Raises ValueError naming the first array whose shape does not fit
-        the file's ``input_dim`` and ``hidden_dim``.
+        the file's ``input_dim`` and ``hidden_dim``, or that holds a
+        non-finite value (``json`` reads ``NaN`` and ``Infinity``).
         """
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         fmt = obj.get("format")
@@ -146,6 +154,8 @@ class LstmParams:
                     f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
                     f" for input_dim {dim}, hidden_dim {hidden}"
                 )
+            if not np.all(np.isfinite(arrays[name])):
+                raise ValueError(f"array {name!r} holds a non-finite value")
         if fmt == _FORMAT_TAG_V1:
             for k in fused:
                 arrays[k] = np.concatenate([arrays.pop(f"{k}_{gate}") for gate in _GATES])
@@ -162,13 +172,9 @@ def denormalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign for numerical stability at large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; min(x, -x) is -|x| that keeps a NaN's sign.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_batch(
@@ -192,35 +198,34 @@ def _forward_batch(
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         if steps is not None:
-            steps.append((xt, h, c, i, f, o, g, tanh_c))
+            steps.append((xt, h, c, ifo, i, f, o, g, tanh_c))
         h, c = o * tanh_c, c_new
     return h @ a["w_out"].T + a["b_out"], h
 
 
 def _backward_batch(
     params: LstmParams, steps: list, h_final: np.ndarray, d_prediction: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact gradients of a recorded forward pass for d(loss)/d(prediction)."""
-    a = params.arrays
-    grads = {k: np.zeros_like(v) for k, v in a.items()}
-    grads["w_out"] = d_prediction.T @ h_final
-    grads["b_out"] = d_prediction.sum(axis=0)
+) -> np.ndarray:
+    """Exact flat gradient, laid out like ``params.vector``, of a recorded forward pass."""
+    a, hidden = params.arrays, params.hidden_dim
+    gradient = np.zeros_like(params.vector)
+    grads = _views(gradient, a)
+    grads["w_out"][:] = d_prediction.T @ h_final
+    grads["b_out"][:] = d_prediction.sum(axis=0)
     dh = d_prediction @ a["w_out"]
     dc = np.zeros_like(dh)
-    for xt, h_prev, c_prev, i, f, o, g, tanh_c in reversed(steps):
+    for xt, h_prev, c_prev, ifo, i, f, o, g, tanh_c in reversed(steps):
         dc = dc + dh * o * (1.0 - tanh_c**2)
-        da = np.hstack([
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dh * tanh_c * o * (1.0 - o),
-            dc * i * (1.0 - g**2),
-        ])
+        da = np.concatenate([dc * g, dc * c_prev, dh * tanh_c, dc * i], axis=1)
+        # Sigmoid gates: (d * act) * (1 - act); another association moves the model's last bits.
+        np.multiply(da[:, : 3 * hidden] * ifo, 1.0 - ifo, out=da[:, : 3 * hidden])
+        da[:, 3 * hidden :] *= 1.0 - g**2
         grads["w"] += da.T @ xt
         grads["u"] += da.T @ h_prev
         grads["b"] += da.sum(axis=0)
         dh = da @ a["u"]
         dc = dc * f
-    return grads
+    return gradient
 
 
 def lstm_forward(params: LstmParams, x: np.ndarray) -> np.ndarray:
@@ -239,8 +244,8 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> np.ndarray:
 
 def lstm_loss_gradients(
     params: LstmParams, inputs: np.ndarray, targets: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared error over a normalized batch and its exact gradients.
+) -> tuple[float, np.ndarray]:
+    """Mean squared error over a normalized batch and its exact flat gradient.
 
     inputs has shape (batch, steps, input_dim), targets (batch, input_dim);
     the loss is averaged over both batch and attribute dimensions.
@@ -264,16 +269,16 @@ def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 
 
 def _window_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (n, steps, D) and first targets; a rollout window may have no targets."""
     x = np.array([[w.values() for w in win.inputs] for win in windows], dtype=np.float64)
-    y = np.array([win.targets[0].values() for win in windows], dtype=np.float64)
+    y = np.array([win.targets[0].values() for win in windows if win.targets], dtype=np.float64)
     return x, y
 
 
 def training_mse(params: LstmParams, windows: Sequence[Window]) -> float:
     """Normalized-space one-step MSE of the model on the given windows."""
     x, y = _window_arrays(windows)
-    prediction, _ = _forward_batch(params, normalize(params, x))
-    return float(np.mean((prediction - normalize(params, y)) ** 2))
+    return lstm_loss(params, normalize(params, x), normalize(params, y))
 
 
 def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
@@ -300,8 +305,7 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     y = normalize(params, y_raw)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    v = {k: np.zeros_like(val) for k, val in params.arrays.items()}
+    m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
     step = 0
     n = len(windows)
     for epoch in range(1, cfg.epochs + 1):
@@ -309,15 +313,13 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = lstm_loss_gradients(params, x[batch], y[batch])
+            loss, grad = lstm_loss_gradients(params, x[batch], y[batch])
             epoch_loss += loss * len(batch)
             step += 1
-            for key, grad in grads.items():
-                m[key] = beta1 * m[key] + (1.0 - beta1) * grad
-                v[key] = beta2 * v[key] + (1.0 - beta2) * grad**2
-                m_hat = m[key] / (1.0 - beta1**step)
-                v_hat = v[key] / (1.0 - beta2**step)
-                params.arrays[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad**2
+            m_hat, v_hat = m / (1.0 - beta1**step), v / (1.0 - beta2**step)
+            params.vector -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training diverged at epoch {epoch}")
@@ -337,7 +339,7 @@ def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[list[Way
         return []
     if len({len(win.inputs) for win in windows}) > 1:
         raise ValueError("windows mix input lengths")
-    sequence = np.array([[w.values() for w in win.inputs] for win in windows], dtype=np.float64)
+    sequence, _ = _window_arrays(windows)
     raw = np.empty((len(windows), max(win.horizon for win in windows), ATTR_DIM))
     for step in range(raw.shape[1]):
         raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))

@@ -24,7 +24,6 @@ from flightcast.domain import (
     round_waypoint,
 )
 from flightcast.ingest import CleaningResult, MalformedRowError, RawRecord, parse_header
-from flightcast.predictors.lstm import LstmParams
 from flightcast.windowing import INPUT_LENGTH, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -229,19 +228,14 @@ def reference_aggregate_minutes(traj: Trajectory) -> Trajectory:
     )
 
 
-def params_vector(params: LstmParams) -> np.ndarray:
-    """An LSTM's arrays flattened in sorted-key order, for finite differences."""
-    return np.concatenate([params.arrays[k].ravel() for k in sorted(params.arrays)])
-
-
-def params_with_vector(params: LstmParams, vec: np.ndarray) -> LstmParams:
-    """A copy of ``params`` whose arrays are read back from ``params_vector`` order."""
-    arrays, offset = {}, 0
-    for k in sorted(params.arrays):
-        size = params.arrays[k].size
-        arrays[k] = vec[offset : offset + size].reshape(params.arrays[k].shape).copy()
-        offset += size
-    return LstmParams(params.input_dim, params.hidden_dim, arrays, params.norm_mean, params.norm_std)
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function split by sign, so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def make_waypoint(timestamp=0, longitude=0.0, latitude=0.0, altitude=0.0,

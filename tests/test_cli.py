@@ -91,6 +91,21 @@ class TestStages:
         assert {row["attempts"] for row in read_jsonl(pred)} == {1}
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
 
+    def test_non_finite_model_file_names_the_array(self, pipeline_dir, tmp_path, caplog):
+        single = tmp_path / "win1.jsonl"
+        model = tmp_path / "model.json"
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 1,
+                   "--stride", 17, "--out", single) == 0
+        assert run("train-lstm", "--in", single, "--out", model,
+                   "--epochs", 1, "--hidden", 4, "--seed", 1) == 0
+        obj = json.loads(model.read_text())
+        obj["arrays"]["w_out"][0][0] = float("nan")
+        model.write_text(json.dumps(obj))
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", tmp_path / "p.jsonl",
+                   "--backend", "lstm", "--model-file", model) == 1
+        assert "array 'w_out' holds a non-finite value" in caplog.text
+        assert "input sequence" not in caplog.text
+
     def test_eval_few_shot_deterministic(self, pipeline_dir):
         pred = pipeline_dir / "pred_fs.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
@@ -195,6 +210,47 @@ class TestErrorsAndConfig:
         assert run("--config", config, "predict", "--in", pipeline_dir / "windows.jsonl",
                    "--out", pipeline_dir / "p.jsonl") == 1
         assert "unknown backend 'oracle'" in caplog.text
+
+    def test_string_horizon_from_config_is_converted(self, pipeline_dir):
+        config = pipeline_dir / "config.json"
+        config.write_text(json.dumps({"horizon": "8", "stride": "30"}))
+        from_config, from_flags = pipeline_dir / "w_config.jsonl", pipeline_dir / "w_flags.jsonl"
+        assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
+                   "--out", from_config) == 0
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 8, "--stride", 30,
+                   "--out", from_flags) == 0
+        assert from_config.read_text() == from_flags.read_text()
+        assert {w.horizon for w in read_windows_jsonl(from_config)} == {8}
+
+    def test_string_seed_from_config_is_converted(self, pipeline_dir):
+        pred = pipeline_dir / "pred_seed.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
+                   "--backend", "mock") == 0
+        config = pipeline_dir / "config.json"
+        config.write_text(json.dumps({"seed": "3", "few_shot": "0.5"}))
+        assert run("--config", config, "eval", "--pred", pred,
+                   "--out-prefix", pipeline_dir / "from_config") == 0
+        assert run("eval", "--pred", pred, "--seed", 3, "--few-shot", 0.5,
+                   "--out-prefix", pipeline_dir / "from_flags") == 0
+        assert ((pipeline_dir / "from_config.csv").read_text()
+                == (pipeline_dir / "from_flags.csv").read_text())
+
+    def test_config_value_of_the_wrong_type_exits_1(self, pipeline_dir, caplog):
+        config = pipeline_dir / "config.json"
+        for value in ("four", 4.5, True):
+            config.write_text(json.dumps({"horizon": value}))
+            assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
+                       "--out", pipeline_dir / "w.jsonl") == 1
+            assert f"invalid int value for horizon in config file: {value!r}" in caplog.text
+
+    def test_out_of_choices_backend_from_config_is_rejected_up_front(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": "oracle"}))
+        # The missing input file is never opened: the config fails first.
+        assert run("--config", config, "predict", "--in", tmp_path / "missing.jsonl",
+                   "--out", tmp_path / "p.jsonl") == 1
+        assert ("unknown backend 'oracle' in config file"
+                " (choose from endpoint, mock, persistence, kinematic, lstm)") in caplog.text
 
     def test_endpoint_backend_requires_url_and_model(self, pipeline_dir):
         assert run("predict", "--in", pipeline_dir / "windows.jsonl",

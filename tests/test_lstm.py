@@ -1,7 +1,12 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flightcast.domain import Waypoint
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train
@@ -9,6 +14,7 @@ from flightcast.predictors.lstm import (
     ATTR_DIM,
     FORMAT_TAG,
     LstmParams,
+    _sigmoid,
     denormalize,
     lstm_forward,
     lstm_loss_gradients,
@@ -17,7 +23,7 @@ from flightcast.predictors.lstm import (
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, params_vector, params_with_vector
+from conftest import cruise_window, reference_sigmoid
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
@@ -50,20 +56,46 @@ def v1_model(params: LstmParams, path) -> dict:
 
 def relative_errors(params, x, y, eps=1e-5, probes=None, rng=None):
     """Analytic vs central finite-difference gradients on the flat vector."""
-    loss, grads = lstm_loss_gradients(params, x, y)
-    analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
-    vec = params_vector(params)
+    _, analytic = lstm_loss_gradients(params, x, y)
+    vec = params.vector
     indices = range(vec.size) if probes is None else rng.choice(vec.size, probes, replace=False)
     rel = []
     for i in indices:
-        up, down = vec.copy(), vec.copy()
-        up[i] += eps
-        down[i] -= eps
-        loss_up, _ = lstm_loss_gradients(params_with_vector(params, up), x, y)
-        loss_down, _ = lstm_loss_gradients(params_with_vector(params, down), x, y)
+        saved = vec[i]
+        vec[i] = saved + eps
+        loss_up, _ = lstm_loss_gradients(params, x, y)
+        vec[i] = saved - eps
+        loss_down, _ = lstm_loss_gradients(params, x, y)
+        vec[i] = saved
         fd = (loss_up - loss_down) / (2 * eps)
         rel.append(abs(fd - analytic[i]) / max(abs(fd) + abs(analytic[i]), 1e-6))
     return max(rel)
+
+
+def assert_views_of_vector(params: LstmParams) -> None:
+    assert sorted(params.arrays) == ["b", "b_out", "u", "w", "w_out"]
+    assert sum(a.size for a in params.arrays.values()) == params.vector.size
+    for key, array in params.arrays.items():
+        assert np.shares_memory(array, params.vector), key
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+edge_values = st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+     745.2, -745.2, 800.0, -800.0, 1e308, -1e308]
+)
+
+
+class TestSigmoid:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                      elements=st.one_of(finite_or_not, edge_values)))
+    def test_bitwise_equals_split_by_sign(self, x):
+        expected = reference_sigmoid(x)
+        assert np.array_equal(_sigmoid(x).view(np.uint64), expected.view(np.uint64))
+
+    def test_edge_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 746.0, -746.0])
+        assert _sigmoid(x).tolist() == [0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
 
 
 class TestForward:
@@ -97,6 +129,22 @@ class TestForward:
         y = rng.normal(size=(2, ATTR_DIM))
         assert relative_errors(params, x, y, probes=80, rng=rng) < 1e-4
 
+    def test_gradient_is_one_vector_in_params_layout(self):
+        rng = np.random.default_rng(12)
+        params = LstmParams.initialize(ATTR_DIM, 3, rng)
+        x = rng.normal(size=(2, INPUT_LENGTH, ATTR_DIM))
+        y = rng.normal(size=(2, ATTR_DIM))
+        before = params.vector.copy()
+        _, gradient = lstm_loss_gradients(params, x, y)
+        assert gradient.shape == params.vector.shape
+        assert np.array_equal(params.vector, before)
+        # Every block is filled, the output projection included.
+        offset = 0
+        for key in sorted(params.arrays):
+            size = params.arrays[key].size
+            assert np.any(gradient[offset : offset + size] != 0.0), key
+            offset += size
+
 
 class TestTrain:
     def test_constant_trajectory_converges(self):
@@ -129,6 +177,15 @@ class TestTrain:
         assert np.array_equal(params.arrays["w"], np.concatenate([w for w, _ in draws]))
         assert np.array_equal(params.arrays["u"], np.concatenate([u for _, u in draws]))
         assert np.array_equal(params.arrays["w_out"], rng.uniform(-s, s, (ATTR_DIM, 3)))
+
+    def test_arrays_are_views_of_the_vector(self, rng):
+        assert_views_of_vector(LstmParams.initialize(ATTR_DIM, 3, np.random.default_rng(0)))
+        windows = [cruise_window(rng, 1) for _ in range(6)]
+        trained = lstm_train(windows, TrainConfig(epochs=2, seed=2, hidden_dim=3))
+        assert_views_of_vector(trained)
+        # Training moved the weights through the vector, so the views see it.
+        fresh = LstmParams.initialize(ATTR_DIM, 3, np.random.default_rng(2))
+        assert not np.array_equal(trained.arrays["w"], fresh.arrays["w"])
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -212,6 +269,11 @@ class TestPredict:
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
         assert lstm_predict(params, []) == []
 
+    def test_window_without_targets_rolls_out_nothing(self, rng):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        window = cruise_window(rng, 1)
+        assert lstm_predict(params, [Window(window.callsign, window.inputs, ())]) == [[]]
+
 
 class TestPersistenceFile:
     def test_save_load_round_trip(self, tmp_path, rng):
@@ -222,6 +284,8 @@ class TestPersistenceFile:
         assert json.loads(path.read_text())["format"] == FORMAT_TAG
         loaded = LstmParams.load(path)
         assert params_equal(params, loaded)
+        assert np.array_equal(params.vector, loaded.vector)
+        assert_views_of_vector(loaded)
         window = cruise_window(rng, 4)
         assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
 
@@ -238,6 +302,8 @@ class TestPersistenceFile:
         path.write_text(json.dumps(v1_model(params, path)))
         loaded = LstmParams.load(path)
         assert params_equal(params, loaded)
+        assert np.array_equal(params.vector, loaded.vector)
+        assert_views_of_vector(loaded)
         window = cruise_window(rng, 8)
         assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
 
@@ -258,4 +324,29 @@ class TestPersistenceFile:
         obj["arrays"]["w_f"] = [row[:-1] for row in obj["arrays"]["w_f"]]
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=r"'w_f' has shape \(4, 4\), expected \(4, 5\)"):
+            LstmParams.load(path)
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("w_out", ("arrays", "w_out", 2), float("nan")),
+        ("b", ("arrays", "b"), float("inf")),
+        ("norm_std", ("norm_std",), float("-inf")),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, name, path, value):
+        # json writes and reads NaN and Infinity, so the file itself is valid.
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        model = tmp_path / "model.json"
+        params.save(model)
+        obj = json.loads(model.read_text())
+        functools.reduce(operator.getitem, path, obj)[1] = value
+        model.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"array '{name}' holds a non-finite value"):
+            LstmParams.load(model)
+
+    def test_v1_non_finite_value_rejected(self, tmp_path):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        obj = v1_model(params, path)
+        obj["arrays"]["u_o"][1][2] = float("nan")
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"array 'u_o' holds a non-finite value"):
             LstmParams.load(path)
