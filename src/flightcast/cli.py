@@ -157,6 +157,12 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # One config file may serve every stage, so a key is known if any stage has it.
+    known = {a.dest for p in commands.choices.values() for a in p._actions if a.dest != "help"}
+    unknown = sorted(set(file_values) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) in config file, defined by no option of any command: "
+                         f"{', '.join(map(repr, unknown))}")
     actions = {a.dest: a for a in commands.choices[args.command]._actions}
     defaults = DEFAULTS.get(args.command, {})
     for key, value in resolved.items():

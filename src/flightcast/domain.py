@@ -8,7 +8,7 @@ that dirty upstream data can be counted instead of crashing the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
@@ -48,15 +48,83 @@ class Waypoint:
         return (self.longitude, self.latitude, self.altitude, self.velocity, self.heading)
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Ordered waypoint sequence for one callsign."""
+    """Ordered waypoint sequence for one callsign, held as columns.
 
-    callsign: str
-    waypoints: tuple[Waypoint, ...]
+    ``timestamps`` is int64 with one entry per waypoint and ``values`` is
+    float64 with one row per attribute, in ATTRIBUTES order; both are
+    read-only. ``Trajectory(callsign, waypoints)`` keeps the given tuple as
+    ``waypoints``; a trajectory from :meth:`from_columns` builds that tuple
+    on first access. Equality, hash and repr are those of the waypoint
+    tuple: ``-0.0 == 0.0``, NaN equals nothing, and the repr is complete.
+    """
+
+    __slots__ = ("callsign", "timestamps", "values", "_waypoints")
+
+    def __init__(self, callsign: str, waypoints: tuple[Waypoint, ...]):
+        timestamps = np.array([w.timestamp for w in waypoints], dtype=np.int64)
+        values = np.array([w.values() for w in waypoints], dtype=np.float64).reshape(-1, len(ATTRIBUTES))
+        self._init(callsign, timestamps, values.T, waypoints)
+
+    @classmethod
+    def from_columns(cls, callsign: str, timestamps: np.ndarray, values: np.ndarray) -> Trajectory:
+        """A trajectory over the given arrays, which are taken over (not copied) and set read-only."""
+        traj = cls.__new__(cls)
+        traj._init(callsign, np.asarray(timestamps, dtype=np.int64), np.asarray(values, dtype=np.float64), None)
+        return traj
+
+    def _init(self, callsign, timestamps, values, waypoints) -> None:
+        if values.shape != (len(ATTRIBUTES), len(timestamps)):
+            raise ValueError(f"values of shape {values.shape} for {len(timestamps)} timestamps")
+        timestamps.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "callsign", callsign)
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_waypoints", waypoints)
+
+    @property
+    def waypoints(self) -> tuple[Waypoint, ...]:
+        if self._waypoints is None:
+            object.__setattr__(self, "_waypoints", self.waypoints_between(0, len(self)))
+        return self._waypoints
+
+    def waypoints_between(self, start: int, stop: int) -> tuple[Waypoint, ...]:
+        """``waypoints[start:stop]``, building only those Waypoints when the tuple is not built."""
+        if self._waypoints is not None:
+            return tuple(self._waypoints[start:stop])
+        columns = self.values[:, start:stop].tolist()
+        return tuple(map(Waypoint, self.timestamps[start:stop].tolist(), *columns))
 
     def __len__(self) -> int:
-        return len(self.waypoints)
+        return len(self.timestamps)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.callsign == other.callsign
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self) -> int:
+        # Adding +0.0 turns -0.0 into 0.0, so equal trajectories hash alike.
+        return hash((self.callsign, self.timestamps.tobytes(), (self.values + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Trajectory(callsign={self.callsign!r}, waypoints={self.waypoints!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        if self._waypoints is not None:
+            return Trajectory, (self.callsign, self._waypoints)
+        return Trajectory.from_columns, (self.callsign, self.timestamps, self.values)
 
 
 class PhaseLabel(Enum):

@@ -4,11 +4,12 @@ The raw schema is a header row with columns timestamp, utc_time, callsign,
 longitude, latitude, altitude, velocity, heading (case-insensitive, extra
 columns ignored). Missing cells are carried as None, never as zero.
 
-Rows become numpy columns once (:class:`RecordTable`). Cleaning and minute
-aggregation work on those columns and build ``Waypoint`` objects only for
-what they return. Their results are bit for bit those of the per-record
-rules the docstrings state: bucket sums add left to right as ``sum`` does,
-heading means use ``math`` trigonometry, and rounding is
+Rows become numpy columns once (:class:`RecordTable`). Cleaning, minute
+aggregation and the trajectory writer work on columns end to end: their
+trajectories are columnar (:meth:`Trajectory.from_columns`) and no
+``Waypoint`` is built. Their results are bit for bit those of the
+per-record rules the docstrings state: bucket sums add left to right as
+``sum`` does, heading means use ``math`` trigonometry, and rounding is
 :func:`domain.round_values`.
 """
 
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -33,9 +34,9 @@ import numpy as np
 
 from .domain import (
     ATTRIBUTES,
+    CANONICAL_DECIMALS,
     INVALID_REASONS,
     Trajectory,
-    Waypoint,
     round_attributes,
     validate_columns,
 )
@@ -436,11 +437,11 @@ def clean_trajectories(records: RecordTable | Iterable[RawRecord]) -> CleaningRe
     lengths = (ends - starts)[kept]
     offsets = np.cumsum(lengths) - lengths
     taken = rows[np.arange(lengths.sum()) + np.repeat(starts[kept] - offsets, lengths)]
+    stamps = timestamp[taken].astype(np.int64, copy=False)  # kept rows are in range
     rounded = round_attributes(table.values[:, taken])
-    waypoints = list(map(Waypoint, timestamp[taken].tolist(), *rounded.tolist()))
     trajectories = [
-        Trajectory(names[r], tuple(waypoints[offset : offset + length]))
-        for r, offset, length in zip(candidate_rank[kept].tolist(), offsets.tolist(), lengths.tolist())
+        Trajectory.from_columns(names[r], stamps[offset:end], rounded[:, offset:end])
+        for r, offset, end in zip(candidate_rank[kept].tolist(), offsets.tolist(), (offsets + lengths).tolist())
     ]
     return CleaningResult(
         trajectories,
@@ -449,9 +450,6 @@ def clean_trajectories(records: RecordTable | Iterable[RawRecord]) -> CleaningRe
         invalid=int(invalid.sum()),
         duplicate=int(duplicate.sum()),
     )
-
-
-_WAYPOINT_FIELDS = attrgetter("timestamp", *ATTRIBUTES)
 
 
 def _bucket_sums(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -471,11 +469,9 @@ def _bucket_sums(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
 
 def _minute_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Bucket timestamps and the unrounded (5, buckets) minute means."""
-    if not traj.waypoints:
+    if not len(traj):
         return np.zeros(0, dtype=np.int64), np.zeros((len(ATTRIBUTES), 0))
-    stamps, *attributes = zip(*map(_WAYPOINT_FIELDS, traj.waypoints))
-    bucket = np.array(stamps, dtype=np.int64) // 60
-    values = np.array(attributes, dtype=np.float64)
+    bucket, values = traj.timestamps // 60, traj.values
     if (bucket[1:] < bucket[:-1]).any():
         order = np.argsort(bucket, kind="stable")
         bucket, values = bucket[order], values[:, order]
@@ -519,8 +515,7 @@ def aggregate_minutes(traj: Trajectory) -> Trajectory:
     windowing, not here.
     """
     timestamps, means = _minute_columns(traj)
-    rounded = round_attributes(means)
-    return Trajectory(traj.callsign, tuple(map(Waypoint, timestamps.tolist(), *rounded.tolist())))
+    return Trajectory.from_columns(traj.callsign, timestamps, round_attributes(means))
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -579,18 +574,26 @@ def _utc_text(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime(_UTC_FORMAT)
 
 
-def format_waypoint_row(callsign: str, w: Waypoint) -> list[str]:
-    """Canonical CSV cells for one waypoint (fixed decimal counts)."""
-    return [
-        str(w.timestamp),
-        _utc_text(w.timestamp),
-        callsign,
-        f"{w.longitude:.5f}",
-        f"{w.latitude:.5f}",
-        f"{w.altitude:.3f}",
-        f"{w.velocity:.3f}",
-        f"{w.heading:.2f}",
-    ]
+def _utc_column(timestamps: np.ndarray) -> list[str]:
+    """``_utc_text`` of each timestamp, rendered by numpy where the year has four digits."""
+    text = np.empty(len(timestamps), dtype=object)
+    four = (_FOUR_DIGIT_YEARS[0] <= timestamps) & (timestamps < _FOUR_DIGIT_YEARS[1])
+    if four.any():
+        text[four] = _utc_texts(timestamps[four])
+    text[~four] = [_utc_text(t) for t in timestamps[~four].tolist()]
+    return text.tolist()
+
+
+#: One output row: timestamp, utc_time, csv-quoted callsign, then the
+#: attributes in ATTRIBUTES order at their canonical decimal counts.
+_ROW_FORMAT = "{},{},{}," + ",".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row (quoted where needed)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def write_trajectories_csv(trajectories: Iterable[Trajectory], target: str | Path | TextIO) -> None:
@@ -599,11 +602,11 @@ def write_trajectories_csv(trajectories: Iterable[Trajectory], target: str | Pat
         with open(target, "w", newline="", encoding="utf-8") as fh:
             write_trajectories_csv(trajectories, fh)
             return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
+    target.write(",".join(REQUIRED_COLUMNS) + "\n")
     for traj in trajectories:
-        for w in traj.waypoints:
-            writer.writerow(format_waypoint_row(traj.callsign, w))
+        stamps = traj.timestamps
+        cells = (stamps.tolist(), _utc_column(stamps), repeat(_csv_cell(traj.callsign)), *traj.values.tolist())
+        target.writelines(map(_ROW_FORMAT.format, *cells))
 
 
 def _plain_float_text(value: float) -> str:

@@ -8,9 +8,12 @@ length is a constant, not a knob, so prompt templates stay stable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .domain import Trajectory, Waypoint
 
@@ -59,7 +62,7 @@ def sample_windows(
     starting at k are exactly 60 s apart. After an emission the scan
     advances by ``stride``; after a continuity break it resumes at the
     first waypoint past the break, which maximizes yield without ever
-    spanning a gap.
+    spanning a gap. Only the rows of emitted windows become ``Waypoint``s.
     """
     if horizon not in SUPPORTED_HORIZONS and not allow_any_horizon:
         raise ValueError(
@@ -73,31 +76,19 @@ def sample_windows(
     if stride < window_size:
         raise ValueError(f"stride too small: {stride} < window size {window_size}")
 
-    waypoints = traj.waypoints
+    # Breaks: indexes whose successor is not exactly one step later.
+    breaks = np.flatnonzero(np.diff(traj.timestamps) != STEP_SECONDS).tolist()
     windows: list[Window] = []
     k = 0
-    while k + window_size <= len(waypoints):
-        break_at = _first_break(waypoints, k, window_size)
-        if break_at is None:
-            windows.append(
-                Window(
-                    callsign=traj.callsign,
-                    inputs=tuple(waypoints[k : k + INPUT_LENGTH]),
-                    targets=tuple(waypoints[k + INPUT_LENGTH : k + window_size]),
-                )
-            )
-            k += stride
-        else:
-            k = break_at + 1
+    while k + window_size <= len(traj):
+        at = bisect_left(breaks, k)
+        if at < len(breaks) and breaks[at] < k + window_size - 1:
+            k = breaks[at] + 1
+            continue
+        waypoints = traj.waypoints_between(k, k + window_size)
+        windows.append(Window(traj.callsign, waypoints[:INPUT_LENGTH], waypoints[INPUT_LENGTH:]))
+        k += stride
     return windows
-
-
-def _first_break(waypoints: tuple[Waypoint, ...], start: int, size: int) -> int | None:
-    """Index of the first waypoint whose successor is not 60 s later."""
-    for i in range(start, start + size - 1):
-        if waypoints[i + 1].timestamp - waypoints[i].timestamp != STEP_SECONDS:
-            return i
-    return None
 
 
 # --- JSON Lines interchange --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared builders for randomized, seeded test data, and reference ingest."""
+"""Shared builders for randomized, seeded test data, and reference ingest and windowing."""
 
 import csv
 import io
@@ -23,8 +23,8 @@ from flightcast.domain import (
     circular_mean,
     round_waypoint,
 )
-from flightcast.ingest import CleaningResult, MalformedRowError, RawRecord, parse_header
-from flightcast.windowing import INPUT_LENGTH, Window
+from flightcast.ingest import REQUIRED_COLUMNS, CleaningResult, MalformedRowError, RawRecord, parse_header
+from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 # Properties draw the same examples on every run and never time out, so a
 # slow or loaded machine cannot make them flaky.
@@ -226,6 +226,58 @@ def reference_aggregate_minutes(traj: Trajectory) -> Trajectory:
         traj.callsign,
         tuple(reference_round_waypoint(Waypoint(ts, *values)) for ts, values in reference_minute_means(traj)),
     )
+
+
+def reference_format_waypoint_row(callsign: str, w: Waypoint) -> list[str]:
+    """Canonical CSV cells for one waypoint (fixed decimal counts)."""
+    return [
+        str(w.timestamp),
+        datetime.fromtimestamp(w.timestamp, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S"),
+        callsign,
+        f"{w.longitude:.5f}",
+        f"{w.latitude:.5f}",
+        f"{w.altitude:.3f}",
+        f"{w.velocity:.3f}",
+        f"{w.heading:.2f}",
+    ]
+
+
+def reference_write_trajectories_csv(trajectories, target) -> None:
+    """The trajectory CSV written one waypoint row at a time through csv.writer."""
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS)
+    for traj in trajectories:
+        for w in traj.waypoints:
+            writer.writerow(reference_format_waypoint_row(traj.callsign, w))
+
+
+# --- Reference windowing -------------------------------------------------------
+
+
+def _reference_first_break(waypoints, start: int, size: int):
+    """Index of the first waypoint whose successor is not 60 s later."""
+    for i in range(start, start + size - 1):
+        if waypoints[i + 1].timestamp - waypoints[i].timestamp != STEP_SECONDS:
+            return i
+    return None
+
+
+def reference_sample_windows(traj: Trajectory, horizon: int, stride: int) -> list[Window]:
+    """The waypoint-by-waypoint scan sample_windows must reproduce (arguments already valid)."""
+    window_size = INPUT_LENGTH + horizon
+    waypoints = traj.waypoints
+    windows, k = [], 0
+    while k + window_size <= len(waypoints):
+        break_at = _reference_first_break(waypoints, k, window_size)
+        if break_at is None:
+            windows.append(
+                Window(traj.callsign, tuple(waypoints[k : k + INPUT_LENGTH]),
+                       tuple(waypoints[k + INPUT_LENGTH : k + window_size]))
+            )
+            k += stride
+        else:
+            k = break_at + 1
+    return windows
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:

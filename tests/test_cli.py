@@ -252,6 +252,24 @@ class TestErrorsAndConfig:
         assert ("unknown backend 'oracle' in config file"
                 " (choose from endpoint, mock, persistence, kinematic, lstm)") in caplog.text
 
+    def test_config_key_of_no_option_exits_1_naming_it(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"horizn": 4, "stride": 30}))
+        out = tmp_path / "w.jsonl"
+        # The missing input file is never opened: the config fails first.
+        assert run("--config", config, "sample", "--in", tmp_path / "missing.csv", "--out", out) == 1
+        assert "unknown key(s) in config file, defined by no option of any command: 'horizn'" in caplog.text
+        assert not out.exists()
+
+    def test_config_keys_of_other_commands_are_accepted(self, pipeline_dir):
+        config = pipeline_dir / "config.json"
+        config.write_text(json.dumps({"horizon": 8, "epochs": 3, "backend": "kinematic", "flights": 2}))
+        from_config, from_flags = pipeline_dir / "w_config.jsonl", pipeline_dir / "w_flags.jsonl"
+        assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
+                   "--out", from_config) == 0
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--out", from_flags, "--horizon", 8) == 0
+        assert from_config.read_text() == from_flags.read_text()
+
     def test_endpoint_backend_requires_url_and_model(self, pipeline_dir):
         assert run("predict", "--in", pipeline_dir / "windows.jsonl",
                    "--out", pipeline_dir / "p.jsonl", "--backend", "endpoint") == 1

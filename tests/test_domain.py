@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import struct
 from decimal import InvalidOperation
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from flightcast.domain import (
     INVALID_REASONS,
+    Trajectory,
     Waypoint,
     circular_mean,
     round_attributes,
@@ -18,6 +22,8 @@ from flightcast.domain import (
     validate_columns,
     validate_waypoint,
 )
+
+from flightcast.ingest import RawRecord, clean_trajectories
 
 from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint, reference_invalid_reason
 
@@ -311,3 +317,100 @@ class TestValidateColumns:
             reference_invalid_reason(w) for w in waypoints
         ]
         assert [validate_waypoint(w).reason for w in waypoints] == [reference_invalid_reason(w) for w in waypoints]
+
+
+def trajectory_pair(waypoints, callsign="T"):
+    """The same content through both constructors."""
+    by_waypoints = Trajectory(callsign, tuple(waypoints))
+    timestamps = np.array([w.timestamp for w in waypoints], dtype=np.int64)
+    values = np.array([w.values() for w in waypoints], dtype=np.float64).reshape(-1, 5).T.copy()
+    return by_waypoints, Trajectory.from_columns(callsign, timestamps, values)
+
+
+TRAJECTORY_WAYPOINTS = st.lists(
+    st.builds(
+        Waypoint,
+        timestamp=st.integers(-(2**40), 2**40),
+        longitude=st.sampled_from((0.0, -0.0, 1.5, -180.0)),
+        latitude=st.sampled_from((0.0, -0.0, 45.25)),
+        altitude=st.floats(allow_nan=False),
+        velocity=st.sampled_from((0.0, 900.5)),
+        heading=st.sampled_from((0.0, -0.0, 359.99)),
+    ),
+    max_size=8,
+)
+
+
+class TestTrajectory:
+    @given(TRAJECTORY_WAYPOINTS)
+    def test_both_constructors_give_the_same_value(self, waypoints):
+        by_waypoints, by_columns = trajectory_pair(waypoints)
+        assert by_waypoints == by_columns and by_columns == by_waypoints
+        assert hash(by_waypoints) == hash(by_columns)
+        assert repr(by_waypoints) == repr(by_columns)
+        assert by_columns.waypoints == by_waypoints.waypoints
+        assert len(by_columns) == len(by_waypoints) == len(waypoints)
+
+    @given(TRAJECTORY_WAYPOINTS, TRAJECTORY_WAYPOINTS)
+    def test_hash_agrees_with_equality(self, first, second):
+        a, b = trajectory_pair(first)[1], Trajectory("T", tuple(second))
+        assert (a == b) == (tuple(first) == tuple(second))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_signed_zeros_are_equal_and_nan_equals_nothing(self):
+        zero, negative_zero = make_waypoint(longitude=0.0), make_waypoint(longitude=-0.0)
+        assert Trajectory("T", (zero,)) == Trajectory("T", (negative_zero,))
+        assert hash(Trajectory("T", (zero,))) == hash(Trajectory("T", (negative_zero,)))
+        nan = trajectory_pair([make_waypoint(heading=math.nan)])
+        assert nan[0] != nan[1] and nan[1] != nan[1]
+        assert Trajectory("T", (zero,)) != Trajectory("U", (zero,))
+        assert Trajectory("T", (zero,)) != Trajectory("T", (zero, zero))
+
+    def test_waypoints_of_the_tuple_constructor_are_the_tuple_itself(self):
+        waypoints = (Waypoint(60, 10, 20, 1000, 900, 90),)  # int-valued fields
+        traj = Trajectory("T", waypoints)
+        assert traj.waypoints is waypoints
+        assert "longitude=10," in repr(traj)
+        assert traj.values.dtype == np.float64 and traj.timestamps.dtype == np.int64
+
+    def test_column_waypoints_are_built_once(self):
+        _, traj = trajectory_pair([make_waypoint(timestamp=60 * i) for i in range(3)])
+        assert traj.waypoints is traj.waypoints
+        assert type(traj.waypoints[0].timestamp) is int
+        assert traj.waypoints_between(1, 3) == traj.waypoints[1:3]
+
+    def test_repr_is_complete_past_a_thousand_rows(self):
+        waypoints = [make_waypoint(timestamp=60 * i, longitude=i / 1000) for i in range(1500)]
+        for traj in trajectory_pair(waypoints):
+            text = repr(traj)
+            assert "..." not in text
+            assert text == f"Trajectory(callsign='T', waypoints={tuple(waypoints)!r})"
+
+    def test_columns_are_read_only(self):
+        for traj in trajectory_pair([make_waypoint(timestamp=60 * i) for i in range(3)]):
+            with pytest.raises(ValueError, match="read-only"):
+                traj.timestamps[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                traj.values[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                traj.callsign = "U"
+
+    def test_columns_of_cleaned_trajectories_are_read_only(self):
+        records = [RawRecord(60 * i, "x", c, 1.0, 2.0, 3.0, 4.0, 5.0) for c in ("A", "B") for i in range(3)]
+        trajectories = clean_trajectories(records).trajectories
+        assert [t.callsign for t in trajectories] == ["A", "B"]
+        for traj in trajectories:
+            with pytest.raises(ValueError, match="read-only"):
+                traj.timestamps[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                traj.values[:, 0] = 0.0
+
+    def test_copy_and_pickle_keep_the_value(self):
+        for traj in trajectory_pair([make_waypoint(timestamp=60 * i, heading=-0.0) for i in range(3)]):
+            for twin in (copy.copy(traj), copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+                assert twin == traj and repr(twin) == repr(traj)
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory.from_columns("T", np.zeros(3, dtype=np.int64), np.zeros((5, 2)))

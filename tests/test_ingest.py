@@ -1,3 +1,4 @@
+import csv
 import io
 import logging
 import math
@@ -33,7 +34,11 @@ from conftest import (
     reference_clean_trajectories,
     reference_minute_means,
     reference_read_adsb_csv,
+    reference_write_trajectories_csv,
 )
+
+#: 1000-01-01 00:00:00 UTC.
+FOUR_DIGIT_YEARS_START = -30610224000
 
 HEADER = parse_header("timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading")
 
@@ -367,6 +372,17 @@ class TestMalformedWidthRows:
         assert ingest_log(caplog) == []
 
 
+#: Moves a flight of the 2020s to the 6th century; a whole number of days.
+ANCIENT_SHIFT_S = 1500 * 365 * 86400
+QUOTED_CALLSIGN_PREFIX = 'Q,"'
+
+
+def csv_line(cells: list[str]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    return out.getvalue()
+
+
 def dirty_feed_text(flights: int, seed: int) -> str:
     """A shuffled synthetic feed holding every defect ingest must count, log or skip.
 
@@ -374,14 +390,18 @@ def dirty_feed_text(flights: int, seed: int) -> str:
     non-padded, unparseable and empty utc_time cells, empty, non-numeric,
     padded, non-ASCII, overflowing and out-of-range numbers, timestamps past
     year 9999 and past 64 bits, a missing callsign, exact rounding ties,
-    short and long rows, and blank lines.
+    short and long rows, and blank lines. Two clean flights are kept: one
+    whose callsign needs csv quoting and one from before year 1000.
     """
     records, _ = synth.generate_corpus(flights, seed)
     header, *lines = records_to_csv_text(records).splitlines()
     rows = [line.split(",") for line in lines]
     rng = random.Random(seed)
-    twin = [row for row in rows if row[2] == rows[-1][2]]  # kept clean, then sent twice
-    rows = rows[: -len(twin)]
+    clean_flights = []  # the last three flights are kept clean of random defects
+    for _ in range(3):
+        clean_flights.append([row for row in rows if row[2] == rows[-1][2]])
+        rows = rows[: -len(clean_flights[-1])]
+    twin, quoted, ancient = clean_flights
 
     def some_row() -> list[str]:
         return rows[rng.randrange(len(rows))]
@@ -410,20 +430,25 @@ def dirty_feed_text(flights: int, seed: int) -> str:
     some_row()[0] = "9" * 5000  # more digits than int() converts
     some_row()[0] = ""
     some_row()[2] = ""
-    rows += twin + [list(row) for row in twin]
+    for row in quoted:  # a callsign csv must quote
+        row[2] = QUOTED_CALLSIGN_PREFIX + row[2]
+    for row in ancient:  # before year 1000, where utc_time has fewer than four year digits
+        row[0] = str(int(row[0]) - ANCIENT_SHIFT_S)
+        row[1] = _utc_text(int(row[0]))
+    rows += twin + [list(row) for row in twin] + quoted + ancient
     rng.shuffle(rows)
-    text_rows = [",".join(row) for row in rows]
+    text_rows = [csv_line(row) for row in rows]
     for extra in ("", "1,2,3", ",".join(rows[0] + ["x"]), ""):
         text_rows.insert(rng.randrange(len(text_rows)), extra)
     return "\n".join([header] + text_rows) + "\n"
 
 
-def ingest_outputs(records, clean, aggregate, means) -> tuple:
-    """Everything cleaning and aggregation produce, in comparable form."""
+def ingest_outputs(records, clean, aggregate, means, write) -> tuple:
+    """Everything cleaning, aggregation and the writer produce, in comparable form."""
     result = clean(records)
     aggregated = [aggregate(t) for t in result.trajectories]
     out = io.StringIO()
-    write_trajectories_csv(aggregated, out)
+    write(aggregated, out)
     return (
         result.summary(),
         repr(result.trajectories),
@@ -443,12 +468,16 @@ class TestReferenceDifferential:
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
         text = dirty_feed_text(12, seed)
         table = read_adsb_csv(io.StringIO(text))
-        shipped = ingest_outputs(table, clean_trajectories, aggregate_minutes, minute_means)
+        shipped = ingest_outputs(table, clean_trajectories, aggregate_minutes, minute_means, write_trajectories_csv)
         shipped_log = ingest_log(caplog)
         caplog.clear()
         records = reference_read_adsb_csv(text)
         oracle = ingest_outputs(
-            records, reference_clean_trajectories, reference_aggregate_minutes, reference_minute_means
+            records,
+            reference_clean_trajectories,
+            reference_aggregate_minutes,
+            reference_minute_means,
+            reference_write_trajectories_csv,
         )
         assert shipped_log == ingest_log(caplog)
         assert len(table) == len(records)
@@ -456,6 +485,9 @@ class TestReferenceDifferential:
         assert shipped == oracle
         summary = shipped[0]
         assert summary["kept"] > 0 and summary["incomplete"] and summary["invalid"] and summary["duplicate"]
+        written = list(csv.reader(io.StringIO(shipped[4].decode())))
+        assert any(row[2].startswith(QUOTED_CALLSIGN_PREFIX) for row in written)
+        assert any(int(row[0]) < FOUR_DIGIT_YEARS_START for row in written[1:])
 
     @pytest.mark.parametrize("chunk_rows", [ingest._CHUNK_ROWS, 97])
     @pytest.mark.parametrize("seed", [3, 17])

@@ -1,6 +1,9 @@
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flightcast.domain import Trajectory, Waypoint
 from flightcast.windowing import (
@@ -12,7 +15,7 @@ from flightcast.windowing import (
     write_windows_jsonl,
 )
 
-from conftest import gap_seeded_trajectory
+from conftest import gap_seeded_trajectory, reference_sample_windows
 
 
 def minute_trajectory(minutes, callsign="T") -> Trajectory:
@@ -141,3 +144,34 @@ class TestJsonLines:
         assert len(obj["input"]) == 16
         assert len(obj["target"]) == 4
         assert len(obj["input"][0]) == 6  # t, lon, lat, alt, vel, hdg
+
+
+#: Runs of one-minute steps, each ended by a gap, a repeat, a step back or
+#: an off-minute step.
+RUNS = st.lists(st.tuples(st.integers(0, 45), st.sampled_from((0, -60, -3600, 1, 61, 120, 300))), max_size=4)
+
+
+@st.composite
+def gappy_trajectories(draw):
+    steps = [step for run, odd in draw(RUNS) for step in [60] * run + [odd]]
+    stamps = np.cumsum([draw(st.integers(-10**6, 10**6)) * 60] + steps + [60] * draw(st.integers(0, 30)))
+    values = draw(st.lists(st.floats(-90.0, 90.0), min_size=5, max_size=5))
+    waypoints = tuple(Waypoint(t, *values) for t in stamps.tolist())
+    return Trajectory("GAP", waypoints)
+
+
+class TestSampleWindowsProperty:
+    @given(
+        gappy_trajectories(),
+        st.sampled_from((1, 4, 8, 2, 13)),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    def test_matches_reference_scan(self, traj, horizon, extra_stride, columnar):
+        stride = INPUT_LENGTH + horizon + extra_stride
+        if columnar:
+            traj = Trajectory.from_columns(traj.callsign, traj.timestamps.copy(), traj.values.copy())
+        shipped = sample_windows(traj, horizon, stride, allow_any_horizon=horizon not in (1, 4, 8))
+        oracle = reference_sample_windows(traj, horizon, stride)
+        assert shipped == oracle
+        assert repr(shipped) == repr(oracle)
