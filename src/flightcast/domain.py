@@ -8,6 +8,7 @@ that dirty upstream data can be counted instead of crashing the pipeline.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -23,6 +24,10 @@ CANONICAL_DECIMALS = (5, 5, 3, 3, 2)
 LONGITUDE_RANGE = (-180.0, 180.0)
 LATITUDE_RANGE = (-90.0, 90.0)
 MIN_ALTITUDE_M = -500.0  # admits below-sea-level airports
+#: The decimal grammar of numbers in CSV cells and in completions: optional
+#: sign, digits with an optional fraction or a bare fraction, no exponent.
+#: The completion parser must accept what the CSV reader accepts.
+DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
 #: Unix timestamps datetime can render: 0001-01-01 00:00:00 to 9999-12-31 23:59:59 UTC.
 TIMESTAMP_RANGE = (-62_135_596_800, 253_402_300_799)
 
@@ -33,7 +38,7 @@ class Waypoint:
 
     Units: longitude/latitude in degrees, altitude in meters, velocity in
     kilometers per hour, heading in degrees clockwise from north, [0, 360).
-    Construction does not validate; see :func:`validate_waypoint`.
+    Construction does not validate; see :func:`validate_columns`.
     """
 
     timestamp: int
@@ -133,21 +138,7 @@ class PhaseLabel(Enum):
     LANDING = "landing"
 
 
-@dataclass(frozen=True)
-class Validity:
-    """Verdict of a waypoint check; falsy when invalid."""
-
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-VALID = Validity(True)
-
-
-#: What validate_waypoint reports, in the order its checks run.
+#: What validate_columns reports, in the order its checks run.
 INVALID_REASONS = (
     "timestamp out of range",
     "longitude out of range",
@@ -179,17 +170,6 @@ def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
     for code in range(len(failed), 0, -1):  # the earliest check is written last
         reason[failed[code - 1]] = code
     return reason
-
-
-def validate_waypoint(w: Waypoint) -> Validity:
-    """Check a waypoint against the attribute bounds.
-
-    Returns ``Validity(True)`` or the first violated bound, checked in
-    field order (timestamp first); see :func:`validate_columns`.
-    """
-    timestamp = np.array([w.timestamp], dtype=object)
-    code = validate_columns(timestamp, np.array(w.values(), dtype=np.float64).reshape(5, 1))[0]
-    return Validity(False, INVALID_REASONS[code - 1]) if code else VALID
 
 
 # Powers of ten that round_value scales by; each one is an exact double.
@@ -277,22 +257,3 @@ def round_waypoint(w: Waypoint) -> Waypoint:
         round_value(w.velocity, 3),
         heading,
     )
-
-
-def circular_mean(angles: list[float]) -> float:
-    """Mean of angles in degrees, wrap-aware, result in [0, 360).
-
-    Uses the direction of the summed unit vectors, so [350, 10] averages
-    to 0 rather than 180. A single angle is returned unchanged (modulo
-    360), avoiding any trig round-off.
-    """
-    if not angles:
-        raise ValueError("circular_mean: empty input")
-    if len(angles) == 1:
-        mean = angles[0] % 360.0
-    else:
-        sin_sum = sum(math.sin(math.radians(a)) for a in angles)
-        cos_sum = sum(math.cos(math.radians(a)) for a in angles)
-        mean = math.degrees(math.atan2(sin_sum, cos_sum)) % 360.0
-    # Guard the pathological float case where x % 360.0 returns 360.0.
-    return 0.0 if mean >= 360.0 else mean

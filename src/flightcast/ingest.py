@@ -21,8 +21,7 @@ import logging
 import math
 import re
 import sys
-import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import islice, repeat
@@ -35,7 +34,9 @@ import numpy as np
 from .domain import (
     ATTRIBUTES,
     CANONICAL_DECIMALS,
+    DECIMAL_RE,
     INVALID_REASONS,
+    TIMESTAMP_RANGE,
     Trajectory,
     round_attributes,
     validate_columns,
@@ -56,18 +57,13 @@ REQUIRED_COLUMNS = (
 
 NUMERIC_COLUMNS = ("longitude", "latitude", "altitude", "velocity", "heading")
 
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
-
 #: Numeric columns in the order their cells are checked, each with its cell
 #: grammar, the characters a cell of that grammar is made of, the
 #: conversion, and what a cell that does not parse reads in the column.
 _NUMERIC_CELLS = (("timestamp", re.compile(r"^[+-]?\d+$"), b"+-0123456789", int, 0),) + tuple(
-    (name, re.compile(rf"^{_NUMBER}$"), b"+-.0123456789", float, math.nan) for name in NUMERIC_COLUMNS
+    (name, DECIMAL_RE, b"+-.0123456789", float, math.nan) for name in NUMERIC_COLUMNS
 )
 
-#: Timestamps from 1000-01-01 to 9999-12-31 UTC, where time.strftime's %Y
-#: has the four digits strptime's %Y requires.
-_FOUR_DIGIT_YEARS = (-30610224000, 253402300800)
 _UTC_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 #: CSV rows parsed per batch; bounds the memory the row lists take.
@@ -90,22 +86,6 @@ class RawRecord:
     altitude: float | None
     velocity: float | None
     heading: float | None
-
-    def missing_fields(self) -> list[str]:
-        return [f.name for f in fields(self) if getattr(self, f.name) is None]
-
-    @property
-    def is_complete(self) -> bool:
-        return None not in (
-            self.timestamp,
-            self.utc_time,
-            self.callsign,
-            self.longitude,
-            self.latitude,
-            self.altitude,
-            self.velocity,
-            self.heading,
-        )
 
 
 _RECORD_FIELDS = attrgetter(*REQUIRED_COLUMNS)
@@ -143,20 +123,6 @@ class RecordTable:
             np.array([[v is None for v in column] for column in columns], dtype=bool).reshape(
                 len(REQUIRED_COLUMNS), len(rows)
             ),
-        )
-
-    def to_records(self) -> list[RawRecord]:
-        """One RawRecord per row, None where a cell is missing."""
-        columns = [self.timestamp.tolist(), self.utc_time.tolist(), self.callsign.tolist()]
-        columns += self.values.tolist()
-        return list(
-            map(
-                RawRecord,
-                *(
-                    [None if m else v for v, m in zip(column, missing)]
-                    for column, missing in zip(columns, self.missing.tolist())
-                ),
-            )
         )
 
     @classmethod
@@ -206,25 +172,6 @@ def parse_header(cells: list[str] | str) -> Header:
     return Header(indexes=indexes, width=len(cells))
 
 
-def parse_record(
-    line: str | list[str],
-    header: Header,
-    *,
-    row_number: int | None = None,
-    strict: bool = False,
-) -> RawRecord:
-    """Parse one CSV row into a RawRecord.
-
-    Numeric cells accept base-10 with optional sign and fraction. Empty
-    cells become None in both modes; a non-numeric cell in a numeric
-    column becomes None in tolerant mode and raises in strict mode.
-    A row whose cell count differs from the header always raises.
-    """
-    cells = next(csv.reader([line])) if isinstance(line, str) else line
-    _check_width(cells, header, row_number)
-    return _parse_rows([cells], [row_number], header, strict).to_records()[0]
-
-
 def _check_width(cells: list[str], header: Header, row_number: int | None) -> None:
     if len(cells) != header.width:
         raise MalformedRowError(
@@ -270,7 +217,7 @@ def _convert_cell(convert, cell: str):
 
 
 def _parse_rows(rows: list[list[str]], row_numbers, header: Header, strict: bool) -> RecordTable:
-    """Parse rows of the header's width into columns, logging as parse_record does.
+    """Parse rows of the header's width into columns, logging utc_time disagreements.
 
     In strict mode the first non-numeric cell (by row, then in
     _NUMERIC_CELLS order) raises, after the rows before it were checked.
@@ -306,23 +253,31 @@ def _parse_rows(rows: list[list[str]], row_numbers, header: Header, strict: bool
 
 def _log_utc_disagreements(timestamp, utc_time, present, row_numbers, stop: int) -> None:
     # The Unix timestamp is authoritative; a disagreeing UTC column is
-    # only worth a log line. Where the year has four digits, strptime
-    # reads the canonical rendering back to the same second, so only rows
+    # only worth a log line. strptime reads the canonical rendering of any
+    # timestamp in TIMESTAMP_RANGE back to the same second, so only rows
     # whose text differs from it need strptime.
     rows = np.flatnonzero(present[:stop])
     stamps = timestamp[rows]
     canonical = np.full(len(rows), None, dtype=object)
-    in_range = (_FOUR_DIGIT_YEARS[0] <= stamps) & (stamps < _FOUR_DIGIT_YEARS[1])
-    if in_range.any():
-        canonical[in_range] = _utc_texts(stamps[in_range].astype(np.int64))
+    in_range = (TIMESTAMP_RANGE[0] <= stamps) & (stamps <= TIMESTAMP_RANGE[1])
+    canonical[in_range] = _utc_texts(stamps[in_range].astype(np.int64))
     for row in rows[np.not_equal(canonical, utc_time[rows])].tolist():
         _check_utc_agreement(int(timestamp[row]), utc_time[row], row_numbers[row])
 
 
 def _utc_texts(timestamps: np.ndarray) -> np.ndarray:
-    """Canonical utc_time text of timestamps in four-digit years, as objects."""
+    """Canonical utc_time text ("%Y-%m-%d %H:%M:%S") of int64 timestamps, as str objects.
+
+    Every year in TIMESTAMP_RANGE (0001-9999) has four digits, as numpy
+    writes it and as strptime's %Y reads it. Elsewhere numpy writes another
+    width, which the fixed-position edit below would garble, so a timestamp
+    outside that range raises ValueError.
+    """
+    outside = (timestamps < TIMESTAMP_RANGE[0]) | (timestamps > TIMESTAMP_RANGE[1])
+    if outside.any():
+        raise ValueError(f"timestamp {timestamps[outside][0]} lies outside years 0001-9999 UTC")
     text = np.datetime_as_string(timestamps.astype("datetime64[s]"), unit="s")
-    text.view(np.uint32).reshape(len(text), -1)[:, 10] = ord(" ")  # ISO 'T' -> ' '
+    text.view(np.uint32).reshape(-1, text.itemsize // 4)[:, 10] = ord(" ")  # ISO 'T' -> ' '
     return text.astype(object)
 
 
@@ -524,10 +479,13 @@ def aggregate_minutes(traj: Trajectory) -> Trajectory:
 def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> RecordTable:
     """Read raw records from a CSV file or file-like object.
 
-    Rows are parsed in batches as they are read; blank lines are ignored.
-    A row whose cell count differs from the header raises in strict mode.
-    In tolerant mode it is skipped, and one warning gives the number
-    skipped and the first such row.
+    Numeric cells follow ``domain.DECIMAL_RE`` (timestamps: an optionally
+    signed integer). An empty cell is missing in both modes; a non-numeric
+    cell in a numeric column is missing in tolerant mode and raises in
+    strict mode. Rows are parsed in batches as they are read; blank lines
+    are ignored. A row whose cell count differs from the header raises in
+    strict mode. In tolerant mode it is skipped, and one warning gives the
+    number skipped and the first such row.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -566,24 +524,6 @@ def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> Recor
     return RecordTable.concat(tables) if tables else _parse_rows([], [], header, strict)
 
 
-def _utc_text(timestamp: int) -> str:
-    # time.gmtime is ~3x faster than datetime and renders the same text
-    # wherever the year has four digits.
-    if _FOUR_DIGIT_YEARS[0] <= timestamp < _FOUR_DIGIT_YEARS[1]:
-        return time.strftime(_UTC_FORMAT, time.gmtime(timestamp))
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime(_UTC_FORMAT)
-
-
-def _utc_column(timestamps: np.ndarray) -> list[str]:
-    """``_utc_text`` of each timestamp, rendered by numpy where the year has four digits."""
-    text = np.empty(len(timestamps), dtype=object)
-    four = (_FOUR_DIGIT_YEARS[0] <= timestamps) & (timestamps < _FOUR_DIGIT_YEARS[1])
-    if four.any():
-        text[four] = _utc_texts(timestamps[four])
-    text[~four] = [_utc_text(t) for t in timestamps[~four].tolist()]
-    return text.tolist()
-
-
 #: One output row: timestamp, utc_time, csv-quoted callsign, then the
 #: attributes in ATTRIBUTES order at their canonical decimal counts.
 _ROW_FORMAT = "{},{},{}," + ",".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + "\n"
@@ -605,7 +545,8 @@ def write_trajectories_csv(trajectories: Iterable[Trajectory], target: str | Pat
     target.write(",".join(REQUIRED_COLUMNS) + "\n")
     for traj in trajectories:
         stamps = traj.timestamps
-        cells = (stamps.tolist(), _utc_column(stamps), repeat(_csv_cell(traj.callsign)), *traj.values.tolist())
+        utc_times = _utc_texts(stamps).tolist()
+        cells = (stamps.tolist(), utc_times, repeat(_csv_cell(traj.callsign)), *traj.values.tolist())
         target.writelines(map(_ROW_FORMAT.format, *cells))
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, Waypoint, round_value
+from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, Waypoint, round_values
 from ..windowing import STEP_SECONDS, Window
 
 logger = logging.getLogger(__name__)
@@ -275,12 +275,6 @@ def _window_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def training_mse(params: LstmParams, windows: Sequence[Window]) -> float:
-    """Normalized-space one-step MSE of the model on the given windows."""
-    x, y = _window_arrays(windows)
-    return lstm_loss(params, normalize(params, x), normalize(params, y))
-
-
 def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     """Fit the one-step predictor with Adam on shuffled mini-batches.
 
@@ -344,11 +338,11 @@ def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[list[Way
     for step in range(raw.shape[1]):
         raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))
         sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
+    rounded = np.stack([round_values(raw[..., a], d) for a, d in enumerate(CANONICAL_DECIMALS)], axis=-1)
     return [
         [
-            Waypoint(win.inputs[-1].timestamp + step * STEP_SECONDS,
-                     *map(round_value, values, CANONICAL_DECIMALS))
+            Waypoint(win.inputs[-1].timestamp + step * STEP_SECONDS, *values)
             for step, values in enumerate(predicted[: win.horizon], start=1)
         ]
-        for win, predicted in zip(windows, raw.tolist())
+        for win, predicted in zip(windows, rounded.tolist())
     ]

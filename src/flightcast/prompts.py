@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .domain import LATITUDE_RANGE, LONGITUDE_RANGE, Waypoint
+from .domain import DECIMAL_RE, LATITUDE_RANGE, LONGITUDE_RANGE, Waypoint
 from .windowing import STEP_SECONDS, Window, read_jsonl, write_jsonl
 
 TEMPLATE_VERSION = "v1"
@@ -44,7 +45,6 @@ _SYSTEM_TEMPLATE = (
 
 _HORIZON_RE = re.compile(r"[Pp]redict the next (\d+) waypoint")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def extract_tuples(text: str) -> list[list[str]]:
     candidates = []
     for match in _TUPLE_RE.finditer(text):
         items = [item.strip().strip("`*_").strip() for item in match.group(1).split(",")]
-        if any(_NUMBER_RE.match(item) for item in items):
+        if any(DECIMAL_RE.match(item) for item in items):
             candidates.append(items)
     return candidates
 
@@ -148,12 +148,15 @@ def classify_severe(
 ) -> bool:
     """True when a parsed prediction is too implausible to score.
 
-    Flags coordinates outside the valid box, positions farther than
+    Flags any non-finite attribute (a number too long for a double reads
+    as infinity), coordinates outside the valid box, positions farther than
     ``radius`` degrees from the last observed waypoint, and the
     characteristic sign-flip failure (longitude or latitude coming back
     with the opposite sign when the aircraft is clearly away from zero).
     """
     last = context.inputs[-1]
+    if not all(map(math.isfinite, predicted.values())):
+        return True
     if not (LONGITUDE_RANGE[0] <= predicted.longitude <= LONGITUDE_RANGE[1]):
         return True
     if not (LATITUDE_RANGE[0] <= predicted.latitude <= LATITUDE_RANGE[1]):
@@ -204,7 +207,7 @@ def parse_completion(
                 FailureKind.UNEXPECTED_FORMAT,
                 f"tuple {step} has {len(items)} fields, expected 5",
             )
-        bad = [item for item in items if not _NUMBER_RE.match(item)]
+        bad = [item for item in items if not DECIMAL_RE.match(item)]
         if bad:
             return ParseOutcome.failed(
                 FailureKind.UNEXPECTED_FORMAT,
@@ -232,15 +235,18 @@ def parse_completion(
 def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
     """Write prompt records as JSON Lines plus a sidecar manifest.
 
-    All records must share one template version. The manifest (written to
-    ``<path>.manifest.json``) pins template version, horizon, record count,
-    and a digest of the emitted bytes, which makes regeneration checks a
-    file compare. Returns the manifest.
+    All records must share one template version and one horizon. The
+    manifest (written to ``<path>.manifest.json``) pins template version,
+    horizon, record count, and a digest of the emitted bytes, which makes
+    regeneration checks a file compare. Returns the manifest.
     """
     records = list(records)
     versions = {r.template_version for r in records}
     if len(versions) > 1:
         raise ValueError(f"records mix template versions: {sorted(versions)}")
+    horizons = {horizon_from_system(r.system) for r in records}
+    if len(horizons) > 1:
+        raise ValueError(f"records mix horizons: {sorted(horizons, key=str)}")
 
     path = Path(path)
     buffer = io.StringIO()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import RawRecord, _utc_text
+from .ingest import RawRecord, _utc_texts
 from .predictors import kinematic_step
 
 TAKEOFF_SPEED_KMH = 250.0
@@ -154,7 +154,7 @@ def generate_flight(spec: FlightSpec) -> list[RawRecord]:
     total_s = int(round((takeoff + cruise + landing) * 60.0))
     dt = spec.sample_interval_s
 
-    records = []
+    values = []
     lon, lat = spec.origin_longitude, spec.origin_latitude
     for t_s in range(0, total_s + 1, dt):
         minute = t_s / 60.0
@@ -170,23 +170,13 @@ def generate_flight(spec: FlightSpec) -> list[RawRecord]:
         out_hdg = float((heading + noise[4] * spec.noise.heading) % 360.0)
         if out_hdg >= 360.0:
             out_hdg = 0.0
-
-        timestamp = spec.start_timestamp + t_s
-        records.append(
-            RawRecord(
-                timestamp=timestamp,
-                utc_time=_utc_text(timestamp),
-                callsign=spec.callsign,
-                longitude=out_lon,
-                latitude=out_lat,
-                altitude=out_alt,
-                velocity=out_vel,
-                heading=out_hdg,
-            )
-        )
+        values.append((out_lon, out_lat, out_alt, out_vel, out_hdg))
         # Advance the true position with the shared motion rule.
         lon, lat, _ = kinematic_step(lon, lat, alt, speed, heading, dt)
-    return records
+
+    timestamps = np.arange(spec.start_timestamp, spec.start_timestamp + total_s + 1, dt, dtype=np.int64)
+    utc_times = _utc_texts(timestamps).tolist()
+    return [RawRecord(t, u, spec.callsign, *v) for t, u, v in zip(timestamps.tolist(), utc_times, values)]
 
 
 def generate_corpus(count: int, base_seed: int) -> tuple[list[RawRecord], list[FlightSpec]]:

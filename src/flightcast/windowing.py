@@ -38,12 +38,6 @@ class Window:
         return self.inputs + self.targets
 
 
-def check_continuity(waypoints: Iterable[Waypoint]) -> bool:
-    """True iff every adjacent timestamp gap is exactly 60 s."""
-    seq = list(waypoints)
-    return all(b.timestamp - a.timestamp == STEP_SECONDS for a, b in zip(seq, seq[1:]))
-
-
 def default_stride(horizon: int) -> int:
     """Smallest stride strictly larger than the window size."""
     return INPUT_LENGTH + horizon + 1

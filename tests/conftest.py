@@ -20,10 +20,16 @@ from flightcast.domain import (
     TIMESTAMP_RANGE,
     Trajectory,
     Waypoint,
-    circular_mean,
     round_waypoint,
 )
-from flightcast.ingest import REQUIRED_COLUMNS, CleaningResult, MalformedRowError, RawRecord, parse_header
+from flightcast.ingest import (
+    REQUIRED_COLUMNS,
+    CleaningResult,
+    MalformedRowError,
+    RawRecord,
+    parse_header,
+    read_adsb_csv,
+)
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -127,6 +133,24 @@ def reference_read_adsb_csv(text: str, strict=False) -> list[RawRecord]:
     return records
 
 
+CSV_HEADER = ",".join(REQUIRED_COLUMNS)
+
+
+def table_records(table) -> list[RawRecord]:
+    """One RawRecord per row of a RecordTable, None where a cell is missing."""
+    columns = [table.timestamp.tolist(), table.utc_time.tolist(), table.callsign.tolist(), *table.values.tolist()]
+    return [
+        RawRecord(*(None if m else v for v, m in zip(cells, missing)))
+        for cells, missing in zip(zip(*columns), table.missing.T.tolist())
+    ]
+
+
+def read_row(row: str, header: str = CSV_HEADER, strict: bool = False) -> RawRecord:
+    """The one record read_adsb_csv reads from ``header``, then ``row`` (row 2)."""
+    (record,) = table_records(read_adsb_csv(io.StringIO(f"{header}\n{row}\n"), strict=strict))
+    return record
+
+
 def reference_invalid_reason(w: Waypoint) -> str | None:
     if not (TIMESTAMP_RANGE[0] <= w.timestamp <= TIMESTAMP_RANGE[1]):
         return "timestamp out of range"
@@ -177,7 +201,7 @@ def reference_clean_trajectories(records) -> CleaningResult:
     seen_triples = set()
     for callsign in sorted(groups, key=lambda c: (c is None, c or "")):
         for candidate in _reference_candidates(groups[callsign]):
-            if any(not r.is_complete for r in candidate):
+            if any(None in vars(r).values() for r in candidate):
                 result.incomplete += 1
                 continue
             waypoints = [
@@ -202,6 +226,18 @@ def reference_clean_trajectories(records) -> CleaningResult:
     return result
 
 
+def reference_circular_mean(angles: list[float]) -> float:
+    """Mean of angles in degrees: the direction of the summed unit vectors,
+    or a single angle itself (mod 360), in [0, 360)."""
+    if len(angles) == 1:
+        mean = angles[0] % 360.0
+    else:
+        sin_sum = sum(math.sin(math.radians(a)) for a in angles)
+        cos_sum = sum(math.cos(math.radians(a)) for a in angles)
+        mean = math.degrees(math.atan2(sin_sum, cos_sum)) % 360.0
+    return 0.0 if mean >= 360.0 else mean  # x % 360.0 can be 360.0
+
+
 def reference_minute_means(traj: Trajectory):
     buckets = {}
     for w in traj.waypoints:
@@ -215,7 +251,7 @@ def reference_minute_means(traj: Trajectory):
             sum(w.latitude for w in group) / n,
             sum(w.altitude for w in group) / n,
             sum(w.velocity for w in group) / n,
-            circular_mean([w.heading for w in group]),
+            reference_circular_mean([w.heading for w in group]),
         )
         out.append((bucket * 60, values))
     return out
@@ -229,10 +265,10 @@ def reference_aggregate_minutes(traj: Trajectory) -> Trajectory:
 
 
 def reference_format_waypoint_row(callsign: str, w: Waypoint) -> list[str]:
-    """Canonical CSV cells for one waypoint (fixed decimal counts)."""
+    """Canonical CSV cells for one waypoint (four-digit year, fixed decimal counts)."""
     return [
         str(w.timestamp),
-        datetime.fromtimestamp(w.timestamp, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S"),
+        padded_utc_text(w.timestamp),
         callsign,
         f"{w.longitude:.5f}",
         f"{w.latitude:.5f}",
@@ -240,6 +276,12 @@ def reference_format_waypoint_row(callsign: str, w: Waypoint) -> list[str]:
         f"{w.velocity:.3f}",
         f"{w.heading:.2f}",
     ]
+
+
+def padded_utc_text(timestamp: int) -> str:
+    """datetime's utc_time text with the year zero-padded to four digits."""
+    stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    return f"{stamp.year:04d}-" + stamp.strftime("%m-%d %H:%M:%S")
 
 
 def reference_write_trajectories_csv(trajectories, target) -> None:
@@ -252,6 +294,12 @@ def reference_write_trajectories_csv(trajectories, target) -> None:
 
 
 # --- Reference windowing -------------------------------------------------------
+
+
+def check_continuity(waypoints) -> bool:
+    """True iff every adjacent timestamp gap is exactly 60 s."""
+    seq = list(waypoints)
+    return all(b.timestamp - a.timestamp == STEP_SECONDS for a, b in zip(seq, seq[1:]))
 
 
 def _reference_first_break(waypoints, start: int, size: int):

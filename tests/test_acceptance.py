@@ -25,9 +25,10 @@ from flightcast.predictors import TrainConfig, lstm_predict, lstm_train, predict
 from flightcast.predictors.lstm import LstmParams, lstm_loss, lstm_loss_gradients
 from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_completion, serialize_waypoints
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
-from flightcast.windowing import INPUT_LENGTH, check_continuity, sample_windows
+from flightcast.windowing import INPUT_LENGTH, sample_windows
 
 from conftest import (
+    check_continuity,
     cruise_window,
     gap_seeded_trajectory,
     random_canonical_waypoint,

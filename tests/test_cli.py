@@ -106,6 +106,17 @@ class TestStages:
         assert "array 'w_out' holds a non-finite value" in caplog.text
         assert "input sequence" not in caplog.text
 
+    def test_eval_excludes_a_reply_number_too_long_for_a_double(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        overflowing, good = list(read_jsonl(pred))[:2]
+        first, *rest = overflowing["completion"].splitlines()
+        overflowing["completion"] = "\n".join([first.rsplit(", ", 1)[0] + ", 1" + "0" * 400 + ")", *rest])
+        pred.write_text("".join(json.dumps(row) + "\n" for row in (overflowing, good)))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+        assert (report.excluded_severe, report.evaluated) == (1, 1)
+
     def test_eval_few_shot_deterministic(self, pipeline_dir):
         pred = pipeline_dir / "pred_fs.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
@@ -180,6 +191,15 @@ class TestErrorsAndConfig:
         assert run("ingest", "--in", raw, "--out", tmp_path / "clean.csv") == 0
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary == {"cleaning": {"kept": 1, "incomplete": 0, "invalid": 1, "duplicate": 0}}
+
+    def test_prompt_of_mixed_horizons_exits_1(self, pipeline_dir, tmp_path, caplog):
+        single = tmp_path / "win1.jsonl"
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 1, "--out", single) == 0
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(single.read_text() + (pipeline_dir / "windows.jsonl").read_text())
+        assert run("prompt", "--in", mixed, "--out", tmp_path / "data.jsonl") == 1
+        assert "records mix horizons: [1, 4]" in caplog.text
+        assert not (tmp_path / "data.jsonl").exists()
 
     def test_unsupported_horizon_exits_1(self, tmp_path):
         raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"

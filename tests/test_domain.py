@@ -14,33 +14,33 @@ from flightcast.domain import (
     INVALID_REASONS,
     Trajectory,
     Waypoint,
-    circular_mean,
     round_attributes,
     round_value,
     round_values,
     round_waypoint,
     validate_columns,
-    validate_waypoint,
 )
 
-from flightcast.ingest import RawRecord, clean_trajectories
+from flightcast.ingest import RawRecord, clean_trajectories, minute_means
 
 from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint, reference_invalid_reason
 
 
+def invalid_reason(w: Waypoint) -> str | None:
+    """What validate_columns says of one waypoint as a one-column array: its first violated bound, or None."""
+    (code,) = validate_columns(np.array([w.timestamp]), np.array(w.values(), dtype=np.float64).reshape(5, 1))
+    return INVALID_REASONS[code - 1] if code else None
+
+
 class TestValidateWaypoint:
     def test_out_of_range_latitude(self):
-        verdict = validate_waypoint(make_waypoint(latitude=91.0))
-        assert not verdict
-        assert "latitude" in verdict.reason
+        assert "latitude" in invalid_reason(make_waypoint(latitude=91.0))
 
     def test_all_zero_waypoint_is_valid(self):
-        assert validate_waypoint(make_waypoint())
+        assert invalid_reason(make_waypoint()) is None
 
     def test_heading_360_is_rejected(self):
-        verdict = validate_waypoint(make_waypoint(heading=360.0))
-        assert not verdict
-        assert "heading" in verdict.reason
+        assert "heading" in invalid_reason(make_waypoint(heading=360.0))
 
     @pytest.mark.parametrize(
         "field,value,ok",
@@ -68,22 +68,20 @@ class TestValidateWaypoint:
         ],
     )
     def test_bound_boundaries(self, field, value, ok):
-        verdict = validate_waypoint(make_waypoint(**{field: value}))
-        assert bool(verdict) == ok
+        reason = invalid_reason(make_waypoint(**{field: value}))
+        assert (reason is None) == ok
         if not ok:
-            assert field in verdict.reason
+            assert field in reason
 
     def test_nan_field_is_invalid(self):
-        verdict = validate_waypoint(make_waypoint(longitude=float("nan")))
-        assert not verdict
-        assert "longitude" in verdict.reason
+        assert "longitude" in invalid_reason(make_waypoint(longitude=float("nan")))
 
     def test_accepts_exactly_the_box(self, rng):
         # Inside points pass; pushing any single field just past its bound fails
         # and names that field.
         for _ in range(200):
             w = random_canonical_waypoint(rng, 0)
-            assert validate_waypoint(w)
+            assert invalid_reason(w) is None
         bad = {
             "longitude": 180.1,
             "latitude": -90.1,
@@ -92,8 +90,8 @@ class TestValidateWaypoint:
             "heading": 360.0,
         }
         for field, value in bad.items():
-            verdict = validate_waypoint(make_waypoint(**{field: value}))
-            assert not verdict and field in verdict.reason
+            reason = invalid_reason(make_waypoint(**{field: value}))
+            assert reason is not None and field in reason
 
 
 class TestRoundWaypoint:
@@ -134,35 +132,40 @@ class TestRoundWaypoint:
             assert round_waypoint(once) == once
 
 
+def heading_mean(angles: list[float]) -> float:
+    """The heading minute_means gives one minute bucket holding these headings."""
+    traj = Trajectory("H", tuple(make_waypoint(timestamp=i, heading=float(a)) for i, a in enumerate(angles)))
+    ((_, values),) = minute_means(traj)
+    return values[4]
+
+
 class TestCircularMean:
+    """The wrap-aware heading mean of a minute bucket."""
+
     def test_identical_inputs(self):
-        assert circular_mean([90.0, 90.0]) == pytest.approx(90.0, abs=1e-9)
+        assert heading_mean([90.0, 90.0]) == pytest.approx(90.0, abs=1e-9)
 
     def test_across_north(self):
-        assert circular_mean([350.0, 10.0]) == pytest.approx(0.0, abs=1e-9)
+        assert heading_mean([350.0, 10.0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_quarter_turn(self):
-        assert circular_mean([0.0, 90.0]) == pytest.approx(45.0, abs=1e-9)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            circular_mean([])
+        assert heading_mean([0.0, 90.0]) == pytest.approx(45.0, abs=1e-9)
 
     def test_single_element_unchanged(self):
-        assert circular_mean([123.456]) == 123.456
+        assert heading_mean([123.456]) == 123.456
 
     def test_result_in_range(self, rng):
         for _ in range(300):
             angles = list(rng.uniform(0, 360, size=int(rng.integers(1, 8))))
-            mean = circular_mean(angles)
+            mean = heading_mean(angles)
             assert 0.0 <= mean < 360.0
 
     def test_rotation_equivariance(self, rng):
         for _ in range(200):
             angles = list(rng.uniform(0, 360, size=int(rng.integers(1, 6))))
             delta = float(rng.uniform(-720, 720))
-            rotated = circular_mean([(a + delta) % 360.0 for a in angles])
-            expected = (circular_mean(angles) + delta) % 360.0
+            rotated = heading_mean([(a + delta) % 360.0 for a in angles])
+            expected = (heading_mean(angles) + delta) % 360.0
             # Compare on the circle: 0 and 360 are the same direction.
             diff = abs(rotated - expected)
             assert min(diff, 360.0 - diff) < 1e-9
@@ -316,7 +319,6 @@ class TestValidateColumns:
         assert [INVALID_REASONS[c - 1] if c else None for c in codes.tolist()] == [
             reference_invalid_reason(w) for w in waypoints
         ]
-        assert [validate_waypoint(w).reason for w in waypoints] == [reference_invalid_reason(w) for w in waypoints]
 
 
 def trajectory_pair(waypoints, callsign="T"):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flightcast import ingest, synth
-from flightcast.domain import Trajectory, Waypoint
+from flightcast.domain import TIMESTAMP_RANGE, Trajectory, Waypoint
 from flightcast.ingest import (
     MalformedRowError,
     RawRecord,
@@ -21,35 +21,41 @@ from flightcast.ingest import (
     clean_trajectories,
     minute_means,
     parse_header,
-    parse_record,
     read_adsb_csv,
     records_to_csv_text,
     write_trajectories_csv,
-    _utc_text,
+    _utc_texts,
 )
 
 from conftest import (
+    CSV_HEADER,
+    padded_utc_text,
     random_canonical_waypoint,
+    read_row,
     reference_aggregate_minutes,
     reference_clean_trajectories,
     reference_minute_means,
     reference_read_adsb_csv,
     reference_write_trajectories_csv,
+    table_records,
 )
 
 #: 1000-01-01 00:00:00 UTC.
 FOUR_DIGIT_YEARS_START = -30610224000
 
-HEADER = parse_header("timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading")
-
 TABLE_ROW = "1727926166,2024-10-3 3:29:26,3S528,13.61184,50.48944,10058.400,968.596,125.00"
+
+
+def datetime_utc_text(timestamp: int) -> str:
+    """utc_time as datetime.strftime writes it: a year before 1000 has fewer than four digits."""
+    return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
 
 
 def record(callsign="FLT1", timestamp=0, longitude=10.0, latitude=20.0, altitude=10000.0,
            velocity=900.0, heading=90.0, utc_time=None) -> RawRecord:
     return RawRecord(
         timestamp=timestamp,
-        utc_time=utc_time or _utc_text(timestamp),
+        utc_time=utc_time or datetime_utc_text(timestamp),
         callsign=callsign,
         longitude=longitude,
         latitude=latitude,
@@ -61,7 +67,7 @@ def record(callsign="FLT1", timestamp=0, longitude=10.0, latitude=20.0, altitude
 
 class TestParseRecord:
     def test_reference_row(self):
-        r = parse_record(TABLE_ROW, HEADER)
+        r = read_row(TABLE_ROW)
         assert r.timestamp == 1727926166
         assert r.utc_time == "2024-10-3 3:29:26"
         assert r.callsign == "3S528"
@@ -70,34 +76,32 @@ class TestParseRecord:
         assert r.altitude == 10058.400
         assert r.velocity == 968.596
         assert r.heading == 125.00
-        assert r.is_complete
 
     def test_empty_cell_is_missing(self):
-        r = parse_record("1727926166,2024-10-3 3:29:26,3S528,,50.48944,10058.4,968.6,125.0", HEADER)
-        assert r.longitude is None
-        assert "longitude" in r.missing_fields()
+        r = read_row("1727926166,2024-10-3 3:29:26,3S528,,50.48944,10058.4,968.6,125.0")
+        assert [name for name, value in vars(r).items() if value is None] == ["longitude"]
 
     def test_wrong_column_count(self):
-        with pytest.raises(MalformedRowError, match="row 7"):
-            parse_record("1,2,3,4,5,6,7", HEADER, row_number=7)
+        with pytest.raises(MalformedRowError, match=r"row 2\): expected 8 cells, got 7"):
+            read_row("1,2,3,4,5,6,7", strict=True)
 
     def test_non_numeric_tolerant(self):
-        r = parse_record("1,x,CS,abc,50.0,100.0,900.0,10.0", HEADER)
+        r = read_row("1,x,CS,abc,50.0,100.0,900.0,10.0")
         assert r.longitude is None
 
     def test_non_numeric_strict(self):
         with pytest.raises(MalformedRowError, match="longitude"):
-            parse_record("1,x,CS,abc,50.0,100.0,900.0,10.0", HEADER, strict=True)
+            read_row("1,x,CS,abc,50.0,100.0,900.0,10.0", strict=True)
 
     def test_signed_and_fractional_values(self):
-        r = parse_record("5,x,CS,-103.25,+45.5,.5,900.0,10.0", HEADER)
+        r = read_row("5,x,CS,-103.25,+45.5,.5,900.0,10.0")
         assert r.longitude == -103.25
         assert r.latitude == 45.5
         assert r.altitude == 0.5
 
     def test_header_case_insensitive_extra_columns_ignored(self):
-        header = parse_header("Timestamp,UTC_TIME,Callsign,Longitude,Latitude,Altitude,Velocity,Heading,Extra")
-        r = parse_record("1,x,CS,1.0,2.0,3.0,4.0,5.0,junk", header)
+        header = "Timestamp,UTC_TIME,Callsign,Longitude,Latitude,Altitude,Velocity,Heading,Extra"
+        r = read_row("1,x,CS,1.0,2.0,3.0,4.0,5.0,junk", header)
         assert r.longitude == 1.0
         with pytest.raises(MalformedRowError, match="missing required column"):
             parse_header("timestamp,utc_time,callsign")
@@ -275,9 +279,6 @@ class TestCsvRoundTrip:
             read_adsb_csv(io.StringIO(""))
 
 
-CSV_HEADER = "timestamp,utc_time,callsign,longitude,latitude,altitude,velocity,heading"
-
-
 def csv_source(*rows: str) -> io.StringIO:
     return io.StringIO("\n".join((CSV_HEADER,) + rows) + "\n")
 
@@ -289,25 +290,25 @@ def ingest_log(caplog) -> list[tuple[str, str]]:
 class TestUtcAgreementWarnings:
     def test_non_padded_agreeing_time_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
-        parse_record(TABLE_ROW, HEADER, row_number=2)
+        read_row(TABLE_ROW)
         assert ingest_log(caplog) == []
 
     def test_canonical_agreeing_time_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
-        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:26"), HEADER)
+        read_row(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:26"))
         assert ingest_log(caplog) == []
 
     def test_canonical_disagreeing_time_warns_once_naming_the_row(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
-        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:27"), HEADER, row_number=9)
+        read_row(TABLE_ROW.replace("2024-10-3 3:29:26", "2024-10-03 03:29:27"))
         assert ingest_log(caplog) == [
-            ("WARNING", "utc_time '2024-10-03 03:29:27' disagrees with timestamp 1727926166 (row 9)")
+            ("WARNING", "utc_time '2024-10-03 03:29:27' disagrees with timestamp 1727926166 (row 2)")
         ]
 
     def test_unparseable_time_logs_only_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
-        parse_record(TABLE_ROW.replace("2024-10-3 3:29:26", "yesterday"), HEADER, row_number=4)
-        assert ingest_log(caplog) == [("DEBUG", "unparseable utc_time 'yesterday' (row 4)")]
+        read_row(TABLE_ROW.replace("2024-10-3 3:29:26", "yesterday"))
+        assert ingest_log(caplog) == [("DEBUG", "unparseable utc_time 'yesterday' (row 2)")]
 
     def test_feed_row_by_row(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
@@ -329,20 +330,39 @@ class TestUtcAgreementWarnings:
 
     def test_five_digit_year_goes_through_strptime(self, caplog):
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
-        parse_record("253402300800,10000-01-01 00:00:00,A1,1.0,2.0,3.0,4.0,5.0", HEADER, row_number=2)
+        read_row("253402300800,10000-01-01 00:00:00,A1,1.0,2.0,3.0,4.0,5.0")
         assert ingest_log(caplog) == [("DEBUG", "unparseable utc_time '10000-01-01 00:00:00' (row 2)")]
 
     @pytest.mark.parametrize(
-        "timestamp", [-30610224001, -30610224000, -1, 0, 1727926166, 253402300799, 253402300800]
+        "timestamp",
+        [-62135596801, -62135596800, -30610224001, -30610224000, -1, 0, 1727926166, 253402300799, 253402300800],
     )
     def test_utc_text_matches_datetime(self, timestamp):
-        try:
-            want = datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
-        except (ValueError, OverflowError) as exc:
-            with pytest.raises(type(exc)):
-                _utc_text(timestamp)
+        # The bounds of TIMESTAMP_RANGE and one second past each, year 1000 and the epoch.
+        if TIMESTAMP_RANGE[0] <= timestamp <= TIMESTAMP_RANGE[1]:
+            assert _utc_texts(np.array([timestamp])).tolist() == [padded_utc_text(timestamp)]
         else:
-            assert _utc_text(timestamp) == want
+            with pytest.raises(ValueError, match=f"timestamp {timestamp} lies outside years 0001-9999"):
+                _utc_texts(np.array([0, timestamp, 60]))
+
+    @given(st.lists(st.one_of(st.integers(*TIMESTAMP_RANGE), st.sampled_from(TIMESTAMP_RANGE)), max_size=20))
+    def test_utc_texts_are_padded_datetime_text_that_strptime_reads_back(self, timestamps):
+        texts = _utc_texts(np.array(timestamps, dtype=np.int64)).tolist()
+        assert texts == [padded_utc_text(t) for t in timestamps]
+        for text, timestamp in zip(texts, timestamps):
+            parsed = datetime.strptime(text, "%Y-%m-%d %H:%M:%S").replace(tzinfo=timezone.utc)
+            assert int(parsed.timestamp()) == timestamp
+
+    def test_trajectory_before_year_1000_reads_back_without_utc_lines(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        start = -45600000000  # 0524-12-29 05:20:00 UTC
+        traj = Trajectory("OLD1", tuple(Waypoint(start + 60 * i, 10.0, 20.0, 1000.0, 900.0, 90.0) for i in range(2)))
+        out = io.StringIO()
+        write_trajectories_csv([traj], out)
+        table = read_adsb_csv(io.StringIO(out.getvalue()))
+        assert ingest_log(caplog) == []
+        assert [text[:5] for text in table.utc_time.tolist()] == ["0524-", "0524-"]
+        assert clean_trajectories(table).trajectories == [traj]
 
 
 class TestMalformedWidthRows:
@@ -419,7 +439,7 @@ def dirty_feed_text(flights: int, seed: int) -> str:
     some_row()[7] = "359.995"  # rounds up to 360, which wraps to 0
     for shift in (1, 3600, -86400):
         row = some_row()
-        row[1] = _utc_text(int(row[0]) + shift)
+        row[1] = datetime_utc_text(int(row[0]) + shift)
     row = some_row()
     stamp = datetime.fromtimestamp(int(row[0]), tz=timezone.utc)
     row[1] = f"{stamp.year}-{stamp.month}-{stamp.day} {stamp.hour}:{stamp.minute}:{stamp.second}"
@@ -432,9 +452,9 @@ def dirty_feed_text(flights: int, seed: int) -> str:
     some_row()[2] = ""
     for row in quoted:  # a callsign csv must quote
         row[2] = QUOTED_CALLSIGN_PREFIX + row[2]
-    for row in ancient:  # before year 1000, where utc_time has fewer than four year digits
+    for row in ancient:  # before year 1000, with utc_time as strftime writes it: three year digits
         row[0] = str(int(row[0]) - ANCIENT_SHIFT_S)
-        row[1] = _utc_text(int(row[0]))
+        row[1] = datetime_utc_text(int(row[0]))
     rows += twin + [list(row) for row in twin] + quoted + ancient
     rng.shuffle(rows)
     text_rows = [csv_line(row) for row in rows]
@@ -481,7 +501,7 @@ class TestReferenceDifferential:
         )
         assert shipped_log == ingest_log(caplog)
         assert len(table) == len(records)
-        assert repr(table.to_records()) == repr(records)
+        assert repr(table_records(table)) == repr(records)
         assert shipped == oracle
         summary = shipped[0]
         assert summary["kept"] > 0 and summary["incomplete"] and summary["invalid"] and summary["duplicate"]
@@ -511,8 +531,8 @@ class TestReferenceDifferential:
             f"{2**64 + 1},1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
         ]
         table = read_adsb_csv(csv_source(*rows))
-        assert [r.timestamp for r in table.to_records()] == [60, 2**64, 2**64 + 1]
-        assert clean_trajectories(table).summary() == reference_clean_trajectories(table.to_records()).summary()
+        assert [r.timestamp for r in table_records(table)] == [60, 2**64, 2**64 + 1]
+        assert clean_trajectories(table).summary() == reference_clean_trajectories(table_records(table)).summary()
         assert clean_trajectories(table).summary() == {"kept": 0, "incomplete": 0, "invalid": 1, "duplicate": 0}
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -530,7 +550,7 @@ class TestReferenceDifferential:
         caplog.clear()
         records = reference_read_adsb_csv(text, strict=strict)
         assert shipped_log == ingest_log(caplog)
-        assert repr(table.to_records()) == repr(records)
+        assert repr(table_records(table)) == repr(records)
         assert records[3].timestamp == 120
         assert clean_trajectories(table).summary() == {"kept": 2, "incomplete": 0, "invalid": 2, "duplicate": 0}
 
@@ -572,7 +592,7 @@ class TestCleaningProperty:
         oracle = reference_clean_trajectories(records)
         assert shipped.summary() == oracle.summary()
         assert repr(shipped.trajectories) == repr(oracle.trajectories)
-        assert repr(RecordTable.from_records(records).to_records()) == repr(records)
+        assert repr(table_records(RecordTable.from_records(records))) == repr(records)
 
 
 WAYPOINTS = st.builds(

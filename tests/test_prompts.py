@@ -132,6 +132,15 @@ class TestParseCompletion:
         assert outcome.failure is FailureKind.UNEXPECTED_FORMAT
         assert type(text).__name__ in outcome.diagnostic
 
+    @pytest.mark.parametrize("field", range(5))
+    def test_number_too_long_for_a_double_is_severe(self, field, rng):
+        # float() reads it as infinity, which no score may include.
+        window = cruise_window(rng, 1)
+        items = serialize_waypoint(window.targets[0])[1:-1].split(", ")
+        items[field] = "1" + "0" * 400
+        outcome = parse_completion("(" + ", ".join(items) + ")", 1, window)
+        assert outcome.failure is FailureKind.SEVERE_DEVIATION
+
     def test_parsed_timestamps_continue_the_window(self, rng):
         window = cruise_window(rng, 4)
         outcome = parse_completion(serialize_waypoints(window.targets), 4, window)
@@ -213,6 +222,11 @@ class TestEmitDataset:
         bad = PromptRecord(good.system, good.user, good.assistant, template_version="other")
         with pytest.raises(ValueError, match="template versions"):
             emit_dataset([good, bad], tmp_path / "x.jsonl")
+
+    def test_mixed_horizons_rejected(self, tmp_path, rng):
+        records = [build_prompt(random_window(rng, horizon), True) for horizon in (4, 1, 4)]
+        with pytest.raises(ValueError, match=r"records mix horizons: \[1, 4\]"):
+            emit_dataset(records, tmp_path / "x.jsonl")
 
 
 class TestEstimateTokens:

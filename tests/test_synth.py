@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from flightcast.domain import Trajectory, Waypoint, validate_waypoint
+from flightcast.domain import INVALID_REASONS, Trajectory, Waypoint, validate_columns
 from flightcast.ingest import aggregate_minutes, clean_trajectories, read_adsb_csv, records_to_csv_text
 from flightcast.predictors import predict_kinematic
 from flightcast.synth import (
@@ -18,7 +18,9 @@ from flightcast.synth import (
     validate_spec,
     write_manifest,
 )
-from flightcast.windowing import check_continuity, sample_windows
+from flightcast.windowing import sample_windows
+
+from conftest import check_continuity
 
 
 def trajectory_from_records(records) -> Trajectory:
@@ -97,9 +99,9 @@ class TestGenerateFlight:
     def test_all_waypoints_valid_even_with_heavy_noise(self):
         spec = FlightSpec(seed=3, cruise_duration_min=10,
                           noise=NoiseStd(0.3, 0.3, 400.0, 300.0, 90.0))
-        for r in generate_flight(spec):
-            w = Waypoint(r.timestamp, r.longitude, r.latitude, r.altitude, r.velocity, r.heading)
-            assert validate_waypoint(w), validate_waypoint(w).reason
+        traj = trajectory_from_records(generate_flight(spec))
+        reasons = validate_columns(traj.timestamps, traj.values)
+        assert not reasons.any(), INVALID_REASONS[reasons.max() - 1]
 
     def test_noise_free_continuity_after_aggregation(self):
         spec = FlightSpec(seed=0, cruise_duration_min=25)

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from flightcast.domain import Trajectory, Waypoint
 from flightcast.windowing import (
     INPUT_LENGTH,
-    check_continuity,
     default_stride,
     read_windows_jsonl,
     sample_windows,
     write_windows_jsonl,
 )
 
-from conftest import gap_seeded_trajectory, reference_sample_windows
+from conftest import check_continuity, gap_seeded_trajectory, reference_sample_windows
 
 
 def minute_trajectory(minutes, callsign="T") -> Trajectory:
