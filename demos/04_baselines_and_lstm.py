@@ -3,7 +3,9 @@
 Persistence repeats the last waypoint; kinematic dead reckoning
 extrapolates the displacement between the last two; the LSTM is a single
 recurrent layer with hand-written backpropagation trained by Adam on
-one-step-ahead prediction and rolled out for longer horizons. Run:
+one-step-ahead prediction and rolled out for longer horizons. Each
+forecaster returns one (5, horizon) block per window; the blocks are
+scored the way a model's reply is, serialized and parsed back. Run:
 
     python demos/04_baselines_and_lstm.py
 """
@@ -21,7 +23,7 @@ from flightcast.predictors import (
     predict_kinematic,
     predict_persistence,
 )
-from flightcast.prompts import ParseOutcome
+from flightcast.prompts import parse_completion, serialize_values
 from flightcast.synth import generate_corpus
 from flightcast.windowing import sample_windows
 
@@ -40,14 +42,15 @@ config = TrainConfig(epochs=1500, batch_size=16, learning_rate=2e-3, seed=1, hid
 print(f"training LSTM (hidden {config.hidden_dim}, {config.epochs} epochs, ~30 s)...")
 params = lstm_train(train, config)
 
-predictors = {
-    "persistence": lambda w: predict_persistence(w, w.horizon),
-    "kinematic": lambda w: predict_kinematic(w, w.horizon),
-    "lstm": lambda w: lstm_predict(params, [w])[0],
+forecasters = {
+    "persistence": lambda windows: [predict_persistence(w, w.horizon) for w in windows],
+    "kinematic": lambda windows: [predict_kinematic(w, w.horizon) for w in windows],
+    "lstm": lambda windows: lstm_predict(params, windows),
 }
 print(f"\n{'model':>12}  {'MAE lon':>9}  {'MAE lat':>9}  {'MAE alt':>9}")
-for name, predict in predictors.items():
-    samples = [(w, ParseOutcome.success(tuple(predict(w))), 0.0) for w in test]
+for name, forecast in forecasters.items():
+    blocks = forecast(test)
+    samples = [(w, parse_completion(serialize_values(b), w.horizon, w), 0.0) for w, b in zip(test, blocks)]
     report = evaluate(samples, model=name)
     stats = report.attributes
     print(f"{name:>12}  {stats['longitude'].mae:9.5f}  {stats['latitude'].mae:9.5f}  "

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import evaluation, ingest, llm, prompts, synth, windowing
-from .domain import round_waypoint
+from .domain import round_attributes
 from .predictors import (
     LstmParams,
     TrainConfig,
@@ -226,7 +226,7 @@ _LOCAL_PREDICTORS = {"persistence": predict_persistence, "kinematic": predict_ki
 
 
 def _local_forecast(cfg: dict):
-    """The batched forecaster of a local backend: windows to rounded waypoints per window."""
+    """The batched forecaster of a local backend: windows to one rounded (5, horizon) block each."""
     backend = cfg["backend"]
     if backend == "lstm":
         if not cfg["model_file"]:
@@ -234,11 +234,13 @@ def _local_forecast(cfg: dict):
         params = LstmParams.load(cfg["model_file"])
         return lambda windows: lstm_predict(params, windows)
     predict = _LOCAL_PREDICTORS[backend]
-    return lambda windows: [[round_waypoint(p) for p in predict(w, w.horizon)] for w in windows]
+    return lambda windows: [round_attributes(predict(w, w.horizon)) for w in windows]
 
 
 def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
     backend = cfg["backend"]
+    if backend in ("endpoint", "mock"):
+        prompt_records = [prompts.build_prompt(w, include_assistant=False) for w in windows]
     if backend == "endpoint":
         if not cfg["base_url"] or not cfg["model"]:
             raise ValueError("endpoint backend requires --base-url and --model")
@@ -250,14 +252,11 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
             timeout_s=cfg["timeout"],
             retries=cfg["retries"],
         )
-        prompt_records = [prompts.build_prompt(w, include_assistant=False) for w in windows]
         results = llm.complete_many(prompt_records, endpoint)
         model_id = cfg["model"]
     elif backend == "mock":
         behavior = llm.MockBehavior(cfg["mock_behavior"])
-        results = [
-            llm.mock_complete(prompts.build_prompt(w, include_assistant=False), behavior) for w in windows
-        ]
+        results = [llm.mock_complete(record, behavior) for record in prompt_records]
         model_id = f"mock-{behavior.value}"
     else:
         forecast = _local_forecast(cfg)
@@ -265,7 +264,7 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
         predicted = forecast(windows)
         # One call forecasts the whole file; each row gets its share of the time.
         latency = (time.perf_counter() - start) / max(len(windows), 1)
-        results = [llm.CompletionResult(prompts.serialize_waypoints(p), latency, 1) for p in predicted]
+        results = [llm.CompletionResult(prompts.serialize_values(p), latency, 1) for p in predicted]
         model_id = backend
 
     rows = []
@@ -307,18 +306,24 @@ def _cmd_train_lstm(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    rows = list(windowing.read_jsonl(cfg["pred"]))
+    scorable, skipped = [], []
+    for number, row in enumerate(windowing.read_jsonl(cfg["pred"]), start=1):
+        try:
+            scorable.append((windowing.window_from_obj(row), row))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64
+            skipped.append(f"row {number}: {exc}")
+    if skipped:
+        logger.warning("skipped %d row(s) whose window is malformed (first: %s)", len(skipped), skipped[0])
     if cfg["few_shot"] is not None:
-        rows = evaluation.few_shot_split(rows, cfg["few_shot"], cfg["seed"])
+        scorable = evaluation.few_shot_split(scorable, cfg["few_shot"], cfg["seed"])
 
-    samples = []
-    for row in rows:
-        window = windowing.window_from_obj(row)
-        outcome = prompts.parse_completion(row["completion"], window.horizon, window)
-        samples.append((window, outcome, row["latency_s"]))
-
-    model_id = cfg["model"] or (rows[0]["model"] if rows else "")
-    template = rows[0].get("template_version", "") if rows else ""
+    samples = [
+        (window, prompts.parse_completion(row["completion"], window.horizon, window), row["latency_s"])
+        for window, row in scorable
+    ]
+    first = scorable[0][1] if scorable else {"model": ""}
+    model_id = cfg["model"] or first["model"]
+    template = first.get("template_version", "")
     report = evaluation.evaluate(samples, model=model_id, template_version=template)
     if cfg["no_latency"]:
         report.mean_latency_s = None

@@ -91,15 +91,9 @@ class Trajectory:
     @property
     def waypoints(self) -> tuple[Waypoint, ...]:
         if self._waypoints is None:
-            object.__setattr__(self, "_waypoints", self.waypoints_between(0, len(self)))
+            waypoints = tuple(map(Waypoint, self.timestamps.tolist(), *self.values.tolist()))
+            object.__setattr__(self, "_waypoints", waypoints)
         return self._waypoints
-
-    def waypoints_between(self, start: int, stop: int) -> tuple[Waypoint, ...]:
-        """``waypoints[start:stop]``, building only those Waypoints when the tuple is not built."""
-        if self._waypoints is not None:
-            return tuple(self._waypoints[start:stop])
-        columns = self.values[:, start:stop].tolist()
-        return tuple(map(Waypoint, self.timestamps[start:stop].tolist(), *columns))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -118,7 +112,7 @@ class Trajectory:
         return hash((self.callsign, self.timestamps.tobytes(), (self.values + 0.0).tobytes()))
 
     def __repr__(self) -> str:
-        return f"Trajectory(callsign={self.callsign!r}, waypoints={self.waypoints!r})"
+        return f"{type(self).__name__}(callsign={self.callsign!r}, waypoints={self.waypoints!r})"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -128,8 +122,8 @@ class Trajectory:
 
     def __reduce__(self):
         if self._waypoints is not None:
-            return Trajectory, (self.callsign, self._waypoints)
-        return Trajectory.from_columns, (self.callsign, self.timestamps, self.values)
+            return type(self), (self.callsign, self._waypoints)
+        return type(self).from_columns, (self.callsign, self.timestamps, self.values)
 
 
 class PhaseLabel(Enum):
@@ -172,10 +166,12 @@ def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
     return reason
 
 
-# Powers of ten that round_value scales by; each one is an exact double.
-_SCALES = tuple(float(10**d) for d in range(16))
+# Powers of ten that round_values scales by; each one is an exact double.
+_SCALES = np.array([float(10**d) for d in range(16)])
 # Above this, |x|·10^d no longer has a fractional part to round.
 _FAST_LIMIT = 2.0**52
+# Decimal counts of attribute rows, shaped to broadcast over a (5, n) block.
+_ATTRIBUTE_DECIMALS = np.array(CANONICAL_DECIMALS)[:, None]
 
 
 def round_value(value: float, decimals: int) -> float:
@@ -183,77 +179,61 @@ def round_value(value: float, decimals: int) -> float:
 
     Rounding is applied to the shortest decimal representation of the
     float, so ``round_value(125.005, 2) == 125.01`` even though the
-    nearest double to 125.005 is slightly below it.
-
-    With ``m = floor(|x|·10^d)``, a value that is not the double nearest
-    the tie ``(m + 1/2)/10^d`` has its shortest repr on the same side of
-    the tie, so comparing against that double decides the rounding
-    exactly, and ``n/10^d`` is the correctly rounded value of the decimal
-    result. The ``Decimal`` rule runs only where that argument does not
-    reach: exact ties, ``decimals`` outside 0..15, ``|x|·10^d >= 2^52``
-    and non-finite input (NaN stays NaN; infinity raises
-    ``decimal.InvalidOperation``).
+    nearest double to 125.005 is slightly below it. NaN stays NaN;
+    infinity raises ``decimal.InvalidOperation``.
     """
-    x = float(value)
-    if 0 <= decimals <= 15:
-        scale = _SCALES[decimals]
-        magnitude = abs(x)
-        scaled = magnitude * scale
-        if scaled < _FAST_LIMIT:  # false for NaN and infinity
-            m = int(scaled)
-            tie = (2 * m + 1) / (2 * scale)
-            if magnitude != tie:
-                return math.copysign((m + (magnitude > tie)) / scale, x)
     quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def round_values(values: np.ndarray, decimals: int) -> np.ndarray:
-    """Column form of :func:`round_value`: the same double for every element.
+def round_values(values: np.ndarray, decimals) -> np.ndarray:
+    """Array form of :func:`round_value`: the same double for every element.
 
-    The exact float rule runs on the whole array. Only the elements it
-    does not reach (exact ties, ``|x|·10^d >= 2^52``, non-finite input, or
-    any ``decimals`` outside 0..15) go through ``round_value`` one by one.
+    ``decimals`` is an int or an integer array that broadcasts to the
+    shape of ``values``, one decimal count per element. With
+    ``m = floor(|x|·10^d)``, a value that is not the double nearest the
+    tie ``(m + 1/2)/10^d`` has its shortest repr on the same side of the
+    tie, so comparing against that double decides the rounding exactly,
+    and ``n/10^d`` is the correctly rounded value of the decimal result.
+    Only the elements that argument does not reach (exact ties,
+    ``|x|·10^d >= 2^52``, non-finite input, or a decimal count outside
+    0..15) go through ``round_value`` one by one.
     """
     x = np.asarray(values, dtype=np.float64)
-    if not 0 <= decimals <= 15:
-        return np.array([round_value(v, decimals) for v in x.flat]).reshape(x.shape)
-    scale = _SCALES[decimals]
-    magnitude = np.abs(x)
+    d = np.asarray(decimals)
+    in_range = (0 <= d) & (d <= 15)
+    scale = _SCALES[np.where(in_range, d, 0)]
+    # m and tie are the only value-sized buffers; |x| > tie is x > tie or x < -tie.
+    m = np.abs(x)
     with np.errstate(over="ignore"):
-        scaled = magnitude * scale
-    fast = scaled < _FAST_LIMIT  # false for NaN and infinity
-    m = np.floor(np.where(fast, scaled, 0.0))
-    tie = (2.0 * m + 1.0) / (2.0 * scale)
-    fast &= magnitude != tie
-    out = np.copysign((m + (magnitude > tie)) / scale, x)
+        m *= scale
+    fast = in_range & (m < _FAST_LIMIT)  # false for NaN and infinity
+    m[~fast] = 0.0
+    np.floor(m, out=m)
+    tie = 2.0 * m
+    tie += 1.0
+    tie /= 2.0 * scale
+    above = x > tie
+    fast &= x != tie
+    np.negative(tie, out=tie)
+    above |= x < tie
+    fast &= x != tie
+    m += above
+    m /= scale
+    out = np.copysign(m, x, out=m)
+    d = np.broadcast_to(d, x.shape)
     for i in np.flatnonzero(~fast):
-        out.flat[i] = round_value(x.flat[i], decimals)
+        out.flat[i] = round_value(x.flat[i], int(d.flat[i]))
     return out
 
 
 def round_attributes(values: np.ndarray) -> np.ndarray:
-    """Round attribute rows (ATTRIBUTES order) as round_waypoint rounds one waypoint."""
-    out = np.array([round_values(row, d) for row, d in zip(values, CANONICAL_DECIMALS)])
-    heading = out[4]
-    heading[heading >= 360.0] = 0.0  # wraps inside out, as round_waypoint does
-    return out
+    """Round a block of attribute rows (ATTRIBUTES order) to canonical precision.
 
-
-def round_waypoint(w: Waypoint) -> Waypoint:
-    """Round a valid waypoint to canonical precision (5/5/3/3/2 decimals).
-
-    The timestamp is unchanged. A heading that rounds up to exactly 360
-    wraps to 0 so the result stays inside [0, 360).
+    The decimal counts are 5/5/3/3/2. A heading that rounds up to exactly
+    360 wraps to 0 so the result stays inside [0, 360).
     """
-    heading = round_value(w.heading, 2)
-    if heading >= 360.0:
-        heading = 0.0
-    return Waypoint(
-        w.timestamp,
-        round_value(w.longitude, 5),
-        round_value(w.latitude, 5),
-        round_value(w.altitude, 3),
-        round_value(w.velocity, 3),
-        heading,
-    )
+    out = round_values(values, _ATTRIBUTE_DECIMALS)
+    heading = out[4]
+    heading[heading >= 360.0] = 0.0
+    return out

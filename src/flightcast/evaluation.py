@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import ATTRIBUTES, PhaseLabel
 from .prompts import FailureKind, ParseOutcome
-from .windowing import Window
+from .windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 #: Mean vertical rate (m/s) separating climb and descent from cruise.
 PHASE_RATE_THRESHOLD_MS = 2.5
@@ -67,9 +67,8 @@ def mean_latency(latencies: Sequence[float]) -> float:
 
 def segment_phase(window: Window) -> PhaseLabel:
     """Label a window by the mean vertical rate of its 16 inputs."""
-    first, last = window.inputs[0], window.inputs[-1]
-    seconds = (len(window.inputs) - 1) * 60.0
-    rate = (last.altitude - first.altitude) / seconds
+    first, last = window.values[2, [0, INPUT_LENGTH - 1]].tolist()
+    rate = (last - first) / ((INPUT_LENGTH - 1) * STEP_SECONDS)
     if rate > PHASE_RATE_THRESHOLD_MS:
         return PhaseLabel.TAKE_OFF
     if rate < -PHASE_RATE_THRESHOLD_MS:
@@ -205,7 +204,7 @@ def evaluate(
 
     # (samples, steps, attributes) arrays; every pool below is a slice of them.
     shape = (len(scored), horizon, len(ATTRIBUTES))
-    truth = np.array([[t.values() for t in w.targets] for w, _ in scored], dtype=np.float64).reshape(shape)
+    truth = np.array([w.values[:, INPUT_LENGTH:].T for w, _ in scored], dtype=np.float64).reshape(shape)
     predicted = np.array([[p.values() for p in o.waypoints] for _, o in scored], dtype=np.float64).reshape(shape)
     phases = np.array([segment_phase(w).value for w, _ in scored])
     pooled = truth.size > 0

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
 import requests
 
-from .domain import Waypoint, round_waypoint
+from .domain import round_attributes
 from .predictors import predict_kinematic
 from .prompts import (
     PromptRecord,
     estimate_tokens,
     extract_tuples,
     horizon_from_system,
-    serialize_waypoints,
+    serialize_values,
 )
 from .windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
@@ -60,6 +61,8 @@ class EndpointConfig:
             raise ValueError("timeout must be > 0")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max in flight must be >= 1")
         if self.auth_token is None:
             self.auth_token = os.environ.get(TOKEN_ENV_VAR)
 
@@ -146,7 +149,7 @@ def _backoff_sleep(cfg: EndpointConfig, attempt: int) -> None:
 
 def complete_many(records: Sequence[PromptRecord], cfg: EndpointConfig) -> list[CompletionResult]:
     """Run prompts concurrently up to the in-flight limit, preserving order."""
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_in_flight)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         return list(pool.map(lambda r: complete(r, cfg), records))
 
 
@@ -167,26 +170,20 @@ _GARBLED_TEXT = (
 
 
 def _window_from_prompt(record: PromptRecord) -> tuple[Window, int]:
+    """The 16-row window a prompt's user text holds (timestamps 0, 60, ...) and its horizon."""
     horizon = horizon_from_system(record.system)
     if horizon is None:
         raise ValueError("malformed prompt: system text states no horizon")
     tuples = extract_tuples(record.user)
-    waypoints = []
-    for items in tuples:
-        if len(items) != 5:
-            raise ValueError("malformed prompt: user text holds a non 5-tuple")
-        try:
-            waypoints.append(
-                Waypoint(len(waypoints) * STEP_SECONDS, *(float(item) for item in items))
-            )
-        except ValueError as exc:
-            raise ValueError(f"malformed prompt: {exc}") from exc
-    if len(waypoints) != INPUT_LENGTH:
-        raise ValueError(
-            f"malformed prompt: user text holds {len(waypoints)} waypoints, expected {INPUT_LENGTH}"
-        )
-    window = Window(callsign="mock", inputs=tuple(waypoints), targets=())
-    return window, horizon
+    if any(len(items) != 5 for items in tuples):
+        raise ValueError("malformed prompt: user text holds a non 5-tuple")
+    if len(tuples) != INPUT_LENGTH:
+        raise ValueError(f"malformed prompt: user text holds {len(tuples)} waypoints, expected {INPUT_LENGTH}")
+    try:
+        values = np.array([[float(item) for item in items] for items in tuples]).T
+    except ValueError as exc:
+        raise ValueError(f"malformed prompt: {exc}") from exc
+    return Window.from_columns("mock", np.arange(INPUT_LENGTH) * STEP_SECONDS, values), horizon
 
 
 def mock_complete(
@@ -206,12 +203,9 @@ def mock_complete(
     elif behavior is MockBehavior.GARBLED:
         text = _GARBLED_TEXT
     else:
-        predicted = [round_waypoint(w) for w in predict_kinematic(window, horizon)]
+        predicted = round_attributes(predict_kinematic(window, horizon))
         if behavior is MockBehavior.SIGN_FLIP:
-            predicted = [
-                Waypoint(w.timestamp, -w.longitude, w.latitude, w.altitude, w.velocity, w.heading)
-                for w in predicted
-            ]
-        text = serialize_waypoints(predicted)
+            predicted[0] = -predicted[0]
+        text = serialize_values(predicted)
     tokens = estimate_tokens(record.user) + estimate_tokens(text)
     return CompletionResult(text=text, latency_s=tokens * MOCK_SECONDS_PER_TOKEN, attempts=1)

@@ -9,10 +9,10 @@ noise-free straight flight" a checkable identity rather than a hope.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
-from ..domain import Waypoint
-from ..windowing import STEP_SECONDS, Window
+import numpy as np
+
+from ..windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 #: Kilometers per degree of latitude (and of longitude at the equator).
 KM_PER_DEGREE = 111.32
@@ -47,47 +47,31 @@ def kinematic_step(
     return longitude + dlon, latitude + dlat, altitude + dalt
 
 
-def predict_persistence(window: Window, horizon: int) -> list[Waypoint]:
-    """Repeat the last observed waypoint, timestamps advancing by 60 s."""
-    last = window.inputs[-1]
-    return [
-        replace(last, timestamp=last.timestamp + step * STEP_SECONDS)
-        for step in range(1, horizon + 1)
-    ]
+def predict_persistence(window: Window, horizon: int) -> np.ndarray:
+    """Repeat the last observed row: a (5, horizon) block in ATTRIBUTES order."""
+    return np.repeat(window.values[:, INPUT_LENGTH - 1 : INPUT_LENGTH], horizon, axis=1)
 
 
-def predict_kinematic(window: Window, horizon: int) -> list[Waypoint]:
-    """Dead-reckon future waypoints from the last two observed positions.
+def predict_kinematic(window: Window, horizon: int) -> np.ndarray:
+    """Dead-reckon the next ``horizon`` rows from the last two observed positions.
 
     Ground speed and track are derived from the displacement between the
-    last two input waypoints (so a stationary aircraft stays put, whatever
-    its reported velocity), altitude advances by the last observed
-    per-minute delta, and the reported velocity and heading attributes are
-    held constant. Raises near the poles where the step rule degenerates.
+    last two input rows (so a stationary aircraft stays put, whatever its
+    reported velocity), altitude advances by the last observed per-minute
+    delta, and the reported velocity and heading attributes are held
+    constant. Returns a (5, horizon) block in ATTRIBUTES order. Raises near
+    the poles where the step rule degenerates.
     """
-    prev, last = window.inputs[-2], window.inputs[-1]
-    north_km = (last.latitude - prev.latitude) * KM_PER_DEGREE
-    east_km = (last.longitude - prev.longitude) * KM_PER_DEGREE * math.cos(
-        math.radians(prev.latitude)
-    )
+    prev, last = window.values[:, INPUT_LENGTH - 2 : INPUT_LENGTH].T.tolist()
+    north_km = (last[1] - prev[1]) * KM_PER_DEGREE
+    east_km = (last[0] - prev[0]) * KM_PER_DEGREE * math.cos(math.radians(prev[1]))
     speed_kmh = math.hypot(east_km, north_km) * 60.0
     track_deg = math.degrees(math.atan2(east_km, north_km)) % 360.0
-    vertical_rate = last.altitude - prev.altitude  # meters per minute
+    vertical_rate = last[2] - prev[2]  # meters per minute
 
-    lon, lat, alt = last.longitude, last.latitude, last.altitude
-    out = []
-    for step in range(1, horizon + 1):
-        lon, lat, alt = kinematic_step(
-            lon, lat, alt, speed_kmh, track_deg, STEP_SECONDS, vertical_rate
-        )
-        out.append(
-            Waypoint(
-                timestamp=last.timestamp + step * STEP_SECONDS,
-                longitude=lon,
-                latitude=lat,
-                altitude=alt,
-                velocity=last.velocity,
-                heading=last.heading,
-            )
-        )
+    lon, lat, alt, velocity, heading = last
+    out = np.empty((len(last), horizon))
+    for step in range(horizon):
+        lon, lat, alt = kinematic_step(lon, lat, alt, speed_kmh, track_deg, STEP_SECONDS, vertical_rate)
+        out[:, step] = lon, lat, alt, velocity, heading
     return out

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, Waypoint, round_values
-from ..windowing import STEP_SECONDS, Window
+from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, round_values
+from ..windowing import INPUT_LENGTH, Window
 
 logger = logging.getLogger(__name__)
 
@@ -270,8 +270,8 @@ def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 
 def _window_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (n, steps, D) and first targets; a rollout window may have no targets."""
-    x = np.array([[w.values() for w in win.inputs] for win in windows], dtype=np.float64)
-    y = np.array([win.targets[0].values() for win in windows if win.targets], dtype=np.float64)
+    x = np.array([win.values[:, :INPUT_LENGTH].T for win in windows])
+    y = np.array([win.values[:, INPUT_LENGTH] for win in windows if win.horizon], dtype=np.float64)
     return x, y
 
 
@@ -321,28 +321,20 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     return params
 
 
-def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[list[Waypoint]]:
+def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[np.ndarray]:
     """Iterative rollout of all windows at once: predict, append, slide, repeat.
 
     The batch rolls forward to the largest horizon and each window keeps
     its first ``window.horizon`` steps. Each prediction is denormalized and
-    appended to the raw sequence (the oldest step drops off); the outputs
-    are rounded to canonical precision with timestamps advancing by 60 s.
+    appended to the raw sequence (the oldest step drops off). Returns one
+    (5, horizon) block per window, rounded to canonical precision.
     """
     if not windows:
         return []
-    if len({len(win.inputs) for win in windows}) > 1:
-        raise ValueError("windows mix input lengths")
     sequence, _ = _window_arrays(windows)
     raw = np.empty((len(windows), max(win.horizon for win in windows), ATTR_DIM))
     for step in range(raw.shape[1]):
         raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))
         sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
-    rounded = np.stack([round_values(raw[..., a], d) for a, d in enumerate(CANONICAL_DECIMALS)], axis=-1)
-    return [
-        [
-            Waypoint(win.inputs[-1].timestamp + step * STEP_SECONDS, *values)
-            for step, values in enumerate(predicted[: win.horizon], start=1)
-        ]
-        for win, predicted in zip(windows, rounded.tolist())
-    ]
+    rounded = round_values(raw, CANONICAL_DECIMALS)
+    return [predicted[: win.horizon].T for win, predicted in zip(windows, rounded)]

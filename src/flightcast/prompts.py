@@ -2,7 +2,7 @@
 
 The text format is the contract here: one "(lon, lat, alt, vel, hdg)"
 tuple per line with fixed decimal counts 5/5/3/3/2, so that serializing
-canonically rounded waypoints and parsing the text back is lossless.
+canonically rounded values and parsing the text back is lossless.
 Completions from real models are messy; parsing never raises and sorts
 every outcome into waypoints or one of three failure classes.
 """
@@ -19,8 +19,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .domain import DECIMAL_RE, LATITUDE_RANGE, LONGITUDE_RANGE, Waypoint
-from .windowing import STEP_SECONDS, Window, read_jsonl, write_jsonl
+from .windowing import INPUT_LENGTH, STEP_SECONDS, Window, read_jsonl, write_jsonl
 
 TEMPLATE_VERSION = "v1"
 
@@ -43,6 +45,7 @@ _SYSTEM_TEMPLATE = (
     "no extra text."
 )
 
+_ROW_FORMAT = "({:.5f}, {:.5f}, {:.3f}, {:.3f}, {:.2f})"
 _HORIZON_RE = re.compile(r"[Pp]redict the next (\d+) waypoint")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -88,17 +91,10 @@ class ParseOutcome:
         return cls(failure=kind, diagnostic=diagnostic)
 
 
-def serialize_waypoint(w: Waypoint) -> str:
-    """One waypoint as "(lon, lat, alt, vel, hdg)" at canonical precision."""
-    return (
-        f"({w.longitude:.5f}, {w.latitude:.5f}, {w.altitude:.3f}, "
-        f"{w.velocity:.3f}, {w.heading:.2f})"
-    )
-
-
-def serialize_waypoints(waypoints: Sequence[Waypoint]) -> str:
-    """Newline-joined tuples, no trailing newline. Timestamps are implicit."""
-    return "\n".join(serialize_waypoint(w) for w in waypoints)
+def serialize_values(values: np.ndarray) -> str:
+    """A (5, n) block of attribute rows as n "(lon, lat, alt, vel, hdg)" lines at canonical
+    precision, newline-joined, no trailing newline. Timestamps are implicit."""
+    return "\n".join(map(_ROW_FORMAT.format, *values.tolist()))
 
 
 def system_text(horizon: int) -> str:
@@ -120,8 +116,8 @@ def build_prompt(window: Window, include_assistant: bool) -> PromptRecord:
     """
     return PromptRecord(
         system=system_text(window.horizon),
-        user=serialize_waypoints(window.inputs),
-        assistant=serialize_waypoints(window.targets) if include_assistant else "",
+        user=serialize_values(window.values[:, :INPUT_LENGTH]),
+        assistant=serialize_values(window.values[:, INPUT_LENGTH:]) if include_assistant else "",
     )
 
 
@@ -154,20 +150,20 @@ def classify_severe(
     characteristic sign-flip failure (longitude or latitude coming back
     with the opposite sign when the aircraft is clearly away from zero).
     """
-    last = context.inputs[-1]
+    last_lon, last_lat = context.values[:2, INPUT_LENGTH - 1].tolist()
     if not all(map(math.isfinite, predicted.values())):
         return True
     if not (LONGITUDE_RANGE[0] <= predicted.longitude <= LONGITUDE_RANGE[1]):
         return True
     if not (LATITUDE_RANGE[0] <= predicted.latitude <= LATITUDE_RANGE[1]):
         return True
-    if abs(predicted.longitude - last.longitude) > radius:
+    if abs(predicted.longitude - last_lon) > radius:
         return True
-    if abs(predicted.latitude - last.latitude) > radius:
+    if abs(predicted.latitude - last_lat) > radius:
         return True
-    if abs(last.longitude) > 1.0 and predicted.longitude * last.longitude < 0.0:
+    if abs(last_lon) > 1.0 and predicted.longitude * last_lon < 0.0:
         return True
-    if abs(last.latitude) > 1.0 and predicted.latitude * last.latitude < 0.0:
+    if abs(last_lat) > 1.0 and predicted.latitude * last_lat < 0.0:
         return True
     return False
 
@@ -199,7 +195,7 @@ def parse_completion(
             f"found {len(candidates)} tuple(s), expected {horizon}",
         )
 
-    last_ts = context.inputs[-1].timestamp
+    last_ts = int(context.timestamps[INPUT_LENGTH - 1])
     waypoints = []
     for step, items in enumerate(candidates[:horizon], start=1):
         if len(items) != 5:

@@ -3,13 +3,14 @@
 A window is 16 input waypoints plus ``horizon`` target waypoints taken
 from the same trajectory with exact 60 s spacing throughout. The input
 length is a constant, not a knob, so prompt templates stay stable.
+Windows are trajectories: ``sample_windows`` cuts their columns as views
+of the trajectory's, and no stage after sampling needs a ``Waypoint``.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -22,20 +23,30 @@ SUPPORTED_HORIZONS = (1, 4, 8)
 STEP_SECONDS = 60
 
 
-@dataclass(frozen=True)
-class Window:
-    """16 input waypoints and the targets that immediately follow them."""
+class Window(Trajectory):
+    """16 input rows (columns ``[:, :16]``) and the target rows that follow them, if any.
 
-    callsign: str
-    inputs: tuple[Waypoint, ...]
-    targets: tuple[Waypoint, ...]
+    ``inputs`` and ``targets`` build the rows' ``Waypoint``s; pipeline code reads the columns.
+    """
+
+    __slots__ = ()
+
+    def _init(self, callsign, timestamps, values, waypoints) -> None:
+        if len(timestamps) < INPUT_LENGTH:
+            raise ValueError(f"window of {len(timestamps)} rows, expected at least {INPUT_LENGTH}")
+        super()._init(callsign, timestamps, values, waypoints)
 
     @property
     def horizon(self) -> int:
-        return len(self.targets)
+        return len(self) - INPUT_LENGTH
 
-    def waypoints(self) -> tuple[Waypoint, ...]:
-        return self.inputs + self.targets
+    @property
+    def inputs(self) -> tuple[Waypoint, ...]:
+        return self.waypoints[:INPUT_LENGTH]
+
+    @property
+    def targets(self) -> tuple[Waypoint, ...]:
+        return self.waypoints[INPUT_LENGTH:]
 
 
 def default_stride(horizon: int) -> int:
@@ -56,7 +67,7 @@ def sample_windows(
     starting at k are exactly 60 s apart. After an emission the scan
     advances by ``stride``; after a continuity break it resumes at the
     first waypoint past the break, which maximizes yield without ever
-    spanning a gap. Only the rows of emitted windows become ``Waypoint``s.
+    spanning a gap. Each window's columns are views of the trajectory's.
     """
     if horizon not in SUPPORTED_HORIZONS and not allow_any_horizon:
         raise ValueError(
@@ -79,8 +90,8 @@ def sample_windows(
         if at < len(breaks) and breaks[at] < k + window_size - 1:
             k = breaks[at] + 1
             continue
-        waypoints = traj.waypoints_between(k, k + window_size)
-        windows.append(Window(traj.callsign, waypoints[:INPUT_LENGTH], waypoints[INPUT_LENGTH:]))
+        rows = slice(k, k + window_size)
+        windows.append(Window.from_columns(traj.callsign, traj.timestamps[rows], traj.values[:, rows]))
         k += stride
     return windows
 
@@ -88,29 +99,28 @@ def sample_windows(
 # --- JSON Lines interchange --------------------------------------------------
 
 
-def _waypoint_to_row(w: Waypoint) -> list[float]:
-    return [w.timestamp, w.longitude, w.latitude, w.altitude, w.velocity, w.heading]
-
-
-def _waypoint_from_row(row: list[float]) -> Waypoint:
-    return Waypoint(int(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]), float(row[5]))
-
-
 def window_to_obj(window: Window) -> dict:
+    """The JSON object of a window: ``[timestamp, lon, lat, alt, vel, hdg]`` rows."""
+    rows = [[t, *v] for t, v in zip(window.timestamps.tolist(), window.values.T.tolist())]
     return {
         "callsign": window.callsign,
         "horizon": window.horizon,
-        "input": [_waypoint_to_row(w) for w in window.inputs],
-        "target": [_waypoint_to_row(w) for w in window.targets],
+        "input": rows[:INPUT_LENGTH],
+        "target": rows[INPUT_LENGTH:],
     }
 
 
 def window_from_obj(obj: dict) -> Window:
-    return Window(
-        callsign=obj["callsign"],
-        inputs=tuple(_waypoint_from_row(r) for r in obj["input"]),
-        targets=tuple(_waypoint_from_row(r) for r in obj["target"]),
-    )
+    """Read :func:`window_to_obj`'s form back; ValueError unless 16 input rows and some target."""
+    inputs, targets = obj["input"], obj["target"]
+    if len(inputs) != INPUT_LENGTH:
+        raise ValueError(f"window input holds {len(inputs)} rows, expected {INPUT_LENGTH}")
+    if not targets:
+        raise ValueError("window target is empty")
+    values = np.array([row[1:] for row in inputs + targets])
+    if values.dtype.kind not in "iuf":  # a null or text cell; float64 would read null as NaN
+        raise ValueError(f"window holds a non-numeric cell ({values.dtype})")
+    return Window.from_columns(obj["callsign"], [row[0] for row in inputs + targets], values.T)
 
 
 def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:

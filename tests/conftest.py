@@ -20,7 +20,7 @@ from flightcast.domain import (
     TIMESTAMP_RANGE,
     Trajectory,
     Waypoint,
-    round_waypoint,
+    round_attributes,
 )
 from flightcast.ingest import (
     REQUIRED_COLUMNS,
@@ -30,6 +30,7 @@ from flightcast.ingest import (
     parse_header,
     read_adsb_csv,
 )
+from flightcast.prompts import ParseOutcome
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -318,10 +319,7 @@ def reference_sample_windows(traj: Trajectory, horizon: int, stride: int) -> lis
     while k + window_size <= len(waypoints):
         break_at = _reference_first_break(waypoints, k, window_size)
         if break_at is None:
-            windows.append(
-                Window(traj.callsign, tuple(waypoints[k : k + INPUT_LENGTH]),
-                       tuple(waypoints[k + INPUT_LENGTH : k + window_size]))
-            )
+            windows.append(Window(traj.callsign, tuple(waypoints[k : k + window_size])))
             k += stride
         else:
             k = break_at + 1
@@ -338,23 +336,27 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def block_outcome(window: Window, block: np.ndarray) -> ParseOutcome:
+    """A parse that succeeded with the (5, horizon) forecast block, stamped with the target times."""
+    return ParseOutcome.success(tuple(map(Waypoint, window.timestamps[INPUT_LENGTH:].tolist(), *block.tolist())))
+
+
 def make_waypoint(timestamp=0, longitude=0.0, latitude=0.0, altitude=0.0,
                   velocity=0.0, heading=0.0) -> Waypoint:
     return Waypoint(timestamp, longitude, latitude, altitude, velocity, heading)
 
 
+def canonical_window(callsign: str, start: int, rows) -> Window:
+    """A window of the given (lon, lat, alt, vel, hdg) rows at canonical precision, 60 s apart from ``start``."""
+    values = round_attributes(np.array(rows, dtype=np.float64).reshape(-1, 5).T)
+    return Window.from_columns(callsign, start + STEP_SECONDS * np.arange(values.shape[1]), values)
+
+
 def random_canonical_waypoint(rng: np.random.Generator, timestamp: int) -> Waypoint:
     """A valid waypoint at canonical precision, anywhere in the value box."""
-    return round_waypoint(
-        Waypoint(
-            timestamp=timestamp,
-            longitude=float(rng.uniform(-180.0, 180.0)),
-            latitude=float(rng.uniform(-90.0, 90.0)),
-            altitude=float(rng.uniform(-500.0, 15000.0)),
-            velocity=float(rng.uniform(0.0, 1200.0)),
-            heading=float(rng.uniform(0.0, 360.0)),
-        )
-    )
+    values = [rng.uniform(-180.0, 180.0), rng.uniform(-90.0, 90.0), rng.uniform(-500.0, 15000.0),
+              rng.uniform(0.0, 1200.0), rng.uniform(0.0, 360.0)]
+    return Waypoint(timestamp, *round_attributes(np.array(values)[:, None])[:, 0].tolist())
 
 
 def random_window(rng: np.random.Generator, horizon: int, callsign="TST") -> Window:
@@ -368,27 +370,12 @@ def random_window(rng: np.random.Generator, horizon: int, callsign="TST") -> Win
     start = int(rng.integers(0, 10_000)) * 60
     lon = float(rng.uniform(-180.0, 180.0))
     lat = float(rng.uniform(-90.0, 90.0))
-    waypoints = []
-    for i in range(INPUT_LENGTH + horizon):
-        waypoints.append(
-            round_waypoint(
-                Waypoint(
-                    timestamp=start + 60 * i,
-                    longitude=lon,
-                    latitude=lat,
-                    altitude=float(rng.uniform(-500.0, 15000.0)),
-                    velocity=float(rng.uniform(0.0, 1200.0)),
-                    heading=float(rng.uniform(0.0, 360.0)),
-                )
-            )
-        )
+    rows = []
+    for _ in range(INPUT_LENGTH + horizon):
+        rows.append((lon, lat, rng.uniform(-500.0, 15000.0), rng.uniform(0.0, 1200.0), rng.uniform(0.0, 360.0)))
         lon = float(np.clip(lon + rng.uniform(-0.3, 0.3), -180.0, 180.0))
         lat = float(np.clip(lat + rng.uniform(-0.3, 0.3), -90.0, 90.0))
-    return Window(
-        callsign=callsign,
-        inputs=tuple(waypoints[:INPUT_LENGTH]),
-        targets=tuple(waypoints[INPUT_LENGTH:]),
-    )
+    return canonical_window(callsign, start, rows)
 
 
 def cruise_window(rng: np.random.Generator, horizon: int, callsign="CRZ") -> Window:
@@ -401,13 +388,8 @@ def cruise_window(rng: np.random.Generator, horizon: int, callsign="CRZ") -> Win
     alt = float(rng.uniform(8000.0, 12000.0))
     dlon = speed / 60.0 / 111.32 * np.sin(np.radians(heading))
     dlat = speed / 60.0 / 111.32 * np.cos(np.radians(heading))
-    waypoints = [
-        round_waypoint(
-            Waypoint(start + 60 * i, lon + dlon * i, lat + dlat * i, alt, speed, heading)
-        )
-        for i in range(INPUT_LENGTH + horizon)
-    ]
-    return Window(callsign, tuple(waypoints[:INPUT_LENGTH]), tuple(waypoints[INPUT_LENGTH:]))
+    rows = [(lon + dlon * i, lat + dlat * i, alt, speed, heading) for i in range(INPUT_LENGTH + horizon)]
+    return canonical_window(callsign, start, rows)
 
 
 def gap_seeded_trajectory(rng: np.random.Generator, callsign="GAP") -> Trajectory:

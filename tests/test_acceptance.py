@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from flightcast.domain import PhaseLabel, Trajectory, Waypoint, round_waypoint
+from flightcast.domain import PhaseLabel, Trajectory, Waypoint
 from flightcast.evaluation import evaluate, few_shot_split, mae, mean_latency, rmse, segment_phase
 from flightcast.ingest import (
     aggregate_minutes,
@@ -23,16 +23,18 @@ from flightcast.ingest import (
 from flightcast.llm import MockBehavior, mock_complete
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train, predict_kinematic, predict_persistence
 from flightcast.predictors.lstm import LstmParams, lstm_loss, lstm_loss_gradients
-from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_completion, serialize_waypoints
+from flightcast.prompts import FailureKind, build_prompt, parse_completion, serialize_values
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import INPUT_LENGTH, sample_windows
 
 from conftest import (
+    block_outcome,
     check_continuity,
     cruise_window,
     gap_seeded_trajectory,
     random_canonical_waypoint,
     random_window,
+    reference_round_waypoint,
 )
 
 
@@ -108,7 +110,7 @@ def test_criterion_03_codec_round_trip():
     for i in range(1000):
         horizon = (1, 4, 8)[i % 3]
         window = random_window(rng, horizon)
-        outcome = parse_completion(serialize_waypoints(window.targets), horizon, window)
+        outcome = parse_completion(serialize_values(window.values[:, INPUT_LENGTH:]), horizon, window)
         if not (outcome.ok and outcome.waypoints == window.targets):
             failures += 1
     assert failures == 0
@@ -141,8 +143,8 @@ def test_criterion_04_windowing_equivalence():
             assert [w.inputs[0].timestamp for w in windows] == expected
             seen: set[int] = set()
             for w in windows:
-                assert check_continuity(w.waypoints())
-                window_stamps = {p.timestamp for p in w.waypoints()}
+                assert check_continuity(w.waypoints)
+                window_stamps = set(w.timestamps.tolist())
                 assert not (window_stamps & seen), "windows overlap"
                 seen |= window_stamps
     elapsed = time.perf_counter() - start
@@ -184,7 +186,7 @@ def test_criterion_05_aggregation_correctness():
         # The public op is exactly these means, canonically rounded.
         rounded = aggregate_minutes(traj)
         assert rounded.waypoints == tuple(
-            round_waypoint(Waypoint(b, *vals)) for b, vals in got
+            reference_round_waypoint(Waypoint(b, *vals)) for b, vals in got
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"aggregation check took {elapsed:.1f}s"
@@ -252,10 +254,9 @@ def test_criterion_07_kinematic_self_consistency():
             windows = sample_windows(traj, horizon, INPUT_LENGTH + horizon)
             assert windows, f"no windows at heading {heading}, horizon {horizon}"
             for window in windows:
-                predicted = predict_kinematic(window, horizon)
-                for p, t in zip(predicted, window.targets):
-                    worst_deg = max(worst_deg, abs(p.longitude - t.longitude), abs(p.latitude - t.latitude))
-                    worst_alt = max(worst_alt, abs(p.altitude - t.altitude))
+                error = np.abs(predict_kinematic(window, horizon) - window.values[:, INPUT_LENGTH:])
+                worst_deg = max(worst_deg, float(error[:2].max()))
+                worst_alt = max(worst_alt, float(error[2].max()))
     assert worst_deg < 1e-6, f"worst coordinate error {worst_deg:.2e} deg"
     assert worst_alt < 1e-3, f"worst altitude error {worst_alt:.2e} m"
     _pass(7, f"dead reckoning reproduces noise-free cruise targets (worst {worst_deg:.1e} deg, {worst_alt:.1e} m)")
@@ -310,10 +311,10 @@ def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
     samples = []
     for window in windows:
         if backend == "persistence":
-            outcome = ParseOutcome.success(tuple(predict_persistence(window, window.horizon)))
+            outcome = block_outcome(window, predict_persistence(window, window.horizon))
         elif backend == "lstm":
             (predicted,) = lstm_predict(params, [window])
-            outcome = ParseOutcome.success(tuple(predicted))
+            outcome = block_outcome(window, predicted)
         else:  # the mock chat backend answering with dead reckoning
             record = build_prompt(window, include_assistant=False)
             reply = mock_complete(record, MockBehavior.KINEMATIC)

@@ -117,6 +117,38 @@ class TestStages:
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.excluded_severe, report.evaluated) == (1, 1)
 
+    def test_eval_skips_rows_whose_window_is_malformed(self, pipeline_dir, tmp_path, caplog):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        good, empty, huge = list(read_jsonl(pred))[:3]
+        empty["target"] = []
+        huge["input"][0][0] = 2**70
+        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, empty, huge)))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+        assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
+        assert "skipped 2 row(s) whose window is malformed (first: row 2: window target is empty)" in caplog.text
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ({"target": []}, "window target is empty"),
+            ({"input": [[0, 1, 2, 3, 4, 5]] * 15}, "input holds 15 rows"),
+            ({"target": [[0, 1, None, 3, 4, 5]] * 4}, "non-numeric cell"),
+        ],
+    )
+    def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):
+        rows = list(read_jsonl(pipeline_dir / "windows.jsonl"))
+        rows[1].update(defect)
+        windows = tmp_path / "bad.jsonl"
+        windows.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "out.jsonl"
+        for stage in (("prompt",), ("predict", "--backend", "persistence"), ("train-lstm", "--epochs", 1)):
+            caplog.clear()
+            assert run(*stage, "--in", windows, "--out", out) == 1
+            assert message in caplog.text
+        assert not out.exists()
+
     def test_eval_few_shot_deterministic(self, pipeline_dir):
         pred = pipeline_dir / "pred_fs.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,

@@ -17,13 +17,18 @@ from flightcast.domain import (
     round_attributes,
     round_value,
     round_values,
-    round_waypoint,
     validate_columns,
 )
 
 from flightcast.ingest import RawRecord, clean_trajectories, minute_means
 
-from conftest import decimal_round_value, make_waypoint, random_canonical_waypoint, reference_invalid_reason
+from conftest import (
+    decimal_round_value,
+    make_waypoint,
+    random_canonical_waypoint,
+    reference_invalid_reason,
+    reference_round_waypoint,
+)
 
 
 def invalid_reason(w: Waypoint) -> str | None:
@@ -94,42 +99,35 @@ class TestValidateWaypoint:
             assert reason is not None and field in reason
 
 
+def round_one(**fields) -> Waypoint:
+    """round_attributes on the one-column block of a waypoint with these fields."""
+    w = make_waypoint(**fields)
+    return Waypoint(w.timestamp, *round_attributes(np.array(w.values())[:, None])[:, 0].tolist())
+
+
 class TestRoundWaypoint:
+    """round_attributes on a single waypoint's column."""
+
     def test_longitude_five_decimals(self):
-        w = round_waypoint(make_waypoint(longitude=13.611841))
-        assert w.longitude == 13.61184
+        assert round_one(longitude=13.611841).longitude == 13.61184
 
     def test_altitude_already_at_precision(self):
-        w = round_waypoint(make_waypoint(altitude=10058.4))
-        assert w.altitude == 10058.4
+        assert round_one(altitude=10058.4).altitude == 10058.4
 
     def test_heading_half_away_from_zero(self):
-        w = round_waypoint(make_waypoint(heading=125.005))
-        assert w.heading == 125.01
-
-    def test_timestamp_unchanged(self):
-        w = round_waypoint(make_waypoint(timestamp=1727926166, longitude=1.23456789))
-        assert w.timestamp == 1727926166
+        assert round_one(heading=125.005).heading == 125.01
 
     def test_heading_that_rounds_to_360_wraps_to_zero(self):
-        w = round_waypoint(make_waypoint(heading=359.996))
-        assert w.heading == 0.0
+        assert round_one(heading=359.996).heading == 0.0
+        assert round_one(heading=359.995).heading == 0.0
 
     def test_negative_value_rounds_away_from_zero(self):
         assert round_value(-125.005, 2) == -125.01
 
     def test_idempotent(self, rng):
-        for _ in range(500):
-            w = Waypoint(
-                0,
-                float(rng.uniform(-180, 180)),
-                float(rng.uniform(-90, 90)),
-                float(rng.uniform(-500, 20000)),
-                float(rng.uniform(0, 1200)),
-                float(rng.uniform(0, 360)),
-            )
-            once = round_waypoint(w)
-            assert round_waypoint(once) == once
+        low, high = [-180, -90, -500, 0, 0], [180, 90, 20000, 1200, 360]
+        once = round_attributes(rng.uniform(low, high, size=(500, 5)).T)
+        assert np.array_equal(round_attributes(once), once)
 
 
 def heading_mean(angles: list[float]) -> float:
@@ -289,11 +287,33 @@ class TestRoundValuesMatchesRoundValue:
     )
     def test_round_attributes_is_round_waypoint(self, waypoints):
         try:
-            want = [round_waypoint(w) for w in waypoints]
+            want = [reference_round_waypoint(w) for w in waypoints]
         except InvalidOperation:
             return
         got = round_attributes(np.array([w.values() for w in waypoints]).reshape(-1, 5).T)
         assert [[bits(v) for v in w.values()] for w in want] == [[bits(v) for v in row] for row in got.T.tolist()]
+
+    @given(
+        st.lists(st.sampled_from((-1, 0, 2, 3, 5, 15, 16)), min_size=1, max_size=5).flatmap(
+            lambda ds: st.tuples(
+                st.just(ds),
+                st.integers(0, 6).flatmap(
+                    lambda n: st.tuples(*(st.lists(rounding_inputs(d), min_size=n, max_size=n) for d in ds))
+                ),
+            )
+        )
+    )
+    def test_broadcast_decimals_are_per_row_rounding(self, case):
+        decimals, rows = case
+        block = np.array(rows, dtype=np.float64).reshape(len(decimals), -1)
+        try:
+            want = [round_values(row, d) for row, d in zip(block, decimals)]
+        except InvalidOperation:
+            with pytest.raises(InvalidOperation):
+                round_values(block, np.array(decimals)[:, None])
+            return
+        got = round_values(block, np.array(decimals)[:, None])
+        assert [[bits(v) for v in row] for row in got.tolist()] == [[bits(v) for v in row.tolist()] for row in want]
 
 
 class TestValidateColumns:
@@ -380,7 +400,6 @@ class TestTrajectory:
         _, traj = trajectory_pair([make_waypoint(timestamp=60 * i) for i in range(3)])
         assert traj.waypoints is traj.waypoints
         assert type(traj.waypoints[0].timestamp) is int
-        assert traj.waypoints_between(1, 3) == traj.waypoints[1:3]
 
     def test_repr_is_complete_past_a_thousand_rows(self):
         waypoints = [make_waypoint(timestamp=60 * i, longitude=i / 1000) for i in range(1500)]

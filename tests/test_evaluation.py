@@ -77,7 +77,7 @@ class TestSegmentPhase:
         inputs = tuple(
             Waypoint(60 * i, 100.0, 30.0, altitudes[i], 800.0, 90.0) for i in range(INPUT_LENGTH)
         )
-        return Window("PH", inputs, ())
+        return Window("PH", inputs)
 
     def test_constant_altitude_is_cruise(self):
         window = self.base_window([10000.0] * INPUT_LENGTH)
@@ -118,7 +118,7 @@ def phase_sample(rng, horizon: int, rate: float, kind):
                  float(rng.uniform(300.0, 900.0)), float(rng.uniform(0.0, 360.0)))
         for i in range(INPUT_LENGTH + horizon)
     ]
-    window = Window("PHS", tuple(waypoints[:INPUT_LENGTH]), tuple(waypoints[INPUT_LENGTH:]))
+    window = Window("PHS", tuple(waypoints))
     if kind != "ok":
         return failed_sample(window, kind, latency=float(rng.uniform(0.0, 2.0)))
     noise = rng.normal(scale=(0.05, 0.05, 30.0, 10.0, 5.0), size=(horizon, len(ATTRIBUTES)))
@@ -271,7 +271,7 @@ class TestEvaluate:
             Waypoint(60 * i, 100.0, 30.0, 1000.0 + 250.0 * i, 700.0, 90.0)
             for i in range(INPUT_LENGTH + 1)
         ]
-        window_climb = Window("UP", tuple(climb[:INPUT_LENGTH]), tuple(climb[INPUT_LENGTH:]))
+        window_climb = Window("UP", tuple(climb))
         window_cruise = cruise_window(rng, 1)
         report = evaluate([success_sample(window_climb), success_sample(window_cruise)])
         assert report.phases[PhaseLabel.TAKE_OFF.value].samples == 1

@@ -154,6 +154,9 @@ class TestComplete:
             EndpointConfig(base_url="x", model="m", timeout_s=0)
         with pytest.raises(ValueError):
             EndpointConfig(base_url="x", model="m", temperature=-0.1)
+        for limit in (0, -3):
+            with pytest.raises(ValueError, match="in flight"):
+                EndpointConfig(base_url="x", model="m", max_in_flight=limit)
 
     def test_complete_many_preserves_order(self, endpoint_url):
         cfg = EndpointConfig(base_url=endpoint_url, model="echo", max_in_flight=4)

@@ -30,8 +30,13 @@ def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
     windows = []
     for k in range(n):
         waypoints = [Waypoint(60 * (k * 40 + i), *value) for i in range(INPUT_LENGTH + horizon)]
-        windows.append(Window("CST", tuple(waypoints[:INPUT_LENGTH]), tuple(waypoints[INPUT_LENGTH:])))
+        windows.append(Window("CST", tuple(waypoints)))
     return windows
+
+
+def blocks(forecasts) -> list[list]:
+    """Forecast blocks as nested lists, which compare with ==."""
+    return [block.tolist() for block in forecasts]
 
 
 def params_equal(a: LstmParams, b: LstmParams) -> bool:
@@ -227,45 +232,37 @@ class TestPredict:
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = windows[0]
-        ((out,),) = lstm_predict(params, [window])
+        (out,) = lstm_predict(params, [window])
         x = np.array([w.values() for w in window.inputs])
         raw = denormalize(params, lstm_forward(params, normalize(params, x)[None])[0])
         from flightcast.domain import CANONICAL_DECIMALS, round_value
 
         expected = [round_value(float(v), d) for v, d in zip(raw, CANONICAL_DECIMALS)]
-        assert list(out.values()) == expected
-        assert out.timestamp == window.inputs[-1].timestamp + 60
+        assert out.shape == (ATTR_DIM, 1)
+        assert out[:, 0].tolist() == expected
 
     def test_rollout_deterministic(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = cruise_window(rng, 8)
-        assert lstm_predict(params, [window]) == lstm_predict(params, [window])
-
-    def test_rollout_timestamps(self, rng):
-        windows = [cruise_window(rng, 1) for _ in range(8)]
-        params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
-        window = cruise_window(rng, 4)
-        (out,) = lstm_predict(params, [window])
-        last = window.inputs[-1].timestamp
-        assert [w.timestamp for w in out] == [last + 60 * k for k in (1, 2, 3, 4)]
+        assert blocks(lstm_predict(params, [window])) == blocks(lstm_predict(params, [window]))
 
     def test_batch_equals_single_windows(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         mixed = [cruise_window(rng, h) for h in (8, 1, 4, 1, 8, 4)]
         batch = lstm_predict(params, mixed)
-        assert batch == [out for w in mixed for out in lstm_predict(params, [w])]
-        assert [len(out) for out in batch] == [8, 1, 4, 1, 8, 4]
+        assert blocks(batch) == [out for w in mixed for out in blocks(lstm_predict(params, [w]))]
+        assert [out.shape for out in batch] == [(ATTR_DIM, h) for h in (8, 1, 4, 1, 8, 4)]
 
     def test_mixed_horizons_keep_their_own_steps(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
         window = cruise_window(rng, 8)
-        cut = [Window(window.callsign, window.inputs, window.targets[:h]) for h in (1, 4, 8)]
-        h1, h4, h8 = lstm_predict(params, cut)
-        assert (len(h1), len(h4), len(h8)) == (1, 4, 8)
-        assert h1 == h8[:1] and h4 == h8[:4]
+        cut = [Window(window.callsign, window.waypoints[: INPUT_LENGTH + h]) for h in (1, 4, 8)]
+        h1, h4, h8 = blocks(lstm_predict(params, cut))
+        assert h1 == [row[:1] for row in h8] and h4 == [row[:4] for row in h8]
+        assert len(h8[0]) == 8
 
     def test_no_windows(self):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
@@ -274,7 +271,8 @@ class TestPredict:
     def test_window_without_targets_rolls_out_nothing(self, rng):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
         window = cruise_window(rng, 1)
-        assert lstm_predict(params, [Window(window.callsign, window.inputs, ())]) == [[]]
+        (out,) = lstm_predict(params, [Window(window.callsign, window.inputs)])
+        assert out.shape == (ATTR_DIM, 0)
 
 
 class TestPersistenceFile:
@@ -289,7 +287,7 @@ class TestPersistenceFile:
         assert np.array_equal(params.vector, loaded.vector)
         assert_views_of_vector(loaded)
         window = cruise_window(rng, 4)
-        assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
+        assert blocks(lstm_predict(params, [window])) == blocks(lstm_predict(loaded, [window]))
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -307,7 +305,7 @@ class TestPersistenceFile:
         assert np.array_equal(params.vector, loaded.vector)
         assert_views_of_vector(loaded)
         window = cruise_window(rng, 8)
-        assert lstm_predict(params, [window]) == lstm_predict(loaded, [window])
+        assert blocks(lstm_predict(params, [window])) == blocks(lstm_predict(loaded, [window]))
 
     def test_v2_array_shape_checked(self, tmp_path):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from flightcast.domain import Waypoint
+from flightcast.domain import ATTRIBUTES, Waypoint
 from flightcast.predictors import (
     kinematic_step,
     predict_kinematic,
@@ -13,7 +14,7 @@ from conftest import cruise_window, random_window
 
 def stationary_window(lon=103.2, lat=30.5, alt=10000.0, vel=900.0, hdg=45.0) -> Window:
     inputs = tuple(Waypoint(60 * i, lon, lat, alt, vel, hdg) for i in range(INPUT_LENGTH))
-    return Window("STAT", inputs, ())
+    return Window("STAT", inputs)
 
 
 def moving_window(dlat_per_min=0.1, dlon_per_min=0.0, lat0=0.0) -> Window:
@@ -21,24 +22,21 @@ def moving_window(dlat_per_min=0.1, dlon_per_min=0.0, lat0=0.0) -> Window:
         Waypoint(60 * i, dlon_per_min * i, lat0 + dlat_per_min * i, 10000.0, 900.0, 0.0)
         for i in range(INPUT_LENGTH)
     )
-    return Window("MOV", inputs, ())
+    return Window("MOV", inputs)
 
 
 class TestPersistence:
     def test_constant_window_repeats(self):
         window = stationary_window()
         out = predict_persistence(window, 4)
-        assert len(out) == 4
-        last = window.inputs[-1]
-        for k, w in enumerate(out, start=1):
-            assert w.timestamp == last.timestamp + 60 * k
-            assert w.values() == last.values()
+        assert out.shape == (len(ATTRIBUTES), 4)
+        for column in out.T.tolist():
+            assert tuple(column) == window.inputs[-1].values()
 
     def test_single_step(self, rng):
         window = random_window(rng, 1)
-        (out,) = predict_persistence(window, 1)
-        assert out.timestamp == window.inputs[-1].timestamp + 60
-        assert out.values() == window.inputs[-1].values()
+        (out,) = predict_persistence(window, 1).T.tolist()
+        assert tuple(out) == window.inputs[-1].values()
 
     def test_zero_error_on_stationary_flight(self):
         # A parked aircraft: persistence is exact, so every error is zero.
@@ -50,8 +48,9 @@ class TestPersistence:
         targets = tuple(
             Waypoint(inputs[-1].timestamp + 60 * k, *inputs[-1].values()) for k in (1, 2, 3, 4)
         )
-        window = Window("STAT", inputs, targets)
-        outcome = ParseOutcome.success(tuple(predict_persistence(window, 4)))
+        window = Window("STAT", inputs + targets)
+        predicted = predict_persistence(window, 4).T.tolist()
+        outcome = ParseOutcome.success(tuple(Waypoint(t.timestamp, *p) for t, p in zip(targets, predicted)))
         report = evaluate([(window, outcome, 0.0)])
         assert all(s.mae == 0.0 and s.rmse == 0.0 for s in report.attributes.values())
 
@@ -81,7 +80,7 @@ class TestKinematicStep:
 class TestPredictKinematic:
     def test_stationary_equals_persistence(self):
         window = stationary_window()
-        assert predict_kinematic(window, 4) == predict_persistence(window, 4)
+        assert np.array_equal(predict_kinematic(window, 4), predict_persistence(window, 4))
 
     def test_zero_rates_property(self, rng):
         # Whatever the reported velocity/heading, identical last positions
@@ -94,24 +93,23 @@ class TestPredictKinematic:
                 hdg=float(rng.uniform(0, 360)),
             )
             for horizon in (1, 4, 8):
-                assert predict_kinematic(window, horizon) == predict_persistence(window, horizon)
+                assert np.array_equal(predict_kinematic(window, horizon), predict_persistence(window, horizon))
 
     def test_northbound_extrapolation(self):
         window = moving_window(dlat_per_min=0.1)
-        out = predict_kinematic(window, 4)
+        lon, lat = predict_kinematic(window, 4)[:2]
         last = window.inputs[-1]
-        for k, w in enumerate(out, start=1):
-            assert w.latitude == pytest.approx(last.latitude + 0.1 * k, abs=1e-9)
-            assert w.longitude == pytest.approx(0.0, abs=1e-9)
+        assert lat == pytest.approx([last.latitude + 0.1 * k for k in (1, 2, 3, 4)], abs=1e-9)
+        assert lon == pytest.approx([0.0] * 4, abs=1e-9)
 
     def test_altitude_follows_last_delta(self):
         inputs = tuple(
             Waypoint(60 * i, 0.0, 0.0, 5000.0 + 120.0 * i, 900.0, 0.0) for i in range(INPUT_LENGTH)
         )
-        window = Window("CLB", inputs, ())
+        window = Window("CLB", inputs)
         out = predict_kinematic(window, 3)
         last_alt = inputs[-1].altitude
-        assert [w.altitude for w in out] == pytest.approx(
+        assert out[2] == pytest.approx(
             [last_alt + 120.0, last_alt + 240.0, last_alt + 360.0]
         )
 
@@ -119,18 +117,18 @@ class TestPredictKinematic:
         window = cruise_window(rng, 4)
         out = predict_kinematic(window, 4)
         last = window.inputs[-1]
-        assert all(w.velocity == last.velocity for w in out)
-        assert all(w.heading == last.heading for w in out)
+        assert out[3].tolist() == [last.velocity] * 4
+        assert out[4].tolist() == [last.heading] * 4
 
     def test_polar_error(self):
         inputs = tuple(Waypoint(60 * i, 0.0, 89.95, 10000.0, 900.0, 0.0) for i in range(INPUT_LENGTH))
         with pytest.raises(ValueError, match="polar"):
-            predict_kinematic(Window("P", inputs, ()), 1)
+            predict_kinematic(Window("P", inputs), 1)
 
     def test_track_derived_from_displacement(self):
         # Due-east displacement at the equator: 0.1 degrees/min = 11.132 km/min.
         window = moving_window(dlat_per_min=0.0, dlon_per_min=0.1)
         out = predict_kinematic(window, 2)
-        assert out[0].longitude == pytest.approx(window.inputs[-1].longitude + 0.1, abs=1e-9)
-        assert out[1].longitude == pytest.approx(window.inputs[-1].longitude + 0.2, abs=1e-9)
-        assert out[0].latitude == pytest.approx(0.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(window.inputs[-1].longitude + 0.1, abs=1e-9)
+        assert out[0, 1] == pytest.approx(window.inputs[-1].longitude + 0.2, abs=1e-9)
+        assert out[1, 0] == pytest.approx(0.0, abs=1e-12)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flightcast.domain import Waypoint
@@ -14,24 +15,23 @@ from flightcast.prompts import (
     horizon_from_system,
     parse_completion,
     read_dataset,
-    serialize_waypoint,
-    serialize_waypoints,
+    serialize_values,
 )
-from flightcast.windowing import Window
+from flightcast.windowing import INPUT_LENGTH, Window
 
 from conftest import cruise_window, make_waypoint, random_window
 
 
 class TestSerialize:
     def test_reference_waypoint(self):
-        w = Waypoint(0, 13.61184, 50.48944, 10058.400, 968.596, 125.00)
-        assert serialize_waypoint(w) == "(13.61184, 50.48944, 10058.400, 968.596, 125.00)"
+        values = np.array([[13.61184], [50.48944], [10058.400], [968.596], [125.00]])
+        assert serialize_values(values) == "(13.61184, 50.48944, 10058.400, 968.596, 125.00)"
 
     def test_zero_waypoint(self):
-        assert serialize_waypoint(make_waypoint()) == "(0.00000, 0.00000, 0.000, 0.000, 0.00)"
+        assert serialize_values(np.zeros((5, 1))) == "(0.00000, 0.00000, 0.000, 0.000, 0.00)"
 
     def test_two_waypoints_newline_joined(self):
-        text = serialize_waypoints([make_waypoint(), make_waypoint(timestamp=60)])
+        text = serialize_values(np.zeros((5, 2)))
         assert text.count("\n") == 1
         assert not text.endswith("\n")
 
@@ -82,7 +82,7 @@ class TestParseCompletion:
 
     def test_fewer_tuples_than_horizon(self, rng):
         window = cruise_window(rng, 4)
-        text = serialize_waypoints(window.targets[:2])
+        text = serialize_values(window.values[:, INPUT_LENGTH : INPUT_LENGTH + 2])
         outcome = parse_completion(text, 4, window)
         assert outcome.failure is FailureKind.UNEXPECTED_FORMAT
 
@@ -95,7 +95,7 @@ class TestParseCompletion:
         window = cruise_window(rng, 1)
         text = (
             "Here is my prediction (based on the trend):\n"
-            f"**{serialize_waypoint(window.targets[0])}**\n"
+            f"**{serialize_values(window.values[:, INPUT_LENGTH:])}**\n"
             "Let me know if you need more."
         )
         outcome = parse_completion(text, 1, window)
@@ -104,7 +104,7 @@ class TestParseCompletion:
 
     def test_extras_ignored_with_diagnostic(self, rng):
         window = cruise_window(rng, 1)
-        text = serialize_waypoints(list(window.targets) + [window.targets[0]])
+        text = serialize_values(window.values[:, [INPUT_LENGTH, INPUT_LENGTH]])
         outcome = parse_completion(text, 1, window)
         assert outcome.ok
         assert "extra" in outcome.diagnostic
@@ -113,7 +113,7 @@ class TestParseCompletion:
         for horizon in (1, 4, 8):
             for _ in range(50):
                 window = random_window(rng, horizon)
-                outcome = parse_completion(serialize_waypoints(window.targets), horizon, window)
+                outcome = parse_completion(serialize_values(window.values[:, INPUT_LENGTH:]), horizon, window)
                 assert outcome.ok
                 assert outcome.waypoints == window.targets
 
@@ -136,14 +136,14 @@ class TestParseCompletion:
     def test_number_too_long_for_a_double_is_severe(self, field, rng):
         # float() reads it as infinity, which no score may include.
         window = cruise_window(rng, 1)
-        items = serialize_waypoint(window.targets[0])[1:-1].split(", ")
+        items = serialize_values(window.values[:, INPUT_LENGTH:])[1:-1].split(", ")
         items[field] = "1" + "0" * 400
         outcome = parse_completion("(" + ", ".join(items) + ")", 1, window)
         assert outcome.failure is FailureKind.SEVERE_DEVIATION
 
     def test_parsed_timestamps_continue_the_window(self, rng):
         window = cruise_window(rng, 4)
-        outcome = parse_completion(serialize_waypoints(window.targets), 4, window)
+        outcome = parse_completion(serialize_values(window.values[:, INPUT_LENGTH:]), 4, window)
         last = window.inputs[-1].timestamp
         assert [w.timestamp for w in outcome.waypoints] == [last + 60 * k for k in (1, 2, 3, 4)]
 
@@ -154,7 +154,7 @@ class TestClassifySevere:
         inputs = list(window.inputs)
         last = inputs[-1]
         inputs[-1] = Waypoint(last.timestamp, lon, lat, last.altitude, last.velocity, last.heading)
-        return Window(window.callsign, tuple(inputs), window.targets)
+        return Window(window.callsign, tuple(inputs) + window.targets)
 
     def test_sign_flip_is_severe(self, rng):
         window = self.window_at(103.2, 30.5, rng)

@@ -1,16 +1,23 @@
+import copy
 import io
+import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flightcast.domain import Trajectory, Waypoint
+from flightcast.domain import TIMESTAMP_RANGE, Trajectory, Waypoint
 from flightcast.windowing import (
     INPUT_LENGTH,
+    SUPPORTED_HORIZONS,
+    Window,
     default_stride,
     read_windows_jsonl,
     sample_windows,
+    window_from_obj,
+    window_to_obj,
     write_windows_jsonl,
 )
 
@@ -73,7 +80,7 @@ class TestSampleWindows:
         assert len(windows) == 1
         assert windows[0].inputs[0].timestamp == 0
         for w in windows:
-            assert check_continuity(w.waypoints())
+            assert check_continuity(w.waypoints)
 
     def test_stride_too_small(self):
         traj = minute_trajectory(range(40))
@@ -109,7 +116,7 @@ class TestSampleWindows:
                 want = [traj.waypoints[k].timestamp for k in offsets]
                 assert got == want
                 for w in windows:
-                    assert check_continuity(w.waypoints())
+                    assert check_continuity(w.waypoints)
 
     def test_no_shared_waypoints_at_minimal_stride(self, rng):
         for _ in range(30):
@@ -118,7 +125,7 @@ class TestSampleWindows:
                 windows = sample_windows(traj, horizon, INPUT_LENGTH + horizon)
                 seen = set()
                 for w in windows:
-                    stamps = {p.timestamp for p in w.waypoints()}
+                    stamps = set(w.timestamps.tolist())
                     assert not (stamps & seen)
                     seen |= stamps
 
@@ -174,3 +181,76 @@ class TestSampleWindowsProperty:
         oracle = reference_sample_windows(traj, horizon, stride)
         assert shipped == oracle
         assert repr(shipped) == repr(oracle)
+
+
+class TestWindowAsTrajectory:
+    def test_sampled_columns_are_read_only_views_of_the_trajectory(self, rng):
+        traj = Trajectory.from_columns("V", 60 * np.arange(60), rng.uniform(size=(5, 60)))
+        windows = sample_windows(traj, 4)
+        assert len(windows) == 2
+        for window in windows:
+            assert isinstance(window, Trajectory) and type(window) is Window
+            assert np.shares_memory(window.timestamps, traj.timestamps)
+            assert np.shares_memory(window.values, traj.values)
+            with pytest.raises(ValueError, match="read-only"):
+                window.values[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                window.timestamps[0] = 1
+
+    def test_copy_deepcopy_and_pickle_keep_class_and_value(self, rng):
+        traj = Trajectory.from_columns("V", 60 * np.arange(20), rng.uniform(-1.0, 1.0, size=(5, 20)))
+        (sampled,) = sample_windows(traj, 1)
+        by_waypoints = Window("W", tuple(Waypoint(60 * i, i, -0.0, 1.0, 2.0, 3.0) for i in range(17)))
+        for window in (sampled, by_waypoints):
+            for twin in (copy.copy(window), copy.deepcopy(window), pickle.loads(pickle.dumps(window))):
+                assert type(twin) is Window
+                assert twin == window and repr(twin) == repr(window)
+                assert repr(twin).startswith("Window(callsign=")
+
+    def test_fewer_than_sixteen_rows_raise(self):
+        waypoints = tuple(Waypoint(60 * i, 0, 0, 0, 0, 0) for i in range(INPUT_LENGTH - 1))
+        with pytest.raises(ValueError, match="expected at least 16"):
+            Window("S", waypoints)
+        with pytest.raises(ValueError, match="expected at least 16"):
+            Window.from_columns("S", np.zeros(3, dtype=np.int64), np.zeros((5, 3)))
+        assert Window("S", waypoints + waypoints[:2]).horizon == 1
+
+
+#: Doubles the codec must carry exactly: signed zeros, subnormals and 17-digit values.
+CODEC_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 0.30000000000000004, 103.12345678901234)),
+)
+
+
+@st.composite
+def codec_windows(draw):
+    horizon = draw(st.sampled_from(SUPPORTED_HORIZONS))
+    n = INPUT_LENGTH + horizon
+    start = draw(st.integers(TIMESTAMP_RANGE[0], TIMESTAMP_RANGE[1] - 60 * n))
+    values = draw(st.lists(CODEC_VALUES, min_size=5 * n, max_size=5 * n))
+    return Window.from_columns(draw(st.text(max_size=8)), start + 60 * np.arange(n), np.array(values).reshape(5, n))
+
+
+class TestWindowCodecProperty:
+    @given(codec_windows())
+    def test_write_read_write_is_identical(self, window):
+        first, second = io.StringIO(), io.StringIO()
+        write_windows_jsonl([window], first)
+        (back,) = read_windows_jsonl(io.StringIO(first.getvalue()))
+        write_windows_jsonl([back], second)
+        assert second.getvalue() == first.getvalue()
+        assert back == window and type(back) is Window
+        # The rows are the per-waypoint form the codec has always written.
+        rows = [[w.timestamp, *w.values()] for w in window.waypoints]
+        obj = {"callsign": window.callsign, "horizon": window.horizon,
+               "input": rows[:INPUT_LENGTH], "target": rows[INPUT_LENGTH:]}
+        assert first.getvalue() == json.dumps(obj) + "\n"
+
+    @given(codec_windows())
+    def test_short_input_and_empty_target_raise(self, window):
+        obj = window_to_obj(window)
+        with pytest.raises(ValueError, match="input holds 15 rows, expected 16"):
+            window_from_obj({**obj, "input": obj["input"][1:]})
+        with pytest.raises(ValueError, match="target is empty"):
+            window_from_obj({**obj, "target": []})
