@@ -8,7 +8,7 @@ known ground truth. Run:
     python demos/01_synthetic_corpus.py
 """
 
-from flightcast.ingest import records_to_csv_text
+from flightcast.ingest import RecordTable, records_to_csv_text
 from flightcast.synth import DropEvent, FlightSpec, NoiseStd, TurnEvent, generate_corpus, generate_flight
 
 # A single scripted flight: climb, cruise with a mid-cruise turn and a
@@ -29,15 +29,17 @@ spec = FlightSpec(
     noise=NoiseStd(longitude=2e-5, latitude=2e-5, altitude=5.0, velocity=2.0, heading=0.5),
 )
 
-records = generate_flight(spec)
-print(f"one flight, {len(records)} raw records at {spec.sample_interval_s} s intervals")
+# A flight is a table of columns: int64 timestamps, utc_time and callsign
+# text, and the five attributes as the rows of one float64 array.
+flight = generate_flight(spec)
+print(f"one flight, {len(flight)} raw records at {spec.sample_interval_s} s intervals")
 print("\nfirst three records (CSV):")
-for line in records_to_csv_text(records[:3]).splitlines():
+for line in records_to_csv_text(flight).splitlines()[:4]:
     print("  " + line)
 
-minutes = (records[-1].timestamp - records[0].timestamp) / 60
+minutes = (flight.timestamp[-1] - flight.timestamp[0]) / 60
 print(f"\nduration {minutes:.0f} min, peak altitude "
-      f"{max(r.altitude for r in records):.0f} m")
+      f"{flight.values[2].max():.0f} m")
 
 # A whole corpus: randomized specs inside airliner envelopes, one seed each.
 records, specs = generate_corpus(count=10, base_seed=99)
@@ -46,5 +48,5 @@ print("per-flight cruise altitudes:",
       [f"{s.cruise_altitude_m:.0f}" for s in specs])
 
 # The manifest (the spec list) regenerates the corpus byte for byte.
-again = [r for s in specs for r in generate_flight(s)]
-print("regeneration from manifest identical:", again == records)
+again = RecordTable.concat([generate_flight(s) for s in specs])
+print("regeneration from manifest identical:", records_to_csv_text(again) == records_to_csv_text(records))

@@ -12,6 +12,7 @@ import io
 
 from flightcast.domain import Trajectory
 from flightcast.ingest import (
+    RecordTable,
     aggregate_minutes,
     clean_trajectories,
     read_adsb_csv,
@@ -20,15 +21,18 @@ from flightcast.ingest import (
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import default_stride, sample_windows
 
-records, _ = generate_corpus(count=6, base_seed=5)
+records, specs = generate_corpus(count=6, base_seed=5)
 
 # Sabotage the feed the way real feeds are broken: one flight arrives
-# twice, and another contains an impossible latitude.
-duplicate = [r for r in records if r.callsign == "SYN000"]
+# twice (its spec regenerates it row for row), and another contains an
+# impossible latitude.
+duplicate = generate_flight(specs[0])
 bad = generate_flight(FlightSpec(seed=77, callsign="BROKEN", cruise_duration_min=5))
-bad[10] = dataclasses.replace(bad[10], latitude=95.0)
+values = bad.values.copy()
+values[1, 10] = 95.0  # row 1 is latitude
+bad = dataclasses.replace(bad, values=values)
 
-feed = records + duplicate + bad
+feed = RecordTable.concat([records, duplicate, bad])
 parsed = read_adsb_csv(io.StringIO(records_to_csv_text(feed)))
 result = clean_trajectories(parsed)
 print("cleaning summary:", result.summary())

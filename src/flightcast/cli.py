@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -305,15 +306,31 @@ def _cmd_train_lstm(cfg: dict) -> int:
     return 0
 
 
+def _check_prediction(row: dict) -> None:
+    """Raise ValueError unless the row has a completion and a latency_s that is a finite number >= 0.
+
+    A completion that is not a string passes: it scores as an unexpected format.
+    """
+    for key in ("completion", "latency_s"):
+        if key not in row:
+            raise ValueError(f"missing {key!r}")
+    latency = row["latency_s"]  # float() of an int past the double range raises OverflowError
+    if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not 0.0 <= float(latency) < math.inf:
+        raise ValueError(f"latency_s {latency!r} is not a finite number >= 0")
+
+
 def _cmd_eval(cfg: dict) -> int:
     scorable, skipped = [], []
     for number, row in enumerate(windowing.read_jsonl(cfg["pred"]), start=1):
         try:
-            scorable.append((windowing.window_from_obj(row), row))
+            window = windowing.window_from_obj(row)
+            _check_prediction(row)
         except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64
             skipped.append(f"row {number}: {exc}")
+        else:
+            scorable.append((window, row))
     if skipped:
-        logger.warning("skipped %d row(s) whose window is malformed (first: %s)", len(skipped), skipped[0])
+        logger.warning("skipped %d malformed row(s) (first: %s)", len(skipped), skipped[0])
     if cfg["few_shot"] is not None:
         scorable = evaluation.few_shot_split(scorable, cfg["few_shot"], cfg["seed"])
 

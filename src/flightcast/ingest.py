@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import islice, repeat
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -88,9 +87,6 @@ class RawRecord:
     heading: float | None
 
 
-_RECORD_FIELDS = attrgetter(*REQUIRED_COLUMNS)
-
-
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Raw ADS-B records as columns; ``len()`` is the number of rows.
@@ -111,19 +107,12 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self.timestamp)
 
-    @classmethod
-    def from_records(cls, records: Iterable[RawRecord]) -> RecordTable:
-        rows = list(map(_RECORD_FIELDS, records))
-        columns = list(zip(*rows)) if rows else [()] * len(REQUIRED_COLUMNS)
-        return cls(
-            _timestamp_array([0 if t is None else t for t in columns[0]]),
-            _object_array(columns[1]),
-            _object_array(columns[2]),
-            np.array(columns[3:], dtype=np.float64).reshape(len(NUMERIC_COLUMNS), len(rows)),
-            np.array([[v is None for v in column] for column in columns], dtype=bool).reshape(
-                len(REQUIRED_COLUMNS), len(rows)
-            ),
-        )
+    def __iter__(self) -> Iterator[RawRecord]:
+        """One RawRecord per row, None wherever a cell is missing."""
+        columns = [self.timestamp.tolist(), self.utc_time.tolist(), self.callsign.tolist(), *self.values.tolist()]
+        for column, row in np.argwhere(self.missing).tolist():
+            columns[column][row] = None
+        return map(RawRecord, *columns)
 
     @classmethod
     def concat(cls, tables: list[RecordTable]) -> RecordTable:
@@ -336,7 +325,7 @@ def _callsign_ranks(callsigns: np.ndarray) -> tuple[list, np.ndarray]:
     return names, np.fromiter(map(index.__getitem__, row_callsigns), np.int64, len(row_callsigns))
 
 
-def clean_trajectories(records: RecordTable | Iterable[RawRecord]) -> CleaningResult:
+def clean_trajectories(table: RecordTable) -> CleaningResult:
     """Group records into trajectories, dropping bad ones with counts.
 
     Each callsign's records are stably sorted by timestamp (missing ones
@@ -352,7 +341,6 @@ def clean_trajectories(records: RecordTable | Iterable[RawRecord]) -> CleaningRe
     callsign, then k). Survivors are canonically rounded. Output is sorted
     by callsign then first timestamp.
     """
-    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     count = len(table)
     if not count:
         return CleaningResult(trajectories=[])
@@ -550,41 +538,49 @@ def write_trajectories_csv(trajectories: Iterable[Trajectory], target: str | Pat
         target.writelines(map(_ROW_FORMAT.format, *cells))
 
 
-def _plain_float_text(value: float) -> str:
-    """Shortest round-trippable decimal, never in scientific notation.
+def _plain_float_texts(column: np.ndarray) -> list[str]:
+    """Shortest round-trippable decimals, never in scientific notation.
 
     The raw-CSV number grammar has no exponent form, so tiny values like
     7.5e-14 must be written positionally.
     """
-    text = repr(float(value))
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    return text
+    return [format(Decimal(text), "f") if "e" in text else text for text in map(repr, column.tolist())]
 
 
-def write_records_csv(records: Iterable[RawRecord], target: str | Path | TextIO) -> None:
-    """Write raw records (full float precision, None as empty cell)."""
+#: Cells csv.writer never quotes; any other cell goes through _csv_cell.
+_PLAIN_CELLS = re.compile(r"[\w .:+-]*")
+
+
+def _text_cells(column: np.ndarray) -> list[str]:
+    """A callsign or utc_time column as csv cells; None is an empty cell."""
+    texts = ["" if text is None else text for text in column.tolist()]
+    if _PLAIN_CELLS.fullmatch("".join(texts)):
+        return texts
+    return [text if _PLAIN_CELLS.fullmatch(text) else _csv_cell(text) for text in texts]
+
+
+_RECORD_ROW = ",".join(["{}"] * len(REQUIRED_COLUMNS)) + "\n"
+
+
+def write_records_csv(table: RecordTable, target: str | Path | TextIO) -> None:
+    """Write raw records (full float precision, a missing cell empty)."""
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
-            write_records_csv(records, fh)
+            write_records_csv(table, fh)
             return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                "" if r.timestamp is None else str(r.timestamp),
-                r.utc_time or "",
-                r.callsign or "",
-            ]
-            + [
-                "" if v is None else _plain_float_text(v)
-                for v in (r.longitude, r.latitude, r.altitude, r.velocity, r.heading)
-            ]
-        )
+    columns = [
+        list(map(str, table.timestamp.tolist())),
+        _text_cells(table.utc_time),
+        _text_cells(table.callsign),
+        *map(_plain_float_texts, table.values),
+    ]
+    for column, row in np.argwhere(table.missing).tolist():
+        columns[column][row] = ""
+    target.write(",".join(REQUIRED_COLUMNS) + "\n")
+    target.writelines(map(_RECORD_ROW.format, *columns))
 
 
-def records_to_csv_text(records: Iterable[RawRecord]) -> str:
+def records_to_csv_text(table: RecordTable) -> str:
     buf = io.StringIO()
-    write_records_csv(records, buf)
+    write_records_csv(table, buf)
     return buf.getvalue()

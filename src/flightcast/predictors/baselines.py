@@ -1,9 +1,13 @@
 """Persistence and flat-earth kinematic extrapolation.
 
-The kinematic step here is the single motion rule of the project: the
-synthetic flight generator advances aircraft with the same function the
-predictor extrapolates with, which makes "dead reckoning is exact on a
-noise-free straight flight" a checkable identity rather than a hope.
+The kinematic step here is the single motion rule of the project, in two
+forms: :func:`kinematic_step` advances one position (the predictor
+extrapolates with it) and :func:`kinematic_track` runs a whole sequence of
+steps at once (the synthetic flight generator advances aircraft with it).
+Both evaluate the same formula with the same ``math`` trigonometry, so
+the track equals iterated steps bit for bit, and "dead reckoning is exact
+on a noise-free straight flight" is a checkable identity rather than a
+hope.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ KM_PER_DEGREE = 111.32
 
 #: Above this absolute latitude the longitude step degenerates.
 POLAR_LATITUDE_LIMIT = 89.9
+
+
+def _polar_error(latitude: float) -> ValueError:
+    return ValueError(f"polar singularity: latitude {latitude} too close to a pole")
 
 
 def kinematic_step(
@@ -38,13 +46,43 @@ def kinematic_step(
     meter for the sub-minute steps used here.
     """
     if abs(latitude) >= POLAR_LATITUDE_LIMIT:
-        raise ValueError(f"polar singularity: latitude {latitude} too close to a pole")
+        raise _polar_error(latitude)
     distance_km = speed_kmh * dt_s / 3600.0
     heading_rad = math.radians(heading_deg)
     dlat = distance_km * math.cos(heading_rad) / KM_PER_DEGREE
     dlon = distance_km * math.sin(heading_rad) / (KM_PER_DEGREE * math.cos(math.radians(latitude)))
     dalt = vertical_rate_m_per_min * dt_s / 60.0
     return longitude + dlon, latitude + dlat, altitude + dalt
+
+
+def kinematic_track(
+    longitude: float,
+    latitude: float,
+    speed_kmh: np.ndarray,
+    heading_deg: np.ndarray,
+    dt_s: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Longitudes and latitudes of ``len(speed_kmh)`` chained kinematic steps.
+
+    Step k flies dt seconds at ``speed_kmh[k]`` and ``heading_deg[k]``; the
+    k-th entry of each returned array (n + 1 long) is where step k starts,
+    the last where the final step ends. Each entry is what iterating
+    :func:`kinematic_step` from (longitude, latitude) gives, bit for bit:
+    the same operations in the same order, ``math`` sine and cosine, and
+    positions accumulated left to right. Raises the same ValueError for the
+    first step that starts too close to a pole.
+    """
+    distance_km = speed_kmh * dt_s / 3600.0
+    heading_rad = np.radians(heading_deg).tolist()
+    dlat = distance_km * np.array(list(map(math.cos, heading_rad))) / KM_PER_DEGREE
+    lat = np.cumsum(np.concatenate(([latitude], dlat)))
+    polar = np.flatnonzero(np.abs(lat[:-1]) >= POLAR_LATITUDE_LIMIT)
+    if polar.size:
+        first = int(polar[0])
+        raise _polar_error(latitude if first == 0 else float(lat[first]))
+    cos_lat = np.array(list(map(math.cos, np.radians(lat[:-1]).tolist())))
+    dlon = distance_km * np.array(list(map(math.sin, heading_rad))) / (KM_PER_DEGREE * cos_lat)
+    return np.cumsum(np.concatenate(([longitude], dlon))), lat
 
 
 def predict_persistence(window: Window, horizon: int) -> np.ndarray:

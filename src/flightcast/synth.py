@@ -2,11 +2,14 @@
 
 A flight is a take-off (climb with speed ramp), a cruise with optional
 scripted turns and a sudden-altitude-drop event, and a descent. Positions
-advance with the same kinematic step the dead-reckoning predictor uses,
-which is deliberate: on a noise-free straight flight the predictor must
-reproduce the generator exactly, and tests lean on that identity.
-Altitude, speed, and heading are closed-form functions of flight time, so
-nothing drifts with the sample interval.
+advance with the motion rule the dead-reckoning predictor uses, in its
+column form (``kinematic_track``, equal bit for bit to iterating the
+predictor's ``kinematic_step``), which is deliberate: on a noise-free
+straight flight the predictor must reproduce the generator exactly, and
+tests lean on that identity. Altitude, speed, and heading are closed-form
+functions of flight time, so nothing drifts with the sample interval.
+A flight is computed as numpy columns and returned as an
+``ingest.RecordTable``; a corpus is the flights' tables concatenated.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import RawRecord, _utc_texts
-from .predictors import kinematic_step
+from .ingest import REQUIRED_COLUMNS, RecordTable, _utc_texts
+from .predictors import kinematic_track
 
 TAKEOFF_SPEED_KMH = 250.0
 LANDING_SPEED_KMH = 280.0
@@ -92,8 +95,9 @@ def validate_spec(spec: FlightSpec) -> None:
         raise ValueError("cruise_duration_min must be >= 1")
     if spec.cruise_speed_kmh <= 0:
         raise ValueError("cruise_speed_kmh must be > 0")
-    if spec.sample_interval_s < 1:
-        raise ValueError("sample_interval_s must be >= 1")
+    interval = spec.sample_interval_s
+    if isinstance(interval, bool) or not isinstance(interval, (int, np.integer)) or interval < 1:
+        raise ValueError("sample_interval_s must be an integer >= 1")
     for turn in spec.turns:
         if turn.duration_min < 1:
             raise ValueError("turns: duration_min must be >= 1")
@@ -109,86 +113,87 @@ def _phase_minutes(spec: FlightSpec) -> tuple[float, float, float]:
     return takeoff, spec.cruise_duration_min, landing
 
 
-def _heading_at(spec: FlightSpec, minute: float) -> float:
-    heading = spec.initial_heading
+def _true_state(spec: FlightSpec, minute: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """True altitude, speed and heading at each flight minute, in closed form.
+
+    Altitude climbs, holds cruise (lowered after a drop) and descends to
+    the ground; speed ramps from take-off speed to cruise and on to landing
+    speed; heading adds each turn's linear ramp, in [0, 360).
+    """
+    takeoff, cruise, landing = _phase_minutes(spec)
+    climbing = minute < takeoff
+    descending = ~climbing & (minute >= takeoff + cruise)
+    into_descent = minute[descending] - takeoff - cruise
+
+    alt = np.full(len(minute), spec.cruise_altitude_m, dtype=np.float64)
+    if spec.drop:
+        alt[minute >= spec.drop.minute] = spec.cruise_altitude_m - spec.drop.drop_m
+    alt[descending] = np.maximum(alt[descending] - spec.descent_rate_m_per_min * into_descent, 0.0)
+    alt[climbing] = spec.climb_rate_m_per_min * minute[climbing]
+
+    speed = np.full(len(minute), spec.cruise_speed_kmh, dtype=np.float64)
+    speed[climbing] = TAKEOFF_SPEED_KMH + (spec.cruise_speed_kmh - TAKEOFF_SPEED_KMH) * minute[climbing] / takeoff
+    if landing != 0.0:
+        progress = np.minimum(into_descent / landing, 1.0)
+        speed[descending] = spec.cruise_speed_kmh + (LANDING_SPEED_KMH - spec.cruise_speed_kmh) * progress
+
+    heading = np.full(len(minute), spec.initial_heading, dtype=np.float64)
     for turn in spec.turns:
-        progress = min(max((minute - turn.minute) / turn.duration_min, 0.0), 1.0)
-        heading += turn.delta_deg * progress
+        heading += turn.delta_deg * np.minimum(np.maximum((minute - turn.minute) / turn.duration_min, 0.0), 1.0)
     heading %= 360.0
-    return 0.0 if heading >= 360.0 else heading
+    heading[heading >= 360.0] = 0.0
+    return alt, speed, heading
 
 
-def _altitude_at(spec: FlightSpec, minute: float) -> float:
-    takeoff, cruise, landing = _phase_minutes(spec)
-    cruise_alt = spec.cruise_altitude_m
-    if spec.drop and minute >= spec.drop.minute:
-        cruise_alt -= spec.drop.drop_m
-    if minute < takeoff:
-        return spec.climb_rate_m_per_min * minute
-    if minute < takeoff + cruise:
-        return cruise_alt
-    descended = spec.descent_rate_m_per_min * (minute - takeoff - cruise)
-    return max(cruise_alt - descended, 0.0)
-
-
-def _speed_at(spec: FlightSpec, minute: float) -> float:
-    takeoff, cruise, landing = _phase_minutes(spec)
-    if minute < takeoff:
-        return TAKEOFF_SPEED_KMH + (spec.cruise_speed_kmh - TAKEOFF_SPEED_KMH) * minute / takeoff
-    if minute < takeoff + cruise or landing == 0.0:
-        return spec.cruise_speed_kmh
-    progress = min((minute - takeoff - cruise) / landing, 1.0)
-    return spec.cruise_speed_kmh + (LANDING_SPEED_KMH - spec.cruise_speed_kmh) * progress
-
-
-def generate_flight(spec: FlightSpec) -> list[RawRecord]:
+def generate_flight(spec: FlightSpec) -> RecordTable:
     """Simulate one flight and emit raw records at the sample interval.
 
     The emitted values are the closed-form state plus seeded Gaussian
     noise, lightly clamped so every record stays inside the valid
-    attribute boxes (heading wraps, velocity floors at zero).
+    attribute boxes (heading wraps, velocity floors at zero). Every column
+    is computed as an array; the noise is one draw of five values per
+    sample, in sample order, and no cell is missing.
     """
     validate_spec(spec)
-    rng = np.random.default_rng(spec.seed)
     takeoff, cruise, landing = _phase_minutes(spec)
     total_s = int(round((takeoff + cruise + landing) * 60.0))
     dt = spec.sample_interval_s
+    minute = np.arange(0, total_s + 1, dt) / 60.0
+    alt, speed, heading = _true_state(spec, minute)
+    # Advance the true position with the shared motion rule.
+    lon, lat = kinematic_track(spec.origin_longitude, spec.origin_latitude, speed, heading, dt)
 
-    values = []
-    lon, lat = spec.origin_longitude, spec.origin_latitude
-    for t_s in range(0, total_s + 1, dt):
-        minute = t_s / 60.0
-        alt = _altitude_at(spec, minute)
-        speed = _speed_at(spec, minute)
-        heading = _heading_at(spec, minute)
-
-        noise = rng.normal(0.0, 1.0, size=5)
-        out_lon = float(min(max(lon + noise[0] * spec.noise.longitude, -180.0), 180.0))
-        out_lat = float(min(max(lat + noise[1] * spec.noise.latitude, -90.0), 90.0))
-        out_alt = float(max(alt + noise[2] * spec.noise.altitude, -500.0))
-        out_vel = float(max(speed + noise[3] * spec.noise.velocity, 0.0))
-        out_hdg = float((heading + noise[4] * spec.noise.heading) % 360.0)
-        if out_hdg >= 360.0:
-            out_hdg = 0.0
-        values.append((out_lon, out_lat, out_alt, out_vel, out_hdg))
-        # Advance the true position with the shared motion rule.
-        lon, lat, _ = kinematic_step(lon, lat, alt, speed, heading, dt)
-
+    noise = np.random.default_rng(spec.seed).normal(0.0, 1.0, size=(len(minute), 5)).T
+    std = spec.noise
+    out_hdg = (heading + noise[4] * std.heading) % 360.0
+    out_hdg[out_hdg >= 360.0] = 0.0
+    # np.maximum/np.minimum give what Python's max/min give on these clamps:
+    # they differ only on NaN and on -0.0 against a 0.0 bound, and neither occurs.
+    values = np.array(
+        [
+            np.minimum(np.maximum(lon[:-1] + noise[0] * std.longitude, -180.0), 180.0),
+            np.minimum(np.maximum(lat[:-1] + noise[1] * std.latitude, -90.0), 90.0),
+            np.maximum(alt + noise[2] * std.altitude, -500.0),
+            np.maximum(speed + noise[3] * std.velocity, 0.0),
+            out_hdg,
+        ]
+    )
     timestamps = np.arange(spec.start_timestamp, spec.start_timestamp + total_s + 1, dt, dtype=np.int64)
-    utc_times = _utc_texts(timestamps).tolist()
-    return [RawRecord(t, u, spec.callsign, *v) for t, u, v in zip(timestamps.tolist(), utc_times, values)]
+    callsigns = np.full(len(timestamps), spec.callsign, dtype=object)
+    missing = np.zeros((len(REQUIRED_COLUMNS), len(timestamps)), dtype=bool)
+    return RecordTable(timestamps, _utc_texts(timestamps), callsigns, values, missing)
 
 
-def generate_corpus(count: int, base_seed: int) -> tuple[list[RawRecord], list[FlightSpec]]:
-    """Randomized flights with per-flight seeds base_seed + i.
+def generate_corpus(count: int, base_seed: int) -> tuple[RecordTable, list[FlightSpec]]:
+    """Randomized flights with per-flight seeds base_seed + i, as one table.
 
     Spec parameters are drawn inside realistic airliner envelopes from an
     independent stream per flight; the returned spec list is the manifest
-    and regenerating from it reproduces the corpus byte for byte.
+    and regenerating from it reproduces the corpus byte for byte. The
+    table holds the flights one after another, in spec order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    records: list[RawRecord] = []
     specs: list[FlightSpec] = []
     for i in range(count):
         draw = np.random.default_rng([base_seed, i])
@@ -222,8 +227,7 @@ def generate_corpus(count: int, base_seed: int) -> tuple[list[RawRecord], list[F
             ),
         )
         specs.append(spec)
-        records.extend(generate_flight(spec))
-    return records, specs
+    return RecordTable.concat([generate_flight(spec) for spec in specs]), specs
 
 
 # --- Manifest I/O ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared builders for randomized, seeded test data, and reference ingest and windowing."""
+"""Shared builders for randomized, seeded test data, and reference synth, ingest and windowing."""
 
 import csv
 import io
@@ -8,6 +8,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -23,14 +24,21 @@ from flightcast.domain import (
     round_attributes,
 )
 from flightcast.ingest import (
+    NUMERIC_COLUMNS,
     REQUIRED_COLUMNS,
     CleaningResult,
     MalformedRowError,
     RawRecord,
+    RecordTable,
+    _object_array,
+    _timestamp_array,
+    _utc_texts,
     parse_header,
     read_adsb_csv,
 )
+from flightcast.predictors import kinematic_step
 from flightcast.prompts import ParseOutcome
+from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -137,19 +145,54 @@ def reference_read_adsb_csv(text: str, strict=False) -> list[RawRecord]:
 CSV_HEADER = ",".join(REQUIRED_COLUMNS)
 
 
-def table_records(table) -> list[RawRecord]:
-    """One RawRecord per row of a RecordTable, None where a cell is missing."""
-    columns = [table.timestamp.tolist(), table.utc_time.tolist(), table.callsign.tolist(), *table.values.tolist()]
-    return [
-        RawRecord(*(None if m else v for v, m in zip(cells, missing)))
-        for cells, missing in zip(zip(*columns), table.missing.T.tolist())
-    ]
+_RECORD_FIELDS = attrgetter(*REQUIRED_COLUMNS)
+
+
+def records_table(records) -> RecordTable:
+    """The RecordTable of RawRecords: a missing number reads 0 or NaN, flagged in ``missing``."""
+    rows = list(map(_RECORD_FIELDS, records))
+    columns = list(zip(*rows)) if rows else [()] * len(REQUIRED_COLUMNS)
+    return RecordTable(
+        _timestamp_array([0 if t is None else t for t in columns[0]]),
+        _object_array(columns[1]),
+        _object_array(columns[2]),
+        np.array(columns[3:], dtype=np.float64).reshape(len(NUMERIC_COLUMNS), len(rows)),
+        np.array([[v is None for v in column] for column in columns], dtype=bool).reshape(
+            len(REQUIRED_COLUMNS), len(rows)
+        ),
+    )
 
 
 def read_row(row: str, header: str = CSV_HEADER, strict: bool = False) -> RawRecord:
     """The one record read_adsb_csv reads from ``header``, then ``row`` (row 2)."""
-    (record,) = table_records(read_adsb_csv(io.StringIO(f"{header}\n{row}\n"), strict=strict))
+    (record,) = read_adsb_csv(io.StringIO(f"{header}\n{row}\n"), strict=strict)
     return record
+
+
+def reference_plain_float_text(value: float) -> str:
+    """Shortest round-trippable decimal, never in scientific notation."""
+    text = repr(float(value))
+    if "e" in text or "E" in text:
+        text = format(Decimal(text), "f")
+    return text
+
+
+def reference_write_records_csv(records, target) -> None:
+    """The raw CSV written one record row at a time through csv.writer (None as an empty cell)."""
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS)
+    for r in records:
+        writer.writerow(
+            [
+                "" if r.timestamp is None else str(r.timestamp),
+                r.utc_time or "",
+                r.callsign or "",
+            ]
+            + [
+                "" if v is None else reference_plain_float_text(v)
+                for v in (r.longitude, r.latitude, r.altitude, r.velocity, r.heading)
+            ]
+        )
 
 
 def reference_invalid_reason(w: Waypoint) -> str | None:
@@ -292,6 +335,75 @@ def reference_write_trajectories_csv(trajectories, target) -> None:
     for traj in trajectories:
         for w in traj.waypoints:
             writer.writerow(reference_format_waypoint_row(traj.callsign, w))
+
+
+# --- Reference synth -----------------------------------------------------------
+# The per-sample flight loop that flightcast.synth's columns must reproduce bit
+# for bit: closed-form state from scalar helpers, one five-value noise draw and
+# one kinematic_step per sample.
+
+
+def reference_heading_at(spec: FlightSpec, minute: float) -> float:
+    heading = spec.initial_heading
+    for turn in spec.turns:
+        progress = min(max((minute - turn.minute) / turn.duration_min, 0.0), 1.0)
+        heading += turn.delta_deg * progress
+    heading %= 360.0
+    return 0.0 if heading >= 360.0 else heading
+
+
+def reference_altitude_at(spec: FlightSpec, minute: float) -> float:
+    takeoff, cruise, landing = _phase_minutes(spec)
+    cruise_alt = spec.cruise_altitude_m
+    if spec.drop and minute >= spec.drop.minute:
+        cruise_alt -= spec.drop.drop_m
+    if minute < takeoff:
+        return spec.climb_rate_m_per_min * minute
+    if minute < takeoff + cruise:
+        return cruise_alt
+    descended = spec.descent_rate_m_per_min * (minute - takeoff - cruise)
+    return max(cruise_alt - descended, 0.0)
+
+
+def reference_speed_at(spec: FlightSpec, minute: float) -> float:
+    takeoff, cruise, landing = _phase_minutes(spec)
+    if minute < takeoff:
+        return TAKEOFF_SPEED_KMH + (spec.cruise_speed_kmh - TAKEOFF_SPEED_KMH) * minute / takeoff
+    if minute < takeoff + cruise or landing == 0.0:
+        return spec.cruise_speed_kmh
+    progress = min((minute - takeoff - cruise) / landing, 1.0)
+    return spec.cruise_speed_kmh + (LANDING_SPEED_KMH - spec.cruise_speed_kmh) * progress
+
+
+def reference_generate_flight(spec: FlightSpec) -> list[RawRecord]:
+    validate_spec(spec)
+    rng = np.random.default_rng(spec.seed)
+    takeoff, cruise, landing = _phase_minutes(spec)
+    total_s = int(round((takeoff + cruise + landing) * 60.0))
+    dt = spec.sample_interval_s
+
+    values = []
+    lon, lat = spec.origin_longitude, spec.origin_latitude
+    for t_s in range(0, total_s + 1, dt):
+        minute = t_s / 60.0
+        alt = reference_altitude_at(spec, minute)
+        speed = reference_speed_at(spec, minute)
+        heading = reference_heading_at(spec, minute)
+
+        noise = rng.normal(0.0, 1.0, size=5)
+        out_lon = float(min(max(lon + noise[0] * spec.noise.longitude, -180.0), 180.0))
+        out_lat = float(min(max(lat + noise[1] * spec.noise.latitude, -90.0), 90.0))
+        out_alt = float(max(alt + noise[2] * spec.noise.altitude, -500.0))
+        out_vel = float(max(speed + noise[3] * spec.noise.velocity, 0.0))
+        out_hdg = float((heading + noise[4] * spec.noise.heading) % 360.0)
+        if out_hdg >= 360.0:
+            out_hdg = 0.0
+        values.append((out_lon, out_lat, out_alt, out_vel, out_hdg))
+        lon, lat, _ = kinematic_step(lon, lat, alt, speed, heading, dt)
+
+    timestamps = np.arange(spec.start_timestamp, spec.start_timestamp + total_s + 1, dt, dtype=np.int64)
+    utc_times = _utc_texts(timestamps).tolist()
+    return [RawRecord(t, u, spec.callsign, *v) for t, u, v in zip(timestamps.tolist(), utc_times, values)]
 
 
 # --- Reference windowing -------------------------------------------------------

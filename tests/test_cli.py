@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,15 @@ def pipeline_dir(tmp_path):
 
 
 class TestStages:
+    def test_synth_bytes_are_pinned(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        assert run("synth", "--flights", 6, "--seed", 0, "--out", raw) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (raw, tmp_path / "raw.csv.manifest.json")]
+        assert digests == [
+            "0e9757da4c13f616a9d6244320a56ec7d13bb6a56e9a69c116ba4dd39429c6ba",
+            "e550eef1f4fe280890689bb7237ffd8a10fd0185b914e709da262c0a1449d13f",
+        ]
+
     def test_synth_ingest_sample_yields_windows(self, pipeline_dir):
         windows = read_windows_jsonl(pipeline_dir / "windows.jsonl")
         assert windows
@@ -127,7 +137,42 @@ class TestStages:
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 2 row(s) whose window is malformed (first: row 2: window target is empty)" in caplog.text
+        assert "skipped 2 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ({"latency_s": None}, "row 2: missing 'latency_s'"),
+            ({"completion": None}, "row 2: missing 'completion'"),
+            ({"latency_s": "fast"}, "row 2: latency_s 'fast' is not a finite number >= 0"),
+        ],
+    )
+    def test_eval_skips_rows_without_a_usable_completion_or_latency(
+        self, pipeline_dir, tmp_path, caplog, defect, message
+    ):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        good, bad = list(read_jsonl(pred))[:2]
+        for key, value in defect.items():
+            if value is None:
+                del bad[key]
+            else:
+                bad[key] = value
+        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+        assert (report.evaluated, report.total_submitted) == (1, 1)
+        assert f"skipped 1 malformed row(s) (first: {message})" in caplog.text
+
+    def test_eval_scores_a_non_string_completion_as_unexpected_format(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        good, odd = list(read_jsonl(pred))[:2]
+        odd["completion"] = 42
+        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, odd)))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+        assert (report.evaluated, report.failed_format, report.total_submitted) == (1, 1, 2)
 
     @pytest.mark.parametrize(
         "defect, message",

@@ -26,6 +26,7 @@ from conftest import (
     decimal_round_value,
     make_waypoint,
     random_canonical_waypoint,
+    records_table,
     reference_invalid_reason,
     reference_round_waypoint,
 )
@@ -419,7 +420,7 @@ class TestTrajectory:
 
     def test_columns_of_cleaned_trajectories_are_read_only(self):
         records = [RawRecord(60 * i, "x", c, 1.0, 2.0, 3.0, 4.0, 5.0) for c in ("A", "B") for i in range(3)]
-        trajectories = clean_trajectories(records).trajectories
+        trajectories = clean_trajectories(records_table(records)).trajectories
         assert [t.callsign for t in trajectories] == ["A", "B"]
         for traj in trajectories:
             with pytest.raises(ValueError, match="read-only"):

@@ -16,13 +16,13 @@ from flightcast.domain import TIMESTAMP_RANGE, Trajectory, Waypoint
 from flightcast.ingest import (
     MalformedRowError,
     RawRecord,
-    RecordTable,
     aggregate_minutes,
     clean_trajectories,
     minute_means,
     parse_header,
     read_adsb_csv,
     records_to_csv_text,
+    write_records_csv,
     write_trajectories_csv,
     _utc_texts,
 )
@@ -37,7 +37,8 @@ from conftest import (
     reference_minute_means,
     reference_read_adsb_csv,
     reference_write_trajectories_csv,
-    table_records,
+    records_table,
+    reference_write_records_csv,
 )
 
 #: 1000-01-01 00:00:00 UTC.
@@ -110,7 +111,7 @@ class TestParseRecord:
 class TestCleanTrajectories:
     def test_duplicate_flight_dropped(self):
         flight = [record(timestamp=60 * i) for i in range(5)]
-        result = clean_trajectories(flight + flight)
+        result = clean_trajectories(records_table(flight + flight))
         assert result.kept == 1
         assert result.duplicate == 1
         assert len(result.trajectories) == 1
@@ -121,35 +122,35 @@ class TestCleanTrajectories:
         second = 21.0 - first
         flight = [record(timestamp=60 * i, longitude=first) for i in range(3)]
         flight += [record(timestamp=60 * i, longitude=second) for i in range(3)]
-        result = clean_trajectories(flight)
+        result = clean_trajectories(records_table(flight))
         assert result.summary() == {"kept": 1, "incomplete": 0, "invalid": 0, "duplicate": 1}
         assert {w.longitude for w in result.trajectories[0].waypoints} == {first}
 
     def test_invalid_latitude_drops_trajectory(self):
         flight = [record(timestamp=60 * i) for i in range(3)]
         flight.append(record(timestamp=180, latitude=95.0))
-        result = clean_trajectories(flight)
+        result = clean_trajectories(records_table(flight))
         assert result.invalid == 1
         assert result.kept == 0
 
     def test_empty_input(self):
-        result = clean_trajectories([])
+        result = clean_trajectories(records_table([]))
         assert result.trajectories == []
         assert result.summary() == {"kept": 0, "incomplete": 0, "invalid": 0, "duplicate": 0}
 
     def test_missing_field_drops_trajectory(self):
         flight = [record(timestamp=0), record(timestamp=60, longitude=None)]
-        result = clean_trajectories(flight)
+        result = clean_trajectories(records_table(flight))
         assert result.incomplete == 1
         assert result.kept == 0
 
     def test_kept_waypoints_are_rounded(self):
-        result = clean_trajectories([record(longitude=13.611841)])
+        result = clean_trajectories(records_table([record(longitude=13.611841)]))
         assert result.trajectories[0].waypoints[0].longitude == 13.61184
 
     def test_output_sorted_by_callsign(self):
         records = [record(callsign="BBB"), record(callsign="AAA")]
-        result = clean_trajectories(records)
+        result = clean_trajectories(records_table(records))
         assert [t.callsign for t in result.trajectories] == ["AAA", "BBB"]
 
     def test_count_conservation_and_idempotence(self, rng):
@@ -168,19 +169,21 @@ class TestCleanTrajectories:
             if rng.random() < 0.3:  # poison one record
                 flight[0] = record(callsign=callsign, timestamp=start, latitude=200.0)
             records.extend(flight)
-        result = clean_trajectories(records)
+        result = clean_trajectories(records_table(records))
         assert result.total == result.kept + result.incomplete + result.invalid + result.duplicate
         assert result.kept == len(result.trajectories)
 
         # Idempotence: re-cleaning the survivors changes nothing.
         again = clean_trajectories(
-            [
-                record(callsign=t.callsign, timestamp=w.timestamp, longitude=w.longitude,
-                       latitude=w.latitude, altitude=w.altitude, velocity=w.velocity,
-                       heading=w.heading)
-                for t in result.trajectories
-                for w in t.waypoints
-            ]
+            records_table(
+                [
+                    record(callsign=t.callsign, timestamp=w.timestamp, longitude=w.longitude,
+                           latitude=w.latitude, altitude=w.altitude, velocity=w.velocity,
+                           heading=w.heading)
+                    for t in result.trajectories
+                    for w in t.waypoints
+                ]
+            )
         )
         assert again.summary()["kept"] == result.kept
         assert again.incomplete == again.invalid == again.duplicate == 0
@@ -501,7 +504,7 @@ class TestReferenceDifferential:
         )
         assert shipped_log == ingest_log(caplog)
         assert len(table) == len(records)
-        assert repr(table_records(table)) == repr(records)
+        assert repr(list(table)) == repr(records)
         assert shipped == oracle
         summary = shipped[0]
         assert summary["kept"] > 0 and summary["incomplete"] and summary["invalid"] and summary["duplicate"]
@@ -531,8 +534,8 @@ class TestReferenceDifferential:
             f"{2**64 + 1},1970-01-01 00:01:00,A1,1.0,2.0,3.0,4.0,5.0",
         ]
         table = read_adsb_csv(csv_source(*rows))
-        assert [r.timestamp for r in table_records(table)] == [60, 2**64, 2**64 + 1]
-        assert clean_trajectories(table).summary() == reference_clean_trajectories(table_records(table)).summary()
+        assert [r.timestamp for r in table] == [60, 2**64, 2**64 + 1]
+        assert clean_trajectories(table).summary() == reference_clean_trajectories(list(table)).summary()
         assert clean_trajectories(table).summary() == {"kept": 0, "incomplete": 0, "invalid": 1, "duplicate": 0}
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -550,7 +553,7 @@ class TestReferenceDifferential:
         caplog.clear()
         records = reference_read_adsb_csv(text, strict=strict)
         assert shipped_log == ingest_log(caplog)
-        assert repr(table_records(table)) == repr(records)
+        assert repr(list(table)) == repr(records)
         assert records[3].timestamp == 120
         assert clean_trajectories(table).summary() == {"kept": 2, "incomplete": 0, "invalid": 2, "duplicate": 0}
 
@@ -588,11 +591,39 @@ RECORD_FEEDS = st.lists(RAW_RECORDS, max_size=16).flatmap(
 class TestCleaningProperty:
     @given(RECORD_FEEDS)
     def test_matches_reference(self, records):
-        shipped = clean_trajectories(records)
+        shipped = clean_trajectories(records_table(records))
         oracle = reference_clean_trajectories(records)
         assert shipped.summary() == oracle.summary()
         assert repr(shipped.trajectories) == repr(oracle.trajectories)
-        assert repr(table_records(RecordTable.from_records(records))) == repr(records)
+        assert repr(list(records_table(records))) == repr(records)
+
+
+#: Records with any float (tiny, huge, non-finite) and any text, which csv may have to quote.
+CSV_RECORDS = st.builds(
+    RawRecord,
+    timestamp=st.one_of(st.none(), st.integers(), st.sampled_from((2**70, -(2**64)))),
+    utc_time=st.one_of(st.none(), st.text(max_size=6), st.sampled_from(("2024-10-03 03:29:26", "a,b", 'q"'))),
+    callsign=st.one_of(st.none(), st.text(max_size=6), st.sampled_from(("SYN000", 'Q,"X', "x\ny", "r\r"))),
+    **{
+        name: st.one_of(st.none(), st.floats(), st.sampled_from((7.5e-14, 1e16, -1e22, 5e-324)))
+        for name in VALID_CELLS
+    },
+)
+
+
+class TestRecordsCsvWriter:
+    @given(st.lists(CSV_RECORDS, max_size=12))
+    def test_matches_the_per_row_writer(self, records):
+        shipped, oracle = io.StringIO(), io.StringIO()
+        write_records_csv(records_table(records), shipped)
+        reference_write_records_csv(records, oracle)
+        assert shipped.getvalue() == oracle.getvalue()
+
+    def test_reads_back_what_it_wrote(self):
+        records = [record(timestamp=60 * i, longitude=7.5e-14 * i, callsign='Q,"X') for i in range(3)]
+        records.append(record(timestamp=180, latitude=None))
+        table = read_adsb_csv(io.StringIO(records_to_csv_text(records_table(records))))
+        assert repr(list(table)) == repr(records)
 
 
 WAYPOINTS = st.builds(
