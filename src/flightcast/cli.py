@@ -338,9 +338,8 @@ def _cmd_eval(cfg: dict) -> int:
         (window, prompts.parse_completion(row["completion"], window.horizon, window), row["latency_s"])
         for window, row in scorable
     ]
-    first = scorable[0][1] if scorable else {"model": ""}
-    model_id = cfg["model"] or first["model"]
-    template = first.get("template_version", "")
+    model_id = cfg["model"] or next((row["model"] for _, row in scorable if "model" in row), "")
+    template = scorable[0][1].get("template_version", "") if scorable else ""
     report = evaluation.evaluate(samples, model=model_id, template_version=template)
     if cfg["no_latency"]:
         report.mean_latency_s = None

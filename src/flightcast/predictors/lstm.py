@@ -178,54 +178,83 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(
-    params: LstmParams, x: np.ndarray, steps: list | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    params: LstmParams, x: np.ndarray, record: bool = False
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Run the recurrence over x of shape (batch, steps, input_dim).
 
-    Returns the prediction and the final hidden state. When ``steps`` is a
-    list, each step's activations are appended to it for the backward pass.
+    Returns the prediction and the time-major activations ``(h, c, act,
+    tanh_c)``: hidden and cell states (steps + 1, batch, H) from the zero
+    state, fused i|f|o|g gate activations (steps, batch, 4H) and tanh of
+    each new cell state (steps, batch, H). With ``record`` every step keeps
+    its slot for the backward pass; without it the arrays are rings of one
+    or two slots that hold only the running state, so memory stays
+    O(batch x hidden) whatever the length of x.
     """
     a = params.arrays
     hidden = params.hidden_dim
-    h = np.zeros((x.shape[0], hidden))
-    c = np.zeros((x.shape[0], hidden))
-    for t in range(x.shape[1]):
-        xt = x[:, t, :]
-        z = xt @ a["w"].T + h @ a["u"].T + a["b"]
-        ifo = _sigmoid(z[:, : 3 * hidden])
-        i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
-        g = np.tanh(z[:, 3 * hidden :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        if steps is not None:
-            steps.append((xt, h, c, ifo, i, f, o, g, tanh_c))
-        h, c = o * tanh_c, c_new
-    return h @ a["w_out"].T + a["b_out"], h
+    batch, steps = x.shape[0], x.shape[1]
+    slots = steps if record else 1
+    h = np.zeros((slots + 1, batch, hidden))
+    c = np.zeros((slots + 1, batch, hidden))
+    act = np.empty((slots, batch, 4 * hidden))
+    tanh_c = np.empty((slots, batch, hidden))
+    w_t, u_t = a["w"].T, a["u"].T
+    for t in range(steps):
+        # Slot t + 1 follows slot t; in a ring the two alternate.
+        z, tc = act[t % slots], tanh_c[t % slots]
+        h_prev, h_new = h[t % (slots + 1)], h[(t + 1) % (slots + 1)]
+        c_prev, c_new = c[t % (slots + 1)], c[(t + 1) % (slots + 1)]
+        np.matmul(x[:, t, :], w_t, out=z)
+        z += h_prev @ u_t
+        z += a["b"]
+        z[:, : 3 * hidden] = _sigmoid(z[:, : 3 * hidden])
+        np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
+        np.multiply(z[:, hidden : 2 * hidden], c_prev, out=c_new)
+        c_new += z[:, :hidden] * z[:, 3 * hidden :]
+        np.tanh(c_new, out=tc)
+        np.multiply(z[:, 2 * hidden : 3 * hidden], tc, out=h_new)
+    return h[steps % (slots + 1)] @ a["w_out"].T + a["b_out"], (h, c, act, tanh_c)
 
 
 def _backward_batch(
-    params: LstmParams, steps: list, h_final: np.ndarray, d_prediction: np.ndarray
+    params: LstmParams, x: np.ndarray, recorded: tuple[np.ndarray, ...], d_prediction: np.ndarray
 ) -> np.ndarray:
     """Exact flat gradient, laid out like ``params.vector``, of a recorded forward pass."""
     a, hidden = params.arrays, params.hidden_dim
-    gradient = np.zeros_like(params.vector)
-    grads = _views(gradient, a)
-    grads["w_out"][:] = d_prediction.T @ h_final
-    grads["b_out"][:] = d_prediction.sum(axis=0)
+    h, c, act, tanh_c = recorded
+    steps, batch = act.shape[:2]
+    gates = act.reshape(steps, batch, 4, hidden)
+    i, f, o, g = (gates[:, :, k] for k in range(4))
+    # Every step's local derivatives at once: gate k's pre-activation
+    # gradient is factors[..., k, :] times dc (dh for the o gate).
+    factors = np.empty_like(gates)
+    ifo = gates[:, :, :3]
+    np.multiply(ifo, 1.0 - ifo, out=factors[:, :, :3])
+    factors[:, :, 0] *= g
+    factors[:, :, 1] *= c[:-1]
+    factors[:, :, 2] *= tanh_c
+    np.multiply(1.0 - g**2, i, out=factors[:, :, 3])
+    dc_dh = o * (1.0 - tanh_c**2)  # dc picks up dh times this
+
     dh = d_prediction @ a["w_out"]
     dc = np.zeros_like(dh)
-    for xt, h_prev, c_prev, ifo, i, f, o, g, tanh_c in reversed(steps):
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        da = np.concatenate([dc * g, dc * c_prev, dh * tanh_c, dc * i], axis=1)
-        # Sigmoid gates: (d * act) * (1 - act); another association moves the model's last bits.
-        np.multiply(da[:, : 3 * hidden] * ifo, 1.0 - ifo, out=da[:, : 3 * hidden])
-        da[:, 3 * hidden :] *= 1.0 - g**2
-        grads["w"] += da.T @ xt
-        grads["u"] += da.T @ h_prev
-        grads["b"] += da.sum(axis=0)
-        dh = da @ a["u"]
-        dc = dc * f
-    return gradient
+    da = np.empty_like(gates)
+    for t in reversed(range(steps)):
+        dc += dh * dc_dh[t]
+        np.multiply(dc[:, None, :], factors[t], out=da[t])
+        np.multiply(dh, factors[t, :, 2], out=da[t, :, 2])
+        dh = da[t].reshape(batch, 4 * hidden) @ a["u"]
+        dc *= f[t]
+    # Weight gradients sum over every (step, sample) pair, so they wait for the whole da.
+    da = da.reshape(steps * batch, 4 * hidden)
+    grads = {
+        "w": da.T @ x.transpose(1, 0, 2).reshape(steps * batch, params.input_dim),
+        "u": da.T @ h[:-1].reshape(steps * batch, hidden),
+        "b": da.sum(axis=0),
+        "w_out": d_prediction.T @ h[-1],
+        "b_out": d_prediction.sum(axis=0),
+    }
+    return np.concatenate([np.ravel(grads[k]) for k in sorted(grads)])
 
 
 def lstm_forward(params: LstmParams, x: np.ndarray) -> np.ndarray:
@@ -252,12 +281,11 @@ def lstm_loss_gradients(
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    steps: list = []
-    prediction, h_final = _forward_batch(params, inputs, steps)
+    prediction, recorded = _forward_batch(params, inputs, record=True)
     diff = prediction - targets
     loss = float(np.mean(diff**2))
     d_prediction = 2.0 * diff / diff.size
-    return loss, _backward_batch(params, steps, h_final, d_prediction)
+    return loss, _backward_batch(params, inputs, recorded, d_prediction)
 
 
 def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -310,8 +338,10 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
             loss, grad = lstm_loss_gradients(params, x[batch], y[batch])
             epoch_loss += loss * len(batch)
             step += 1
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad**2
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad**2
             m_hat, v_hat = m / (1.0 - beta1**step), v / (1.0 - beta2**step)
             params.vector -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         epoch_loss /= n

@@ -91,6 +91,8 @@ def validate_spec(spec: FlightSpec) -> None:
         raise ValueError("descent_rate_m_per_min must be > 0")
     if spec.cruise_altitude_m <= 0:
         raise ValueError("cruise_altitude_m must be > 0")
+    if spec.drop is not None and not 0 <= spec.drop.drop_m < spec.cruise_altitude_m:
+        raise ValueError("drop.drop_m must be >= 0 and below cruise_altitude_m")
     if spec.cruise_duration_min < 1:
         raise ValueError("cruise_duration_min must be >= 1")
     if spec.cruise_speed_kmh <= 0:

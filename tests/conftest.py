@@ -37,6 +37,7 @@ from flightcast.ingest import (
     read_adsb_csv,
 )
 from flightcast.predictors import kinematic_step
+from flightcast.predictors.lstm import LstmParams, _sigmoid, _views
 from flightcast.prompts import ParseOutcome
 from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
@@ -446,6 +447,57 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _reference_forward_batch(params: LstmParams, x: np.ndarray, steps: list) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence one step at a time, appending each step's activations to ``steps``."""
+    a, hidden = params.arrays, params.hidden_dim
+    h = np.zeros((x.shape[0], hidden))
+    c = np.zeros((x.shape[0], hidden))
+    for t in range(x.shape[1]):
+        xt = x[:, t, :]
+        z = xt @ a["w"].T + h @ a["u"].T + a["b"]
+        ifo = _sigmoid(z[:, : 3 * hidden])
+        i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
+        g = np.tanh(z[:, 3 * hidden :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        steps.append((xt, h, c, ifo, i, f, o, g, tanh_c))
+        h, c = o * tanh_c, c_new
+    return h @ a["w_out"].T + a["b_out"], h
+
+
+def _reference_backward_batch(params: LstmParams, steps: list, h_final: np.ndarray,
+                              d_prediction: np.ndarray) -> np.ndarray:
+    """Flat gradient of a recorded pass, accumulating every weight gradient step by step."""
+    a, hidden = params.arrays, params.hidden_dim
+    gradient = np.zeros_like(params.vector)
+    grads = _views(gradient, a)
+    grads["w_out"][:] = d_prediction.T @ h_final
+    grads["b_out"][:] = d_prediction.sum(axis=0)
+    dh = d_prediction @ a["w_out"]
+    dc = np.zeros_like(dh)
+    for xt, h_prev, c_prev, ifo, i, f, o, g, tanh_c in reversed(steps):
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        da = np.concatenate([dc * g, dc * c_prev, dh * tanh_c, dc * i], axis=1)
+        np.multiply(da[:, : 3 * hidden] * ifo, 1.0 - ifo, out=da[:, : 3 * hidden])
+        da[:, 3 * hidden :] *= 1.0 - g**2
+        grads["w"] += da.T @ xt
+        grads["u"] += da.T @ h_prev
+        grads["b"] += da.sum(axis=0)
+        dh = da @ a["u"]
+        dc = dc * f
+    return gradient
+
+
+def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
+                             targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch MSE and its flat gradient from per-step activation tuples and per-step weight sums."""
+    steps: list = []
+    prediction, h_final = _reference_forward_batch(params, inputs, steps)
+    diff = prediction - targets
+    d_prediction = 2.0 * diff / diff.size
+    return float(np.mean(diff**2)), _reference_backward_batch(params, steps, h_final, d_prediction)
 
 
 def block_outcome(window: Window, block: np.ndarray) -> ParseOutcome:

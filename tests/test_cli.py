@@ -164,6 +164,24 @@ class TestStages:
         assert (report.evaluated, report.total_submitted) == (1, 1)
         assert f"skipped 1 malformed row(s) (first: {message})" in caplog.text
 
+    def test_eval_takes_the_model_from_the_first_row_that_names_one(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        first, second = list(read_jsonl(pred))[:2]
+        del first["model"]
+
+        def model_in_report(*extra) -> str:
+            pred.write_text("".join(json.dumps(row) + "\n" for row in (first, second)))
+            assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep", *extra) == 0
+            report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+            assert report.evaluated == 2
+            return report.model
+
+        assert model_in_report() == "mock-kinematic"
+        assert model_in_report("--model", "named") == "named"
+        del second["model"]
+        assert model_in_report() == ""
+
     def test_eval_scores_a_non_string_completion_as_unexpected_format(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0

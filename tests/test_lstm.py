@@ -14,6 +14,7 @@ from flightcast.predictors.lstm import (
     ATTR_DIM,
     FORMAT_TAG,
     LstmParams,
+    _forward_batch,
     _sigmoid,
     denormalize,
     lstm_forward,
@@ -23,7 +24,7 @@ from flightcast.predictors.lstm import (
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, reference_sigmoid
+from conftest import cruise_window, reference_loss_gradients, reference_sigmoid
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
@@ -149,6 +150,44 @@ class TestForward:
             size = params.arrays[key].size
             assert np.any(gradient[offset : offset + size] != 0.0), key
             offset += size
+
+
+def random_batch(batch, hidden, steps, weight_scale, seed):
+    """Params, inputs and targets; a large weight scale drives gates into saturation."""
+    rng = np.random.default_rng(seed)
+    params = LstmParams.initialize(ATTR_DIM, hidden, rng)
+    params.vector *= weight_scale
+    return params, rng.normal(size=(batch, steps, ATTR_DIM)), rng.normal(size=(batch, ATTR_DIM))
+
+
+BATCHES = st.builds(random_batch, st.integers(1, 9), st.integers(1, 33), st.integers(1, 16),
+                    st.sampled_from([0.1, 1.0, 4.0]), st.integers(0, 2**32 - 1))
+
+
+class TestAgainstPerStepReference:
+    @given(BATCHES)
+    def test_loss_and_gradient_match(self, batch):
+        params, x, y = batch
+        loss, gradient = lstm_loss_gradients(params, x, y)
+        reference_loss, reference_gradient = reference_loss_gradients(params, x, y)
+        np.testing.assert_allclose(loss, reference_loss, rtol=1e-12)
+        # Weight gradients sum the same terms in another order, so an entry
+        # that nearly cancels is compared on the gradient's own scale.
+        np.testing.assert_allclose(gradient, reference_gradient, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference_gradient).max())
+
+    @given(BATCHES)
+    def test_forward_equals_the_recording_pass_bitwise(self, batch):
+        params, x, _ = batch
+        prediction, _ = _forward_batch(params, x, record=True)
+        assert np.array_equal(lstm_forward(params, x).view(np.uint64), prediction.view(np.uint64))
+
+    def test_forward_keeps_only_the_running_state(self):
+        params, x, _ = random_batch(3, 4, 64, 1.0, 0)
+        _, history = _forward_batch(params, x)
+        assert [len(array) for array in history] == [2, 2, 1, 1]
+        _, history = _forward_batch(params, x, record=True)
+        assert [len(array) for array in history] == [65, 65, 64, 64]
 
 
 class TestTrain:

@@ -44,6 +44,11 @@ class TestSpecValidation:
             ({"sample_interval_s": 7.5}, "sample_interval_s must be an integer"),
             ({"sample_interval_s": 10.0}, "sample_interval_s must be an integer"),
             ({"sample_interval_s": True}, "sample_interval_s must be an integer"),
+            # A drop past the cruise altitude would leave a negative landing phase.
+            ({"drop": DropEvent(20.0, 20000.0)}, "drop.drop_m"),
+            ({"drop": DropEvent(20.0, 10000.0)}, "drop.drop_m"),
+            ({"drop": DropEvent(20.0, -1.0)}, "drop.drop_m"),
+            ({"drop": DropEvent(20.0, float("nan"))}, "drop.drop_m"),
         ],
     )
     def test_invalid_specs_name_the_field(self, kwargs, field):
