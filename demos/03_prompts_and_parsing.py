@@ -3,7 +3,8 @@
 The user turn carries the 16 history waypoints as coordinate tuples, the
 assistant turn carries the targets during dataset emission and is empty
 at inference. Parsing is defensive: anything a model can emit lands in
-waypoints or one of three failure classes. Run:
+a (5, horizon) block, laid out like the window's target columns, or in
+one of three failure classes. Run:
 
     python demos/03_prompts_and_parsing.py
 """
@@ -12,11 +13,13 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from flightcast.ingest import aggregate_minutes, clean_trajectories, read_adsb_csv, records_to_csv_text
 from flightcast.llm import MockBehavior, mock_complete
 from flightcast.prompts import build_prompt, emit_dataset, parse_completion
 from flightcast.synth import generate_corpus
-from flightcast.windowing import sample_windows
+from flightcast.windowing import INPUT_LENGTH, sample_windows
 
 records, _ = generate_corpus(count=3, base_seed=17)
 parsed = read_adsb_csv(io.StringIO(records_to_csv_text(records)))
@@ -34,7 +37,7 @@ print(record.assistant)
 
 # Round trip: the assistant text parses back into the exact targets.
 outcome = parse_completion(record.assistant, window.horizon, window)
-print("\nround trip exact:", outcome.waypoints == window.targets)
+print("\nround trip exact:", np.array_equal(outcome.values, window.values[:, INPUT_LENGTH:]))
 
 # Messy model output still parses; pathological output is classified.
 messy = "Sure! Here are my predictions:\n" + record.assistant + "\nHope that helps."

@@ -339,7 +339,7 @@ def _cmd_eval(cfg: dict) -> int:
         for window, row in scorable
     ]
     model_id = cfg["model"] or next((row["model"] for _, row in scorable if "model" in row), "")
-    template = scorable[0][1].get("template_version", "") if scorable else ""
+    template = next((row["template_version"] for _, row in scorable if "template_version" in row), "")
     report = evaluation.evaluate(samples, model=model_id, template_version=template)
     if cfg["no_latency"]:
         report.mean_latency_s = None

@@ -163,12 +163,12 @@ EvalSample = tuple[Window, ParseOutcome, float]
 
 
 def _pool_stats(truth: np.ndarray, predicted: np.ndarray) -> dict[str, AttributeStats]:
-    """Per-attribute MAE/RMSE over every waypoint pair of two (..., 5) arrays."""
-    truth = truth.reshape(-1, len(ATTRIBUTES))
-    predicted = predicted.reshape(-1, len(ATTRIBUTES))
+    """Per-attribute MAE/RMSE over every pair of two (samples, 5, ...) arrays."""
+    truth = truth.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
+    predicted = predicted.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
     return {
-        name: AttributeStats(mae=mae(truth[:, col], predicted[:, col]), rmse=rmse(truth[:, col], predicted[:, col]))
-        for col, name in enumerate(ATTRIBUTES)
+        name: AttributeStats(mae=mae(truth[row], predicted[row]), rmse=rmse(truth[row], predicted[row]))
+        for row, name in enumerate(ATTRIBUTES)
     }
 
 
@@ -177,13 +177,14 @@ def evaluate(
     model: str = "",
     template_version: str = "",
 ) -> MetricsReport:
-    """Score parse outcomes against their windows' target waypoints.
+    """Score parse outcomes against their windows' target columns.
 
-    All samples must share one horizon. Successful outcomes contribute
-    each step's (truth, prediction) pair to the pooled per-attribute
-    metrics, to their window's phase bucket and to their step's bucket;
-    failures only advance the counters. With zero successes the metric
-    fields are None but every count is still populated.
+    All samples must share one horizon, and every parsed block must be
+    (5, horizon). Successful outcomes contribute each step's (truth,
+    prediction) pair to the pooled per-attribute metrics, to their
+    window's phase bucket and to their step's bucket; failures only
+    advance the counters. With zero successes the metric fields are None
+    but every count is still populated.
     """
     horizons = {window.horizon for window, _, _ in samples}
     if len(horizons) > 1:
@@ -196,16 +197,16 @@ def evaluate(
         if not outcome.ok:
             counts[outcome.failure] += 1
             continue
-        if len(outcome.waypoints) != window.horizon:
+        if outcome.values.shape != (len(ATTRIBUTES), window.horizon):
             raise ValueError(
-                f"outcome holds {len(outcome.waypoints)} waypoints for a horizon-{window.horizon} window"
+                f"outcome block of shape {outcome.values.shape} for a horizon-{window.horizon} window"
             )
         scored.append((window, outcome))
 
-    # (samples, steps, attributes) arrays; every pool below is a slice of them.
-    shape = (len(scored), horizon, len(ATTRIBUTES))
-    truth = np.array([w.values[:, INPUT_LENGTH:].T for w, _ in scored], dtype=np.float64).reshape(shape)
-    predicted = np.array([[p.values() for p in o.waypoints] for _, o in scored], dtype=np.float64).reshape(shape)
+    # (samples, attributes, steps) arrays; every pool below is a slice of them.
+    shape = (len(scored), len(ATTRIBUTES), horizon)
+    truth = np.array([w.values[:, INPUT_LENGTH:] for w, _ in scored], dtype=np.float64).reshape(shape)
+    predicted = np.array([o.values for _, o in scored], dtype=np.float64).reshape(shape)
     phases = np.array([segment_phase(w).value for w, _ in scored])
     pooled = truth.size > 0
 
@@ -228,7 +229,7 @@ def evaluate(
             for name in (sorted(set(phases.tolist())) if pooled else ())
         },
         per_step={
-            step: _pool_stats(truth[:, step - 1], predicted[:, step - 1])
+            step: _pool_stats(truth[..., step - 1], predicted[..., step - 1])
             for step in (range(1, horizon + 1) if scored else ())
         },
     )

@@ -4,7 +4,8 @@ The text format is the contract here: one "(lon, lat, alt, vel, hdg)"
 tuple per line with fixed decimal counts 5/5/3/3/2, so that serializing
 canonically rounded values and parsing the text back is lossless.
 Completions from real models are messy; parsing never raises and sorts
-every outcome into waypoints or one of three failure classes.
+every outcome into a (5, horizon) block, the layout of a window's target
+columns, or one of three failure classes.
 """
 
 from __future__ import annotations
@@ -12,21 +13,20 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .domain import DECIMAL_RE, LATITUDE_RANGE, LONGITUDE_RANGE, Waypoint
-from .windowing import INPUT_LENGTH, STEP_SECONDS, Window, read_jsonl, write_jsonl
+from .domain import DECIMAL_RE, validate_columns
+from .windowing import INPUT_LENGTH, Window, read_jsonl, write_jsonl
 
 TEMPLATE_VERSION = "v1"
 
-#: Waypoints whose longitude or latitude strays farther than this from the
+#: Parsed steps whose longitude or latitude strays farther than this from the
 #: last observed position are treated as severe deviations. Five degrees is
 #: far beyond any few-minute airliner displacement, so only pathological
 #: output trips it.
@@ -66,25 +66,29 @@ class FailureKind(Enum):
     SEVERE_DEVIATION = "severe-deviation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseOutcome:
-    """Either parsed waypoints or a classified failure, never both."""
+    """Either a parsed (5, horizon) block, kept as a read-only float64 copy, or a failure."""
 
-    waypoints: tuple[Waypoint, ...] | None = None
+    values: np.ndarray | None = None
     failure: FailureKind | None = None
     diagnostic: str = ""
 
     def __post_init__(self) -> None:
-        if (self.waypoints is None) == (self.failure is None):
-            raise ValueError("exactly one of waypoints/failure must be set")
+        if (self.values is None) == (self.failure is None):
+            raise ValueError("exactly one of values/failure must be set")
+        if self.values is not None:
+            block = np.array(self.values, dtype=np.float64)
+            block.flags.writeable = False
+            object.__setattr__(self, "values", block)
 
     @property
     def ok(self) -> bool:
-        return self.waypoints is not None
+        return self.values is not None
 
     @classmethod
-    def success(cls, waypoints: Sequence[Waypoint], diagnostic: str = "") -> "ParseOutcome":
-        return cls(waypoints=tuple(waypoints), diagnostic=diagnostic)
+    def success(cls, values: np.ndarray, diagnostic: str = "") -> "ParseOutcome":
+        return cls(values=values, diagnostic=diagnostic)
 
     @classmethod
     def failed(cls, kind: FailureKind, diagnostic: str) -> "ParseOutcome":
@@ -138,34 +142,26 @@ def extract_tuples(text: str) -> list[list[str]]:
 
 
 def classify_severe(
-    predicted: Waypoint,
+    values: np.ndarray,
     context: Window,
     radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG,
-) -> bool:
-    """True when a parsed prediction is too implausible to score.
+) -> np.ndarray:
+    """One flag per column of a (5, n) block: True where that step is too implausible to score.
 
     Flags any non-finite attribute (a number too long for a double reads
-    as infinity), coordinates outside the valid box, positions farther than
+    as infinity), coordinates ``validate_columns`` rejects, positions farther than
     ``radius`` degrees from the last observed waypoint, and the
     characteristic sign-flip failure (longitude or latitude coming back
     with the opposite sign when the aircraft is clearly away from zero).
     """
-    last_lon, last_lat = context.values[:2, INPUT_LENGTH - 1].tolist()
-    if not all(map(math.isfinite, predicted.values())):
-        return True
-    if not (LONGITUDE_RANGE[0] <= predicted.longitude <= LONGITUDE_RANGE[1]):
-        return True
-    if not (LATITUDE_RANGE[0] <= predicted.latitude <= LATITUDE_RANGE[1]):
-        return True
-    if abs(predicted.longitude - last_lon) > radius:
-        return True
-    if abs(predicted.latitude - last_lat) > radius:
-        return True
-    if abs(last_lon) > 1.0 and predicted.longitude * last_lon < 0.0:
-        return True
-    if abs(last_lat) > 1.0 and predicted.latitude * last_lat < 0.0:
-        return True
-    return False
+    last = context.values[:2, INPUT_LENGTH - 1 : INPUT_LENGTH]
+    position = values[:2]
+    reason = validate_columns(np.zeros(values.shape[1], dtype=np.int64), values)
+    out_of_box = (reason == 2) | (reason == 3)  # longitude or latitude out of range
+    far = np.abs(position - last) > radius
+    # Opposite signs, written as comparisons: the product would be inf * 0 for some inputs.
+    flipped = ((position < 0.0) & (last > 1.0)) | ((position > 0.0) & (last < -1.0))
+    return out_of_box | (far | flipped).any(axis=0) | ~np.isfinite(values).all(axis=0)
 
 
 def parse_completion(
@@ -174,12 +170,12 @@ def parse_completion(
     context: Window,
     radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG,
 ) -> ParseOutcome:
-    """Parse arbitrary model output into waypoints or a failure class.
+    """Parse arbitrary model output into a (5, horizon) block or a failure class.
 
     Never raises. Classification: no numeric tuples at all is a missing
     trajectory; a completion that is not text, too few tuples, wrong
     arity, or non-numeric fields is an unexpected format; an implausible
-    parsed waypoint is a severe deviation. Tuples beyond the requested
+    parsed step is a severe deviation. Tuples beyond the requested
     horizon are ignored.
     """
     if not isinstance(text, str):
@@ -195,8 +191,7 @@ def parse_completion(
             f"found {len(candidates)} tuple(s), expected {horizon}",
         )
 
-    last_ts = int(context.timestamps[INPUT_LENGTH - 1])
-    waypoints = []
+    rows = []
     for step, items in enumerate(candidates[:horizon], start=1):
         if len(items) != 5:
             return ParseOutcome.failed(
@@ -209,20 +204,20 @@ def parse_completion(
                 FailureKind.UNEXPECTED_FORMAT,
                 f"tuple {step} has non-numeric field {bad[0]!r}",
             )
-        values = [float(item) for item in items]
-        waypoints.append(Waypoint(last_ts + step * STEP_SECONDS, *values))
+        rows.append([float(item) for item in items])
 
-    for step, w in enumerate(waypoints, start=1):
-        if classify_severe(w, context, radius):
-            return ParseOutcome.failed(
-                FailureKind.SEVERE_DEVIATION,
-                f"waypoint {step} deviates implausibly from the last observed position",
-            )
+    values = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    severe = classify_severe(values, context, radius)
+    if severe.any():
+        return ParseOutcome.failed(
+            FailureKind.SEVERE_DEVIATION,
+            f"waypoint {int(severe.argmax()) + 1} deviates implausibly from the last observed position",
+        )
 
     diagnostic = ""
     if len(candidates) > horizon:
         diagnostic = f"ignored {len(candidates) - horizon} extra tuple(s)"
-    return ParseOutcome.success(waypoints, diagnostic)
+    return ParseOutcome.success(values, diagnostic)
 
 
 # --- Dataset emission --------------------------------------------------------

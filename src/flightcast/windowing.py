@@ -26,7 +26,8 @@ STEP_SECONDS = 60
 class Window(Trajectory):
     """16 input rows (columns ``[:, :16]``) and the target rows that follow them, if any.
 
-    ``inputs`` and ``targets`` build the rows' ``Waypoint``s; pipeline code reads the columns.
+    Pipeline code reads the columns; ``targets`` builds the target rows' ``Waypoint``s,
+    which only the benchmark's input code reads.
     """
 
     __slots__ = ()
@@ -39,10 +40,6 @@ class Window(Trajectory):
     @property
     def horizon(self) -> int:
         return len(self) - INPUT_LENGTH
-
-    @property
-    def inputs(self) -> tuple[Waypoint, ...]:
-        return self.waypoints[:INPUT_LENGTH]
 
     @property
     def targets(self) -> tuple[Waypoint, ...]:

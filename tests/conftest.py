@@ -1,4 +1,4 @@
-"""Shared builders for randomized, seeded test data, and reference synth, ingest and windowing."""
+"""Shared helpers for randomized, seeded test data, and reference synth, ingest, windowing and parsing."""
 
 import csv
 import io
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from flightcast.domain import (
+    DECIMAL_RE,
     LATITUDE_RANGE,
     LONGITUDE_RANGE,
     MIN_ALTITUDE_M,
@@ -38,7 +39,7 @@ from flightcast.ingest import (
 )
 from flightcast.predictors import kinematic_step
 from flightcast.predictors.lstm import LstmParams, _sigmoid, _views
-from flightcast.prompts import ParseOutcome
+from flightcast.prompts import DEFAULT_PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
 from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
@@ -500,9 +501,65 @@ def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
     return float(np.mean(diff**2)), _reference_backward_batch(params, steps, h_final, d_prediction)
 
 
-def block_outcome(window: Window, block: np.ndarray) -> ParseOutcome:
-    """A parse that succeeded with the (5, horizon) forecast block, stamped with the target times."""
-    return ParseOutcome.success(tuple(map(Waypoint, window.timestamps[INPUT_LENGTH:].tolist(), *block.tolist())))
+# --- Reference parse -----------------------------------------------------------
+# The per-waypoint severity check and parse that flightcast.prompts' block
+# code must reproduce: the same class, the same diagnostic, and values equal
+# bit for bit to the reference's waypoints.
+
+
+def reference_classify_severe(predicted: Waypoint, context: Window,
+                              radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG) -> bool:
+    last_lon, last_lat = context.values[:2, INPUT_LENGTH - 1].tolist()
+    if not all(map(math.isfinite, predicted.values())):
+        return True
+    if not (LONGITUDE_RANGE[0] <= predicted.longitude <= LONGITUDE_RANGE[1]):
+        return True
+    if not (LATITUDE_RANGE[0] <= predicted.latitude <= LATITUDE_RANGE[1]):
+        return True
+    if abs(predicted.longitude - last_lon) > radius:
+        return True
+    if abs(predicted.latitude - last_lat) > radius:
+        return True
+    if abs(last_lon) > 1.0 and predicted.longitude * last_lon < 0.0:
+        return True
+    if abs(last_lat) > 1.0 and predicted.latitude * last_lat < 0.0:
+        return True
+    return False
+
+
+def reference_parse_completion(text, horizon: int, context: Window,
+                               radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG):
+    """``(waypoints, failure, diagnostic)``: exactly one of waypoints and failure is None."""
+    if not isinstance(text, str):
+        return None, FailureKind.UNEXPECTED_FORMAT, f"completion is {type(text).__name__}, not text"
+    candidates = extract_tuples(text)
+    if not candidates:
+        return None, FailureKind.MISSING_TRAJECTORY, "no coordinate tuples found"
+    if len(candidates) < horizon:
+        return None, FailureKind.UNEXPECTED_FORMAT, f"found {len(candidates)} tuple(s), expected {horizon}"
+
+    last_ts = int(context.timestamps[INPUT_LENGTH - 1])
+    waypoints = []
+    for step, items in enumerate(candidates[:horizon], start=1):
+        if len(items) != 5:
+            return None, FailureKind.UNEXPECTED_FORMAT, f"tuple {step} has {len(items)} fields, expected 5"
+        bad = [item for item in items if not DECIMAL_RE.match(item)]
+        if bad:
+            return None, FailureKind.UNEXPECTED_FORMAT, f"tuple {step} has non-numeric field {bad[0]!r}"
+        waypoints.append(Waypoint(last_ts + step * STEP_SECONDS, *[float(item) for item in items]))
+
+    for step, w in enumerate(waypoints, start=1):
+        if reference_classify_severe(w, context, radius):
+            return (None, FailureKind.SEVERE_DEVIATION,
+                    f"waypoint {step} deviates implausibly from the last observed position")
+
+    diagnostic = ""
+    if len(candidates) > horizon:
+        diagnostic = f"ignored {len(candidates) - horizon} extra tuple(s)"
+    return tuple(waypoints), None, diagnostic
+
+
+# --- Test data ---------------------------------------------------------------
 
 
 def make_waypoint(timestamp=0, longitude=0.0, latitude=0.0, altitude=0.0,

@@ -23,12 +23,11 @@ from flightcast.ingest import (
 from flightcast.llm import MockBehavior, mock_complete
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train, predict_kinematic, predict_persistence
 from flightcast.predictors.lstm import LstmParams, lstm_loss, lstm_loss_gradients
-from flightcast.prompts import FailureKind, build_prompt, parse_completion, serialize_values
+from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_completion, serialize_values
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import INPUT_LENGTH, sample_windows
 
 from conftest import (
-    block_outcome,
     check_continuity,
     cruise_window,
     gap_seeded_trajectory,
@@ -111,7 +110,7 @@ def test_criterion_03_codec_round_trip():
         horizon = (1, 4, 8)[i % 3]
         window = random_window(rng, horizon)
         outcome = parse_completion(serialize_values(window.values[:, INPUT_LENGTH:]), horizon, window)
-        if not (outcome.ok and outcome.waypoints == window.targets):
+        if not (outcome.ok and np.array_equal(outcome.values, window.values[:, INPUT_LENGTH:])):
             failures += 1
     assert failures == 0
     _pass(3, "1000 windows round-trip exactly at canonical precision, zero failures")
@@ -140,7 +139,7 @@ def test_criterion_04_windowing_equivalence():
                     expected.append(stamps[k])
                     next_allowed = k + stride
             windows = sample_windows(traj, horizon, stride)
-            assert [w.inputs[0].timestamp for w in windows] == expected
+            assert [int(w.timestamps[0]) for w in windows] == expected
             seen: set[int] = set()
             for w in windows:
                 assert check_continuity(w.waypoints)
@@ -311,10 +310,10 @@ def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
     samples = []
     for window in windows:
         if backend == "persistence":
-            outcome = block_outcome(window, predict_persistence(window, window.horizon))
+            outcome = ParseOutcome.success(predict_persistence(window, window.horizon))
         elif backend == "lstm":
             (predicted,) = lstm_predict(params, [window])
-            outcome = block_outcome(window, predicted)
+            outcome = ParseOutcome.success(predicted)
         else:  # the mock chat backend answering with dead reckoning
             record = build_prompt(window, include_assistant=False)
             reply = mock_complete(record, MockBehavior.KINEMATIC)

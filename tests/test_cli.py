@@ -182,6 +182,22 @@ class TestStages:
         del second["model"]
         assert model_in_report() == ""
 
+    def test_eval_takes_the_template_from_the_first_row_that_names_one(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
+        first, second = list(read_jsonl(pred))[:2]
+        del first["template_version"]
+
+        def template_in_report() -> str:
+            pred.write_text("".join(json.dumps(row) + "\n" for row in (first, second)))
+            assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+            assert "template=" + (second.get("template_version") or "-") in (tmp_path / "rep.txt").read_text()
+            return MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text())).template_version
+
+        assert template_in_report() == "v1"
+        del second["template_version"]
+        assert template_in_report() == ""
+
     def test_eval_scores_a_non_string_completion_as_unexpected_format(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0

@@ -95,8 +95,8 @@ class TestSegmentPhase:
 
 
 def success_sample(window: Window, predicted=None, latency=0.5):
-    waypoints = tuple(predicted) if predicted is not None else window.targets
-    return (window, ParseOutcome.success(waypoints), latency)
+    block = predicted if predicted is not None else window.values[:, INPUT_LENGTH:]
+    return (window, ParseOutcome.success(block), latency)
 
 
 def failed_sample(window: Window, kind: FailureKind, latency=0.5):
@@ -122,7 +122,7 @@ def phase_sample(rng, horizon: int, rate: float, kind):
     if kind != "ok":
         return failed_sample(window, kind, latency=float(rng.uniform(0.0, 2.0)))
     noise = rng.normal(scale=(0.05, 0.05, 30.0, 10.0, 5.0), size=(horizon, len(ATTRIBUTES)))
-    predicted = [Waypoint(t.timestamp, *(np.array(t.values()) + n).tolist()) for t, n in zip(window.targets, noise)]
+    predicted = window.values[:, INPUT_LENGTH:] + noise.T
     return success_sample(window, predicted, latency=float(rng.uniform(0.0, 2.0)))
 
 
@@ -165,17 +165,12 @@ class TestEvaluate:
         samples = []
         for _ in range(3):
             window = cruise_window(rng, 4)
-            predicted = [
-                Waypoint(w.timestamp, w.longitude + rng.uniform(-0.1, 0.1),
-                         w.latitude + rng.uniform(-0.1, 0.1), w.altitude + rng.uniform(-40, 40),
-                         w.velocity + rng.uniform(-5, 5), w.heading)
-                for w in window.targets
-            ]
-            samples.append(success_sample(window, predicted))
+            offsets = rng.uniform((-0.1, -0.1, -40, -5, 0), (0.1, 0.1, 40, 5, 0), size=(4, len(ATTRIBUTES)))
+            samples.append(success_sample(window, window.values[:, INPUT_LENGTH:] + offsets.T))
         report = evaluate(samples)
         for col, attr in enumerate(ATTRIBUTES):
-            truth = [t.values()[col] for w, o, _ in samples for t in w.targets]
-            pred = [p.values()[col] for w, o, _ in samples for p in o.waypoints]
+            truth = [t for w, o, _ in samples for t in w.values[col, INPUT_LENGTH:].tolist()]
+            pred = [p for w, o, _ in samples for p in o.values[col].tolist()]
             assert len(truth) == 12
             assert report.attributes[attr].mae == pytest.approx(brute_mae(truth, pred), abs=1e-12)
             assert report.attributes[attr].rmse == pytest.approx(brute_rmse(truth, pred), abs=1e-12)
@@ -198,11 +193,8 @@ class TestEvaluate:
         samples = []
         for _ in range(12):
             window = cruise_window(rng, 4)
-            predicted = [
-                Waypoint(w.timestamp, w.longitude + rng.uniform(-0.2, 0.2), w.latitude,
-                         w.altitude + rng.uniform(-100, 100), w.velocity, w.heading)
-                for w in window.targets
-            ]
+            offsets = rng.uniform((-0.2, 0, -100, 0, 0), (0.2, 0, 100, 0, 0), size=(4, len(ATTRIBUTES)))
+            predicted = window.values[:, INPUT_LENGTH:] + offsets.T
             samples.append(success_sample(window, predicted, latency=float(rng.uniform(0, 2))))
         report_a = evaluate(samples)
         shuffled = [samples[i] for i in rng.permutation(len(samples))]
@@ -224,6 +216,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="horizons"):
             evaluate(samples)
 
+    @pytest.mark.parametrize("steps", [3, 5])
+    def test_block_of_another_horizon_rejected(self, steps, rng):
+        window = cruise_window(rng, 4)
+        block = window.values[:, INPUT_LENGTH - 1 :][:, :steps]
+        with pytest.raises(ValueError, match=rf"shape \(5, {steps}\) for a horizon-4 window"):
+            evaluate([success_sample(window, block)])
+
     @given(
         horizon=st.sampled_from((1, 4, 8)),
         kinds=st.lists(st.tuples(st.sampled_from(PHASE_RATES), st.sampled_from(OUTCOMES)), min_size=1, max_size=12),
@@ -238,15 +237,15 @@ class TestEvaluate:
         for window, outcome, _ in samples:
             if outcome.ok:
                 phase = segment_phase(window).value
-                for step, pair in enumerate(zip(window.targets, outcome.waypoints), start=1):
+                for step, pair in enumerate(zip(window.values[:, INPUT_LENGTH:].T, outcome.values.T), start=1):
                     entire.append(pair)
                     by_phase.setdefault(phase, []).append(pair)
                     by_step.setdefault(step, []).append(pair)
 
         def check(stats, pairs):
             for col, attr in enumerate(ATTRIBUTES):
-                truth = [t.values()[col] for t, _ in pairs]
-                pred = [p.values()[col] for _, p in pairs]
+                truth = [t[col] for t, _ in pairs]
+                pred = [p[col] for _, p in pairs]
                 assert stats[attr].mae == mae(truth, pred)
                 assert stats[attr].rmse == rmse(truth, pred)
                 assert stats[attr].mae == pytest.approx(brute_mae(truth, pred), rel=1e-12, abs=1e-12)
@@ -315,11 +314,7 @@ class TestEmitReport:
         samples = []
         for _ in range(6):
             window = cruise_window(rng, horizon)
-            predicted = [
-                Waypoint(w.timestamp, w.longitude + 0.01, w.latitude - 0.02,
-                         w.altitude + 25.0, w.velocity + 2.0, w.heading)
-                for w in window.targets
-            ]
+            predicted = window.values[:, INPUT_LENGTH:] + np.array([[0.01], [-0.02], [25.0], [2.0], [0.0]])
             samples.append(success_sample(window, predicted, latency=0.25))
         return evaluate(samples, model="testmodel", template_version="v1")
 

@@ -195,8 +195,8 @@ class TestTrain:
         windows = constant_windows()
         cfg = TrainConfig(epochs=50, batch_size=4, learning_rate=0.01, seed=3, hidden_dim=8)
         params = lstm_train(windows, cfg)
-        x = np.array([[w.values() for w in win.inputs] for win in windows])
-        y = np.array([win.targets[0].values() for win in windows])
+        x = np.array([win.values[:, :INPUT_LENGTH].T for win in windows])
+        y = np.array([win.values[:, INPUT_LENGTH] for win in windows])
         assert lstm_loss(params, normalize(params, x), normalize(params, y)) < 1e-6
 
     def test_same_seed_same_params(self, rng):
@@ -272,7 +272,7 @@ class TestPredict:
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = windows[0]
         (out,) = lstm_predict(params, [window])
-        x = np.array([w.values() for w in window.inputs])
+        x = window.values[:, :INPUT_LENGTH].T
         raw = denormalize(params, lstm_forward(params, normalize(params, x)[None])[0])
         from flightcast.domain import CANONICAL_DECIMALS, round_value
 
@@ -310,7 +310,8 @@ class TestPredict:
     def test_window_without_targets_rolls_out_nothing(self, rng):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
         window = cruise_window(rng, 1)
-        (out,) = lstm_predict(params, [Window(window.callsign, window.inputs)])
+        inputs = Window.from_columns(window.callsign, window.timestamps[:INPUT_LENGTH], window.values[:, :INPUT_LENGTH])
+        (out,) = lstm_predict(params, [inputs])
         assert out.shape == (ATTR_DIM, 0)
 
 

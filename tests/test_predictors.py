@@ -31,12 +31,11 @@ class TestPersistence:
         out = predict_persistence(window, 4)
         assert out.shape == (len(ATTRIBUTES), 4)
         for column in out.T.tolist():
-            assert tuple(column) == window.inputs[-1].values()
+            assert column == window.values[:, INPUT_LENGTH - 1].tolist()
 
     def test_single_step(self, rng):
         window = random_window(rng, 1)
-        (out,) = predict_persistence(window, 1).T.tolist()
-        assert tuple(out) == window.inputs[-1].values()
+        assert np.array_equal(predict_persistence(window, 1), window.values[:, INPUT_LENGTH - 1 : INPUT_LENGTH])
 
     def test_zero_error_on_stationary_flight(self):
         # A parked aircraft: persistence is exact, so every error is zero.
@@ -44,13 +43,8 @@ class TestPersistence:
         from flightcast.prompts import ParseOutcome
 
         stationary = stationary_window()
-        inputs = stationary.inputs
-        targets = tuple(
-            Waypoint(inputs[-1].timestamp + 60 * k, *inputs[-1].values()) for k in (1, 2, 3, 4)
-        )
-        window = Window("STAT", inputs + targets)
-        predicted = predict_persistence(window, 4).T.tolist()
-        outcome = ParseOutcome.success(tuple(Waypoint(t.timestamp, *p) for t, p in zip(targets, predicted)))
+        window = Window.from_columns("STAT", 60 * np.arange(INPUT_LENGTH + 4), stationary.values[:, [0] * (INPUT_LENGTH + 4)])
+        outcome = ParseOutcome.success(predict_persistence(window, 4))
         report = evaluate([(window, outcome, 0.0)])
         assert all(s.mae == 0.0 and s.rmse == 0.0 for s in report.attributes.values())
 
@@ -98,8 +92,8 @@ class TestPredictKinematic:
     def test_northbound_extrapolation(self):
         window = moving_window(dlat_per_min=0.1)
         lon, lat = predict_kinematic(window, 4)[:2]
-        last = window.inputs[-1]
-        assert lat == pytest.approx([last.latitude + 0.1 * k for k in (1, 2, 3, 4)], abs=1e-9)
+        last_lat = window.values[1, INPUT_LENGTH - 1]
+        assert lat == pytest.approx([last_lat + 0.1 * k for k in (1, 2, 3, 4)], abs=1e-9)
         assert lon == pytest.approx([0.0] * 4, abs=1e-9)
 
     def test_altitude_follows_last_delta(self):
@@ -116,9 +110,9 @@ class TestPredictKinematic:
     def test_velocity_and_heading_held_constant(self, rng):
         window = cruise_window(rng, 4)
         out = predict_kinematic(window, 4)
-        last = window.inputs[-1]
-        assert out[3].tolist() == [last.velocity] * 4
-        assert out[4].tolist() == [last.heading] * 4
+        velocity, heading = window.values[3:, INPUT_LENGTH - 1].tolist()
+        assert out[3].tolist() == [velocity] * 4
+        assert out[4].tolist() == [heading] * 4
 
     def test_polar_error(self):
         inputs = tuple(Waypoint(60 * i, 0.0, 89.95, 10000.0, 900.0, 0.0) for i in range(INPUT_LENGTH))
@@ -129,6 +123,7 @@ class TestPredictKinematic:
         # Due-east displacement at the equator: 0.1 degrees/min = 11.132 km/min.
         window = moving_window(dlat_per_min=0.0, dlon_per_min=0.1)
         out = predict_kinematic(window, 2)
-        assert out[0, 0] == pytest.approx(window.inputs[-1].longitude + 0.1, abs=1e-9)
-        assert out[0, 1] == pytest.approx(window.inputs[-1].longitude + 0.2, abs=1e-9)
+        last_lon = window.values[0, INPUT_LENGTH - 1]
+        assert out[0, 0] == pytest.approx(last_lon + 0.1, abs=1e-9)
+        assert out[0, 1] == pytest.approx(last_lon + 0.2, abs=1e-9)
         assert out[1, 0] == pytest.approx(0.0, abs=1e-12)

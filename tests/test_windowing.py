@@ -66,7 +66,7 @@ class TestSampleWindows:
         traj = minute_trajectory(range(41))
         windows = sample_windows(traj, 1, 18)
         assert len(windows) == 2
-        assert [w.inputs[0].timestamp for w in windows] == [0, 18 * 60]
+        assert [int(w.timestamps[0]) for w in windows] == [0, 18 * 60]
 
     def test_too_short_trajectory(self):
         traj = minute_trajectory(range(16))
@@ -78,7 +78,7 @@ class TestSampleWindows:
         traj = minute_trajectory(minutes)
         windows = sample_windows(traj, 4, 21)
         assert len(windows) == 1
-        assert windows[0].inputs[0].timestamp == 0
+        assert windows[0].timestamps[0] == 0
         for w in windows:
             assert check_continuity(w.waypoints)
 
@@ -100,10 +100,10 @@ class TestSampleWindows:
     def test_window_shape(self):
         traj = minute_trajectory(range(30))
         (window,) = sample_windows(traj, 8, 25)
-        assert len(window.inputs) == INPUT_LENGTH
+        assert len(window) == INPUT_LENGTH + 8
         assert len(window.targets) == 8
         assert window.horizon == 8
-        assert window.targets[0].timestamp - window.inputs[-1].timestamp == 60
+        assert window.targets[0].timestamp - window.timestamps[INPUT_LENGTH - 1] == 60
 
     def test_matches_brute_force_on_gap_seeded_trajectories(self, rng):
         for _ in range(60):
@@ -112,7 +112,7 @@ class TestSampleWindows:
                 stride = int(rng.integers(INPUT_LENGTH + horizon, INPUT_LENGTH + horizon + 10))
                 windows = sample_windows(traj, horizon, stride)
                 offsets = brute_force_offsets(traj, horizon, stride)
-                got = [w.inputs[0].timestamp for w in windows]
+                got = [int(w.timestamps[0]) for w in windows]
                 want = [traj.waypoints[k].timestamp for k in offsets]
                 assert got == want
                 for w in windows:
