@@ -2,9 +2,10 @@
 
 Stages communicate through files (CSV for trajectories, JSON Lines for
 windows, datasets, and predictions), so each stage is independently
-re-runnable and testable. Flags win over the optional JSON config file,
-which wins over built-in defaults; the fully resolved configuration is
-logged at the start of every run.
+re-runnable and testable. Each option declares its own default on the
+parser. The optional JSON config file's values become the command's
+defaults, so flags still win over them; the fully resolved configuration
+is logged at the start of every run.
 """
 
 from __future__ import annotations
@@ -30,28 +31,6 @@ from .predictors import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULTS: dict[str, dict] = {
-    "synth": {"flights": 20, "seed": 0, "manifest": None},
-    "ingest": {"strict": False},
-    "sample": {"horizon": 1, "stride": None, "allow_any_horizon": False},
-    "prompt": {"inference": False},
-    "predict": {
-        "backend": "mock",
-        "mock_behavior": "kinematic",
-        "base_url": None,
-        "model": None,
-        "temperature": 0.0,
-        "max_tokens": 512,
-        "timeout": 30.0,
-        "retries": 2,
-        "model_file": None,
-    },
-    "train-lstm": {"epochs": 30, "batch_size": 4, "lr": 2e-4, "seed": 0, "hidden": 32},
-    "eval": {"model": None, "few_shot": None, "seed": 0, "no_latency": False},
-    "report": {"format": "table", "out": None},
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flightcast", description="Flight trajectory prediction pipeline"
@@ -60,22 +39,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ADS-B corpus")
-    p.add_argument("--flights", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--flights", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="spec manifest path (default <out>.manifest.json)")
 
     p = sub.add_parser("ingest", help="clean and minute-aggregate raw ADS-B CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict", action="store_true", default=None)
+    p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("sample", help="slice trajectories into windows")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--stride", type=int)
-    p.add_argument("--allow-any-horizon", action="store_true", default=None)
+    p.add_argument("--allow-any-horizon", action="store_true")
 
     p = sub.add_parser("prompt", help="serialize windows into a prompt dataset")
     p.add_argument("--in", dest="input", required=True)
@@ -89,46 +68,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inference", dest="inference", action="store_true",
         help="leave the assistant turn empty",
     )
-    p.set_defaults(inference=None)
+    p.set_defaults(inference=False)
 
     p = sub.add_parser("predict", help="produce completions for windows")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--backend", choices=["endpoint", "mock", "persistence", "kinematic", "lstm"]
+        "--backend", choices=["endpoint", "mock", "persistence", "kinematic", "lstm"], default="mock"
     )
-    p.add_argument("--mock-behavior", choices=[b.value for b in llm.MockBehavior])
+    p.add_argument("--mock-behavior", choices=[b.value for b in llm.MockBehavior], default="kinematic")
     p.add_argument("--base-url")
     p.add_argument("--model")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--retries", type=int)
+    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--max-tokens", type=int, default=512)
+    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--retries", type=int, default=2)
     p.add_argument("--model-file", help="saved LSTM parameters (lstm backend)")
 
     p = sub.add_parser("train-lstm", help="train the LSTM baseline on windows")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--batch-size", type=int, default=4)
+    p.add_argument("--lr", type=float, default=2e-4)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=int, default=32)
 
     p = sub.add_parser("eval", help="score predictions and emit reports")
     p.add_argument("--pred", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--model", help="override the model identifier in the report")
     p.add_argument("--few-shot", type=float, help="evaluate a seeded fraction of samples")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--no-latency", action="store_true", default=None,
+        "--no-latency", action="store_true",
         help="omit latency from emitted reports (for byte-level diffing)",
     )
 
     p = sub.add_parser("report", help="reformat a stored JSON report")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--format", choices=[f.value for f in evaluation.ReportFormat])
+    p.add_argument("--format", choices=[f.value for f in evaluation.ReportFormat], default="table")
     p.add_argument("--out")
     return parser
 
@@ -148,15 +127,13 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Apply precedence: explicit flags > config file > defaults."""
-    resolved = dict(vars(args))
-    config_path = resolved.pop("config", None)
-    file_values = {}
-    if config_path:
-        file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        if not isinstance(file_values, dict):
-            raise ValueError("config file must hold a JSON object")
+def _with_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str] | None
+) -> argparse.Namespace:
+    """Parse argv again with the config file's values as the command's defaults, so flags still win."""
+    file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(file_values, dict):
+        raise ValueError("config file must hold a JSON object")
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     # One config file may serve every stage, so a key is known if any stage has it.
     known = {a.dest for p in commands.choices.values() for a in p._actions if a.dest != "help"}
@@ -164,16 +141,11 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     if unknown:
         raise ValueError(f"unknown key(s) in config file, defined by no option of any command: "
                          f"{', '.join(map(repr, unknown))}")
-    actions = {a.dest: a for a in commands.choices[args.command]._actions}
-    defaults = DEFAULTS.get(args.command, {})
-    for key, value in resolved.items():
-        if value is None:
-            if key in file_values:
-                resolved[key] = _config_value(actions[key], file_values[key])
-            elif key in defaults:
-                resolved[key] = defaults[key]
-    logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True, default=str))
-    return resolved
+    command = commands.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    command.set_defaults(**{key: _config_value(actions[key], value)
+                            for key, value in file_values.items() if key in actions})
+    return parser.parse_args(argv)
 
 
 # --- Stage implementations ---------------------------------------------------
@@ -388,7 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args, parser)
+        if args.config:
+            args = _with_config(parser, args, argv)
+        cfg = {key: value for key, value in vars(args).items() if key != "config"}
+        logger.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
         return _COMMANDS[args.command](cfg)
     except Exception as exc:  # argparse exits separately with code 2
         logger.error("%s", exc)

@@ -133,14 +133,7 @@ class PhaseLabel(Enum):
 
 
 #: What validate_columns reports, in the order its checks run.
-INVALID_REASONS = (
-    "timestamp out of range",
-    "longitude out of range",
-    "latitude out of range",
-    "altitude out of range",
-    "velocity out of range",
-    "heading out of range",
-)
+INVALID_REASONS = tuple(f"{name} out of range" for name in ("timestamp", *ATTRIBUTES))
 
 
 def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -227,6 +220,17 @@ def round_values(values: np.ndarray, decimals) -> np.ndarray:
     return out
 
 
+def wrap_heading(degrees: np.ndarray) -> np.ndarray:
+    """Angles in degrees taken into [0, 360), as a new array.
+
+    A tiny negative angle such as -1e-20 comes out of ``% 360`` as exactly
+    360, which wraps to 0. NaN stays NaN.
+    """
+    heading = np.remainder(degrees, 360.0)
+    heading[heading >= 360.0] = 0.0
+    return heading
+
+
 def round_attributes(values: np.ndarray) -> np.ndarray:
     """Round a block of attribute rows (ATTRIBUTES order) to canonical precision.
 
@@ -234,6 +238,6 @@ def round_attributes(values: np.ndarray) -> np.ndarray:
     360 wraps to 0 so the result stays inside [0, 360).
     """
     out = round_values(values, _ATTRIBUTE_DECIMALS)
-    heading = out[4]
+    heading = out[4]  # no wrap_heading: its remainder would turn a -0.0 heading into 0.0
     heading[heading >= 360.0] = 0.0
     return out

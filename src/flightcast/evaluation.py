@@ -10,7 +10,7 @@ for the headline numbers; a per-step breakdown rides along in the CSV.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -88,6 +88,10 @@ class PhaseReport:
     attributes: dict[str, AttributeStats]
 
 
+#: The MetricsReport fields that count samples, nested under "counts" in its JSON form.
+_COUNTS = ("evaluated", "excluded_severe", "failed_missing", "failed_format")
+
+
 @dataclass
 class MetricsReport:
     """Per-attribute accuracy, phase breakdown, latency, and bookkeeping."""
@@ -106,57 +110,29 @@ class MetricsReport:
 
     @property
     def total_submitted(self) -> int:
-        return self.evaluated + self.excluded_severe + self.failed_missing + self.failed_format
+        return sum(getattr(self, name) for name in _COUNTS)
 
     def to_dict(self) -> dict:
-        def stats_dict(stats: dict[str, AttributeStats] | None):
-            if stats is None:
-                return None
-            return {k: {"mae": v.mae, "rmse": v.rmse} for k, v in stats.items()}
-
-        return {
-            "model": self.model,
-            "horizon": self.horizon,
-            "template_version": self.template_version,
-            "counts": {
-                "evaluated": self.evaluated,
-                "excluded_severe": self.excluded_severe,
-                "failed_missing": self.failed_missing,
-                "failed_format": self.failed_format,
-            },
-            "mean_latency_s": self.mean_latency_s,
-            "attributes": stats_dict(self.attributes),
-            "phases": {
-                name: {"samples": p.samples, "attributes": stats_dict(p.attributes)}
-                for name, p in self.phases.items()
-            },
-            "per_step": {str(k): stats_dict(v) for k, v in self.per_step.items()},
-        }
+        """The JSON form: the fields, with the four counts nested under ``counts`` and step keys as text."""
+        obj = asdict(self)
+        obj["counts"] = {name: obj.pop(name) for name in _COUNTS}
+        obj["per_step"] = {str(step): stats for step, stats in obj["per_step"].items()}
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MetricsReport":
-        def stats_from(data) -> dict[str, AttributeStats] | None:
-            if data is None:
-                return None
-            return {k: AttributeStats(v["mae"], v["rmse"]) for k, v in data.items()}
+        """Read :meth:`to_dict`'s form back; keys that name no field are ignored."""
+        def stats(data) -> dict[str, AttributeStats] | None:
+            return None if data is None else {k: AttributeStats(v["mae"], v["rmse"]) for k, v in data.items()}
 
-        counts = obj["counts"]
-        return cls(
-            model=obj["model"],
-            horizon=obj["horizon"],
-            template_version=obj["template_version"],
-            evaluated=counts["evaluated"],
-            excluded_severe=counts["excluded_severe"],
-            failed_missing=counts["failed_missing"],
-            failed_format=counts["failed_format"],
-            mean_latency_s=obj["mean_latency_s"],
-            attributes=stats_from(obj["attributes"]),
-            phases={
-                name: PhaseReport(p["samples"], stats_from(p["attributes"]))
-                for name, p in obj["phases"].items()
-            },
-            per_step={int(k): stats_from(v) for k, v in obj["per_step"].items()},
-        )
+        obj = {**obj, **obj["counts"]}
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        values["attributes"] = stats(values["attributes"])
+        values["phases"] = {
+            name: PhaseReport(p["samples"], stats(p["attributes"])) for name, p in obj["phases"].items()
+        }
+        values["per_step"] = {int(k): stats(v) for k, v in obj["per_step"].items()}
+        return cls(**values)
 
 
 EvalSample = tuple[Window, ParseOutcome, float]
@@ -256,8 +232,8 @@ def few_shot_split(dataset: Sequence, proportion: float, seed: int) -> list:
 
 # --- Report rendering --------------------------------------------------------
 
-_HEADLINE_ATTRS = ("longitude", "latitude", "altitude")
-_EXTENDED_ATTRS = ("velocity", "heading")
+_HEADLINE_ATTRS = ATTRIBUTES[:3]
+_EXTENDED_ATTRS = ATTRIBUTES[3:]
 
 
 def _check_stats(stats: dict[str, AttributeStats] | None) -> None:

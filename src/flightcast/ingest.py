@@ -21,7 +21,7 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from itertools import islice, repeat
@@ -39,28 +39,18 @@ from .domain import (
     Trajectory,
     round_attributes,
     validate_columns,
+    wrap_heading,
 )
 
 logger = logging.getLogger(__name__)
 
-REQUIRED_COLUMNS = (
-    "timestamp",
-    "utc_time",
-    "callsign",
-    "longitude",
-    "latitude",
-    "altitude",
-    "velocity",
-    "heading",
-)
-
-NUMERIC_COLUMNS = ("longitude", "latitude", "altitude", "velocity", "heading")
+REQUIRED_COLUMNS = ("timestamp", "utc_time", "callsign", *ATTRIBUTES)
 
 #: Numeric columns in the order their cells are checked, each with its cell
 #: grammar, the characters a cell of that grammar is made of, the
 #: conversion, and what a cell that does not parse reads in the column.
 _NUMERIC_CELLS = (("timestamp", re.compile(r"^[+-]?\d+$"), b"+-0123456789", int, 0),) + tuple(
-    (name, DECIMAL_RE, b"+-.0123456789", float, math.nan) for name in NUMERIC_COLUMNS
+    (name, DECIMAL_RE, b"+-.0123456789", float, math.nan) for name in ATTRIBUTES
 )
 
 _UTC_FORMAT = "%Y-%m-%d %H:%M:%S"
@@ -237,7 +227,7 @@ def _parse_rows(rows: list[list[str]], row_numbers, header: Header, strict: bool
     if error_cell is not None:
         raise MalformedRowError(f"malformed row{_where(row_numbers[error_row])}: non-numeric {error_cell}")
     values = np.array([column for column, *_ in numeric[1:]], dtype=np.float64)
-    return RecordTable(timestamp, utc_time, callsign, values.reshape(len(NUMERIC_COLUMNS), count), missing)
+    return RecordTable(timestamp, utc_time, callsign, values.reshape(len(ATTRIBUTES), count), missing)
 
 
 def _log_utc_disagreements(timestamp, utc_time, present, row_numbers, stop: int) -> None:
@@ -297,15 +287,11 @@ class CleaningResult:
 
     @property
     def total(self) -> int:
-        return self.kept + self.incomplete + self.invalid + self.duplicate
+        return sum(self.summary().values())
 
     def summary(self) -> dict[str, int]:
-        return {
-            "kept": self.kept,
-            "incomplete": self.incomplete,
-            "invalid": self.invalid,
-            "duplicate": self.duplicate,
-        }
+        """The count fields by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectories"}
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -431,12 +417,12 @@ def _minute_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     unit[0, trig] = list(map(math.sin, radians))
     unit[1, trig] = list(map(math.cos, radians))
     sums = _bucket_sums(np.vstack([values[:4], unit]), starts, counts)
+    angles = list(map(math.atan2, sums[4, ~single].tolist(), sums[5, ~single].tolist()))
     heading = np.empty(len(starts))
+    heading[single] = values[4, starts[single]]
+    heading[~single] = np.degrees(angles)
     with np.errstate(invalid="ignore"):
-        heading[single] = values[4, starts[single]] % 360.0
-        angles = list(map(math.atan2, sums[4, ~single].tolist(), sums[5, ~single].tolist()))
-        heading[~single] = np.degrees(angles) % 360.0
-    heading[heading >= 360.0] = 0.0
+        heading = wrap_heading(heading)
     return bucket[starts] * 60, np.vstack([sums[:4] / counts, heading])
 
 

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .domain import DECIMAL_RE, validate_columns
+from .domain import CANONICAL_DECIMALS, DECIMAL_RE, validate_columns
 from .windowing import INPUT_LENGTH, Window, read_jsonl, write_jsonl
 
 TEMPLATE_VERSION = "v1"
@@ -45,7 +45,7 @@ _SYSTEM_TEMPLATE = (
     "no extra text."
 )
 
-_ROW_FORMAT = "({:.5f}, {:.5f}, {:.3f}, {:.3f}, {:.2f})"
+_ROW_FORMAT = "(" + ", ".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + ")"
 _HORIZON_RE = re.compile(r"[Pp]redict the next (\d+) waypoint")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 

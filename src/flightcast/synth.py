@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .domain import ATTRIBUTES, LATITUDE_RANGE, LONGITUDE_RANGE, MIN_ALTITUDE_M, wrap_heading
 from .ingest import REQUIRED_COLUMNS, RecordTable, _utc_texts
 from .predictors import kinematic_track
 
@@ -103,7 +104,7 @@ def validate_spec(spec: FlightSpec) -> None:
     for turn in spec.turns:
         if turn.duration_min < 1:
             raise ValueError("turns: duration_min must be >= 1")
-    for name in ("longitude", "latitude", "altitude", "velocity", "heading"):
+    for name in ATTRIBUTES:
         if getattr(spec.noise, name) < 0:
             raise ValueError(f"noise.{name} must be >= 0")
 
@@ -142,9 +143,7 @@ def _true_state(spec: FlightSpec, minute: np.ndarray) -> tuple[np.ndarray, np.nd
     heading = np.full(len(minute), spec.initial_heading, dtype=np.float64)
     for turn in spec.turns:
         heading += turn.delta_deg * np.minimum(np.maximum((minute - turn.minute) / turn.duration_min, 0.0), 1.0)
-    heading %= 360.0
-    heading[heading >= 360.0] = 0.0
-    return alt, speed, heading
+    return alt, speed, wrap_heading(heading)
 
 
 def generate_flight(spec: FlightSpec) -> RecordTable:
@@ -167,17 +166,15 @@ def generate_flight(spec: FlightSpec) -> RecordTable:
 
     noise = np.random.default_rng(spec.seed).normal(0.0, 1.0, size=(len(minute), 5)).T
     std = spec.noise
-    out_hdg = (heading + noise[4] * std.heading) % 360.0
-    out_hdg[out_hdg >= 360.0] = 0.0
-    # np.maximum/np.minimum give what Python's max/min give on these clamps:
+    # np.clip/np.maximum give what Python's max/min give on these clamps:
     # they differ only on NaN and on -0.0 against a 0.0 bound, and neither occurs.
     values = np.array(
         [
-            np.minimum(np.maximum(lon[:-1] + noise[0] * std.longitude, -180.0), 180.0),
-            np.minimum(np.maximum(lat[:-1] + noise[1] * std.latitude, -90.0), 90.0),
-            np.maximum(alt + noise[2] * std.altitude, -500.0),
+            np.clip(lon[:-1] + noise[0] * std.longitude, *LONGITUDE_RANGE),
+            np.clip(lat[:-1] + noise[1] * std.latitude, *LATITUDE_RANGE),
+            np.maximum(alt + noise[2] * std.altitude, MIN_ALTITUDE_M),
             np.maximum(speed + noise[3] * std.velocity, 0.0),
-            out_hdg,
+            wrap_heading(heading + noise[4] * std.heading),
         ]
     )
     timestamps = np.arange(spec.start_timestamp, spec.start_timestamp + total_s + 1, dt, dtype=np.int64)

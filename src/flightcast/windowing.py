@@ -108,7 +108,7 @@ def window_to_obj(window: Window) -> dict:
 
 
 def window_from_obj(obj: dict) -> Window:
-    """Read :func:`window_to_obj`'s form back; ValueError unless 16 input rows and some target."""
+    """Read :func:`window_to_obj`'s form back; ValueError unless 16 input rows, some target and finite cells."""
     inputs, targets = obj["input"], obj["target"]
     if len(inputs) != INPUT_LENGTH:
         raise ValueError(f"window input holds {len(inputs)} rows, expected {INPUT_LENGTH}")
@@ -117,6 +117,8 @@ def window_from_obj(obj: dict) -> Window:
     values = np.array([row[1:] for row in inputs + targets])
     if values.dtype.kind not in "iuf":  # a null or text cell; float64 would read null as NaN
         raise ValueError(f"window holds a non-numeric cell ({values.dtype})")
+    if not np.isfinite(values).all():  # JSON NaN or Infinity
+        raise ValueError("window holds a non-finite cell")
     return Window.from_columns(obj["callsign"], [row[0] for row in inputs + targets], values.T)
 
 

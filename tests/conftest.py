@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from flightcast.domain import (
+    ATTRIBUTES,
     DECIMAL_RE,
     LATITUDE_RANGE,
     LONGITUDE_RANGE,
@@ -25,7 +26,6 @@ from flightcast.domain import (
     round_attributes,
 )
 from flightcast.ingest import (
-    NUMERIC_COLUMNS,
     REQUIRED_COLUMNS,
     CleaningResult,
     MalformedRowError,
@@ -158,7 +158,7 @@ def records_table(records) -> RecordTable:
         _timestamp_array([0 if t is None else t for t in columns[0]]),
         _object_array(columns[1]),
         _object_array(columns[2]),
-        np.array(columns[3:], dtype=np.float64).reshape(len(NUMERIC_COLUMNS), len(rows)),
+        np.array(columns[3:], dtype=np.float64).reshape(len(ATTRIBUTES), len(rows)),
         np.array([[v is None for v in column] for column in columns], dtype=bool).reshape(
             len(REQUIRED_COLUMNS), len(rows)
         ),

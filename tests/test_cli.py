@@ -1,10 +1,11 @@
 import hashlib
 import json
+import logging
 
 import pytest
 
 from flightcast.cli import main
-from flightcast.evaluation import MetricsReport
+from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
 from flightcast.windowing import read_jsonl, read_windows_jsonl
 
 
@@ -130,14 +131,21 @@ class TestStages:
     def test_eval_skips_rows_whose_window_is_malformed(self, pipeline_dir, tmp_path, caplog):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
-        good, empty, huge = list(read_jsonl(pred))[:3]
+        good, empty, huge, nan, infinite = list(read_jsonl(pred))[:5]
         empty["target"] = []
         huge["input"][0][0] = 2**70
-        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, empty, huge)))
+        nan["target"][1][1] = float("nan")
+        infinite["input"][15][3] = float("inf")
+        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, empty, huge, nan, infinite)))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 2 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        assert "skipped 4 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        for bad in (nan, infinite):
+            pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
+            caplog.clear()
+            assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+            assert "skipped 1 malformed row(s) (first: row 2: window holds a non-finite cell)" in caplog.text
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -214,6 +222,8 @@ class TestStages:
             ({"target": []}, "window target is empty"),
             ({"input": [[0, 1, 2, 3, 4, 5]] * 15}, "input holds 15 rows"),
             ({"target": [[0, 1, None, 3, 4, 5]] * 4}, "non-numeric cell"),
+            ({"target": [[0, 1, float("nan"), 3, 4, 5]] * 4}, "non-finite cell"),
+            ({"input": [[0, 1, 2, 3, float("inf"), 5]] * 16}, "non-finite cell"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):
@@ -253,6 +263,20 @@ class TestStages:
         assert run("report", "--in", pipeline_dir / "rep_r.json", "--format", "json",
                    "--out", pipeline_dir / "again.json") == 0
         assert (pipeline_dir / "again.json").read_text() == json_text
+
+    def test_report_json_round_trips_at_horizon_10(self, pipeline_dir, tmp_path):
+        windows, pred = tmp_path / "w10.jsonl", tmp_path / "pred.jsonl"
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 10, "--allow-any-horizon",
+                   "--out", windows) == 0
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "mock") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        text = (tmp_path / "rep.json").read_text()
+        obj = json.loads(text)
+        assert list(obj["per_step"]) == sorted(str(step) for step in range(1, 11))  # "1", "10", "2", ...
+        report = MetricsReport.from_dict(obj)
+        assert (report.horizon, sorted(report.per_step)) == (10, list(range(1, 11)))
+        assert report.evaluated > 0
+        assert emit_report(report, ReportFormat.JSON) == text
 
 
 class TestErrorsAndConfig:
@@ -383,6 +407,14 @@ class TestErrorsAndConfig:
         assert ("unknown backend 'oracle' in config file"
                 " (choose from endpoint, mock, persistence, kinematic, lstm)") in caplog.text
 
+    def test_config_value_is_checked_where_a_flag_overrides_it(self, pipeline_dir, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": "oracle"}))
+        assert run("--config", config, "predict", "--in", pipeline_dir / "windows.jsonl",
+                   "--out", tmp_path / "p.jsonl", "--backend", "kinematic") == 1
+        assert "unknown backend 'oracle' in config file" in caplog.text
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_config_key_of_no_option_exits_1_naming_it(self, tmp_path, caplog):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"horizn": 4, "stride": 30}))
@@ -400,6 +432,54 @@ class TestErrorsAndConfig:
                    "--out", from_config) == 0
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--out", from_flags, "--horizon", 8) == 0
         assert from_config.read_text() == from_flags.read_text()
+
+    def test_resolved_config_of_each_command_with_only_its_required_flags(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="flightcast.cli")
+        raw, missing = str(tmp_path / "raw.csv"), str(tmp_path / "missing")
+        io_flags = ["--in", missing, "--out", missing]
+        io_values = {"input": missing, "out": missing}
+        # Written out rather than read from the parser, so that a changed default fails here.
+        commands = {
+            "synth": (["--out", raw], {"flights": 20, "seed": 0, "manifest": None, "out": raw}),
+            "ingest": (io_flags, {**io_values, "strict": False}),
+            "sample": (io_flags, {**io_values, "horizon": 1, "stride": None, "allow_any_horizon": False}),
+            "prompt": (io_flags, {**io_values, "inference": False}),
+            "predict": (io_flags, {
+                **io_values, "backend": "mock", "mock_behavior": "kinematic", "base_url": None, "model": None,
+                "temperature": 0.0, "max_tokens": 512, "timeout": 30.0, "retries": 2, "model_file": None,
+            }),
+            "train-lstm": (io_flags, {
+                **io_values, "epochs": 30, "batch_size": 4, "lr": 2e-4, "seed": 0, "hidden": 32,
+            }),
+            "eval": (["--pred", missing, "--out-prefix", missing], {
+                "pred": missing, "out_prefix": missing, "model": None, "few_shot": None, "seed": 0,
+                "no_latency": False,
+            }),
+            "report": (["--in", missing], {"input": missing, "format": "table", "out": None}),
+        }
+        for command, (flags, values) in commands.items():
+            caplog.clear()
+            run(command, *flags)
+            resolved = json.dumps({"command": command, **values}, sort_keys=True)
+            assert [r.getMessage() for r in caplog.records if "resolved config" in r.getMessage()] == [
+                f"resolved config: {resolved}"
+            ], command
+
+    def test_boolean_config_values_are_defaults_that_flags_override(self, pipeline_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inference": True}))
+        windows, data = pipeline_dir / "windows.jsonl", tmp_path / "data.jsonl"
+        assert run("--config", config, "prompt", "--in", windows, "--out", data) == 0
+        assert json.loads(data.read_text().splitlines()[0])["assistant"] == ""
+        assert run("--config", config, "prompt", "--in", windows, "--out", data, "--with-assistant") == 0
+        assert json.loads(data.read_text().splitlines()[0])["assistant"]
+
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "kinematic") == 0
+        config.write_text(json.dumps({"no_latency": True}))
+        assert run("--config", config, "eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        assert MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text())).mean_latency_s is None
+        assert "latency" not in (tmp_path / "rep.txt").read_text()
 
     def test_endpoint_backend_requires_url_and_model(self, pipeline_dir):
         assert run("predict", "--in", pipeline_dir / "windows.jsonl",

@@ -350,6 +350,16 @@ class TestEmitReport:
         back = MetricsReport.from_dict(json.loads(text))
         assert back == report
 
+    def test_from_dict_ignores_keys_that_name_no_field(self, rng):
+        report = self.make_report(rng)
+        obj = json.loads(emit_report(report, ReportFormat.JSON))
+        obj["note"] = "extra"
+        obj["counts"]["retried"] = 3
+        obj["attributes"]["longitude"]["samples"] = 12
+        obj["phases"]["cruise"]["attributes"]["heading"]["median"] = 0.5
+        obj["per_step"]["1"]["latitude"]["n"] = 4
+        assert MetricsReport.from_dict(obj) == report
+
     def test_rmse_not_below_mae_everywhere(self, rng):
         report = self.make_report(rng)
         for fmt in ReportFormat:

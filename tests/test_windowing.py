@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import pickle
 
 import numpy as np
@@ -217,8 +218,9 @@ class TestWindowAsTrajectory:
 
 
 #: Doubles the codec must carry exactly: signed zeros, subnormals and 17-digit values.
+# Finite only: window_from_obj rejects a NaN or infinite cell (see test_non_finite_cell_raises).
 CODEC_VALUES = st.one_of(
-    st.floats(allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 0.30000000000000004, 103.12345678901234)),
 )
 
@@ -254,3 +256,12 @@ class TestWindowCodecProperty:
             window_from_obj({**obj, "input": obj["input"][1:]})
         with pytest.raises(ValueError, match="target is empty"):
             window_from_obj({**obj, "target": []})
+
+    @given(codec_windows(), st.data(), st.sampled_from((math.nan, math.inf, -math.inf)))
+    def test_non_finite_cell_raises(self, window, data, bad):
+        obj = json.loads(json.dumps(window_to_obj(window)))
+        rows = obj["input"] + obj["target"]
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][data.draw(st.integers(1, 5))] = bad
+        with pytest.raises(ValueError, match="window holds a non-finite cell"):
+            window_from_obj(json.loads(json.dumps(obj)))
