@@ -131,7 +131,9 @@ class MetricsReport:
         values["phases"] = {
             name: PhaseReport(p["samples"], stats(p["attributes"])) for name, p in obj["phases"].items()
         }
-        values["per_step"] = {int(k): stats(v) for k, v in obj["per_step"].items()}
+        # The file's keys are text, sorted as text ("1", "10", "2"); steps go back in numeric order.
+        per_step = sorted(obj["per_step"].items(), key=lambda item: int(item[0]))
+        values["per_step"] = {int(k): stats(v) for k, v in per_step}
         return cls(**values)
 
 

@@ -171,12 +171,6 @@ def denormalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * params.norm_std + params.norm_mean
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; min(x, -x) is -|x| that keeps a NaN's sign.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def _forward_batch(
     params: LstmParams, x: np.ndarray, record: bool = False
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -189,26 +183,42 @@ def _forward_batch(
     its slot for the backward pass; without it the arrays are rings of one
     or two slots that hold only the running state, so memory stays
     O(batch x hidden) whatever the length of x.
+
+    One tanh activates all four gates: sigmoid(a) = 0.5 + 0.5 tanh(a / 2),
+    and the i, f and o rows of the weights are halved up front (exact in
+    binary floating point), so their pre-activations arrive already halved.
     """
     a = params.arrays
     hidden = params.hidden_dim
     batch, steps = x.shape[0], x.shape[1]
+    scale = np.ones((4 * hidden, 1))
+    scale[: 3 * hidden] = 0.5
+    w_t, u_t, b = (a["w"] * scale).T, (a["u"] * scale).T, a["b"] * scale[:, 0]
     slots = steps if record else 1
     h = np.zeros((slots + 1, batch, hidden))
     c = np.zeros((slots + 1, batch, hidden))
     act = np.empty((slots, batch, 4 * hidden))
     tanh_c = np.empty((slots, batch, hidden))
-    w_t, u_t = a["w"].T, a["u"].T
+    # Pre-activations sum x w, then b, then h u on both paths, so both give
+    # the same bits. Recording projects every step's input at once into the
+    # slots it fills anyway; the ring projects per step, since hoisting there
+    # would allocate (steps, batch, 4H) for a rollout of many windows.
+    if record:
+        np.matmul(x.transpose(1, 0, 2), w_t, out=act)
+        act += b
     for t in range(steps):
         # Slot t + 1 follows slot t; in a ring the two alternate.
         z, tc = act[t % slots], tanh_c[t % slots]
         h_prev, h_new = h[t % (slots + 1)], h[(t + 1) % (slots + 1)]
         c_prev, c_new = c[t % (slots + 1)], c[(t + 1) % (slots + 1)]
-        np.matmul(x[:, t, :], w_t, out=z)
+        if not record:
+            np.matmul(x[:, t, :], w_t, out=z)
+            z += b
         z += h_prev @ u_t
-        z += a["b"]
-        z[:, : 3 * hidden] = _sigmoid(z[:, : 3 * hidden])
-        np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
+        np.tanh(z, out=z)
+        ifo = z[:, : 3 * hidden]
+        ifo *= 0.5
+        ifo += 0.5
         np.multiply(z[:, hidden : 2 * hidden], c_prev, out=c_new)
         c_new += z[:, :hidden] * z[:, 3 * hidden :]
         np.tanh(c_new, out=tc)

@@ -32,6 +32,9 @@ TEMPLATE_VERSION = "v1"
 #: output trips it.
 DEFAULT_PLAUSIBILITY_RADIUS_DEG = 5.0
 
+_ROW_FORMAT = "(" + ", ".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + ")"
+# "5, 5, 3, 3, and 2": the system prompt states the decimals _ROW_FORMAT writes.
+_DECIMALS_TEXT = ", ".join(map(str, CANONICAL_DECIMALS[:-1])) + f", and {CANONICAL_DECIMALS[-1]}"
 _SYSTEM_TEMPLATE = (
     "You are an expert in flight prediction. You are given the recent "
     "trajectory of an aircraft as a sequence of waypoints, one per minute. "
@@ -41,11 +44,10 @@ _SYSTEM_TEMPLATE = (
     "from north, in [0, 360). "
     "Predict the next {horizon} waypoint{plural} of the flight. "
     "Output only coordinate tuples, one per line, in exactly the input "
-    "format with 5, 5, 3, 3, and 2 decimal places; no explanations and "
-    "no extra text."
+    "format with " + _DECIMALS_TEXT + " decimal places; no explanations "
+    "and no extra text."
 )
 
-_ROW_FORMAT = "(" + ", ".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + ")"
 _HORIZON_RE = re.compile(r"[Pp]redict the next (\d+) waypoint")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 

@@ -38,7 +38,7 @@ from flightcast.ingest import (
     read_adsb_csv,
 )
 from flightcast.predictors import kinematic_step
-from flightcast.predictors.lstm import LstmParams, _sigmoid, _views
+from flightcast.predictors.lstm import LstmParams, _views
 from flightcast.prompts import DEFAULT_PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
 from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
@@ -458,7 +458,7 @@ def _reference_forward_batch(params: LstmParams, x: np.ndarray, steps: list) -> 
     for t in range(x.shape[1]):
         xt = x[:, t, :]
         z = xt @ a["w"].T + h @ a["u"].T + a["b"]
-        ifo = _sigmoid(z[:, : 3 * hidden])
+        ifo = reference_sigmoid(z[:, : 3 * hidden])
         i, f, o = ifo[:, :hidden], ifo[:, hidden : 2 * hidden], ifo[:, 2 * hidden :]
         g = np.tanh(z[:, 3 * hidden :])
         c_new = f * c + i * g

@@ -274,9 +274,12 @@ class TestStages:
         obj = json.loads(text)
         assert list(obj["per_step"]) == sorted(str(step) for step in range(1, 11))  # "1", "10", "2", ...
         report = MetricsReport.from_dict(obj)
-        assert (report.horizon, sorted(report.per_step)) == (10, list(range(1, 11)))
+        assert (report.horizon, list(report.per_step)) == (10, list(range(1, 11)))
         assert report.evaluated > 0
         assert emit_report(report, ReportFormat.JSON) == text
+        # Re-rendered as CSV, the report lists steps 1..10 in order, as eval's own CSV does.
+        assert run("report", "--in", tmp_path / "rep.json", "--format", "csv", "--out", tmp_path / "again.csv") == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "rep.csv").read_bytes()
 
 
 class TestErrorsAndConfig:

@@ -15,7 +15,6 @@ from flightcast.predictors.lstm import (
     FORMAT_TAG,
     LstmParams,
     _forward_batch,
-    _sigmoid,
     denormalize,
     lstm_forward,
     lstm_loss,
@@ -92,16 +91,36 @@ edge_values = st.sampled_from(
 )
 
 
+def recorded_gates(x: np.ndarray) -> np.ndarray:
+    """The i, f and o activations _forward_batch records for pre-activations x, one per row.
+
+    One input, one hidden unit, unit input weights and nothing else: each
+    element of x becomes one sample whose every gate pre-activation is that
+    element.
+    """
+    params = LstmParams.initialize(1, 1, np.random.default_rng(0))
+    params.vector[:] = 0.0
+    params.arrays["w"][:] = 1.0
+    _, (_, _, act, _) = _forward_batch(params, np.reshape(x, (-1, 1, 1)), record=True)
+    return act[0, :, :3].T.reshape((3,) + np.shape(x))
+
+
 class TestSigmoid:
+    """The gates' sigmoid, 0.5 + 0.5 tanh(a / 2), against the exp-based logistic."""
+
     @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
                       elements=st.one_of(finite_or_not, edge_values)))
-    def test_bitwise_equals_split_by_sign(self, x):
+    def test_within_2_pow_minus_52_of_split_by_sign(self, x):
         expected = reference_sigmoid(x)
-        assert np.array_equal(_sigmoid(x).view(np.uint64), expected.view(np.uint64))
+        for gate in recorded_gates(x):
+            np.testing.assert_allclose(gate, expected, rtol=0.0, atol=2.0**-52)
 
     def test_edge_values(self):
-        x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 746.0, -746.0])
-        assert _sigmoid(x).tolist() == [0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 746.0, -746.0, np.nan])
+        expected = [0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 1.0, 0.0, np.nan]
+        np.testing.assert_array_equal(reference_sigmoid(x), expected)
+        for gate in recorded_gates(x):
+            np.testing.assert_array_equal(gate, expected)
 
 
 class TestForward:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ class TestBuildPrompt:
         assert horizon_from_system(record.system) == 4
         for word in ("degrees", "meters", "kilometers per hour"):
             assert word in record.system
+
+    def test_system_states_the_decimals_rows_are_written_with(self, rng):
+        record = build_prompt(random_window(rng, 4), include_assistant=False)
+        stated = re.search(r"format with ([0-9, and]+) decimal places", record.system).group(1)
+        row = serialize_values(np.zeros((5, 1)))
+        written = [len(item.split(".")[1]) for item in row.strip("()").split(", ")]
+        assert [int(d) for d in re.findall(r"\d+", stated)] == written
 
     def test_outcome_requires_exactly_one_variant(self):
         with pytest.raises(ValueError):
