@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import logging
@@ -40,6 +41,13 @@ class TestStages:
         assert windows
         assert all(w.horizon == 4 for w in windows)
         assert (pipeline_dir / "raw.csv.manifest.json").exists()
+
+    def test_ingest_reads_a_file_that_starts_with_a_byte_order_mark(self, pipeline_dir):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM.
+        bom = pipeline_dir / "raw-bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + (pipeline_dir / "raw.csv").read_bytes())
+        assert run("ingest", "--in", bom, "--out", pipeline_dir / "clean-bom.csv") == 0
+        assert (pipeline_dir / "clean-bom.csv").read_bytes() == (pipeline_dir / "clean.csv").read_bytes()
 
     def test_prompt_dataset_modes(self, pipeline_dir):
         data = pipeline_dir / "tuning.jsonl"

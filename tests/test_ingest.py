@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flightcast import ingest, synth
@@ -556,6 +556,95 @@ class TestReferenceDifferential:
         assert repr(list(table)) == repr(records)
         assert records[3].timestamp == 120
         assert clean_trajectories(table).summary() == {"kept": 2, "incomplete": 0, "invalid": 2, "duplicate": 0}
+
+
+#: A field size limit the differential test lowers csv's to, and cells either side of it.
+FIELD_LIMIT = 100
+TEXT_CELLS = st.sampled_from(("A1", "B2", "", " C3 ", 'Q,"X', 'say ""hi""', "x\ny", "r\r", "N\0L", "L" * 90))
+ROW_CELLS = st.tuples(
+    st.sampled_from(("0", "60", "1727926166", "", "x1", " 120 ")),
+    st.sampled_from(("1970-01-01 00:00:00", "1970-01-01 00:01:00", "2024-10-03 03:29:26", "yesterday", "")),
+    TEXT_CELLS,
+    *[st.sampled_from(("1.5", "-20.25", "100", "", "abc", " 7 "))] * 5,
+).map(list)
+
+
+@st.composite
+def csv_lines(draw) -> str:
+    """One line: a row of 7, 8 or 9 cells, quoted as csv.writer quotes them or
+    joined bare (so a quote may open a field that runs on), or a blank line,
+    or a row with one cell past FIELD_LIMIT."""
+    kind = draw(st.sampled_from(("row",) * 8 + ("short", "long", "blank", "huge")))
+    if kind == "blank":
+        return ""
+    cells = draw(ROW_CELLS)
+    if kind == "short":
+        cells.pop()
+    elif kind == "long":
+        cells.append(draw(TEXT_CELLS))
+    elif kind == "huge":
+        cells[2] = "H" * draw(st.integers(FIELD_LIMIT + 1, FIELD_LIMIT + 20))
+    return csv_line(cells) if draw(st.booleans()) else ",".join(cells)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A header, then lines ending in LF, CRLF or a lone CR; the last may have no line end."""
+    lines = draw(st.lists(csv_lines(), max_size=12))
+    ends = [draw(st.sampled_from(("\n",) * 6 + ("\r\n", "\r"))) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return CSV_HEADER + "\n" + "".join(map(str.__add__, lines, ends))
+
+
+def read_outcome(read, text: str, strict: bool, caplog) -> tuple:
+    """What ``read`` returns or raises on ``text``, and the ingest log lines it wrote."""
+    caplog.clear()
+    try:
+        outcome = repr(list(read(text, strict)))
+    except (MalformedRowError, csv.Error) as error:
+        outcome = (type(error), str(error))
+    return outcome, ingest_log(caplog)
+
+
+class TestChunkedReaderProperty:
+    """Cut at commas and newlines or read by csv.reader, chunks read as one csv.reader pass does."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 97])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # set once per test, cleared per draw
+    @given(text=csv_texts(), low_limit=st.booleans())
+    def test_matches_the_reference(self, chunk_rows, strict, monkeypatch, caplog, text, low_limit):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        limit = csv.field_size_limit(FIELD_LIMIT if low_limit else csv.field_size_limit())
+        try:
+            shipped = read_outcome(lambda t, s: read_adsb_csv(io.StringIO(t), strict=s), text, strict, caplog)
+            oracle = read_outcome(reference_read_adsb_csv, text, strict, caplog)
+        finally:
+            csv.field_size_limit(limit)
+        assert shipped == oracle
+
+    def test_only_the_header_and_chunks_that_need_quoting_rules_go_through_csv_reader(self, monkeypatch):
+        text = "".join(line for line in dirty_feed_text(12, 3).splitlines(True) if '"' not in line)
+        header, first, *rest = text.splitlines(True)
+        cells = first.rstrip("\n").split(",")
+        cells[2] = 'Q,"X'
+        quoted = header + first + csv_line(cells) + "\n" + "".join(rest)
+        calls = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        plain = read_adsb_csv(io.StringIO(text))
+        assert len(calls) == 1  # the header
+        mixed = read_adsb_csv(io.StringIO(quoted))
+        assert len(calls) == 3  # its header, then the chunk holding the quoted callsign
+        assert len(mixed) == len(plain) + 1
+        assert mixed.callsign[1] == 'Q,"X'
 
 
 VALID_CELLS = {
