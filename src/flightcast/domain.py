@@ -7,7 +7,6 @@ that dirty upstream data can be counted instead of crashing the pipeline.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -135,6 +134,18 @@ class PhaseLabel(Enum):
 #: What validate_columns reports, in the order its checks run.
 INVALID_REASONS = tuple(f"{name} out of range" for name in ("timestamp", *ATTRIBUTES))
 
+_FLOAT_MAX = np.finfo(np.float64).max
+#: Closed bounds of the attribute rows, in ATTRIBUTES order, as columns
+#: that broadcast over a (5, n) block. An open bound is the nearest double
+#: inside it: heading < 360 is the largest double below 360, and altitude
+#: and velocity < inf the largest finite double.
+_LOWER_BOUNDS = np.array([LONGITUDE_RANGE[0], LATITUDE_RANGE[0], MIN_ALTITUDE_M, 0.0, 0.0])[:, None]
+_UPPER_BOUNDS = np.array(
+    [LONGITUDE_RANGE[1], LATITUDE_RANGE[1], _FLOAT_MAX, _FLOAT_MAX, np.nextafter(360.0, 0.0)]
+)[:, None]
+#: The code of each check row validate_columns fills, then 0 for its last row, which no column passes.
+_REASON_CODES = np.array([*range(1, len(INVALID_REASONS) + 1), 0], dtype=np.int8)
+
 
 def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Check waypoint columns against the attribute bounds.
@@ -144,19 +155,13 @@ def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
     else 1 + the index in INVALID_REASONS of its first violated bound. NaN
     fails every range test, and altitude and velocity must be finite.
     """
-    longitude, latitude, altitude, velocity, heading = values
-    failed = (
-        ~((TIMESTAMP_RANGE[0] <= timestamp) & (timestamp <= TIMESTAMP_RANGE[1])),
-        ~((LONGITUDE_RANGE[0] <= longitude) & (longitude <= LONGITUDE_RANGE[1])),
-        ~((LATITUDE_RANGE[0] <= latitude) & (latitude <= LATITUDE_RANGE[1])),
-        ~((MIN_ALTITUDE_M <= altitude) & (altitude < math.inf)),
-        ~((0.0 <= velocity) & (velocity < math.inf)),
-        ~((0.0 <= heading) & (heading < 360.0)),
-    )
-    reason = np.zeros(len(timestamp), dtype=np.int8)
-    for code in range(len(failed), 0, -1):  # the earliest check is written last
-        reason[failed[code - 1]] = code
-    return reason
+    # One row per check, then a row that always fails; argmin finds the
+    # first failed row. Timestamps are compared as given: an object-dtype
+    # column holds ints too large for any numpy number.
+    passed = np.zeros((len(INVALID_REASONS) + 1, len(timestamp)), dtype=bool)
+    passed[0] = (TIMESTAMP_RANGE[0] <= timestamp) & (timestamp <= TIMESTAMP_RANGE[1])
+    passed[1:-1] = (_LOWER_BOUNDS <= values) & (values <= _UPPER_BOUNDS)
+    return _REASON_CODES[passed.argmin(axis=0)]
 
 
 # Powers of ten that round_values scales by; each one is an exact double.

@@ -138,10 +138,8 @@ class Header:
     width: int
 
 
-def parse_header(cells: list[str] | str) -> Header:
-    """Resolve the required columns from a header row (case-insensitive)."""
-    if isinstance(cells, str):
-        cells = next(csv.reader([cells]))
+def parse_header(cells: list[str]) -> Header:
+    """Resolve the required columns from a header row's cells (case-insensitive)."""
     lowered = [c.strip().lower() for c in cells]
     indexes: dict[str, int] = {}
     for name in REQUIRED_COLUMNS:
@@ -505,23 +503,24 @@ def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> Recor
     strict mode. In tolerant mode it is skipped, and one warning gives the
     number skipped and the first such row.
 
-    A file is read as UTF-8, with a leading byte order mark dropped. The
-    rows are what csv.reader reads. Only a batch that holds a quote, a CR
-    or a NUL (which csv.reader refuses before Python 3.11), or a line
-    longer than ``csv.field_size_limit()``, goes through csv.reader; the
-    package's own writers quote callsigns that need it. None of the CSV
-    quoting rules apply to any other batch, so it is cut at its commas and
-    newlines with ``str.split``, which gives the same cells at a fraction
-    of the cost.
+    A file is read as UTF-8. One leading byte order mark (U+FEFF), as
+    Excel's "CSV UTF-8" export writes, is dropped from the first line of
+    a file and of a stream alike. The rows are what csv.reader reads. Only
+    a batch that holds a quote, a CR or a NUL (which csv.reader refuses
+    before Python 3.11), or a line longer than ``csv.field_size_limit()``,
+    goes through csv.reader; the package's own writers quote callsigns
+    that need it. None of the CSV quoting rules apply to any other batch,
+    so it is cut at its commas and newlines with ``str.split``, which
+    gives the same cells at a fraction of the cost.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8-sig") as fh:
+        with open(source, newline="", encoding="utf-8") as fh:
             return read_adsb_csv(fh, strict=strict)
     source = iter(source)
-    try:
-        header = parse_header(next(csv.reader(source)))
-    except StopIteration:
-        raise MalformedRowError("empty file: header row required") from None
+    first = next(source, "").removeprefix("\ufeff")
+    if not first:
+        raise MalformedRowError("empty file: header row required")
+    header = parse_header(next(csv.reader(chain([first], source))))
     tables = []
     skipped, first_skipped = 0, None
     next_row = 2

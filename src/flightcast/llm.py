@@ -112,16 +112,10 @@ def complete(record: PromptRecord, cfg: EndpointConfig) -> CompletionResult:
         start = time.perf_counter()
         try:
             response = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout as exc:
-            if attempt == attempts:
-                raise EndpointError(f"timeout after {attempt} attempt(s): {exc}", attempt) from exc
-            _backoff_sleep(cfg, attempt)
-            continue
         except requests.RequestException as exc:
             if attempt == attempts:
-                raise EndpointError(
-                    f"endpoint unreachable after {attempt} attempt(s): {exc}", attempt
-                ) from exc
+                failure = "timeout" if isinstance(exc, requests.Timeout) else "endpoint unreachable"
+                raise EndpointError(f"{failure} after {attempt} attempt(s): {exc}", attempt) from exc
             _backoff_sleep(cfg, attempt)
             continue
         latency = time.perf_counter() - start

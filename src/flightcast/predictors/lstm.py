@@ -26,8 +26,6 @@ logger = logging.getLogger(__name__)
 
 ATTR_DIM = len(ATTRIBUTES)
 FORMAT_TAG = "flightcast-lstm/2"
-# Per-gate arrays w_i..w_g, u_i..u_g, b_i..b_g; load stacks them.
-_FORMAT_TAG_V1 = "flightcast-lstm/1"
 
 _GATES = ("i", "f", "o", "g")
 
@@ -121,7 +119,7 @@ class LstmParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "LstmParams":
-        """Read a ``/2`` model file, or a ``/1`` file with one matrix set per gate.
+        """Read a model file of format ``FORMAT_TAG``; any other format raises.
 
         Raises ValueError naming the first array whose shape does not fit
         the file's ``input_dim`` and ``hidden_dim``, or that holds a
@@ -129,20 +127,14 @@ class LstmParams:
         """
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         fmt = obj.get("format")
-        if fmt not in (FORMAT_TAG, _FORMAT_TAG_V1):
+        if fmt != FORMAT_TAG:
             raise ValueError(f"unrecognized model file format: {fmt!r}")
         dim, hidden = obj["input_dim"], obj["hidden_dim"]
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in obj["arrays"].items()}
         arrays["norm_mean"] = np.asarray(obj["norm_mean"], dtype=np.float64)
         arrays["norm_std"] = np.asarray(obj["norm_std"], dtype=np.float64)
-        shapes = {"w_out": (dim, hidden), "b_out": (dim,), "norm_mean": (dim,), "norm_std": (dim,)}
-        fused = {"w": (dim,), "u": (hidden,), "b": ()}
-        if fmt == _FORMAT_TAG_V1:
-            shapes.update(
-                {f"{k}_{gate}": (hidden,) + tail for k, tail in fused.items() for gate in _GATES}
-            )
-        else:
-            shapes.update({k: (4 * hidden,) + tail for k, tail in fused.items()})
+        shapes = {"w_out": (dim, hidden), "b_out": (dim,), "norm_mean": (dim,), "norm_std": (dim,),
+                  "w": (4 * hidden, dim), "u": (4 * hidden, hidden), "b": (4 * hidden,)}
         unexpected = sorted(arrays.keys() - shapes.keys())
         if unexpected:
             raise ValueError(f"unexpected array {unexpected[0]!r} in model file")
@@ -156,9 +148,6 @@ class LstmParams:
                 )
             if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"array {name!r} holds a non-finite value")
-        if fmt == _FORMAT_TAG_V1:
-            for k in fused:
-                arrays[k] = np.concatenate([arrays.pop(f"{k}_{gate}") for gate in _GATES])
         norm_mean, norm_std = arrays.pop("norm_mean"), arrays.pop("norm_std")
         return cls(dim, hidden, arrays, norm_mean, norm_std)
 

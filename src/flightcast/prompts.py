@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .domain import CANONICAL_DECIMALS, DECIMAL_RE, validate_columns
-from .windowing import INPUT_LENGTH, Window, read_jsonl, write_jsonl
+from .windowing import INPUT_LENGTH, Window, write_jsonl
 
 TEMPLATE_VERSION = "v1"
 
@@ -256,10 +256,6 @@ def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
     manifest_path = path.with_name(path.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
-
-
-def read_dataset(path: str | Path) -> list[PromptRecord]:
-    return [PromptRecord(o["system"], o["user"], o["assistant"]) for o in read_jsonl(path)]
 
 
 # --- Token counting ----------------------------------------------------------

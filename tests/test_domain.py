@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import struct
+import sys
 from decimal import InvalidOperation
 
 import numpy as np
@@ -68,8 +69,11 @@ class TestValidateWaypoint:
             ("velocity", -0.001, False),
             ("altitude", math.inf, False),
             ("velocity", math.inf, False),
+            ("altitude", sys.float_info.max, True),
+            ("velocity", sys.float_info.max, True),
             ("heading", 0.0, True),
             ("heading", 359.99, True),
+            ("heading", math.nextafter(360.0, 0.0), True),
             ("heading", -0.01, False),
         ],
     )

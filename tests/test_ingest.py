@@ -105,7 +105,7 @@ class TestParseRecord:
         r = read_row("1,x,CS,1.0,2.0,3.0,4.0,5.0,junk", header)
         assert r.longitude == 1.0
         with pytest.raises(MalformedRowError, match="missing required column"):
-            parse_header("timestamp,utc_time,callsign")
+            parse_header(["timestamp", "utc_time", "callsign"])
 
 
 class TestCleanTrajectories:
@@ -280,6 +280,41 @@ class TestCsvRoundTrip:
     def test_missing_header_raises(self):
         with pytest.raises(MalformedRowError, match="header"):
             read_adsb_csv(io.StringIO(""))
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF is dropped from the first line, of a path or a stream alike."""
+
+    TEXT = f"{CSV_HEADER}\n{TABLE_ROW}\n1727926226,x,CS2,1.0,2.0,3.0,4.0,5.0\n"
+
+    @staticmethod
+    def read(text: str, via: str, tmp_path):
+        if via == "stream":
+            return read_adsb_csv(io.StringIO(text))
+        path = tmp_path / "feed.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return read_adsb_csv(path)
+
+    def test_decoded_stream_with_bom(self):
+        # A file opened with encoding="utf-8" still starts with the BOM.
+        plain = read_adsb_csv(io.StringIO(self.TEXT))
+        assert list(read_adsb_csv(io.StringIO("\ufeff" + self.TEXT))) == list(plain)
+
+    @pytest.mark.parametrize("via", ["path", "stream"])
+    def test_bom_before_quoted_header_cell(self, via, tmp_path):
+        quoted = '"timestamp"' + self.TEXT.removeprefix("timestamp")
+        plain = read_adsb_csv(io.StringIO(self.TEXT))
+        assert list(self.read("\ufeff" + quoted, via, tmp_path)) == list(plain)
+
+    @pytest.mark.parametrize("via", ["path", "stream"])
+    def test_only_one_bom_dropped(self, via, tmp_path):
+        with pytest.raises(MalformedRowError, match="missing required column 'timestamp'"):
+            self.read("\ufeff\ufeff" + self.TEXT, via, tmp_path)
+
+    @pytest.mark.parametrize("via", ["path", "stream"])
+    def test_bom_only_file_is_empty(self, via, tmp_path):
+        with pytest.raises(MalformedRowError, match="^empty file: header row required$"):
+            self.read("\ufeff", via, tmp_path)
 
 
 def csv_source(*rows: str) -> io.StringIO:

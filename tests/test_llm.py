@@ -127,8 +127,9 @@ class TestComplete:
         cfg = EndpointConfig(
             base_url=endpoint_url, model="slow", timeout_s=0.15, retries=0
         )
-        with pytest.raises(EndpointError, match="timeout"):
+        with pytest.raises(EndpointError, match="^timeout after 1 attempt") as excinfo:
             complete(inference_record(), cfg)
+        assert excinfo.value.attempts == 1
 
     def test_bearer_token_from_environment(self, endpoint_url, monkeypatch):
         monkeypatch.setenv("FTP_LLM_TOKEN", "sekrit")

@@ -16,10 +16,9 @@ from flightcast.prompts import (
     estimate_tokens,
     horizon_from_system,
     parse_completion,
-    read_dataset,
     serialize_values,
 )
-from flightcast.windowing import INPUT_LENGTH, Window
+from flightcast.windowing import INPUT_LENGTH, Window, read_jsonl
 
 from conftest import cruise_window, make_waypoint, random_window, reference_parse_completion
 
@@ -331,7 +330,7 @@ class TestEmitDataset:
         assert all(set(json.loads(l)) == {"system", "user", "assistant"} for l in lines)
         assert manifest["horizon"] == 4
         assert manifest["template_version"] == records[0].template_version
-        assert read_dataset(path) == records
+        assert [PromptRecord(o["system"], o["user"], o["assistant"]) for o in read_jsonl(path)] == records
 
     def test_deterministic_bytes(self, tmp_path, rng):
         records = [build_prompt(random_window(rng, 1), True) for _ in range(3)]
