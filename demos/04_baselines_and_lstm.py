@@ -4,8 +4,9 @@ Persistence repeats the last waypoint; kinematic dead reckoning
 extrapolates the displacement between the last two; the LSTM is a single
 recurrent layer with hand-written backpropagation trained by Adam on
 one-step-ahead prediction and rolled out for longer horizons. Each
-forecaster returns one (5, horizon) block per window; the blocks are
-scored the way a model's reply is, serialized and parsed back. Run:
+forecaster forecasts every test window in one call, one (5, horizon)
+block per window; the blocks are scored the way a model's reply is,
+serialized and parsed back. Run:
 
     python demos/04_baselines_and_lstm.py
 """
@@ -25,7 +26,7 @@ from flightcast.predictors import (
 )
 from flightcast.prompts import parse_completion, serialize_values
 from flightcast.synth import generate_corpus
-from flightcast.windowing import sample_windows
+from flightcast.windowing import INPUT_LENGTH, sample_windows
 
 records, _ = generate_corpus(count=35, base_seed=3)
 parsed = read_adsb_csv(io.StringIO(records_to_csv_text(records)))
@@ -42,14 +43,14 @@ config = TrainConfig(epochs=1500, batch_size=16, learning_rate=2e-3, seed=1, hid
 print(f"training LSTM (hidden {config.hidden_dim}, {config.epochs} epochs, ~30 s)...")
 params = lstm_train(train, config)
 
-forecasters = {
-    "persistence": lambda windows: [predict_persistence(w, w.horizon) for w in windows],
-    "kinematic": lambda windows: [predict_kinematic(w, w.horizon) for w in windows],
-    "lstm": lambda windows: lstm_predict(params, windows),
+inputs = np.array([w.values[:, :INPUT_LENGTH] for w in test])  # (n, 5, 16); every test window is h1
+forecasts = {
+    "persistence": predict_persistence(inputs, 1),
+    "kinematic": predict_kinematic(inputs, 1),
+    "lstm": lstm_predict(params, test),
 }
 print(f"\n{'model':>12}  {'MAE lon':>9}  {'MAE lat':>9}  {'MAE alt':>9}")
-for name, forecast in forecasters.items():
-    blocks = forecast(test)
+for name, blocks in forecasts.items():
     samples = [(w, parse_completion(serialize_values(b), w.horizon, w), 0.0) for w, b in zip(test, blocks)]
     report = evaluate(samples, model=name)
     stats = report.attributes

@@ -24,19 +24,13 @@ trajectories = [aggregate_minutes(t) for t in clean_trajectories(parsed).traject
 windows = [w for t in trajectories for w in sample_windows(t, 4)]
 print(f"evaluating {len(windows)} horizon-4 windows against the mock backend")
 
-# Most answers are the kinematic prediction; a few are scripted failures
-# so the taxonomy shows up in the report.
-behaviors = [MockBehavior.KINEMATIC] * (len(windows) - 3) + [
-    MockBehavior.EMPTY,
-    MockBehavior.GARBLED,
-    MockBehavior.SIGN_FLIP,
-]
-samples = []
-for window, behavior in zip(windows, behaviors):
-    record = build_prompt(window, include_assistant=False)
-    reply = mock_complete(record, behavior)
-    outcome = parse_completion(reply.text, window.horizon, window)
-    samples.append((window, outcome, reply.latency_s))
+# Most answers are the kinematic prediction, one batch for them all; the
+# last three are scripted failures so the taxonomy shows up in the report.
+records = [build_prompt(w, include_assistant=False) for w in windows]
+replies = mock_complete(records[:-3], MockBehavior.KINEMATIC)
+for record, behavior in zip(records[-3:], (MockBehavior.EMPTY, MockBehavior.GARBLED, MockBehavior.SIGN_FLIP)):
+    replies += mock_complete([record], behavior)
+samples = [(w, parse_completion(r.text, w.horizon, w), r.latency_s) for w, r in zip(windows, replies)]
 
 report = evaluate(samples, model="mock-mixed", template_version="v1")
 print()

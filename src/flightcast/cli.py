@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, ingest, llm, prompts, synth, windowing
 from .domain import round_attributes
 from .predictors import (
@@ -207,7 +209,16 @@ def _local_forecast(cfg: dict):
         params = LstmParams.load(cfg["model_file"])
         return lambda windows: lstm_predict(params, windows)
     predict = _LOCAL_PREDICTORS[backend]
-    return lambda windows: [round_attributes(predict(w, w.horizon)) for w in windows]
+
+    def forecast(windows):
+        # One call forecasts every window to the largest horizon; each keeps its leading steps.
+        if not windows:
+            return []
+        inputs = np.array([w.values[:, : windowing.INPUT_LENGTH] for w in windows])
+        predicted = round_attributes(predict(inputs, max(w.horizon for w in windows)))
+        return [block[:, : w.horizon] for w, block in zip(windows, predicted)]
+
+    return forecast
 
 
 def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
@@ -229,7 +240,7 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
         model_id = cfg["model"]
     elif backend == "mock":
         behavior = llm.MockBehavior(cfg["mock_behavior"])
-        results = [llm.mock_complete(record, behavior) for record in prompt_records]
+        results = llm.mock_complete(prompt_records, behavior)
         model_id = f"mock-{behavior.value}"
     else:
         forecast = _local_forecast(cfg)

@@ -237,12 +237,13 @@ def wrap_heading(degrees: np.ndarray) -> np.ndarray:
 
 
 def round_attributes(values: np.ndarray) -> np.ndarray:
-    """Round a block of attribute rows (ATTRIBUTES order) to canonical precision.
+    """Round blocks of attribute rows (ATTRIBUTES order) to canonical precision.
 
+    ``values`` is a (5, n) block or a stack of them with any leading axes.
     The decimal counts are 5/5/3/3/2. A heading that rounds up to exactly
     360 wraps to 0 so the result stays inside [0, 360).
     """
     out = round_values(values, _ATTRIBUTE_DECIMALS)
-    heading = out[4]  # no wrap_heading: its remainder would turn a -0.0 heading into 0.0
+    heading = out[..., 4, :]  # no wrap_heading: its remainder would turn a -0.0 heading into 0.0
     heading[heading >= 360.0] = 0.0
     return out

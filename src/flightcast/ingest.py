@@ -430,17 +430,6 @@ def _minute_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return bucket[starts] * 60, np.vstack([sums[:4] / counts, heading])
 
 
-def minute_means(traj: Trajectory) -> list[tuple[int, tuple[float, float, float, float, float]]]:
-    """Unrounded minute-bucket aggregates, as (bucket_timestamp, values).
-
-    Buckets are floor(timestamp / 60); linear attributes are arithmetic
-    means, heading is the circular mean. Exposed separately so the
-    rounding step can be checked against these raw values.
-    """
-    timestamps, means = _minute_columns(traj)
-    return list(zip(timestamps.tolist(), zip(*means.tolist())))
-
-
 def aggregate_minutes(traj: Trajectory) -> Trajectory:
     """Aggregate a cleaned trajectory to one canonical waypoint per minute.
 

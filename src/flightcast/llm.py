@@ -30,7 +30,7 @@ from .prompts import (
     horizon_from_system,
     serialize_values,
 )
-from .windowing import INPUT_LENGTH, STEP_SECONDS, Window
+from .windowing import INPUT_LENGTH
 
 logger = logging.getLogger(__name__)
 
@@ -163,8 +163,8 @@ _GARBLED_TEXT = (
 )
 
 
-def _window_from_prompt(record: PromptRecord) -> tuple[Window, int]:
-    """The 16-row window a prompt's user text holds (timestamps 0, 60, ...) and its horizon."""
+def _window_from_prompt(record: PromptRecord) -> tuple[np.ndarray, int]:
+    """The (5, 16) input columns a prompt's user text holds, and the horizon its system text states."""
     horizon = horizon_from_system(record.system)
     if horizon is None:
         raise ValueError("malformed prompt: system text states no horizon")
@@ -177,29 +177,33 @@ def _window_from_prompt(record: PromptRecord) -> tuple[Window, int]:
         values = np.array([[float(item) for item in items] for items in tuples]).T
     except ValueError as exc:
         raise ValueError(f"malformed prompt: {exc}") from exc
-    return Window.from_columns("mock", np.arange(INPUT_LENGTH) * STEP_SECONDS, values), horizon
+    return values, horizon
 
 
 def mock_complete(
-    record: PromptRecord, behavior: MockBehavior = MockBehavior.KINEMATIC
-) -> CompletionResult:
-    """Deterministic in-process stand-in for a served model.
+    records: Sequence[PromptRecord], behavior: MockBehavior = MockBehavior.KINEMATIC
+) -> list[CompletionResult]:
+    """Deterministic in-process stand-in for a served model, one result per prompt, in order.
 
-    KINEMATIC dead-reckons from the prompt's own waypoints; EMPTY returns
-    nothing; GARBLED returns prose with a single 3-field tuple; SIGN_FLIP
-    returns the kinematic answer with longitude signs negated. Latency is
-    synthetic: one millisecond per :func:`estimate_tokens` token of the
-    user text plus the response text.
+    KINEMATIC dead-reckons from each prompt's own waypoints, all prompts in
+    one forecast; EMPTY returns nothing; GARBLED returns prose with a
+    single 3-field tuple; SIGN_FLIP returns the kinematic answer with
+    longitude signs negated. Latency is synthetic: one millisecond per
+    :func:`estimate_tokens` token of the user text plus the response text.
     """
-    window, horizon = _window_from_prompt(record)
+    if not records:
+        return []
+    inputs, horizons = zip(*map(_window_from_prompt, records))
     if behavior is MockBehavior.EMPTY:
-        text = ""
+        texts = [""] * len(records)
     elif behavior is MockBehavior.GARBLED:
-        text = _GARBLED_TEXT
+        texts = [_GARBLED_TEXT] * len(records)
     else:
-        predicted = round_attributes(predict_kinematic(window, horizon))
+        predicted = round_attributes(predict_kinematic(np.array(inputs), max(horizons)))
         if behavior is MockBehavior.SIGN_FLIP:
-            predicted[0] = -predicted[0]
-        text = serialize_values(predicted)
-    tokens = estimate_tokens(record.user) + estimate_tokens(text)
-    return CompletionResult(text=text, latency_s=tokens * MOCK_SECONDS_PER_TOKEN, attempts=1)
+            predicted[:, 0] = -predicted[:, 0]
+        texts = [serialize_values(block[:, :horizon]) for block, horizon in zip(predicted, horizons)]
+    return [
+        CompletionResult(text, (estimate_tokens(record.user) + estimate_tokens(text)) * MOCK_SECONDS_PER_TOKEN, 1)
+        for record, text in zip(records, texts)
+    ]

@@ -1,4 +1,4 @@
 """Baseline forecasters: persistence, kinematic dead reckoning, and an LSTM."""
 
-from .baselines import kinematic_step, kinematic_track, predict_kinematic, predict_persistence
+from .baselines import kinematic_track, predict_kinematic, predict_persistence
 from .lstm import LstmParams, TrainConfig, lstm_predict, lstm_train

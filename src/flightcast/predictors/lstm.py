@@ -287,14 +287,6 @@ def lstm_loss_gradients(
     return loss, _backward_batch(params, inputs, recorded, d_prediction)
 
 
-def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Forward-only batch MSE; what finite-difference probes should call."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    prediction, _ = _forward_batch(params, inputs)
-    return float(np.mean((prediction - targets) ** 2))
-
-
 def _window_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (n, steps, D) and first targets; a rollout window may have no targets."""
     x = np.array([win.values[:, :INPUT_LENGTH].T for win in windows])

@@ -2,9 +2,8 @@
 
 A flight is a take-off (climb with speed ramp), a cruise with optional
 scripted turns and a sudden-altitude-drop event, and a descent. Positions
-advance with the motion rule the dead-reckoning predictor uses, in its
-column form (``kinematic_track``, equal bit for bit to iterating the
-predictor's ``kinematic_step``), which is deliberate: on a noise-free
+advance with ``kinematic_track``, the motion rule the dead-reckoning
+predictor extrapolates with, which is deliberate: on a noise-free
 straight flight the predictor must reproduce the generator exactly, and
 tests lean on that identity. Altitude, speed, and heading are closed-form
 functions of flight time, so nothing drifts with the sample interval.

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .domain import Trajectory, Waypoint
+from .domain import ATTRIBUTES, Trajectory, Waypoint
 
 INPUT_LENGTH = 16
 SUPPORTED_HORIZONS = (1, 4, 8)
@@ -108,18 +108,33 @@ def window_to_obj(window: Window) -> dict:
 
 
 def window_from_obj(obj: dict) -> Window:
-    """Read :func:`window_to_obj`'s form back; ValueError unless 16 input rows, some target and finite cells."""
+    """Read :func:`window_to_obj`'s form back.
+
+    Raises ValueError naming the defect unless the row is an object with a
+    callsign, 16 input rows, some target rows, every row an array of a
+    timestamp and five attributes, and finite numeric cells.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"window row is not a JSON object (got {type(obj).__name__})")
+    missing = [key for key in ("callsign", "input", "target") if key not in obj]
+    if missing:
+        raise ValueError(f"window row lacks {', '.join(map(repr, missing))}")
     inputs, targets = obj["input"], obj["target"]
+    if not isinstance(inputs, list) or not isinstance(targets, list):
+        raise ValueError("window input and target must be arrays of waypoint rows")
     if len(inputs) != INPUT_LENGTH:
         raise ValueError(f"window input holds {len(inputs)} rows, expected {INPUT_LENGTH}")
     if not targets:
         raise ValueError("window target is empty")
-    values = np.array([row[1:] for row in inputs + targets])
+    rows = inputs + targets
+    if not all(isinstance(row, list) and len(row) == 1 + len(ATTRIBUTES) for row in rows):
+        raise ValueError(f"window holds a waypoint row that is not an array of {1 + len(ATTRIBUTES)} cells")
+    values = np.array([row[1:] for row in rows])
     if values.dtype.kind not in "iuf":  # a null or text cell; float64 would read null as NaN
         raise ValueError(f"window holds a non-numeric cell ({values.dtype})")
     if not np.isfinite(values).all():  # JSON NaN or Infinity
         raise ValueError("window holds a non-finite cell")
-    return Window.from_columns(obj["callsign"], [row[0] for row in inputs + targets], values.T)
+    return Window.from_columns(obj["callsign"], [row[0] for row in rows], values.T)
 
 
 def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:

@@ -31,14 +31,15 @@ from flightcast.ingest import (
     MalformedRowError,
     RawRecord,
     RecordTable,
+    _minute_columns,
     _object_array,
     _timestamp_array,
     _utc_texts,
     parse_header,
     read_adsb_csv,
 )
-from flightcast.predictors import kinematic_step
-from flightcast.predictors.lstm import LstmParams, _views
+from flightcast.predictors.baselines import KM_PER_DEGREE, POLAR_LATITUDE_LIMIT
+from flightcast.predictors.lstm import LstmParams, _forward_batch, _views
 from flightcast.prompts import DEFAULT_PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
 from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
@@ -284,6 +285,12 @@ def reference_circular_mean(angles: list[float]) -> float:
     return 0.0 if mean >= 360.0 else mean  # x % 360.0 can be 360.0
 
 
+def minute_means(traj: Trajectory) -> list[tuple[int, tuple[float, float, float, float, float]]]:
+    """ingest's unrounded minute-bucket aggregates, as (bucket_timestamp, values)."""
+    timestamps, means = _minute_columns(traj)
+    return list(zip(timestamps.tolist(), zip(*means.tolist())))
+
+
 def reference_minute_means(traj: Trajectory):
     buckets = {}
     for w in traj.waypoints:
@@ -339,10 +346,44 @@ def reference_write_trajectories_csv(trajectories, target) -> None:
             writer.writerow(reference_format_waypoint_row(traj.callsign, w))
 
 
-# --- Reference synth -----------------------------------------------------------
-# The per-sample flight loop that flightcast.synth's columns must reproduce bit
-# for bit: closed-form state from scalar helpers, one five-value noise draw and
-# one kinematic_step per sample.
+# --- Reference motion and synth --------------------------------------------------
+# The scalar motion step that flightcast.predictors.kinematic_track and
+# predict_kinematic must reproduce bit for bit when iterated, and the
+# per-sample flight loop that flightcast.synth's columns must reproduce:
+# closed-form state from scalar helpers, one five-value noise draw and one
+# reference_kinematic_step per sample.
+
+
+def reference_kinematic_step(longitude: float, latitude: float, altitude: float, speed_kmh: float,
+                             heading_deg: float, dt_s: float,
+                             vertical_rate_m_per_min: float = 0.0) -> tuple[float, float, float]:
+    """Advance a position by dt seconds of constant-velocity flight (flat earth, heading clockwise from north)."""
+    if abs(latitude) >= POLAR_LATITUDE_LIMIT:
+        raise ValueError(f"polar singularity: latitude {latitude} too close to a pole")
+    distance_km = speed_kmh * dt_s / 3600.0
+    heading_rad = math.radians(heading_deg)
+    dlat = distance_km * math.cos(heading_rad) / KM_PER_DEGREE
+    dlon = distance_km * math.sin(heading_rad) / (KM_PER_DEGREE * math.cos(math.radians(latitude)))
+    dalt = vertical_rate_m_per_min * dt_s / 60.0
+    return longitude + dlon, latitude + dlat, altitude + dalt
+
+
+def reference_predict_kinematic(inputs: np.ndarray, horizon: int) -> np.ndarray:
+    """The (5, horizon) dead-reckoning forecast from one window's (5, 16) input columns, one
+    reference_kinematic_step per row."""
+    prev, last = inputs[:, INPUT_LENGTH - 2 : INPUT_LENGTH].T.tolist()
+    north_km = (last[1] - prev[1]) * KM_PER_DEGREE
+    east_km = (last[0] - prev[0]) * KM_PER_DEGREE * math.cos(math.radians(prev[1]))
+    speed_kmh = math.hypot(east_km, north_km) * 60.0
+    track_deg = math.degrees(math.atan2(east_km, north_km)) % 360.0
+    vertical_rate = last[2] - prev[2]  # meters per minute
+
+    lon, lat, alt, velocity, heading = last
+    out = np.empty((len(last), horizon))
+    for step in range(horizon):
+        lon, lat, alt = reference_kinematic_step(lon, lat, alt, speed_kmh, track_deg, STEP_SECONDS, vertical_rate)
+        out[:, step] = lon, lat, alt, velocity, heading
+    return out
 
 
 def reference_heading_at(spec: FlightSpec, minute: float) -> float:
@@ -401,7 +442,7 @@ def reference_generate_flight(spec: FlightSpec) -> list[RawRecord]:
         if out_hdg >= 360.0:
             out_hdg = 0.0
         values.append((out_lon, out_lat, out_alt, out_vel, out_hdg))
-        lon, lat, _ = kinematic_step(lon, lat, alt, speed, heading, dt)
+        lon, lat, _ = reference_kinematic_step(lon, lat, alt, speed, heading, dt)
 
     timestamps = np.arange(spec.start_timestamp, spec.start_timestamp + total_s + 1, dt, dtype=np.int64)
     utc_times = _utc_texts(timestamps).tolist()
@@ -489,6 +530,12 @@ def _reference_backward_batch(params: LstmParams, steps: list, h_final: np.ndarr
         dh = da @ a["u"]
         dc = dc * f
     return gradient
+
+
+def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Forward-only batch MSE; what finite-difference probes call."""
+    prediction, _ = _forward_batch(params, np.asarray(inputs, dtype=np.float64))
+    return float(np.mean((prediction - np.asarray(targets, dtype=np.float64)) ** 2))
 
 
 def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
@@ -597,6 +644,11 @@ def random_window(rng: np.random.Generator, horizon: int, callsign="TST") -> Win
         lon = float(np.clip(lon + rng.uniform(-0.3, 0.3), -180.0, 180.0))
         lat = float(np.clip(lat + rng.uniform(-0.3, 0.3), -90.0, 90.0))
     return canonical_window(callsign, start, rows)
+
+
+def window_inputs(windows) -> np.ndarray:
+    """The (n, 5, 16) stack of the windows' input columns that the stacked forecasters take."""
+    return np.array([w.values[:, :INPUT_LENGTH] for w in windows])
 
 
 def cruise_window(rng: np.random.Generator, horizon: int, callsign="CRZ") -> Window:

@@ -16,13 +16,12 @@ from flightcast.evaluation import evaluate, few_shot_split, mae, mean_latency, r
 from flightcast.ingest import (
     aggregate_minutes,
     clean_trajectories,
-    minute_means,
     read_adsb_csv,
     records_to_csv_text,
 )
 from flightcast.llm import MockBehavior, mock_complete
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train, predict_kinematic, predict_persistence
-from flightcast.predictors.lstm import LstmParams, lstm_loss, lstm_loss_gradients
+from flightcast.predictors.lstm import LstmParams, lstm_loss_gradients
 from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_completion, serialize_values
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import INPUT_LENGTH, sample_windows
@@ -31,9 +30,12 @@ from conftest import (
     check_continuity,
     cruise_window,
     gap_seeded_trajectory,
+    lstm_loss,
+    minute_means,
     random_canonical_waypoint,
     random_window,
     reference_round_waypoint,
+    window_inputs,
 )
 
 
@@ -203,14 +205,9 @@ def test_criterion_06_failure_taxonomy():
         MockBehavior.SIGN_FLIP: FailureKind.SEVERE_DEVIATION,
     }
     for behavior, kind in expected.items():
-        hits = 0
-        for _ in range(100):
-            window = cruise_window(rng, 4)
-            record = build_prompt(window, include_assistant=False)
-            reply = mock_complete(record, behavior)
-            outcome = parse_completion(reply.text, window.horizon, window)
-            if outcome.failure is kind:
-                hits += 1
+        windows = [cruise_window(rng, 4) for _ in range(100)]
+        replies = mock_complete([build_prompt(w, include_assistant=False) for w in windows], behavior)
+        hits = sum(parse_completion(r.text, w.horizon, w).failure is kind for r, w in zip(replies, windows))
         assert hits == 100, f"{behavior.value}: {hits}/100 classified as {kind.value}"
 
     # Bookkeeping: counts partition the submitted samples.
@@ -218,7 +215,7 @@ def test_criterion_06_failure_taxonomy():
     for i in range(40):
         window = cruise_window(rng, 4)
         behavior = list(MockBehavior)[i % 4]
-        reply = mock_complete(build_prompt(window, include_assistant=False), behavior)
+        (reply,) = mock_complete([build_prompt(window, include_assistant=False)], behavior)
         samples.append((window, parse_completion(reply.text, 4, window), reply.latency_s))
     report = evaluate(samples)
     assert report.evaluated + report.excluded_severe + report.failed_missing + report.failed_format == 40
@@ -252,10 +249,10 @@ def test_criterion_07_kinematic_self_consistency():
         for horizon in (1, 4, 8):
             windows = sample_windows(traj, horizon, INPUT_LENGTH + horizon)
             assert windows, f"no windows at heading {heading}, horizon {horizon}"
-            for window in windows:
-                error = np.abs(predict_kinematic(window, horizon) - window.values[:, INPUT_LENGTH:])
-                worst_deg = max(worst_deg, float(error[:2].max()))
-                worst_alt = max(worst_alt, float(error[2].max()))
+            targets = np.array([w.values[:, INPUT_LENGTH:] for w in windows])
+            error = np.abs(predict_kinematic(window_inputs(windows), horizon) - targets)
+            worst_deg = max(worst_deg, float(error[:, :2].max()))
+            worst_alt = max(worst_alt, float(error[:, 2].max()))
     assert worst_deg < 1e-6, f"worst coordinate error {worst_deg:.2e} deg"
     assert worst_alt < 1e-3, f"worst altitude error {worst_alt:.2e} m"
     _pass(7, f"dead reckoning reproduces noise-free cruise targets (worst {worst_deg:.1e} deg, {worst_alt:.1e} m)")
@@ -307,19 +304,16 @@ def _mae_by_attribute(samples) -> dict[str, float]:
 
 
 def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
-    samples = []
-    for window in windows:
-        if backend == "persistence":
-            outcome = ParseOutcome.success(predict_persistence(window, window.horizon))
-        elif backend == "lstm":
-            (predicted,) = lstm_predict(params, [window])
-            outcome = ParseOutcome.success(predicted)
-        else:  # the mock chat backend answering with dead reckoning
-            record = build_prompt(window, include_assistant=False)
-            reply = mock_complete(record, MockBehavior.KINEMATIC)
-            outcome = parse_completion(reply.text, window.horizon, window)
-        samples.append((window, outcome, 0.0))
-    return _mae_by_attribute(samples)
+    (horizon,) = {w.horizon for w in windows}
+    if backend == "persistence":
+        outcomes = map(ParseOutcome.success, predict_persistence(window_inputs(windows), horizon))
+    elif backend == "lstm":
+        outcomes = [ParseOutcome.success(lstm_predict(params, [w])[0]) for w in windows]
+    else:  # the mock chat backend answering with dead reckoning
+        records = [build_prompt(w, include_assistant=False) for w in windows]
+        replies = mock_complete(records, MockBehavior.KINEMATIC)
+        outcomes = [parse_completion(r.text, horizon, w) for r, w in zip(replies, windows)]
+    return _mae_by_attribute([(w, outcome, 0.0) for w, outcome in zip(windows, outcomes)])
 
 
 # --- 8. trend reproduction ------------------------------------------------------

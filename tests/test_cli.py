@@ -26,6 +26,14 @@ def pipeline_dir(tmp_path):
     return tmp_path
 
 
+def as_array(row: dict) -> list:
+    return list(row.values())
+
+
+def without_input_and_callsign(row: dict) -> dict:
+    return {key: value for key, value in row.items() if key not in ("input", "callsign")}
+
+
 class TestStages:
     def test_synth_bytes_are_pinned(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -97,6 +105,31 @@ class TestStages:
             assert {row["attempts"] for row in read_jsonl(pred)} == {1}
             assert run("eval", "--pred", pred, "--out-prefix", out) == 0
 
+    @pytest.mark.parametrize("backend", ["mock", "persistence", "kinematic"])
+    def test_predict_on_an_empty_windows_file_writes_an_empty_file(self, tmp_path, backend):
+        windows = tmp_path / "windows.jsonl"
+        windows.write_text("")
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", windows, "--out", pred, "--backend", backend) == 0
+        assert pred.read_text() == ""
+
+    def test_mock_and_kinematic_forecast_alike_at_mixed_horizons(self, pipeline_dir, tmp_path):
+        # The mock reads each window back from its prompt text, the kinematic backend from its
+        # columns; both forecast the whole file in one call, to its largest horizon.
+        mixed = tmp_path / "mixed.jsonl"
+        for horizon in (1, 8):
+            assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", horizon,
+                       "--out", tmp_path / f"windows-h{horizon}.jsonl") == 0
+        mixed.write_text("".join(path.read_text() for path in (
+            tmp_path / "windows-h1.jsonl", pipeline_dir / "windows.jsonl", tmp_path / "windows-h8.jsonl")))
+        completions = {}
+        for backend in ("mock", "kinematic"):
+            pred = tmp_path / f"pred-{backend}.jsonl"
+            assert run("predict", "--in", mixed, "--out", pred, "--backend", backend) == 0
+            completions[backend] = [row["completion"] for row in read_jsonl(pred)]
+        assert {c.count("\n") + 1 for c in completions["mock"]} == {1, 4, 8}
+        assert completions["mock"] == completions["kinematic"]
+
     def test_train_and_predict_lstm(self, pipeline_dir, tmp_path):
         single = tmp_path / "win1.jsonl"
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 1,
@@ -139,21 +172,30 @@ class TestStages:
     def test_eval_skips_rows_whose_window_is_malformed(self, pipeline_dir, tmp_path, caplog):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
-        good, empty, huge, nan, infinite = list(read_jsonl(pred))[:5]
+        good, empty, huge, nan, infinite, untargeted, unnamed, flat = list(read_jsonl(pred))[:8]
         empty["target"] = []
         huge["input"][0][0] = 2**70
         nan["target"][1][1] = float("nan")
         infinite["input"][15][3] = float("inf")
-        pred.write_text("".join(json.dumps(row) + "\n" for row in (good, empty, huge, nan, infinite)))
+        del untargeted["target"]
+        del unnamed["callsign"]
+        flat["target"][0] = 7
+        rows = (good, empty, huge, nan, infinite, untargeted, unnamed, flat, list(good.values()), "row")
+        pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 4 malformed row(s) (first: row 2: window target is empty)" in caplog.text
-        for bad in (nan, infinite):
+        assert "skipped 9 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        for bad, message in ((nan, "window holds a non-finite cell"),
+                             (infinite, "window holds a non-finite cell"),
+                             (untargeted, "window row lacks 'target'"),
+                             (unnamed, "window row lacks 'callsign'"),
+                             (flat, "window holds a waypoint row that is not an array of 6 cells"),
+                             (list(good.values()), "window row is not a JSON object (got list)")):
             pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
             caplog.clear()
             assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
-            assert "skipped 1 malformed row(s) (first: row 2: window holds a non-finite cell)" in caplog.text
+            assert f"skipped 1 malformed row(s) (first: row 2: {message})" in caplog.text
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -232,11 +274,16 @@ class TestStages:
             ({"target": [[0, 1, None, 3, 4, 5]] * 4}, "non-numeric cell"),
             ({"target": [[0, 1, float("nan"), 3, 4, 5]] * 4}, "non-finite cell"),
             ({"input": [[0, 1, 2, 3, float("inf"), 5]] * 16}, "non-finite cell"),
+            (as_array, "window row is not a JSON object (got list)"),
+            (without_input_and_callsign, "window row lacks 'callsign', 'input'"),
+            ({"target": "(1, 2, 3, 4, 5)"}, "input and target must be arrays of waypoint rows"),
+            ({"target": [[0, 1, 2, 3, 4, 5], None]}, "waypoint row that is not an array of 6 cells"),
+            ({"input": [[0, 1, 2, 3, 4, 5]] * 15 + [[0, 1, 2, 3, 4]]}, "waypoint row that is not an array"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):
         rows = list(read_jsonl(pipeline_dir / "windows.jsonl"))
-        rows[1].update(defect)
+        rows[1] = defect(rows[1]) if callable(defect) else {**rows[1], **defect}
         windows = tmp_path / "bad.jsonl"
         windows.write_text("".join(json.dumps(row) + "\n" for row in rows))
         out = tmp_path / "out.jsonl"

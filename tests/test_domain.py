@@ -21,11 +21,12 @@ from flightcast.domain import (
     validate_columns,
 )
 
-from flightcast.ingest import RawRecord, clean_trajectories, minute_means
+from flightcast.ingest import RawRecord, clean_trajectories
 
 from conftest import (
     decimal_round_value,
     make_waypoint,
+    minute_means,
     random_canonical_waypoint,
     records_table,
     reference_invalid_reason,

@@ -18,7 +18,6 @@ from flightcast.ingest import (
     RawRecord,
     aggregate_minutes,
     clean_trajectories,
-    minute_means,
     parse_header,
     read_adsb_csv,
     records_to_csv_text,
@@ -29,6 +28,7 @@ from flightcast.ingest import (
 
 from conftest import (
     CSV_HEADER,
+    minute_means,
     padded_utc_text,
     random_canonical_waypoint,
     read_row,

@@ -17,13 +17,12 @@ from flightcast.predictors.lstm import (
     _forward_batch,
     denormalize,
     lstm_forward,
-    lstm_loss,
     lstm_loss_gradients,
     normalize,
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, reference_loss_gradients, reference_sigmoid
+from conftest import cruise_window, lstm_loss, reference_loss_gradients, reference_sigmoid
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):

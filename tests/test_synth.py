@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flightcast.domain import INVALID_REASONS, TIMESTAMP_RANGE, Trajectory, validate_columns
 from flightcast.ingest import RecordTable, aggregate_minutes, clean_trajectories, read_adsb_csv, records_to_csv_text
-from flightcast.predictors import kinematic_step, kinematic_track, predict_kinematic
+from flightcast.predictors import kinematic_track, predict_kinematic
 from flightcast.synth import (
     DropEvent,
     FlightSpec,
@@ -23,7 +23,13 @@ from flightcast.synth import (
 )
 from flightcast.windowing import sample_windows
 
-from conftest import check_continuity, reference_generate_flight, reference_write_records_csv
+from conftest import (
+    check_continuity,
+    reference_generate_flight,
+    reference_kinematic_step,
+    reference_write_records_csv,
+    window_inputs,
+)
 
 
 def trajectory_from_table(table: RecordTable) -> Trajectory:
@@ -134,10 +140,10 @@ class TestGenerateFlight:
             for horizon in (1, 4, 8):
                 windows = sample_windows(traj, horizon, 16 + horizon)
                 assert windows
-                for window in windows:
-                    error = np.abs(predict_kinematic(window, horizon) - window.values[:, 16:])
-                    assert np.all(error[:2] < 1e-6)  # longitude, latitude
-                    assert np.all(error[2] < 1e-3)  # altitude
+                targets = np.array([w.values[:, 16:] for w in windows])
+                error = np.abs(predict_kinematic(window_inputs(windows), horizon) - targets)
+                assert np.all(error[:, :2] < 1e-6)  # longitude, latitude
+                assert np.all(error[:, 2] < 1e-3)  # altitude
 
 
 class TestGenerateCorpus:
@@ -252,7 +258,7 @@ class TestColumnsMatchReference:
 
     @pytest.mark.parametrize(
         "latitude, heading",
-        # An int start latitude is named as given ("latitude 90"), as kinematic_step names it.
+        # An int start latitude is named as given ("latitude 90"), as reference_kinematic_step names it.
         [(89.5, 0.0), (-89.5, 180.0), (89.95, 90.0), (90, 0.0), (-89.9, 270.0), (89.0, 10.0)],
     )
     def test_polar_limit_raises_the_same_error(self, latitude, heading):
@@ -291,7 +297,7 @@ class TestKinematicTrack:
         expected = [(longitude, latitude)]
         try:
             for speed, heading in steps:
-                lon, lat, _ = kinematic_step(*expected[-1], 0.0, speed, heading, dt)
+                lon, lat, _ = reference_kinematic_step(*expected[-1], 0.0, speed, heading, dt)
                 expected.append((lon, lat))
         except ValueError as exc:
             with pytest.raises(ValueError) as shipped:
@@ -305,4 +311,4 @@ class TestKinematicTrack:
         lat = [89.85, 89.85 + 12.0 / 111.32]
         with pytest.raises(ValueError, match=f"latitude {lat[1]} too close"):
             kinematic_track(0.0, lat[0], np.array([720.0, 720.0]), np.array([0.0, 0.0]), 60)
-        assert kinematic_step(0.0, lat[0], 0.0, 720.0, 0.0, 60)[1] == lat[1]
+        assert reference_kinematic_step(0.0, lat[0], 0.0, 720.0, 0.0, 60)[1] == lat[1]
