@@ -43,7 +43,7 @@ print("\nround trip exact:", np.array_equal(outcome.values, window.values[:, INP
 messy = "Sure! Here are my predictions:\n" + record.assistant + "\nHope that helps."
 print("messy-but-usable:", parse_completion(messy, 4, window).ok)
 for behavior in (MockBehavior.EMPTY, MockBehavior.GARBLED, MockBehavior.SIGN_FLIP):
-    (reply,) = mock_complete([build_prompt(window, include_assistant=False)], behavior)
+    (reply,) = mock_complete([window], behavior)  # the mock answers windows, as a model answers their prompts
     outcome = parse_completion(reply.text, 4, window)
     print(f"{behavior.value:>10}: {outcome.failure.value} ({outcome.diagnostic})")
 

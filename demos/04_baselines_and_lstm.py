@@ -47,7 +47,7 @@ inputs = np.array([w.values[:, :INPUT_LENGTH] for w in test])  # (n, 5, 16); eve
 forecasts = {
     "persistence": predict_persistence(inputs, 1),
     "kinematic": predict_kinematic(inputs, 1),
-    "lstm": lstm_predict(params, test),
+    "lstm": lstm_predict(params, inputs, 1),
 }
 print(f"\n{'model':>12}  {'MAE lon':>9}  {'MAE lat':>9}  {'MAE alt':>9}")
 for name, blocks in forecasts.items():

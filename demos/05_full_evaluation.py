@@ -1,8 +1,8 @@
 """The full evaluation protocol against the deterministic mock backend.
 
-Windows become inference prompts, the mock backend answers (here with a
-mix of scripted behaviors to exercise the failure taxonomy), completions
-are parsed and classified, and the report pools per-attribute MAE/RMSE,
+The mock backend answers each window as a served model would answer its
+inference prompt (here with a mix of scripted behaviors to exercise the
+failure taxonomy), completions are parsed and classified, and the report pools per-attribute MAE/RMSE,
 breaks them down by flight phase, tracks latency, and counts failures.
 Run:
 
@@ -14,7 +14,7 @@ import io
 from flightcast.evaluation import ReportFormat, emit_report, evaluate, few_shot_split
 from flightcast.ingest import aggregate_minutes, clean_trajectories, read_adsb_csv, records_to_csv_text
 from flightcast.llm import MockBehavior, mock_complete
-from flightcast.prompts import build_prompt, parse_completion
+from flightcast.prompts import parse_completion
 from flightcast.synth import generate_corpus
 from flightcast.windowing import sample_windows
 
@@ -26,10 +26,9 @@ print(f"evaluating {len(windows)} horizon-4 windows against the mock backend")
 
 # Most answers are the kinematic prediction, one batch for them all; the
 # last three are scripted failures so the taxonomy shows up in the report.
-records = [build_prompt(w, include_assistant=False) for w in windows]
-replies = mock_complete(records[:-3], MockBehavior.KINEMATIC)
-for record, behavior in zip(records[-3:], (MockBehavior.EMPTY, MockBehavior.GARBLED, MockBehavior.SIGN_FLIP)):
-    replies += mock_complete([record], behavior)
+replies = mock_complete(windows[:-3], MockBehavior.KINEMATIC)
+for window, behavior in zip(windows[-3:], (MockBehavior.EMPTY, MockBehavior.GARBLED, MockBehavior.SIGN_FLIP)):
+    replies += mock_complete([window], behavior)
 samples = [(w, parse_completion(r.text, w.horizon, w), r.latency_s) for w, r in zip(windows, replies)]
 
 report = evaluate(samples, model="mock-mixed", template_version="v1")

@@ -11,6 +11,7 @@ is logged at the start of every run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -18,13 +19,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, ingest, llm, prompts, synth, windowing
 from .domain import round_attributes
 from .predictors import (
     LstmParams,
     TrainConfig,
+    forecast_windows,
     lstm_predict,
     lstm_train,
     predict_kinematic,
@@ -200,31 +200,19 @@ def _cmd_prompt(cfg: dict) -> int:
 _LOCAL_PREDICTORS = {"persistence": predict_persistence, "kinematic": predict_kinematic}
 
 
-def _local_forecast(cfg: dict):
-    """The batched forecaster of a local backend: windows to one rounded (5, horizon) block each."""
+def _local_predict(cfg: dict):
+    """The ``predict(inputs, horizon)`` of a local backend, its forecasts rounded to canonical precision."""
     backend = cfg["backend"]
     if backend == "lstm":
         if not cfg["model_file"]:
             raise ValueError("lstm backend requires --model-file")
-        params = LstmParams.load(cfg["model_file"])
-        return lambda windows: lstm_predict(params, windows)
+        return functools.partial(lstm_predict, LstmParams.load(cfg["model_file"]))
     predict = _LOCAL_PREDICTORS[backend]
-
-    def forecast(windows):
-        # One call forecasts every window to the largest horizon; each keeps its leading steps.
-        if not windows:
-            return []
-        inputs = np.array([w.values[:, : windowing.INPUT_LENGTH] for w in windows])
-        predicted = round_attributes(predict(inputs, max(w.horizon for w in windows)))
-        return [block[:, : w.horizon] for w, block in zip(windows, predicted)]
-
-    return forecast
+    return lambda inputs, horizon: round_attributes(predict(inputs, horizon))
 
 
 def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
     backend = cfg["backend"]
-    if backend in ("endpoint", "mock"):
-        prompt_records = [prompts.build_prompt(w, include_assistant=False) for w in windows]
     if backend == "endpoint":
         if not cfg["base_url"] or not cfg["model"]:
             raise ValueError("endpoint backend requires --base-url and --model")
@@ -236,16 +224,16 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
             timeout_s=cfg["timeout"],
             retries=cfg["retries"],
         )
-        results = llm.complete_many(prompt_records, endpoint)
+        results = llm.complete_many([prompts.build_prompt(w, include_assistant=False) for w in windows], endpoint)
         model_id = cfg["model"]
     elif backend == "mock":
         behavior = llm.MockBehavior(cfg["mock_behavior"])
-        results = llm.mock_complete(prompt_records, behavior)
+        results = llm.mock_complete(windows, behavior)
         model_id = f"mock-{behavior.value}"
     else:
-        forecast = _local_forecast(cfg)
+        predict = _local_predict(cfg)
         start = time.perf_counter()
-        predicted = forecast(windows)
+        predicted = forecast_windows(predict, windows)
         # One call forecasts the whole file; each row gets its share of the time.
         latency = (time.perf_counter() - start) / max(len(windows), 1)
         results = [llm.CompletionResult(prompts.serialize_values(p), latency, 1) for p in predicted]

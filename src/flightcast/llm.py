@@ -2,7 +2,8 @@
 
 The real client talks to any OpenAI-style ``/chat/completions`` endpoint
 and measures wall-clock latency per request. The mock backend answers
-in-process with one of four scripted behaviors (a kinematic prediction
+windows in-process, one result for each as a served model would give for
+its prompt, with one of four scripted behaviors (a kinematic prediction
 and the three classic failure modes) and a synthetic latency derived from
 token counts, so every downstream latency assertion is reproducible.
 """
@@ -18,19 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
 import requests
 
 from .domain import round_attributes
-from .predictors import predict_kinematic
-from .prompts import (
-    PromptRecord,
-    estimate_tokens,
-    extract_tuples,
-    horizon_from_system,
-    serialize_values,
-)
-from .windowing import INPUT_LENGTH
+from .predictors import forecast_windows, predict_kinematic
+from .prompts import PromptRecord, estimate_tokens, serialize_values
+from .windowing import INPUT_LENGTH, Window
 
 logger = logging.getLogger(__name__)
 
@@ -163,47 +157,35 @@ _GARBLED_TEXT = (
 )
 
 
-def _window_from_prompt(record: PromptRecord) -> tuple[np.ndarray, int]:
-    """The (5, 16) input columns a prompt's user text holds, and the horizon its system text states."""
-    horizon = horizon_from_system(record.system)
-    if horizon is None:
-        raise ValueError("malformed prompt: system text states no horizon")
-    tuples = extract_tuples(record.user)
-    if any(len(items) != 5 for items in tuples):
-        raise ValueError("malformed prompt: user text holds a non 5-tuple")
-    if len(tuples) != INPUT_LENGTH:
-        raise ValueError(f"malformed prompt: user text holds {len(tuples)} waypoints, expected {INPUT_LENGTH}")
-    try:
-        values = np.array([[float(item) for item in items] for items in tuples]).T
-    except ValueError as exc:
-        raise ValueError(f"malformed prompt: {exc}") from exc
-    return values, horizon
-
-
 def mock_complete(
-    records: Sequence[PromptRecord], behavior: MockBehavior = MockBehavior.KINEMATIC
+    windows: Sequence[Window], behavior: MockBehavior = MockBehavior.KINEMATIC
 ) -> list[CompletionResult]:
-    """Deterministic in-process stand-in for a served model, one result per prompt, in order.
+    """Deterministic in-process stand-in for a served model, one result per window, in order.
 
-    KINEMATIC dead-reckons from each prompt's own waypoints, all prompts in
-    one forecast; EMPTY returns nothing; GARBLED returns prose with a
+    KINEMATIC dead-reckons from each window's input columns, all windows
+    in one forecast; EMPTY returns nothing; GARBLED returns prose with a
     single 3-field tuple; SIGN_FLIP returns the kinematic answer with
     longitude signs negated. Latency is synthetic: one millisecond per
-    :func:`estimate_tokens` token of the user text plus the response text.
+    :func:`estimate_tokens` token of the prompt's user text (the window's
+    serialized inputs) plus the response text.
     """
-    if not records:
-        return []
-    inputs, horizons = zip(*map(_window_from_prompt, records))
     if behavior is MockBehavior.EMPTY:
-        texts = [""] * len(records)
+        texts = [""] * len(windows)
     elif behavior is MockBehavior.GARBLED:
-        texts = [_GARBLED_TEXT] * len(records)
+        texts = [_GARBLED_TEXT] * len(windows)
     else:
-        predicted = round_attributes(predict_kinematic(np.array(inputs), max(horizons)))
+        blocks = forecast_windows(lambda inputs, horizon: round_attributes(predict_kinematic(inputs, horizon)),
+                                  windows)
         if behavior is MockBehavior.SIGN_FLIP:
-            predicted[:, 0] = -predicted[:, 0]
-        texts = [serialize_values(block[:, :horizon]) for block, horizon in zip(predicted, horizons)]
+            for block in blocks:
+                block[0] = -block[0]
+        texts = list(map(serialize_values, blocks))
     return [
-        CompletionResult(text, (estimate_tokens(record.user) + estimate_tokens(text)) * MOCK_SECONDS_PER_TOKEN, 1)
-        for record, text in zip(records, texts)
+        CompletionResult(
+            text,
+            (estimate_tokens(serialize_values(w.values[:, :INPUT_LENGTH])) + estimate_tokens(text))
+            * MOCK_SECONDS_PER_TOKEN,
+            1,
+        )
+        for w, text in zip(windows, texts)
     ]

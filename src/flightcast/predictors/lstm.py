@@ -287,13 +287,6 @@ def lstm_loss_gradients(
     return loss, _backward_batch(params, inputs, recorded, d_prediction)
 
 
-def _window_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs (n, steps, D) and first targets; a rollout window may have no targets."""
-    x = np.array([win.values[:, :INPUT_LENGTH].T for win in windows])
-    y = np.array([win.values[:, INPUT_LENGTH] for win in windows if win.horizon], dtype=np.float64)
-    return x, y
-
-
 def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     """Fit the one-step predictor with Adam on shuffled mini-batches.
 
@@ -307,7 +300,8 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     if len(horizons) > 1:
         raise ValueError(f"training windows mix horizons: {sorted(horizons)}")
 
-    x_raw, y_raw = _window_arrays(windows)
+    x_raw = np.array([w.values[:, :INPUT_LENGTH].T for w in windows])
+    y_raw = np.array([w.values[:, INPUT_LENGTH] for w in windows])
     mean = x_raw.reshape(-1, ATTR_DIM).mean(axis=0)
     std = x_raw.reshape(-1, ATTR_DIM).std(axis=0)
     std[std == 0.0] = 1.0  # constant attributes normalize to zero
@@ -342,20 +336,17 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     return params
 
 
-def lstm_predict(params: LstmParams, windows: Sequence[Window]) -> list[np.ndarray]:
-    """Iterative rollout of all windows at once: predict, append, slide, repeat.
+def lstm_predict(params: LstmParams, inputs: np.ndarray, horizon: int) -> np.ndarray:
+    """Iterative rollout of a stack of windows at once: predict, append, slide, repeat.
 
-    The batch rolls forward to the largest horizon and each window keeps
-    its first ``window.horizon`` steps. Each prediction is denormalized and
-    appended to the raw sequence (the oldest step drops off). Returns one
-    (5, horizon) block per window, rounded to canonical precision.
+    ``inputs`` is an (n, 5, 16) stack of windows' input columns in
+    ATTRIBUTES order. Each prediction is denormalized and appended to the
+    raw sequence (the oldest step drops off). Returns the (n, 5, horizon)
+    forecasts, rounded to canonical precision.
     """
-    if not windows:
-        return []
-    sequence, _ = _window_arrays(windows)
-    raw = np.empty((len(windows), max(win.horizon for win in windows), ATTR_DIM))
-    for step in range(raw.shape[1]):
+    sequence = np.ascontiguousarray(inputs.transpose(0, 2, 1))
+    raw = np.empty((len(inputs), horizon, ATTR_DIM))
+    for step in range(horizon):
         raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))
         sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
-    rounded = round_values(raw, CANONICAL_DECIMALS)
-    return [predicted[: win.horizon].T for win, predicted in zip(windows, rounded)]
+    return round_values(raw, CANONICAL_DECIMALS).transpose(0, 2, 1)

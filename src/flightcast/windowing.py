@@ -112,7 +112,8 @@ def window_from_obj(obj: dict) -> Window:
 
     Raises ValueError naming the defect unless the row is an object with a
     callsign, 16 input rows, some target rows, every row an array of a
-    timestamp and five attributes, and finite numeric cells.
+    timestamp and five attributes, finite numeric cells, and integer
+    timestamps exactly ``STEP_SECONDS`` apart, as :func:`sample_windows` cuts them.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"window row is not a JSON object (got {type(obj).__name__})")
@@ -134,7 +135,14 @@ def window_from_obj(obj: dict) -> Window:
         raise ValueError(f"window holds a non-numeric cell ({values.dtype})")
     if not np.isfinite(values).all():  # JSON NaN or Infinity
         raise ValueError("window holds a non-finite cell")
-    return Window.from_columns(obj["callsign"], [row[0] for row in rows], values.T)
+    timestamps = [row[0] for row in rows]
+    for t in timestamps:
+        if type(t) is not int:  # a bool is an int too, and int64 would truncate a float
+            raise ValueError(f"window timestamp {t!r} is not an integer")
+    for a, b in zip(timestamps, timestamps[1:]):
+        if b - a != STEP_SECONDS:
+            raise ValueError(f"window timestamps {a} and {b} are not {STEP_SECONDS} s apart")
+    return Window.from_columns(obj["callsign"], timestamps, values.T)
 
 
 def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:

@@ -22,7 +22,7 @@ from flightcast.ingest import (
 from flightcast.llm import MockBehavior, mock_complete
 from flightcast.predictors import TrainConfig, lstm_predict, lstm_train, predict_kinematic, predict_persistence
 from flightcast.predictors.lstm import LstmParams, lstm_loss_gradients
-from flightcast.prompts import FailureKind, ParseOutcome, build_prompt, parse_completion, serialize_values
+from flightcast.prompts import FailureKind, ParseOutcome, parse_completion, serialize_values
 from flightcast.synth import FlightSpec, generate_corpus, generate_flight
 from flightcast.windowing import INPUT_LENGTH, sample_windows
 
@@ -206,7 +206,7 @@ def test_criterion_06_failure_taxonomy():
     }
     for behavior, kind in expected.items():
         windows = [cruise_window(rng, 4) for _ in range(100)]
-        replies = mock_complete([build_prompt(w, include_assistant=False) for w in windows], behavior)
+        replies = mock_complete(windows, behavior)
         hits = sum(parse_completion(r.text, w.horizon, w).failure is kind for r, w in zip(replies, windows))
         assert hits == 100, f"{behavior.value}: {hits}/100 classified as {kind.value}"
 
@@ -215,7 +215,7 @@ def test_criterion_06_failure_taxonomy():
     for i in range(40):
         window = cruise_window(rng, 4)
         behavior = list(MockBehavior)[i % 4]
-        (reply,) = mock_complete([build_prompt(window, include_assistant=False)], behavior)
+        (reply,) = mock_complete([window], behavior)
         samples.append((window, parse_completion(reply.text, 4, window), reply.latency_s))
     report = evaluate(samples)
     assert report.evaluated + report.excluded_severe + report.failed_missing + report.failed_format == 40
@@ -308,10 +308,9 @@ def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
     if backend == "persistence":
         outcomes = map(ParseOutcome.success, predict_persistence(window_inputs(windows), horizon))
     elif backend == "lstm":
-        outcomes = [ParseOutcome.success(lstm_predict(params, [w])[0]) for w in windows]
+        outcomes = map(ParseOutcome.success, lstm_predict(params, window_inputs(windows), horizon))
     else:  # the mock chat backend answering with dead reckoning
-        records = [build_prompt(w, include_assistant=False) for w in windows]
-        replies = mock_complete(records, MockBehavior.KINEMATIC)
+        replies = mock_complete(windows, MockBehavior.KINEMATIC)
         outcomes = [parse_completion(r.text, horizon, w) for r, w in zip(replies, windows)]
     return _mae_by_attribute([(w, outcome, 0.0) for w, outcome in zip(windows, outcomes)])
 

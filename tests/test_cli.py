@@ -172,7 +172,8 @@ class TestStages:
     def test_eval_skips_rows_whose_window_is_malformed(self, pipeline_dir, tmp_path, caplog):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
-        good, empty, huge, nan, infinite, untargeted, unnamed, flat = list(read_jsonl(pred))[:8]
+        rows = list(read_jsonl(pred))
+        good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped = rows[:11]
         empty["target"] = []
         huge["input"][0][0] = 2**70
         nan["target"][1][1] = float("nan")
@@ -180,17 +181,26 @@ class TestStages:
         del untargeted["target"]
         del unnamed["callsign"]
         flat["target"][0] = 7
-        rows = (good, empty, huge, nan, infinite, untargeted, unnamed, flat, list(good.values()), "row")
+        fractional["input"] = [[60 * k + 0.7, *row[1:]] for k, row in enumerate(fractional["input"])]
+        boolean["input"][0][0] = True
+        for row in gapped["target"]:
+            row[0] += 360
+        rows = (good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped,
+                list(good.values()), "row")
         pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 9 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        assert "skipped 12 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        last_input = gapped["input"][-1][0]
         for bad, message in ((nan, "window holds a non-finite cell"),
                              (infinite, "window holds a non-finite cell"),
                              (untargeted, "window row lacks 'target'"),
                              (unnamed, "window row lacks 'callsign'"),
                              (flat, "window holds a waypoint row that is not an array of 6 cells"),
+                             (fractional, "window timestamp 0.7 is not an integer"),
+                             (boolean, "window timestamp True is not an integer"),
+                             (gapped, f"window timestamps {last_input} and {last_input + 420} are not 60 s apart"),
                              (list(good.values()), "window row is not a JSON object (got list)")):
             pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
             caplog.clear()
@@ -279,6 +289,12 @@ class TestStages:
             ({"target": "(1, 2, 3, 4, 5)"}, "input and target must be arrays of waypoint rows"),
             ({"target": [[0, 1, 2, 3, 4, 5], None]}, "waypoint row that is not an array of 6 cells"),
             ({"input": [[0, 1, 2, 3, 4, 5]] * 15 + [[0, 1, 2, 3, 4]]}, "waypoint row that is not an array"),
+            ({"input": [[60 * k + 0.7, 1, 2, 3, 4, 5] for k in range(16)]}, "window timestamp 0.7 is not an integer"),
+            ({"input": [[True, 1, 2, 3, 4, 5]] + [[60 * k, 1, 2, 3, 4, 5] for k in range(1, 16)]},
+             "window timestamp True is not an integer"),
+            ({"input": [[60 * k, 1, 2, 3, 4, 5] for k in range(16)],
+              "target": [[60 * k + 360, 1, 2, 3, 4, 5] for k in range(16, 20)]},
+             "window timestamps 900 and 1320 are not 60 s apart"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):

@@ -20,8 +20,17 @@ from flightcast.llm import (
     complete_many,
     mock_complete,
 )
-from flightcast.prompts import FailureKind, PromptRecord, build_prompt, parse_completion
-from flightcast.windowing import read_jsonl, write_windows_jsonl
+from flightcast.domain import round_attributes
+from flightcast.predictors import predict_kinematic
+from flightcast.prompts import (
+    FailureKind,
+    PromptRecord,
+    build_prompt,
+    estimate_tokens,
+    parse_completion,
+    serialize_values,
+)
+from flightcast.windowing import INPUT_LENGTH, Window, read_jsonl, write_windows_jsonl
 
 from conftest import canonical_window, cruise_window
 
@@ -173,8 +182,7 @@ class TestMockComplete:
     def test_kinematic_parses_back(self, rng):
         for horizon in (1, 4, 8):
             window = cruise_window(rng, horizon)
-            record = build_prompt(window, include_assistant=False)
-            (result,) = mock_complete([record], MockBehavior.KINEMATIC)
+            (result,) = mock_complete([window], MockBehavior.KINEMATIC)
             assert result.text
             assert result.latency_s > 0
             outcome = parse_completion(result.text, horizon, window)
@@ -182,51 +190,54 @@ class TestMockComplete:
 
     def test_empty_yields_missing(self, rng):
         window = cruise_window(rng, 4)
-        record = build_prompt(window, include_assistant=False)
-        (result,) = mock_complete([record], MockBehavior.EMPTY)
+        (result,) = mock_complete([window], MockBehavior.EMPTY)
         assert result.text == ""
         outcome = parse_completion(result.text, 4, window)
         assert outcome.failure is FailureKind.MISSING_TRAJECTORY
 
     def test_garbled_yields_unexpected_format(self, rng):
         window = cruise_window(rng, 1)
-        record = build_prompt(window, include_assistant=False)
-        (result,) = mock_complete([record], MockBehavior.GARBLED)
+        (result,) = mock_complete([window], MockBehavior.GARBLED)
         outcome = parse_completion(result.text, 1, window)
         assert outcome.failure is FailureKind.UNEXPECTED_FORMAT
 
     def test_sign_flip_yields_severe_deviation(self, rng):
         window = cruise_window(rng, 4)  # longitudes are near 100, far from zero
-        record = build_prompt(window, include_assistant=False)
-        (result,) = mock_complete([record], MockBehavior.SIGN_FLIP)
+        (result,) = mock_complete([window], MockBehavior.SIGN_FLIP)
         outcome = parse_completion(result.text, 4, window)
         assert outcome.failure is FailureKind.SEVERE_DEVIATION
 
     def test_identical_calls_identical_results(self, rng):
         window = cruise_window(rng, 4)
-        record = build_prompt(window, include_assistant=False)
-        assert mock_complete([record, record]) == mock_complete([record]) * 2
+        assert mock_complete([window, window]) == mock_complete([window]) * 2
 
-    def test_malformed_prompt_rejected(self):
-        record = PromptRecord(system="Predict the next 4 waypoints.", user="no tuples here", assistant="")
-        with pytest.raises(ValueError, match="malformed prompt"):
-            mock_complete([record])
+    def test_latency_counts_the_prompt_and_the_reply(self, rng):
+        window = cruise_window(rng, 4)
+        for behavior in MockBehavior:
+            (result,) = mock_complete([window], behavior)
+            tokens = estimate_tokens(build_prompt(window, include_assistant=False).user) + estimate_tokens(result.text)
+            assert result.latency_s == tokens * llm.MOCK_SECONDS_PER_TOKEN
 
-    def test_missing_horizon_rejected(self, rng):
-        window = cruise_window(rng, 1)
-        record = build_prompt(window, include_assistant=False)
-        broken = PromptRecord(system="You are helpful.", user=record.user, assistant="")
-        with pytest.raises(ValueError, match="horizon"):
-            mock_complete([broken])
+    def test_kinematic_forecasts_a_window_from_its_own_values(self, rng):
+        # The last input longitude sits 4e-6 degrees off canonical precision, which the prompt
+        # text would round away; the mock extrapolates from the window's own values.
+        window = cruise_window(rng, 4)
+        values = window.values.copy()
+        values[0, INPUT_LENGTH - 1] += 4e-6
+        window = Window.from_columns(window.callsign, window.timestamps, values)
+        (result,) = mock_complete([window], MockBehavior.KINEMATIC)
+        expected = round_attributes(predict_kinematic(values[None, :, :INPUT_LENGTH], 4))[0]
+        assert result.text == serialize_values(expected)
+        rounded = predict_kinematic(round_attributes(values[None, :, :INPUT_LENGTH]), 4)
+        assert result.text != serialize_values(round_attributes(rounded)[0])
 
     @given(
         st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from((1, 4, 8))), max_size=6),
         st.sampled_from(list(MockBehavior)),
     )
-    def test_a_batch_answers_as_one_prompt_at_a_time(self, draws, behavior):
+    def test_a_batch_answers_as_one_window_at_a_time(self, draws, behavior):
         windows = [cruise_window(np.random.default_rng(seed), horizon) for seed, horizon in draws]
-        records = [build_prompt(w, include_assistant=False) for w in windows]
-        assert mock_complete(records, behavior) == [r for record in records for r in mock_complete([record], behavior)]
+        assert mock_complete(windows, behavior) == [r for w in windows for r in mock_complete([w], behavior)]
 
     def test_a_batch_raises_for_its_first_polar_window(self, rng):
         # The batch is forecast to its largest horizon: the h1 window at 89.85 moving north 0.06
@@ -235,15 +246,15 @@ class TestMockComplete:
         rows = [(0.0, 89.85 - 0.06 * (15 - i), 9000.0, 800.0, 0.0) for i in range(17)]
         near_pole = canonical_window("N", 0, rows)
         polar = canonical_window("P", 0, [(0.0, 89.95, 9000.0, 800.0, 0.0)] * 17)
-        records = [build_prompt(w, include_assistant=False) for w in (cruise_window(rng, 4), near_pole, polar)]
-        assert mock_complete(records[1:2])[0].text
+        windows = [cruise_window(rng, 4), near_pole, polar]
+        assert mock_complete(windows[1:2])[0].text
         with pytest.raises(ValueError, match="latitude 89.95 too close") as single:
-            mock_complete(records[2:])
+            mock_complete(windows[2:])
         with pytest.raises(ValueError, match="latitude 89.90999") as batch:
-            mock_complete(records)
+            mock_complete(windows)
         assert str(batch.value) != str(single.value)
         with pytest.raises(ValueError, match="latitude 89.95 too close"):
-            mock_complete([records[0], records[2]])
+            mock_complete([windows[0], windows[2]])
 
 
 class TestCliEndpoint:

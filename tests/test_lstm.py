@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flightcast.domain import Waypoint
-from flightcast.predictors import TrainConfig, lstm_predict, lstm_train
+from flightcast.predictors import TrainConfig, forecast_windows, lstm_predict, lstm_train
 from flightcast.predictors.lstm import (
     ATTR_DIM,
     FORMAT_TAG,
@@ -22,7 +22,7 @@ from flightcast.predictors.lstm import (
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, lstm_loss, reference_loss_gradients, reference_sigmoid
+from conftest import cruise_window, lstm_loss, reference_loss_gradients, reference_sigmoid, window_inputs
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
@@ -36,6 +36,11 @@ def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
 def blocks(forecasts) -> list[list]:
     """Forecast blocks as nested lists, which compare with ==."""
     return [block.tolist() for block in forecasts]
+
+
+def forecast(params: LstmParams, windows) -> list[np.ndarray]:
+    """One rollout of the windows' stack; each window keeps its own horizon's steps."""
+    return forecast_windows(functools.partial(lstm_predict, params), windows)
 
 
 def params_equal(a: LstmParams, b: LstmParams) -> bool:
@@ -277,7 +282,7 @@ class TestPredict:
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         window = windows[0]
-        (out,) = lstm_predict(params, [window])
+        (out,) = lstm_predict(params, window_inputs([window]), 1)
         x = window.values[:, :INPUT_LENGTH].T
         raw = denormalize(params, lstm_forward(params, normalize(params, x)[None])[0])
         from flightcast.domain import CANONICAL_DECIMALS, round_value
@@ -289,15 +294,15 @@ class TestPredict:
     def test_rollout_deterministic(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
-        window = cruise_window(rng, 8)
-        assert blocks(lstm_predict(params, [window])) == blocks(lstm_predict(params, [window]))
+        inputs = window_inputs([cruise_window(rng, 8)])
+        assert lstm_predict(params, inputs, 8).tolist() == lstm_predict(params, inputs, 8).tolist()
 
     def test_batch_equals_single_windows(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=4))
         mixed = [cruise_window(rng, h) for h in (8, 1, 4, 1, 8, 4)]
-        batch = lstm_predict(params, mixed)
-        assert blocks(batch) == [out for w in mixed for out in blocks(lstm_predict(params, [w]))]
+        batch = forecast(params, mixed)
+        assert blocks(batch) == [lstm_predict(params, window_inputs([w]), w.horizon)[0].tolist() for w in mixed]
         assert [out.shape for out in batch] == [(ATTR_DIM, h) for h in (8, 1, 4, 1, 8, 4)]
 
     def test_mixed_horizons_keep_their_own_steps(self, rng):
@@ -305,20 +310,18 @@ class TestPredict:
         params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
         window = cruise_window(rng, 8)
         cut = [Window(window.callsign, window.waypoints[: INPUT_LENGTH + h]) for h in (1, 4, 8)]
-        h1, h4, h8 = blocks(lstm_predict(params, cut))
+        h1, h4, h8 = blocks(forecast(params, cut))
         assert h1 == [row[:1] for row in h8] and h4 == [row[:4] for row in h8]
         assert len(h8[0]) == 8
 
     def test_no_windows(self):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
-        assert lstm_predict(params, []) == []
+        assert lstm_predict(params, np.empty((0, ATTR_DIM, INPUT_LENGTH)), 4).shape == (0, ATTR_DIM, 4)
+        assert forecast(params, []) == []
 
     def test_window_without_targets_rolls_out_nothing(self, rng):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
-        window = cruise_window(rng, 1)
-        inputs = Window.from_columns(window.callsign, window.timestamps[:INPUT_LENGTH], window.values[:, :INPUT_LENGTH])
-        (out,) = lstm_predict(params, [inputs])
-        assert out.shape == (ATTR_DIM, 0)
+        assert lstm_predict(params, window_inputs([cruise_window(rng, 1)]), 0).shape == (1, ATTR_DIM, 0)
 
 
 class TestPersistenceFile:
@@ -332,8 +335,8 @@ class TestPersistenceFile:
         assert params_equal(params, loaded)
         assert np.array_equal(params.vector, loaded.vector)
         assert_views_of_vector(loaded)
-        window = cruise_window(rng, 4)
-        assert blocks(lstm_predict(params, [window])) == blocks(lstm_predict(loaded, [window]))
+        inputs = window_inputs([cruise_window(rng, 4)])
+        assert lstm_predict(params, inputs, 4).tolist() == lstm_predict(loaded, inputs, 4).tolist()
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -265,3 +265,15 @@ class TestWindowCodecProperty:
         rows[row][data.draw(st.integers(1, 5))] = bad
         with pytest.raises(ValueError, match="window holds a non-finite cell"):
             window_from_obj(json.loads(json.dumps(obj)))
+
+    @given(codec_windows(), st.data())
+    def test_timestamp_off_the_minute_grid_raises(self, window, data):
+        obj = window_to_obj(window)
+        rows = obj["input"] + obj["target"]
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][0] = data.draw(st.sampled_from((rows[row][0] + 0.5, float(rows[row][0]), True)))
+        with pytest.raises(ValueError, match=r"window timestamp .* is not an integer"):
+            window_from_obj(json.loads(json.dumps(obj)))
+        rows[row][0] = window.timestamps[row].item() + data.draw(st.sampled_from((-60, -1, 1, 360)))
+        with pytest.raises(ValueError, match="are not 60 s apart"):
+            window_from_obj(json.loads(json.dumps(obj)))
