@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
 import requests
 
 from .domain import round_attributes
 from .predictors import forecast_windows, predict_kinematic
-from .prompts import PromptRecord, estimate_tokens, serialize_values
+from .prompts import PromptRecord, estimate_tokens, serialize_values, serialized_tokens
 from .windowing import INPUT_LENGTH, Window
 
 logger = logging.getLogger(__name__)
@@ -167,12 +168,15 @@ def mock_complete(
     single 3-field tuple; SIGN_FLIP returns the kinematic answer with
     longitude signs negated. Latency is synthetic: one millisecond per
     :func:`estimate_tokens` token of the prompt's user text (the window's
-    serialized inputs) plus the response text.
+    serialized inputs) plus the response text. The prompt's count, and a
+    forecast reply's, is :func:`serialized_tokens` of the block the text
+    is written from, so no prompt text is written and no text is scanned.
     """
-    if behavior is MockBehavior.EMPTY:
-        texts = [""] * len(windows)
-    elif behavior is MockBehavior.GARBLED:
-        texts = [_GARBLED_TEXT] * len(windows)
+    if not windows:
+        return []
+    if behavior in (MockBehavior.EMPTY, MockBehavior.GARBLED):
+        text = "" if behavior is MockBehavior.EMPTY else _GARBLED_TEXT
+        texts, reply_tokens = [text] * len(windows), estimate_tokens(text)
     else:
         blocks = forecast_windows(lambda inputs, horizon: round_attributes(predict_kinematic(inputs, horizon)),
                                   windows)
@@ -180,12 +184,7 @@ def mock_complete(
             for block in blocks:
                 block[0] = -block[0]
         texts = list(map(serialize_values, blocks))
-    return [
-        CompletionResult(
-            text,
-            (estimate_tokens(serialize_values(w.values[:, :INPUT_LENGTH])) + estimate_tokens(text))
-            * MOCK_SECONDS_PER_TOKEN,
-            1,
-        )
-        for w, text in zip(windows, texts)
-    ]
+        reply_tokens = np.array(list(map(serialized_tokens, blocks)))
+    prompt_tokens = serialized_tokens(np.array([w.values[:, :INPUT_LENGTH] for w in windows]))
+    latencies = ((prompt_tokens + reply_tokens) * MOCK_SECONDS_PER_TOKEN).tolist()
+    return [CompletionResult(text, latency, 1) for text, latency in zip(texts, latencies)]

@@ -111,9 +111,10 @@ def window_from_obj(obj: dict) -> Window:
     """Read :func:`window_to_obj`'s form back.
 
     Raises ValueError naming the defect unless the row is an object with a
-    callsign, 16 input rows, some target rows, every row an array of a
-    timestamp and five attributes, finite numeric cells, and integer
-    timestamps exactly ``STEP_SECONDS`` apart, as :func:`sample_windows` cuts them.
+    callsign, 16 input rows, some target rows (as many as its ``horizon``
+    says, if it has that key), every row an array of a timestamp and five
+    attributes, finite numeric cells, and integer timestamps exactly
+    ``STEP_SECONDS`` apart, as :func:`sample_windows` cuts them.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"window row is not a JSON object (got {type(obj).__name__})")
@@ -130,6 +131,9 @@ def window_from_obj(obj: dict) -> Window:
     rows = inputs + targets
     if not all(isinstance(row, list) and len(row) == 1 + len(ATTRIBUTES) for row in rows):
         raise ValueError(f"window holds a waypoint row that is not an array of {1 + len(ATTRIBUTES)} cells")
+    horizon = obj.get("horizon", len(targets))
+    if type(horizon) is not int or horizon != len(targets):  # a bool is an int too
+        raise ValueError(f"window horizon {horizon!r} does not match its {len(targets)} target rows")
     values = np.array([row[1:] for row in rows])
     if values.dtype.kind not in "iuf":  # a null or text cell; float64 would read null as NaN
         raise ValueError(f"window holds a non-numeric cell ({values.dtype})")

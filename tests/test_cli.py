@@ -201,7 +201,9 @@ class TestStages:
                              (fractional, "window timestamp 0.7 is not an integer"),
                              (boolean, "window timestamp True is not an integer"),
                              (gapped, f"window timestamps {last_input} and {last_input + 420} are not 60 s apart"),
-                             (list(good.values()), "window row is not a JSON object (got list)")):
+                             (list(good.values()), "window row is not a JSON object (got list)"),
+                             ({**good, "horizon": 8}, "window horizon 8 does not match its 4 target rows"),
+                             ({**good, "horizon": True}, "window horizon True does not match its 4 target rows")):
             pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
             caplog.clear()
             assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
@@ -295,6 +297,8 @@ class TestStages:
             ({"input": [[60 * k, 1, 2, 3, 4, 5] for k in range(16)],
               "target": [[60 * k + 360, 1, 2, 3, 4, 5] for k in range(16, 20)]},
              "window timestamps 900 and 1320 are not 60 s apart"),
+            ({"horizon": 8}, "window horizon 8 does not match its 4 target rows"),
+            ({"horizon": "4"}, "window horizon '4' does not match its 4 target rows"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):

@@ -212,11 +212,26 @@ class TestMockComplete:
         assert mock_complete([window, window]) == mock_complete([window]) * 2
 
     def test_latency_counts_the_prompt_and_the_reply(self, rng):
-        window = cruise_window(rng, 4)
+        # Windows in every quadrant, so both the prompt's and the reply's "-" signs are counted,
+        # one on the prime meridian at a longitude of exactly -0.0 (printed "-0.00000").
+        def mirrored(window, lon_sign, lat_sign):
+            values = window.values * np.array([lon_sign, lat_sign, 1.0, 1.0, 1.0])[:, None]
+            return Window.from_columns(window.callsign, window.timestamps, values)
+
+        meridian = np.array([[-0.0] * 20, np.linspace(-1.0, 1.0, 20), [9000.0] * 20, [800.0] * 20, [0.0] * 20])
+        windows = [
+            cruise_window(rng, 4),
+            mirrored(cruise_window(rng, 1), -1.0, 1.0),
+            mirrored(cruise_window(rng, 8), 1.0, -1.0),
+            mirrored(cruise_window(rng, 4), -1.0, -1.0),
+            Window.from_columns("MER", 60 * np.arange(20), round_attributes(meridian)),
+        ]
         for behavior in MockBehavior:
-            (result,) = mock_complete([window], behavior)
-            tokens = estimate_tokens(build_prompt(window, include_assistant=False).user) + estimate_tokens(result.text)
-            assert result.latency_s == tokens * llm.MOCK_SECONDS_PER_TOKEN
+            for window, result in zip(windows, mock_complete(windows, behavior), strict=True):
+                prompt = build_prompt(window, include_assistant=False).user
+                tokens = estimate_tokens(prompt) + estimate_tokens(result.text)
+                assert result.latency_s == tokens * llm.MOCK_SECONDS_PER_TOKEN
+        assert "-0.00000" in build_prompt(windows[-1], include_assistant=False).user
 
     def test_kinematic_forecasts_a_window_from_its_own_values(self, rng):
         # The last input longitude sits 4e-6 degrees off canonical precision, which the prompt

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,14 @@ class TestWindowCodecProperty:
         rows[row][0] = window.timestamps[row].item() + data.draw(st.sampled_from((-60, -1, 1, 360)))
         with pytest.raises(ValueError, match="are not 60 s apart"):
             window_from_obj(json.loads(json.dumps(obj)))
+
+    @given(codec_windows(), st.sampled_from((0, 1, 3, 5, 8, True, 4.0, "4", None)))
+    def test_horizon_key_must_count_the_target_rows(self, window, horizon):
+        obj = window_to_obj(window)
+        assert window_from_obj({k: v for k, v in obj.items() if k != "horizon"}) == window
+        if type(horizon) is int and horizon == window.horizon:
+            assert window_from_obj({**obj, "horizon": horizon}) == window
+        else:
+            message = f"window horizon {horizon!r} does not match its {window.horizon} target rows"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                window_from_obj({**obj, "horizon": horizon})
