@@ -211,7 +211,8 @@ def _local_predict(cfg: dict):
     return lambda inputs, horizon: round_attributes(predict(inputs, horizon))
 
 
-def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
+def _predict_rows(cfg: dict, rows: list[tuple[str, windowing.Window]]) -> list[str]:
+    windows = [window for _, window in rows]
     backend = cfg["backend"]
     if backend == "endpoint":
         if not cfg["base_url"] or not cfg["model"]:
@@ -239,25 +240,19 @@ def _predict_rows(cfg: dict, windows: list[windowing.Window]) -> list[dict]:
         results = [llm.CompletionResult(prompts.serialize_values(p), latency, 1) for p in predicted]
         model_id = backend
 
-    rows = []
-    for window, result in zip(windows, results):
-        row = windowing.window_to_obj(window)
-        row.update(
-            completion=result.text,
-            latency_s=result.latency_s,
-            attempts=result.attempts,
-            backend=backend,
-            model=model_id,
-            template_version=prompts.TEMPLATE_VERSION,
-        )
-        rows.append(row)
-    return rows
+    return [
+        windowing.row_with(text, window, {
+            "completion": result.text, "latency_s": result.latency_s, "attempts": result.attempts,
+            "backend": backend, "model": model_id, "template_version": prompts.TEMPLATE_VERSION,
+        })
+        for (text, window), result in zip(rows, results)
+    ]
 
 
 def _cmd_predict(cfg: dict) -> int:
-    windows = windowing.read_windows_jsonl(cfg["input"])
-    rows = _predict_rows(cfg, windows)
-    windowing.write_jsonl(rows, cfg["out"])
+    rows = _predict_rows(cfg, windowing.read_window_rows(cfg["input"]))
+    with open(cfg["out"], "w", encoding="utf-8") as fh:
+        fh.writelines(row + "\n" for row in rows)
     logger.info("wrote %d predictions to %s", len(rows), cfg["out"])
     return 0
 

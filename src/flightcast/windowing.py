@@ -10,6 +10,7 @@ of the trajectory's, and no stage after sampling needs a ``Waypoint``.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -111,7 +112,7 @@ def window_from_obj(obj: dict) -> Window:
     """Read :func:`window_to_obj`'s form back.
 
     Raises ValueError naming the defect unless the row is an object with a
-    callsign, 16 input rows, some target rows (as many as its ``horizon``
+    string callsign, 16 input rows, some target rows (as many as its ``horizon``
     says, if it has that key), every row an array of a timestamp and five
     attributes, finite numeric cells, and integer timestamps exactly
     ``STEP_SECONDS`` apart, as :func:`sample_windows` cuts them.
@@ -121,6 +122,9 @@ def window_from_obj(obj: dict) -> Window:
     missing = [key for key in ("callsign", "input", "target") if key not in obj]
     if missing:
         raise ValueError(f"window row lacks {', '.join(map(repr, missing))}")
+    callsign = obj["callsign"]
+    if not isinstance(callsign, str):
+        raise ValueError(f"window callsign {callsign!r} is not a string")
     inputs, targets = obj["input"], obj["target"]
     if not isinstance(inputs, list) or not isinstance(targets, list):
         raise ValueError("window input and target must be arrays of waypoint rows")
@@ -146,7 +150,27 @@ def window_from_obj(obj: dict) -> Window:
     for a, b in zip(timestamps, timestamps[1:]):
         if b - a != STEP_SECONDS:
             raise ValueError(f"window timestamps {a} and {b} are not {STEP_SECONDS} s apart")
-    return Window.from_columns(obj["callsign"], timestamps, values.T)
+    return Window.from_columns(callsign, timestamps, values.T)
+
+
+#: ``json.dumps(window_to_obj(window))`` of the window :func:`window_from_obj` reads from a
+#: matching row: json's layout, a callsign json leaves unescaped, and cells ``repr`` writes
+#: back as they are (plain notation, no superfluous zero, 0 or >= 1e-4, <= 15 digits: DBL_DIG).
+_CELL = r"-?(?:[1-9][0-9]{0,5}\.(?:0|[0-9]{0,8}[1-9])|0\.(?:0|(?!0000)[0-9]{0,8}[1-9]))"
+_ROW = rf"\[(?:0|-?[1-9][0-9]*)(?:, {_CELL}){{5}}\]"
+CANONICAL_ROW = re.compile(rf'\{{"callsign": "[ !#-\[\]-~]*", "horizon": [1-9][0-9]*, '
+                           rf'"input": \[{_ROW}(?:, {_ROW}){{15}}\], "target": \[{_ROW}(?:, {_ROW})*\]\}}')
+_ENCODER = json.JSONEncoder(check_circular=False)  # json.dumps's; every row is built fresh
+
+
+def row_with(text: str, window: Window, keys: dict) -> str:
+    """``json.dumps({**window_to_obj(window), **keys})``, reusing ``text`` if it is canonical.
+
+    ``text`` is the row ``window`` was read from; ``keys`` is non-empty and shares none of its keys.
+    """
+    if CANONICAL_ROW.fullmatch(text):
+        return text[:-1] + ", " + _ENCODER.encode(keys)[1:]
+    return _ENCODER.encode({**window_to_obj(window), **keys})
 
 
 def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:
@@ -156,23 +180,33 @@ def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:
             write_jsonl(objs, fh)
             return
     for obj in objs:
-        target.write(json.dumps(obj))
+        target.write(_ENCODER.encode(obj))
         target.write("\n")
+
+
+def _lines(source: str | Path | TextIO) -> Iterator[str]:
+    """Yield each non-blank line."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield from _lines(fh)
+        return
+    for line in source:
+        if line.strip():
+            yield line
 
 
 def read_jsonl(source: str | Path | TextIO) -> Iterator:
     """Yield the object on each non-blank line."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from read_jsonl(fh)
-        return
-    for line in source:
-        if line.strip():
-            yield json.loads(line)
+    return map(json.loads, _lines(source))
 
 
 def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
     write_jsonl(map(window_to_obj, windows), target)
+
+
+def read_window_rows(source: str | Path | TextIO) -> list[tuple[str, Window]]:
+    """Each windows row's text, stripped, beside the window :func:`window_from_obj` reads from it."""
+    return [(line.strip(), window_from_obj(json.loads(line))) for line in _lines(source)]
 
 
 def read_windows_jsonl(source: str | Path | TextIO) -> list[Window]:

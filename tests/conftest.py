@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import logging
 import math
 import re
@@ -479,6 +480,24 @@ def reference_sample_windows(traj: Trajectory, horizon: int, stride: int) -> lis
         else:
             k = break_at + 1
     return windows
+
+
+class Text(str):
+    """A JSON value's text, which :func:`json_text` writes as it is."""
+
+
+def json_text(obj, number=repr, items=", ", pairs=": ", ensure_ascii=True) -> str:
+    """``obj`` as JSON text with each float written by ``number``, in json's layout by default."""
+    if isinstance(obj, Text):
+        return obj
+    if isinstance(obj, float):
+        return number(obj)
+    if isinstance(obj, list):
+        return "[" + items.join(json_text(v, number, items, pairs, ensure_ascii) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + items.join(json.dumps(k) + pairs + json_text(v, number, items, pairs, ensure_ascii)
+                                for k, v in obj.items()) + "}"
+    return json.dumps(obj, ensure_ascii=ensure_ascii)
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:

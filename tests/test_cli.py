@@ -7,7 +7,11 @@ import pytest
 
 from flightcast.cli import main
 from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
-from flightcast.windowing import read_jsonl, read_windows_jsonl
+from flightcast.llm import mock_complete
+from flightcast.prompts import TEMPLATE_VERSION
+from flightcast.windowing import read_jsonl, read_windows_jsonl, window_from_obj, window_to_obj
+
+from conftest import json_text
 
 
 def run(*args) -> int:
@@ -32,6 +36,24 @@ def as_array(row: dict) -> list:
 
 def without_input_and_callsign(row: dict) -> dict:
     return {key: value for key, value in row.items() if key not in ("input", "callsign")}
+
+
+#: Ways to write a windows row, json.dumps's own first; some also change its window's cells or callsign.
+RESPELLINGS = (
+    json.dumps,
+    lambda row: json.dumps(row, separators=(",", ":")),
+    lambda row: json.dumps({key: value for key, value in row.items() if key != "horizon"}),
+    lambda row: json_text(row, "%.17g".__mod__),
+    lambda row: json_text(row, "{:.7f}".format),
+    lambda row: json.dumps({**row, "note": "re-spelled"}),
+    lambda row: json.dumps({**row, "callsign": "\u00c4B-" + row["callsign"]}),
+    lambda row: json.dumps({**row, "callsign": "\u00c4B-" + row["callsign"]}, ensure_ascii=False),
+    lambda row: json.dumps({**row, "callsign": 'say "hi"\\'}),
+    lambda row: json.dumps(dict(reversed(row.items()))),
+    lambda row: " \t" + json.dumps(row) + "  ",
+    lambda row: json.dumps({**row, "input": [[r[0], *map(round, r[1:])] for r in row["input"]]}),
+    lambda row: json.dumps({**row, "target": [[r[0], 5e-05, *r[2:]] for r in row["target"]]}),
+)
 
 
 class TestStages:
@@ -84,6 +106,23 @@ class TestStages:
         assert report.model == "mock-kinematic"
         assert (out.parent / "mock.csv").exists()
         assert (out.parent / "mock.txt").exists()
+
+    def test_predict_writes_each_window_as_json_writes_it_whatever_its_spelling(self, pipeline_dir, tmp_path):
+        rows = list(read_jsonl(pipeline_dir / "windows.jsonl"))
+        texts = [RESPELLINGS[k % len(RESPELLINGS)](row) for k, row in enumerate(rows)]
+        windows = tmp_path / "respelled.jsonl"
+        windows.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "mock") == 0
+        read = [window_from_obj(json.loads(text)) for text in texts]
+        expected = [
+            json.dumps({**window_to_obj(window), "completion": result.text, "latency_s": result.latency_s,
+                        "attempts": result.attempts, "backend": "mock", "model": "mock-kinematic",
+                        "template_version": TEMPLATE_VERSION})
+            for window, result in zip(read, mock_complete(read))
+        ]
+        assert len(rows) > len(RESPELLINGS)
+        assert pred.read_text(encoding="utf-8").splitlines() == expected
 
     def test_mock_empty_eval_counts_all_missing_and_fails(self, pipeline_dir):
         pred = pipeline_dir / "pred_empty.jsonl"
@@ -203,7 +242,9 @@ class TestStages:
                              (gapped, f"window timestamps {last_input} and {last_input + 420} are not 60 s apart"),
                              (list(good.values()), "window row is not a JSON object (got list)"),
                              ({**good, "horizon": 8}, "window horizon 8 does not match its 4 target rows"),
-                             ({**good, "horizon": True}, "window horizon True does not match its 4 target rows")):
+                             ({**good, "horizon": True}, "window horizon True does not match its 4 target rows"),
+                             *(({**good, "callsign": callsign}, f"window callsign {callsign!r} is not a string")
+                               for callsign in (None, 5, ["a"], {"x": 1}))):
             pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
             caplog.clear()
             assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
@@ -299,6 +340,10 @@ class TestStages:
              "window timestamps 900 and 1320 are not 60 s apart"),
             ({"horizon": 8}, "window horizon 8 does not match its 4 target rows"),
             ({"horizon": "4"}, "window horizon '4' does not match its 4 target rows"),
+            ({"callsign": None}, "window callsign None is not a string"),
+            ({"callsign": 5}, "window callsign 5 is not a string"),
+            ({"callsign": ["a"]}, "window callsign ['a'] is not a string"),
+            ({"callsign": {"x": 1}}, "window callsign {'x': 1} is not a string"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):

@@ -4,26 +4,30 @@ import json
 import math
 import pickle
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flightcast.domain import TIMESTAMP_RANGE, Trajectory, Waypoint
+from flightcast.domain import CANONICAL_DECIMALS, TIMESTAMP_RANGE, Trajectory, Waypoint
+from flightcast.ingest import clean_trajectories, read_adsb_csv, write_trajectories_csv
 from flightcast.windowing import (
+    CANONICAL_ROW,
     INPUT_LENGTH,
     SUPPORTED_HORIZONS,
     Window,
     default_stride,
     read_windows_jsonl,
+    row_with,
     sample_windows,
     window_from_obj,
     window_to_obj,
     write_windows_jsonl,
 )
 
-from conftest import check_continuity, gap_seeded_trajectory, reference_sample_windows
+from conftest import Text, check_continuity, gap_seeded_trajectory, json_text, reference_sample_windows
 
 
 def minute_trajectory(minutes, callsign="T") -> Trajectory:
@@ -227,12 +231,12 @@ CODEC_VALUES = st.one_of(
 
 
 @st.composite
-def codec_windows(draw):
+def codec_windows(draw, cells=CODEC_VALUES, callsigns=st.text(max_size=8)):
     horizon = draw(st.sampled_from(SUPPORTED_HORIZONS))
     n = INPUT_LENGTH + horizon
     start = draw(st.integers(TIMESTAMP_RANGE[0], TIMESTAMP_RANGE[1] - 60 * n))
-    values = draw(st.lists(CODEC_VALUES, min_size=5 * n, max_size=5 * n))
-    return Window.from_columns(draw(st.text(max_size=8)), start + 60 * np.arange(n), np.array(values).reshape(5, n))
+    values = draw(st.lists(cells, min_size=5 * n, max_size=5 * n))
+    return Window.from_columns(draw(callsigns), start + 60 * np.arange(n), np.array(values).reshape(5, n))
 
 
 class TestWindowCodecProperty:
@@ -289,3 +293,106 @@ class TestWindowCodecProperty:
             message = f"window horizon {horizon!r} does not match its {window.horizon} target rows"
             with pytest.raises(ValueError, match=re.escape(message)):
                 window_from_obj({**obj, "horizon": horizon})
+
+
+#: Decimals that ``repr`` writes in plain notation with at most 15 digits, ±0.0 among them.
+PLAIN_VALUES = st.builds(round, st.floats(-999_999, 999_999), st.integers(0, 9)).filter(
+    lambda v: v == 0 or abs(v) >= 1e-4)
+#: Rounded decimals of every size and digit count, values below 1e-4, and any finite double.
+DECIMAL_VALUES = st.one_of(
+    CODEC_VALUES,
+    st.builds(round, st.floats(-1e7, 1e7), st.integers(0, 11)),
+    st.builds(round, st.floats(-2e-4, 2e-4), st.integers(4, 9)),
+)
+PRINTABLE_CALLSIGNS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+
+#: Ways to write a number that JSON reads: ``repr`` (json's own), fixed decimals, 17, 16 or
+#: 15 significant digits, an exponent, an integer, or the plain decimal of ``repr``.
+NUMBER_TEXTS = st.one_of(
+    st.just(repr),
+    st.just(lambda v: format(Decimal(repr(v)), "f")),
+    st.integers(0, 12).map(lambda k: f"%.{k}f".__mod__),
+    st.sampled_from(("%.17g", "%.16g", "%.15g", "%.3e", "%.0f")).map(lambda spec: spec.__mod__),
+)
+#: Cell texts at the edges of the pattern's cell rule: up to 7 integer and 11 fraction digits
+#: (leading and trailing zeros among them), values below 1e-4, and exponents.
+CELL_TEXTS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,6})\.[0-9]{1,11}", fullmatch=True),
+    st.from_regex(r"-?[1-9](\.[0-9]{1,16})?e-0[4-9]", fullmatch=True),
+    CODEC_VALUES.map(repr),
+)
+
+
+#: Row layouts: json's own, compact separators, raw non-ASCII, no ``horizon``, an extra key,
+#: another key order, and a callsign spelled with escapes.
+LAYOUTS = {
+    "json": lambda obj, number: json_text(obj, number),
+    "compact": lambda obj, number: json_text(obj, number, ",", ":"),
+    "raw": lambda obj, number: json_text(obj, number, ensure_ascii=False),
+    "no horizon": lambda obj, number: json_text({k: v for k, v in obj.items() if k != "horizon"}, number),
+    "extra key": lambda obj, number: json_text({**obj, "note": 1.5}, number),
+    "reordered": lambda obj, number: json_text(dict(reversed(obj.items())), number),
+    "escaped": lambda obj, number: json_text(obj, number).replace(
+        json.dumps(obj["callsign"]), '"' + "".join(f"\\u{ord(c):04x}" for c in obj["callsign"]) + '"', 1),
+}
+
+
+def canonical_decimals(decimals: int, low: int, high: int):
+    """Values of ``decimals`` places in [low, high], none below 1e-4 in size but zero."""
+    smallest = 10 ** max(decimals - 4, 0)
+    return st.integers(low * 10**decimals, high * 10**decimals).filter(
+        lambda m: m == 0 or abs(m) >= smallest).map(lambda m: m / 10**decimals)
+
+
+#: Attribute rows as the canonical-decimal CSV that ``ingest`` writes holds them.
+CANONICAL_WAYPOINTS = st.tuples(*(
+    canonical_decimals(d, low, high)
+    for d, (low, high) in zip(CANONICAL_DECIMALS, ((-180, 180), (-90, 90), (-500, 20000), (0, 2000), (0, 359)))
+))
+
+
+def check_row_with(text: str) -> None:
+    """Check that a matching row is json's text of its window, and that ``row_with`` writes json's row."""
+    try:
+        window = window_from_obj(json.loads(text))
+    except ValueError:  # the spelling overflowed a double (inf) or an int64 (an integer cell)
+        return
+    if CANONICAL_ROW.fullmatch(text):
+        assert text == json.dumps(window_to_obj(window))
+    keys = {"completion": "(1.5, 2.0)", "latency_s": 0.25}
+    assert row_with(text, window, keys) == json.dumps({**window_to_obj(window), **keys})
+
+
+PLAIN_WINDOW = Window.from_columns("AB12", 60 * np.arange(20), np.full((5, 20), 1.5))
+
+
+class TestCanonicalRow:
+    @given(codec_windows(PLAIN_VALUES, PRINTABLE_CALLSIGNS), st.integers(0, 5 * 24), CELL_TEXTS)
+    # Cells just outside the rule: 16 digits that name the same double as another 16
+    # (repr 586111.6225516706 and 9357406.63692618), a superfluous zero, and 5e-05.
+    @example(PLAIN_WINDOW, 0, "586111.6225516707")
+    @example(PLAIN_WINDOW, 0, "9357406.636926179")
+    @example(PLAIN_WINDOW, 0, "1.50")
+    @example(PLAIN_WINDOW, 0, "0.00005")
+    def test_a_matching_cell_is_the_one_repr_writes(self, window, at, cell):
+        obj = window_to_obj(window)
+        rows = obj["input"] + obj["target"]
+        rows[at // 5 % len(rows)][1 + at % 5] = Text(cell)
+        check_row_with(json_text(obj))
+
+    @given(st.one_of(codec_windows(PLAIN_VALUES, PRINTABLE_CALLSIGNS), codec_windows(DECIMAL_VALUES)),
+           NUMBER_TEXTS, st.sampled_from(sorted(LAYOUTS)))
+    def test_a_matching_row_is_the_one_json_writes(self, window, number, layout):
+        check_row_with(LAYOUTS[layout](window_to_obj(window), number))
+
+    @given(st.lists(CANONICAL_WAYPOINTS, min_size=INPUT_LENGTH + 8, max_size=40),
+           st.sampled_from(SUPPORTED_HORIZONS))
+    def test_windows_cut_from_a_canonical_decimal_csv_match(self, rows, horizon):
+        csv_text = io.StringIO()
+        write_trajectories_csv([Trajectory.from_columns("AB 12", 60 * np.arange(len(rows)), np.array(rows).T)],
+                               csv_text)
+        (traj,) = clean_trajectories(read_adsb_csv(io.StringIO(csv_text.getvalue()))).trajectories
+        out = io.StringIO()
+        write_windows_jsonl(sample_windows(traj, horizon), out)
+        lines = out.getvalue().splitlines()
+        assert lines and all(CANONICAL_ROW.fullmatch(line) for line in lines)
