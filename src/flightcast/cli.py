@@ -287,8 +287,9 @@ def _check_prediction(row: dict) -> None:
 
 def _cmd_eval(cfg: dict) -> int:
     scorable, skipped = [], []
-    for number, row in enumerate(windowing.read_jsonl(cfg["pred"]), start=1):
+    for number, line in windowing.numbered_lines(cfg["pred"]):
         try:
+            row = json.loads(line)
             window = windowing.window_from_obj(row)
             _check_prediction(row)
         except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64

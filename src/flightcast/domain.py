@@ -57,27 +57,28 @@ class Trajectory:
 
     ``timestamps`` is int64 with one entry per waypoint and ``values`` is
     float64 with one row per attribute, in ATTRIBUTES order; both are
-    read-only. ``Trajectory(callsign, waypoints)`` keeps the given tuple as
-    ``waypoints``; a trajectory from :meth:`from_columns` builds that tuple
-    on first access. Equality, hash and repr are those of the waypoint
-    tuple: ``-0.0 == 0.0``, NaN equals nothing, and the repr is complete.
+    read-only, and they are all a trajectory stores. ``Trajectory(callsign,
+    waypoints)`` converts a waypoint tuple into them, and ``waypoints``
+    builds one from them on each access. Equality, hash and repr are those
+    of the waypoint tuple: ``-0.0 == 0.0``, NaN equals nothing, and the repr
+    is complete.
     """
 
-    __slots__ = ("callsign", "timestamps", "values", "_waypoints")
+    __slots__ = ("callsign", "timestamps", "values")
 
     def __init__(self, callsign: str, waypoints: tuple[Waypoint, ...]):
         timestamps = np.array([w.timestamp for w in waypoints], dtype=np.int64)
         values = np.array([w.values() for w in waypoints], dtype=np.float64).reshape(-1, len(ATTRIBUTES))
-        self._init(callsign, timestamps, values.T, waypoints)
+        self._init(callsign, timestamps, values.T)
 
     @classmethod
     def from_columns(cls, callsign: str, timestamps: np.ndarray, values: np.ndarray) -> Trajectory:
         """A trajectory over the given arrays, which are taken over (not copied) and set read-only."""
         traj = cls.__new__(cls)
-        traj._init(callsign, np.asarray(timestamps, dtype=np.int64), np.asarray(values, dtype=np.float64), None)
+        traj._init(callsign, np.asarray(timestamps, dtype=np.int64), np.asarray(values, dtype=np.float64))
         return traj
 
-    def _init(self, callsign, timestamps, values, waypoints) -> None:
+    def _init(self, callsign, timestamps, values) -> None:
         if values.shape != (len(ATTRIBUTES), len(timestamps)):
             raise ValueError(f"values of shape {values.shape} for {len(timestamps)} timestamps")
         timestamps.flags.writeable = False
@@ -85,14 +86,10 @@ class Trajectory:
         object.__setattr__(self, "callsign", callsign)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_waypoints", waypoints)
 
     @property
     def waypoints(self) -> tuple[Waypoint, ...]:
-        if self._waypoints is None:
-            waypoints = tuple(map(Waypoint, self.timestamps.tolist(), *self.values.tolist()))
-            object.__setattr__(self, "_waypoints", waypoints)
-        return self._waypoints
+        return tuple(map(Waypoint, self.timestamps.tolist(), *self.values.tolist()))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -120,8 +117,6 @@ class Trajectory:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        if self._waypoints is not None:
-            return type(self), (self.callsign, self._waypoints)
         return type(self).from_columns, (self.callsign, self.timestamps, self.values)
 
 

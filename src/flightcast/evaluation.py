@@ -137,9 +137,6 @@ class MetricsReport:
         return cls(**values)
 
 
-EvalSample = tuple[Window, ParseOutcome, float]
-
-
 def _pool_stats(truth: np.ndarray, predicted: np.ndarray) -> dict[str, AttributeStats]:
     """Per-attribute MAE/RMSE over every pair of two (samples, 5, ...) arrays."""
     truth = truth.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
@@ -151,7 +148,7 @@ def _pool_stats(truth: np.ndarray, predicted: np.ndarray) -> dict[str, Attribute
 
 
 def evaluate(
-    samples: Sequence[EvalSample],
+    samples: Sequence[tuple[Window, ParseOutcome, float]],
     model: str = "",
     template_version: str = "",
 ) -> MetricsReport:

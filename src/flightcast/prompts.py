@@ -30,7 +30,7 @@ TEMPLATE_VERSION = "v1"
 #: last observed position are treated as severe deviations. Five degrees is
 #: far beyond any few-minute airliner displacement, so only pathological
 #: output trips it.
-DEFAULT_PLAUSIBILITY_RADIUS_DEG = 5.0
+PLAUSIBILITY_RADIUS_DEG = 5.0
 
 _ROW_FORMAT = "(" + ", ".join(f"{{:.{d}f}}" for d in CANONICAL_DECIMALS) + ")"
 # "5, 5, 3, 3, and 2": the system prompt states the decimals _ROW_FORMAT writes.
@@ -59,7 +59,6 @@ class PromptRecord:
     system: str
     user: str
     assistant: str
-    template_version: str = TEMPLATE_VERSION
 
 
 class FailureKind(Enum):
@@ -87,14 +86,6 @@ class ParseOutcome:
     @property
     def ok(self) -> bool:
         return self.values is not None
-
-    @classmethod
-    def success(cls, values: np.ndarray, diagnostic: str = "") -> "ParseOutcome":
-        return cls(values=values, diagnostic=diagnostic)
-
-    @classmethod
-    def failed(cls, kind: FailureKind, diagnostic: str) -> "ParseOutcome":
-        return cls(failure=kind, diagnostic=diagnostic)
 
 
 def serialize_values(values: np.ndarray) -> str:
@@ -143,16 +134,12 @@ def extract_tuples(text: str) -> list[list[str]]:
     return candidates
 
 
-def classify_severe(
-    values: np.ndarray,
-    context: Window,
-    radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG,
-) -> np.ndarray:
+def classify_severe(values: np.ndarray, context: Window) -> np.ndarray:
     """One flag per column of a (5, n) block: True where that step is too implausible to score.
 
     Flags any non-finite attribute (a number too long for a double reads
     as infinity), coordinates ``validate_columns`` rejects, positions farther than
-    ``radius`` degrees from the last observed waypoint, and the
+    ``PLAUSIBILITY_RADIUS_DEG`` from the last observed waypoint, and the
     characteristic sign-flip failure (longitude or latitude coming back
     with the opposite sign when the aircraft is clearly away from zero).
     """
@@ -160,18 +147,13 @@ def classify_severe(
     position = values[:2]
     reason = validate_columns(np.zeros(values.shape[1], dtype=np.int64), values)
     out_of_box = (reason == 2) | (reason == 3)  # longitude or latitude out of range
-    far = np.abs(position - last) > radius
+    far = np.abs(position - last) > PLAUSIBILITY_RADIUS_DEG
     # Opposite signs, written as comparisons: the product would be inf * 0 for some inputs.
     flipped = ((position < 0.0) & (last > 1.0)) | ((position > 0.0) & (last < -1.0))
     return out_of_box | (far | flipped).any(axis=0) | ~np.isfinite(values).all(axis=0)
 
 
-def parse_completion(
-    text: str,
-    horizon: int,
-    context: Window,
-    radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG,
-) -> ParseOutcome:
+def parse_completion(text: str, horizon: int, context: Window) -> ParseOutcome:
     """Parse arbitrary model output into a (5, horizon) block or a failure class.
 
     Never raises. Classification: no numeric tuples at all is a missing
@@ -181,45 +163,38 @@ def parse_completion(
     horizon are ignored.
     """
     if not isinstance(text, str):
-        return ParseOutcome.failed(
-            FailureKind.UNEXPECTED_FORMAT, f"completion is {type(text).__name__}, not text"
-        )
+        return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                            diagnostic=f"completion is {type(text).__name__}, not text")
     candidates = extract_tuples(text)
     if not candidates:
-        return ParseOutcome.failed(FailureKind.MISSING_TRAJECTORY, "no coordinate tuples found")
+        return ParseOutcome(failure=FailureKind.MISSING_TRAJECTORY, diagnostic="no coordinate tuples found")
     if len(candidates) < horizon:
-        return ParseOutcome.failed(
-            FailureKind.UNEXPECTED_FORMAT,
-            f"found {len(candidates)} tuple(s), expected {horizon}",
-        )
+        return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                            diagnostic=f"found {len(candidates)} tuple(s), expected {horizon}")
 
     rows = []
     for step, items in enumerate(candidates[:horizon], start=1):
         if len(items) != 5:
-            return ParseOutcome.failed(
-                FailureKind.UNEXPECTED_FORMAT,
-                f"tuple {step} has {len(items)} fields, expected 5",
-            )
+            return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                                diagnostic=f"tuple {step} has {len(items)} fields, expected 5")
         bad = [item for item in items if not DECIMAL_RE.match(item)]
         if bad:
-            return ParseOutcome.failed(
-                FailureKind.UNEXPECTED_FORMAT,
-                f"tuple {step} has non-numeric field {bad[0]!r}",
-            )
+            return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                                diagnostic=f"tuple {step} has non-numeric field {bad[0]!r}")
         rows.append([float(item) for item in items])
 
     values = np.array(rows, dtype=np.float64).reshape(-1, 5).T
-    severe = classify_severe(values, context, radius)
+    severe = classify_severe(values, context)
     if severe.any():
-        return ParseOutcome.failed(
-            FailureKind.SEVERE_DEVIATION,
-            f"waypoint {int(severe.argmax()) + 1} deviates implausibly from the last observed position",
+        return ParseOutcome(
+            failure=FailureKind.SEVERE_DEVIATION,
+            diagnostic=f"waypoint {int(severe.argmax()) + 1} deviates implausibly from the last observed position",
         )
 
     diagnostic = ""
     if len(candidates) > horizon:
         diagnostic = f"ignored {len(candidates) - horizon} extra tuple(s)"
-    return ParseOutcome.success(values, diagnostic)
+    return ParseOutcome(values=values, diagnostic=diagnostic)
 
 
 # --- Dataset emission --------------------------------------------------------
@@ -228,15 +203,12 @@ def parse_completion(
 def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
     """Write prompt records as JSON Lines plus a sidecar manifest.
 
-    All records must share one template version and one horizon. The
-    manifest (written to ``<path>.manifest.json``) pins template version,
-    horizon, record count, and a digest of the emitted bytes, which makes
-    regeneration checks a file compare. Returns the manifest.
+    All records must share one horizon. The manifest (written to
+    ``<path>.manifest.json``) pins ``TEMPLATE_VERSION``, horizon, record
+    count, and a digest of the emitted bytes, which makes regeneration
+    checks a file compare. Returns the manifest.
     """
     records = list(records)
-    versions = {r.template_version for r in records}
-    if len(versions) > 1:
-        raise ValueError(f"records mix template versions: {sorted(versions)}")
     horizons = {horizon_from_system(r.system) for r in records}
     if len(horizons) > 1:
         raise ValueError(f"records mix horizons: {sorted(horizons, key=str)}")
@@ -248,7 +220,7 @@ def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
     path.write_text(payload, encoding="utf-8")
 
     manifest = {
-        "template_version": records[0].template_version if records else TEMPLATE_VERSION,
+        "template_version": TEMPLATE_VERSION,
         "horizon": horizon_from_system(records[0].system) if records else None,
         "records": len(records),
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),

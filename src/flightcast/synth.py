@@ -231,22 +231,6 @@ def generate_corpus(count: int, base_seed: int) -> tuple[RecordTable, list[Fligh
 # --- Manifest I/O ------------------------------------------------------------
 
 
-def spec_to_dict(spec: FlightSpec) -> dict:
-    return asdict(spec)
-
-
-def spec_from_dict(obj: dict) -> FlightSpec:
-    obj = dict(obj)
-    obj["turns"] = tuple(TurnEvent(**t) for t in obj.get("turns", ()))
-    obj["drop"] = DropEvent(**obj["drop"]) if obj.get("drop") else None
-    obj["noise"] = NoiseStd(**obj.get("noise", {}))
-    return FlightSpec(**obj)
-
-
 def write_manifest(specs: list[FlightSpec], path: str | Path) -> None:
-    payload = json.dumps([spec_to_dict(s) for s in specs], indent=2, sort_keys=True)
+    payload = json.dumps([asdict(s) for s in specs], indent=2, sort_keys=True)
     Path(path).write_text(payload + "\n", encoding="utf-8")
-
-
-def read_manifest(path: str | Path) -> list[FlightSpec]:
-    return [spec_from_dict(obj) for obj in json.loads(Path(path).read_text(encoding="utf-8"))]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -33,10 +34,10 @@ class Window(Trajectory):
 
     __slots__ = ()
 
-    def _init(self, callsign, timestamps, values, waypoints) -> None:
+    def _init(self, callsign, timestamps, values) -> None:
         if len(timestamps) < INPUT_LENGTH:
             raise ValueError(f"window of {len(timestamps)} rows, expected at least {INPUT_LENGTH}")
-        super()._init(callsign, timestamps, values, waypoints)
+        super()._init(callsign, timestamps, values)
 
     @property
     def horizon(self) -> int:
@@ -114,8 +115,9 @@ def window_from_obj(obj: dict) -> Window:
     Raises ValueError naming the defect unless the row is an object with a
     string callsign, 16 input rows, some target rows (as many as its ``horizon``
     says, if it has that key), every row an array of a timestamp and five
-    attributes, finite numeric cells, and integer timestamps exactly
-    ``STEP_SECONDS`` apart, as :func:`sample_windows` cuts them.
+    attributes, finite number cells (not ``true`` or ``false``, nor an integer
+    past 64 bits), and integer timestamps exactly ``STEP_SECONDS`` apart, as
+    :func:`sample_windows` cuts them.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"window row is not a JSON object (got {type(obj).__name__})")
@@ -138,9 +140,15 @@ def window_from_obj(obj: dict) -> Window:
     horizon = obj.get("horizon", len(targets))
     if type(horizon) is not int or horizon != len(targets):  # a bool is an int too
         raise ValueError(f"window horizon {horizon!r} does not match its {len(targets)} target rows")
-    values = np.array([row[1:] for row in rows])
-    if values.dtype.kind not in "iuf":  # a null or text cell; float64 would read null as NaN
-        raise ValueError(f"window holds a non-numeric cell ({values.dtype})")
+    cells = [row[1:] for row in rows]
+    # float64 would read null as NaN and true as 1.0; only an int or a float is a number here.
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        cell = next(c for c in chain.from_iterable(cells) if type(c) not in (int, float))
+        raise ValueError(f"window holds a non-numeric cell ({cell!r})")
+    values = np.array(cells)
+    if values.dtype.kind not in "iuf":  # object: some int fits no 64-bit integer
+        cell = next(c for c in chain.from_iterable(cells) if type(c) is int and not -(2**63) <= c < 2**63)
+        raise ValueError(f"window holds integer cell {cell} outside the int64 range")
     if not np.isfinite(values).all():  # JSON NaN or Infinity
         raise ValueError("window holds a non-finite cell")
     timestamps = [row[0] for row in rows]
@@ -184,30 +192,37 @@ def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:
         target.write("\n")
 
 
-def _lines(source: str | Path | TextIO) -> Iterator[str]:
-    """Yield each non-blank line."""
+def numbered_lines(source: str | Path | TextIO) -> Iterator[tuple[int, str]]:
+    """Yield each non-blank line with its row number, counting non-blank lines from 1."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            yield from _lines(fh)
+            yield from numbered_lines(fh)
         return
-    for line in source:
-        if line.strip():
-            yield line
+    yield from enumerate(filter(str.strip, source), start=1)
 
 
 def read_jsonl(source: str | Path | TextIO) -> Iterator:
     """Yield the object on each non-blank line."""
-    return map(json.loads, _lines(source))
+    return (json.loads(line) for _, line in numbered_lines(source))
 
 
 def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
     write_jsonl(map(window_to_obj, windows), target)
 
 
+def _window_lines(source: str | Path | TextIO) -> Iterator[tuple[str, Window]]:
+    """Each windows line beside its window; a bad row raises ValueError starting ``row N: ``."""
+    for number, line in numbered_lines(source):
+        try:
+            yield line, window_from_obj(json.loads(line))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64
+            raise ValueError(f"row {number}: {exc}") from exc
+
+
 def read_window_rows(source: str | Path | TextIO) -> list[tuple[str, Window]]:
     """Each windows row's text, stripped, beside the window :func:`window_from_obj` reads from it."""
-    return [(line.strip(), window_from_obj(json.loads(line))) for line in _lines(source)]
+    return [(line.strip(), window) for line, window in _window_lines(source)]
 
 
 def read_windows_jsonl(source: str | Path | TextIO) -> list[Window]:
-    return list(map(window_from_obj, read_jsonl(source)))
+    return [window for _, window in _window_lines(source)]

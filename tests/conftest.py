@@ -41,8 +41,17 @@ from flightcast.ingest import (
 )
 from flightcast.predictors.baselines import KM_PER_DEGREE, POLAR_LATITUDE_LIMIT
 from flightcast.predictors.lstm import LstmParams, _forward_batch, _views
-from flightcast.prompts import DEFAULT_PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
-from flightcast.synth import LANDING_SPEED_KMH, TAKEOFF_SPEED_KMH, FlightSpec, _phase_minutes, validate_spec
+from flightcast.prompts import PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
+from flightcast.synth import (
+    LANDING_SPEED_KMH,
+    TAKEOFF_SPEED_KMH,
+    DropEvent,
+    FlightSpec,
+    NoiseStd,
+    TurnEvent,
+    _phase_minutes,
+    validate_spec,
+)
 from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
 # Properties draw the same examples on every run and never time out, so a
@@ -450,6 +459,21 @@ def reference_generate_flight(spec: FlightSpec) -> list[RawRecord]:
     return [RawRecord(t, u, spec.callsign, *v) for t, u, v in zip(timestamps.tolist(), utc_times, values)]
 
 
+def spec_from_dict(obj: dict) -> FlightSpec:
+    """Read ``dataclasses.asdict(spec)`` back."""
+    obj = dict(obj)
+    obj["turns"] = tuple(TurnEvent(**t) for t in obj.get("turns", ()))
+    obj["drop"] = DropEvent(**obj["drop"]) if obj.get("drop") else None
+    obj["noise"] = NoiseStd(**obj.get("noise", {}))
+    return FlightSpec(**obj)
+
+
+def read_manifest(path) -> list[FlightSpec]:
+    """The specs ``synth.write_manifest`` wrote."""
+    with open(path, encoding="utf-8") as fh:
+        return [spec_from_dict(obj) for obj in json.load(fh)]
+
+
 # --- Reference windowing -------------------------------------------------------
 
 
@@ -573,8 +597,7 @@ def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
 # bit for bit to the reference's waypoints.
 
 
-def reference_classify_severe(predicted: Waypoint, context: Window,
-                              radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG) -> bool:
+def reference_classify_severe(predicted: Waypoint, context: Window) -> bool:
     last_lon, last_lat = context.values[:2, INPUT_LENGTH - 1].tolist()
     if not all(map(math.isfinite, predicted.values())):
         return True
@@ -582,9 +605,9 @@ def reference_classify_severe(predicted: Waypoint, context: Window,
         return True
     if not (LATITUDE_RANGE[0] <= predicted.latitude <= LATITUDE_RANGE[1]):
         return True
-    if abs(predicted.longitude - last_lon) > radius:
+    if abs(predicted.longitude - last_lon) > PLAUSIBILITY_RADIUS_DEG:
         return True
-    if abs(predicted.latitude - last_lat) > radius:
+    if abs(predicted.latitude - last_lat) > PLAUSIBILITY_RADIUS_DEG:
         return True
     if abs(last_lon) > 1.0 and predicted.longitude * last_lon < 0.0:
         return True
@@ -593,8 +616,7 @@ def reference_classify_severe(predicted: Waypoint, context: Window,
     return False
 
 
-def reference_parse_completion(text, horizon: int, context: Window,
-                               radius: float = DEFAULT_PLAUSIBILITY_RADIUS_DEG):
+def reference_parse_completion(text, horizon: int, context: Window):
     """``(waypoints, failure, diagnostic)``: exactly one of waypoints and failure is None."""
     if not isinstance(text, str):
         return None, FailureKind.UNEXPECTED_FORMAT, f"completion is {type(text).__name__}, not text"
@@ -615,7 +637,7 @@ def reference_parse_completion(text, horizon: int, context: Window,
         waypoints.append(Waypoint(last_ts + step * STEP_SECONDS, *[float(item) for item in items]))
 
     for step, w in enumerate(waypoints, start=1):
-        if reference_classify_severe(w, context, radius):
+        if reference_classify_severe(w, context):
             return (None, FailureKind.SEVERE_DEVIATION,
                     f"waypoint {step} deviates implausibly from the last observed position")
 

@@ -306,9 +306,9 @@ def _mae_by_attribute(samples) -> dict[str, float]:
 def _evaluate_backend(backend: str, windows, params) -> dict[str, float]:
     (horizon,) = {w.horizon for w in windows}
     if backend == "persistence":
-        outcomes = map(ParseOutcome.success, predict_persistence(window_inputs(windows), horizon))
+        outcomes = (ParseOutcome(values=b) for b in predict_persistence(window_inputs(windows), horizon))
     elif backend == "lstm":
-        outcomes = map(ParseOutcome.success, lstm_predict(params, window_inputs(windows), horizon))
+        outcomes = (ParseOutcome(values=b) for b in lstm_predict(params, window_inputs(windows), horizon))
     else:  # the mock chat backend answering with dead reckoning
         replies = mock_complete(windows, MockBehavior.KINEMATIC)
         outcomes = [parse_completion(r.text, horizon, w) for r, w in zip(replies, windows)]

@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import json
 import logging
+import re
 
 import pytest
 
@@ -36,6 +37,15 @@ def as_array(row: dict) -> list:
 
 def without_input_and_callsign(row: dict) -> dict:
     return {key: value for key, value in row.items() if key not in ("input", "callsign")}
+
+
+def truncated(row: dict) -> str:
+    return '{"callsign": "X", "inp'
+
+
+def jsonl_text(rows) -> str:
+    """One line per row: a string is the line's text, anything else is written by json.dumps."""
+    return "".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows)
 
 
 #: Ways to write a windows row, json.dumps's own first; some also change its window's cells or callsign.
@@ -213,6 +223,7 @@ class TestStages:
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
         rows = list(read_jsonl(pred))
         good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped = rows[:11]
+        true_cell, past_int64 = rows[11:13]
         empty["target"] = []
         huge["input"][0][0] = 2**70
         nan["target"][1][1] = float("nan")
@@ -224,15 +235,23 @@ class TestStages:
         boolean["input"][0][0] = True
         for row in gapped["target"]:
             row[0] += 360
+        true_cell["target"][1][3] = True  # an altitude float64 would read as 1.0
+        past_int64["target"][0][3] = 2**64
+        # Rows that are not JSON: a row cut short, as a crashed writer leaves it, and plain text.
+        cut, text = json.dumps(good)[:200], "{not json"
         rows = (good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped,
-                list(good.values()), "row")
-        pred.write_text("".join(json.dumps(row) + "\n" for row in rows))
+                list(good.values()), json.dumps("row"), true_cell, past_int64, cut, text)
+        pred.write_text(jsonl_text(rows))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 12 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        assert "skipped 16 malformed row(s) (first: row 2: window target is empty)" in caplog.text
         last_input = gapped["input"][-1][0]
-        for bad, message in ((nan, "window holds a non-finite cell"),
+        for bad, message in ((cut, "Expecting value: line 2 column 1 (char 201)"),
+                             (text, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+                             (true_cell, "window holds a non-numeric cell (True)"),
+                             (past_int64, "window holds integer cell 18446744073709551616 outside the int64 range"),
+                             (nan, "window holds a non-finite cell"),
                              (infinite, "window holds a non-finite cell"),
                              (untargeted, "window row lacks 'target'"),
                              (unnamed, "window row lacks 'callsign'"),
@@ -245,7 +264,7 @@ class TestStages:
                              ({**good, "horizon": True}, "window horizon True does not match its 4 target rows"),
                              *(({**good, "callsign": callsign}, f"window callsign {callsign!r} is not a string")
                                for callsign in (None, 5, ["a"], {"x": 1}))):
-            pred.write_text("".join(json.dumps(row) + "\n" for row in (good, bad)))
+            pred.write_text(jsonl_text((good, bad)))
             caplog.clear()
             assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
             assert f"skipped 1 malformed row(s) (first: row 2: {message})" in caplog.text
@@ -344,18 +363,21 @@ class TestStages:
             ({"callsign": 5}, "window callsign 5 is not a string"),
             ({"callsign": ["a"]}, "window callsign ['a'] is not a string"),
             ({"callsign": {"x": 1}}, "window callsign {'x': 1} is not a string"),
+            ({"target": [[0, 1, 2, True, 4, 5]] * 4}, "window holds a non-numeric cell (True)"),
+            ({"target": [[0, 1, 2, 2**64, 4, 5]] * 4}, "integer cell 18446744073709551616 outside the int64 range"),
+            (truncated, "Invalid control character at: line 1 column 23 (char 22)"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):
         rows = list(read_jsonl(pipeline_dir / "windows.jsonl"))
         rows[1] = defect(rows[1]) if callable(defect) else {**rows[1], **defect}
         windows = tmp_path / "bad.jsonl"
-        windows.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        windows.write_text("\n" + jsonl_text(rows))  # a blank line is not a row
         out = tmp_path / "out.jsonl"
         for stage in (("prompt",), ("predict", "--backend", "persistence"), ("train-lstm", "--epochs", 1)):
             caplog.clear()
             assert run(*stage, "--in", windows, "--out", out) == 1
-            assert message in caplog.text
+            assert re.search(f"row 2: [^\n]*{re.escape(message)}", caplog.text)
         assert not out.exists()
 
     def test_eval_few_shot_deterministic(self, pipeline_dir):
@@ -512,6 +534,15 @@ class TestErrorsAndConfig:
                    "--out-prefix", pipeline_dir / "from_flags") == 0
         assert ((pipeline_dir / "from_config.csv").read_text()
                 == (pipeline_dir / "from_flags.csv").read_text())
+
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, caplog):
+        config, out = tmp_path / "config.json", tmp_path / "w.jsonl"
+        for value in ([["horizon", 4]], "horizon", None):
+            config.write_text(json.dumps(value))
+            caplog.clear()
+            assert run("--config", config, "sample", "--in", tmp_path / "missing.csv", "--out", out) == 1
+            assert "config file must hold a JSON object" in caplog.text
+        assert not out.exists()
 
     def test_config_value_of_the_wrong_type_exits_1(self, pipeline_dir, caplog):
         config = pipeline_dir / "config.json"

@@ -394,18 +394,15 @@ class TestTrajectory:
         assert nan[0] != nan[1] and nan[1] != nan[1]
         assert Trajectory("T", (zero,)) != Trajectory("U", (zero,))
         assert Trajectory("T", (zero,)) != Trajectory("T", (zero, zero))
+        assert Trajectory("T", (zero,)) != object() and Trajectory("T", (zero,)).__eq__(object()) is NotImplemented
 
-    def test_waypoints_of_the_tuple_constructor_are_the_tuple_itself(self):
+    def test_waypoints_are_built_from_the_columns(self):
         waypoints = (Waypoint(60, 10, 20, 1000, 900, 90),)  # int-valued fields
         traj = Trajectory("T", waypoints)
-        assert traj.waypoints is waypoints
-        assert "longitude=10," in repr(traj)
         assert traj.values.dtype == np.float64 and traj.timestamps.dtype == np.int64
-
-    def test_column_waypoints_are_built_once(self):
-        _, traj = trajectory_pair([make_waypoint(timestamp=60 * i) for i in range(3)])
-        assert traj.waypoints is traj.waypoints
-        assert type(traj.waypoints[0].timestamp) is int
+        assert traj.waypoints == waypoints
+        assert [type(value) for value in dataclasses.astuple(traj.waypoints[0])] == [int] + [float] * 5
+        assert "longitude=10.0," in repr(traj)
 
     def test_repr_is_complete_past_a_thousand_rows(self):
         waypoints = [make_waypoint(timestamp=60 * i, longitude=i / 1000) for i in range(1500)]
@@ -422,6 +419,8 @@ class TestTrajectory:
                 traj.values[0, 0] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 traj.callsign = "U"
+            with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'values'"):
+                del traj.values
 
     def test_columns_of_cleaned_trajectories_are_read_only(self):
         records = [RawRecord(60 * i, "x", c, 1.0, 2.0, 3.0, 4.0, 5.0) for c in ("A", "B") for i in range(3)]

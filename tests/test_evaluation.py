@@ -96,11 +96,11 @@ class TestSegmentPhase:
 
 def success_sample(window: Window, predicted=None, latency=0.5):
     block = predicted if predicted is not None else window.values[:, INPUT_LENGTH:]
-    return (window, ParseOutcome.success(block), latency)
+    return (window, ParseOutcome(values=block), latency)
 
 
 def failed_sample(window: Window, kind: FailureKind, latency=0.5):
-    return (window, ParseOutcome.failed(kind, "scripted"), latency)
+    return (window, ParseOutcome(failure=kind, diagnostic="scripted"), latency)
 
 
 #: Climb, level and descent rates (m per minute) on either side of the phase threshold.

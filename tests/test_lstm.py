@@ -139,6 +139,11 @@ class TestForward:
         with pytest.raises(ValueError, match="non-finite"):
             lstm_forward(params, x[None])
 
+    def test_input_without_a_batch_axis_rejected(self):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected input of shape \(batch, steps, input_dim\), got \(16, 5\)"):
+            lstm_forward(params, np.zeros((INPUT_LENGTH, ATTR_DIM)))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         params = LstmParams.initialize(ATTR_DIM, 4, rng)
@@ -260,6 +265,13 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1e-4)
+        with pytest.raises(ValueError, match="hidden dim must be >= 1"):
+            TrainConfig(hidden_dim=0)
+
+    def test_divergence_is_reported_with_its_epoch(self, rng):
+        windows = [cruise_window(rng, 1) for _ in range(8)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^training diverged at epoch 1$"):
+            lstm_train(windows, TrainConfig(epochs=2, batch_size=4, learning_rate=1e300, hidden_dim=2))
 
 
 class TestNormalization:
@@ -270,6 +282,10 @@ class TestNormalization:
         for _ in range(100):
             x = rng.normal(scale=100.0, size=ATTR_DIM)
             assert np.allclose(denormalize(params, normalize(params, x)), x, atol=1e-9)
+
+    def test_params_with_a_zero_std_rejected(self):
+        with pytest.raises(ValueError, match="normalization std must be positive for every attribute"):
+            LstmParams.initialize(ATTR_DIM, 2, np.random.default_rng(0), norm_std=np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
 
     def test_zero_std_replaced(self):
         windows = constant_windows(n=4)
@@ -354,6 +370,19 @@ class TestPersistenceFile:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=r"'u' has shape \(15, 4\), expected \(16, 4\)"):
             LstmParams.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda arrays: arrays.update(extra=[1.0]), "unexpected array 'extra' in model file"),
+        (lambda arrays: arrays.pop("b_out"), "model file lacks array 'b_out'"),
+    ])
+    def test_unexpected_or_missing_array_rejected(self, tmp_path, edit, message):
+        model = tmp_path / "model.json"
+        LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0)).save(model)
+        obj = json.loads(model.read_text())
+        edit(obj["arrays"])
+        model.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LstmParams.load(model)
 
     @pytest.mark.parametrize("name, path, value", [
         ("w_out", ("arrays", "w_out", 2), float("nan")),

@@ -52,7 +52,7 @@ class TestPersistence:
 
         stationary = stationary_window()
         window = Window.from_columns("STAT", 60 * np.arange(INPUT_LENGTH + 4), stationary.values[:, [0] * (INPUT_LENGTH + 4)])
-        outcome = ParseOutcome.success(persistence(window, 4))
+        outcome = ParseOutcome(values=persistence(window, 4))
         report = evaluate([(window, outcome, 0.0)])
         assert all(s.mae == 0.0 and s.rmse == 0.0 for s in report.attributes.values())
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flightcast.prompts import (
+    PLAUSIBILITY_RADIUS_DEG,
+    TEMPLATE_VERSION,
     FailureKind,
     ParseOutcome,
     PromptRecord,
@@ -83,7 +85,7 @@ class TestBuildPrompt:
 
     def test_outcome_values_are_a_read_only_copy(self):
         block = np.zeros((5, 2))
-        outcome = ParseOutcome.success(block)
+        outcome = ParseOutcome(values=block)
         block[0, 0] = 1.0
         assert outcome.values.dtype == np.float64 and outcome.values[0, 0] == 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -201,12 +203,6 @@ class TestClassifySevere:
         window = self.window_at(179.0, 30.5, rng)
         assert classify_severe(column(longitude=181.0, latitude=30.5), window).tolist() == [True]
 
-    def test_radius_is_configurable(self, rng):
-        window = self.window_at(103.2, 30.5, rng)
-        predicted = column(longitude=104.5, latitude=30.5)
-        assert classify_severe(predicted, window, radius=5.0).tolist() == [False]
-        assert classify_severe(predicted, window, radius=1.0).tolist() == [True]
-
     def test_parse_flags_severe_deviation(self, rng):
         window = self.window_at(103.2, 30.5, rng)
         outcome = parse_completion("(-103.2, 30.5, 10000.0, 900.0, 90.0)", 1, window)
@@ -230,9 +226,10 @@ def positional(value: float) -> str:
 
 
 @st.composite
-def edge_coordinate(draw, kind: str, last: float, radius: float) -> str:
+def edge_coordinate(draw, kind: str, last: float) -> str:
     """A longitude or latitude at a radius edge, a sign flip, a box edge, anywhere, or past a double."""
     if kind == "radius":
+        radius = PLAUSIBILITY_RADIUS_DEG
         edge = draw(st.sampled_from((np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf))))
         return positional(last + draw(st.sampled_from((-1.0, 1.0))) * edge)
     if kind == "flip":
@@ -246,14 +243,13 @@ def edge_coordinate(draw, kind: str, last: float, radius: float) -> str:
 
 @st.composite
 def replies(draw):
-    """A context window, a horizon, a radius and a reply with edge-case tuples.
+    """A context window, a horizon and a reply with edge-case tuples.
 
     Most coordinates stay within half a degree of the last observed position;
     up to three are drawn from one edge kind, and at most one tuple has a
     defect: wrong arity, a non-numeric field, or a number past a double.
     """
     horizon = draw(st.sampled_from((1, 2, 4, 8)))
-    radius = draw(st.sampled_from((0.5, 1.0, 5.0)))
     last = [draw(st.sampled_from(LAST_COORDINATES)) * draw(st.sampled_from((-1.0, 1.0))) for _ in range(2)]
     values = np.zeros((5, INPUT_LENGTH + horizon))
     values[:2, INPUT_LENGTH - 1] = last
@@ -265,7 +261,7 @@ def replies(draw):
     rows = []
     for t in range(count):
         row = [
-            draw(edge_coordinate(kind, last[a], radius)) if 2 * t + a in edges
+            draw(edge_coordinate(kind, last[a])) if 2 * t + a in edges
             else positional(last[a] + draw(st.floats(-0.5, 0.5)))
             for a in range(2)
         ]
@@ -281,16 +277,16 @@ def replies(draw):
             row[draw(st.sampled_from(range(5)))] = draw(st.sampled_from(NOT_A_NUMBER))
         else:  # coordinates past a double come from the "overflow" edge kind
             row[draw(st.sampled_from((2, 3, 4)))] = draw(st.sampled_from(("", "-"))) + OVERFLOW
-    return "\n".join("(" + ", ".join(row) + ")" for row in rows), horizon, context, radius
+    return "\n".join("(" + ", ".join(row) + ")" for row in rows), horizon, context
 
 
 class TestBlockParseMatchesReference:
     @settings(max_examples=400)
     @given(replies())
     def test_same_class_diagnostic_and_bits(self, reply):
-        text, horizon, context, radius = reply
-        got = parse_completion(text, horizon, context, radius)
-        waypoints, failure, diagnostic = reference_parse_completion(text, horizon, context, radius)
+        text, horizon, context = reply
+        got = parse_completion(text, horizon, context)
+        waypoints, failure, diagnostic = reference_parse_completion(text, horizon, context)
         assert (got.ok, got.failure, got.diagnostic) == (waypoints is not None, failure, diagnostic)
         if waypoints is not None:
             want = np.array([w.values() for w in waypoints]).T
@@ -331,7 +327,7 @@ class TestEmitDataset:
         assert len(lines) == 2
         assert all(set(json.loads(l)) == {"system", "user", "assistant"} for l in lines)
         assert manifest["horizon"] == 4
-        assert manifest["template_version"] == records[0].template_version
+        assert manifest["template_version"] == TEMPLATE_VERSION
         assert [PromptRecord(o["system"], o["user"], o["assistant"]) for o in read_jsonl(path)] == records
 
     def test_deterministic_bytes(self, tmp_path, rng):
@@ -343,12 +339,6 @@ class TestEmitDataset:
         assert (tmp_path / "a.jsonl.manifest.json").read_text() == (
             tmp_path / "b.jsonl.manifest.json"
         ).read_text()
-
-    def test_mixed_template_versions_rejected(self, tmp_path, rng):
-        good = build_prompt(random_window(rng, 1), True)
-        bad = PromptRecord(good.system, good.user, good.assistant, template_version="other")
-        with pytest.raises(ValueError, match="template versions"):
-            emit_dataset([good, bad], tmp_path / "x.jsonl")
 
     def test_mixed_horizons_rejected(self, tmp_path, rng):
         records = [build_prompt(random_window(rng, horizon), True) for horizon in (4, 1, 4)]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -15,9 +16,6 @@ from flightcast.synth import (
     TurnEvent,
     generate_corpus,
     generate_flight,
-    read_manifest,
-    spec_from_dict,
-    spec_to_dict,
     validate_spec,
     write_manifest,
 )
@@ -25,9 +23,11 @@ from flightcast.windowing import sample_windows
 
 from conftest import (
     check_continuity,
+    read_manifest,
     reference_generate_flight,
     reference_kinematic_step,
     reference_write_records_csv,
+    spec_from_dict,
     window_inputs,
 )
 
@@ -55,6 +55,7 @@ class TestSpecValidation:
             ({"drop": DropEvent(20.0, 10000.0)}, "drop.drop_m"),
             ({"drop": DropEvent(20.0, -1.0)}, "drop.drop_m"),
             ({"drop": DropEvent(20.0, float("nan"))}, "drop.drop_m"),
+            ({"cruise_speed_kmh": 0.0}, "cruise_speed_kmh must be > 0"),
         ],
     )
     def test_invalid_specs_name_the_field(self, kwargs, field):
@@ -162,6 +163,10 @@ class TestGenerateCorpus:
         regenerated = RecordTable.concat([generate_flight(spec) for spec in loaded])
         assert records_to_csv_text(regenerated) == records_to_csv_text(records)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generate_corpus(0, base_seed=0)
+
     def test_unique_callsigns_and_seeds(self):
         _, specs = generate_corpus(10, base_seed=0)
         assert len({s.callsign for s in specs}) == 10
@@ -180,7 +185,7 @@ class TestGenerateCorpus:
     def test_spec_dict_round_trip(self):
         _, specs = generate_corpus(2, base_seed=9)
         for spec in specs:
-            assert spec_from_dict(spec_to_dict(spec)) == spec
+            assert spec_from_dict(dataclasses.asdict(spec)) == spec
 
 
 # --- columns against the per-sample reference ------------------------------------

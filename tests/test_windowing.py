@@ -98,6 +98,8 @@ class TestSampleWindows:
         with pytest.raises(ValueError, match="unsupported horizon"):
             sample_windows(traj, 3, 40)
         assert sample_windows(traj, 3, 40, allow_any_horizon=True)
+        with pytest.raises(ValueError, match="unsupported horizon 0: must be >= 1"):
+            sample_windows(traj, 0, allow_any_horizon=True)
 
     def test_default_stride_is_window_plus_one(self):
         assert default_stride(1) == 18
@@ -119,7 +121,7 @@ class TestSampleWindows:
                 windows = sample_windows(traj, horizon, stride)
                 offsets = brute_force_offsets(traj, horizon, stride)
                 got = [int(w.timestamps[0]) for w in windows]
-                want = [traj.waypoints[k].timestamp for k in offsets]
+                want = [int(traj.timestamps[k]) for k in offsets]
                 assert got == want
                 for w in windows:
                     assert check_continuity(w.waypoints)
