@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import sys
 import time
 from pathlib import Path
@@ -56,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--stride", type=int)
-    p.add_argument("--allow-any-horizon", action="store_true")
 
     p = sub.add_parser("prompt", help="serialize windows into a prompt dataset")
     p.add_argument("--in", dest="input", required=True)
@@ -115,13 +113,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_value(action: argparse.Action, value):
-    """A config-file value read as if its text had been given to the flag."""
-    if value is not None and action.type is not None:
+    """A config-file value: true or false for a flag, else read as if its text had been given to the option."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"{action.dest} in config file must be true or false, not {value!r}")
+    elif value is not None:
+        convert = action.type or str
         try:
-            value = action.type(str(value))
+            value = convert(str(value))
         except ValueError:
             raise ValueError(
-                f"invalid {action.type.__name__} value for {action.dest} in config file: {value!r}"
+                f"invalid {convert.__name__} value for {action.dest} in config file: {value!r}"
             ) from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"unknown {action.dest} {value!r} in config file"
@@ -176,14 +178,7 @@ def _cmd_sample(cfg: dict) -> int:
     result = ingest.clean_trajectories(records)
     windows = []
     for traj in result.trajectories:
-        windows.extend(
-            windowing.sample_windows(
-                traj,
-                cfg["horizon"],
-                cfg["stride"],
-                allow_any_horizon=cfg["allow_any_horizon"],
-            )
-        )
+        windows.extend(windowing.sample_windows(traj, cfg["horizon"], cfg["stride"]))
     windowing.write_windows_jsonl(windows, cfg["out"])
     logger.info("wrote %d windows to %s", len(windows), cfg["out"])
     return 0
@@ -273,16 +268,20 @@ def _cmd_train_lstm(cfg: dict) -> int:
 
 
 def _check_prediction(row: dict) -> None:
-    """Raise ValueError unless the row has a completion and a latency_s that is a finite number >= 0.
+    """Raise ValueError unless the row has a completion, a latency_s that is a finite number >= 0,
+    and a string model and template_version if it names them.
 
     A completion that is not a string passes: it scores as an unexpected format.
     """
     for key in ("completion", "latency_s"):
         if key not in row:
             raise ValueError(f"missing {key!r}")
-    latency = row["latency_s"]  # float() of an int past the double range raises OverflowError
-    if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not 0.0 <= float(latency) < math.inf:
+    latency = row["latency_s"]  # compared exactly: an int past the double range fails
+    if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not 0 <= latency <= sys.float_info.max:
         raise ValueError(f"latency_s {latency!r} is not a finite number >= 0")
+    for key in ("model", "template_version"):
+        if not isinstance(row.get(key, ""), str):
+            raise ValueError(f"{key} {row[key]!r} is not a string")
 
 
 def _cmd_eval(cfg: dict) -> int:
@@ -292,7 +291,7 @@ def _cmd_eval(cfg: dict) -> int:
             row = json.loads(line)
             window = windowing.window_from_obj(row)
             _check_prediction(row)
-        except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64
+        except ValueError as exc:
             skipped.append(f"row {number}: {exc}")
         else:
             scorable.append((window, row))

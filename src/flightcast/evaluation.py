@@ -9,6 +9,8 @@ for the headline numbers; a per-step breakdown rides along in the CSV.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -289,10 +291,11 @@ def _csv_rows(report: MetricsReport) -> Iterable[list[str]]:
 
 
 def _render_csv(report: MetricsReport) -> str:
-    lines = ["model,horizon,phase,step,attribute,metric,value"]
-    for row in _csv_rows(report):
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["model", "horizon", "phase", "step", "attribute", "metric", "value"])
+    writer.writerows(_csv_rows(report))
+    return out.getvalue()
 
 
 def _format_stat_cells(stats: dict[str, AttributeStats] | None, names: Sequence[str]) -> list[str]:

@@ -290,15 +290,14 @@ def lstm_loss_gradients(
 def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     """Fit the one-step predictor with Adam on shuffled mini-batches.
 
+    Each window's first target row is its target, whatever its horizon.
+
     Normalization statistics are computed from the training inputs before
     any update. Deterministic for a fixed (windows, cfg): a single seeded
     generator drives initialization and every shuffle.
     """
     if not windows:
         raise ValueError("training set is empty")
-    horizons = {w.horizon for w in windows}
-    if len(horizons) > 1:
-        raise ValueError(f"training windows mix horizons: {sorted(horizons)}")
 
     x_raw = np.array([w.values[:, :INPUT_LENGTH].T for w in windows])
     y_raw = np.array([w.values[:, INPUT_LENGTH] for w in windows])

@@ -21,7 +21,6 @@ import numpy as np
 from .domain import ATTRIBUTES, Trajectory, Waypoint
 
 INPUT_LENGTH = 16
-SUPPORTED_HORIZONS = (1, 4, 8)
 STEP_SECONDS = 60
 
 
@@ -53,13 +52,7 @@ def default_stride(horizon: int) -> int:
     return INPUT_LENGTH + horizon + 1
 
 
-def sample_windows(
-    traj: Trajectory,
-    horizon: int,
-    stride: int | None = None,
-    *,
-    allow_any_horizon: bool = False,
-) -> list[Window]:
+def sample_windows(traj: Trajectory, horizon: int, stride: int | None = None) -> list[Window]:
     """Scan a trajectory left to right and emit continuous windows.
 
     A window is emitted at offset k only if the 16 + horizon timestamps
@@ -68,10 +61,6 @@ def sample_windows(
     first waypoint past the break, which maximizes yield without ever
     spanning a gap. Each window's columns are views of the trajectory's.
     """
-    if horizon not in SUPPORTED_HORIZONS and not allow_any_horizon:
-        raise ValueError(
-            f"unsupported horizon {horizon}: expected one of {SUPPORTED_HORIZONS}"
-        )
     if horizon < 1:
         raise ValueError(f"unsupported horizon {horizon}: must be >= 1")
     window_size = INPUT_LENGTH + horizon
@@ -116,7 +105,7 @@ def window_from_obj(obj: dict) -> Window:
     string callsign, 16 input rows, some target rows (as many as its ``horizon``
     says, if it has that key), every row an array of a timestamp and five
     attributes, finite number cells (not ``true`` or ``false``, nor an integer
-    past 64 bits), and integer timestamps exactly ``STEP_SECONDS`` apart, as
+    past 64 bits), and int64 timestamps exactly ``STEP_SECONDS`` apart, as
     :func:`sample_windows` cuts them.
     """
     if not isinstance(obj, dict):
@@ -158,6 +147,9 @@ def window_from_obj(obj: dict) -> Window:
     for a, b in zip(timestamps, timestamps[1:]):
         if b - a != STEP_SECONDS:
             raise ValueError(f"window timestamps {a} and {b} are not {STEP_SECONDS} s apart")
+    for t in (timestamps[0], timestamps[-1]):  # the rest lie between them
+        if not -(2**63) <= t < 2**63:
+            raise ValueError(f"window timestamp {t} outside the int64 range")
     return Window.from_columns(callsign, timestamps, values.T)
 
 
@@ -201,11 +193,6 @@ def numbered_lines(source: str | Path | TextIO) -> Iterator[tuple[int, str]]:
     yield from enumerate(filter(str.strip, source), start=1)
 
 
-def read_jsonl(source: str | Path | TextIO) -> Iterator:
-    """Yield the object on each non-blank line."""
-    return (json.loads(line) for _, line in numbered_lines(source))
-
-
 def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
     write_jsonl(map(window_to_obj, windows), target)
 
@@ -215,7 +202,7 @@ def _window_lines(source: str | Path | TextIO) -> Iterator[tuple[str, Window]]:
     for number, line in numbered_lines(source):
         try:
             yield line, window_from_obj(json.loads(line))
-        except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp past int64
+        except ValueError as exc:
             raise ValueError(f"row {number}: {exc}") from exc
 
 

@@ -474,6 +474,12 @@ def read_manifest(path) -> list[FlightSpec]:
         return [spec_from_dict(obj) for obj in json.load(fh)]
 
 
+def read_jsonl(path) -> list:
+    """The object on each non-blank line of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 # --- Reference windowing -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import hashlib
 import json
 import logging
@@ -10,9 +11,9 @@ from flightcast.cli import main
 from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
 from flightcast.llm import mock_complete
 from flightcast.prompts import TEMPLATE_VERSION
-from flightcast.windowing import read_jsonl, read_windows_jsonl, window_from_obj, window_to_obj
+from flightcast.windowing import read_windows_jsonl, window_from_obj, window_to_obj
 
-from conftest import json_text
+from conftest import json_text, read_jsonl
 
 
 def run(*args) -> int:
@@ -223,7 +224,7 @@ class TestStages:
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock") == 0
         rows = list(read_jsonl(pred))
         good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped = rows[:11]
-        true_cell, past_int64 = rows[11:13]
+        true_cell, past_int64, late = rows[11:14]
         empty["target"] = []
         huge["input"][0][0] = 2**70
         nan["target"][1][1] = float("nan")
@@ -237,20 +238,23 @@ class TestStages:
             row[0] += 360
         true_cell["target"][1][3] = True  # an altitude float64 would read as 1.0
         past_int64["target"][0][3] = 2**64
+        for row in late["input"] + late["target"]:
+            row[0] += 2**70  # still 60 s apart
         # Rows that are not JSON: a row cut short, as a crashed writer leaves it, and plain text.
         cut, text = json.dumps(good)[:200], "{not json"
         rows = (good, empty, huge, nan, infinite, untargeted, unnamed, flat, fractional, boolean, gapped,
-                list(good.values()), json.dumps("row"), true_cell, past_int64, cut, text)
+                list(good.values()), json.dumps("row"), true_cell, past_int64, late, cut, text)
         pred.write_text(jsonl_text(rows))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.horizon, report.evaluated, report.total_submitted) == (4, 1, 1)
-        assert "skipped 16 malformed row(s) (first: row 2: window target is empty)" in caplog.text
+        assert "skipped 17 malformed row(s) (first: row 2: window target is empty)" in caplog.text
         last_input = gapped["input"][-1][0]
         for bad, message in ((cut, "Expecting value: line 2 column 1 (char 201)"),
                              (text, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
                              (true_cell, "window holds a non-numeric cell (True)"),
                              (past_int64, "window holds integer cell 18446744073709551616 outside the int64 range"),
+                             (late, f"window timestamp {late['input'][0][0]} outside the int64 range"),
                              (nan, "window holds a non-finite cell"),
                              (infinite, "window holds a non-finite cell"),
                              (untargeted, "window row lacks 'target'"),
@@ -275,6 +279,10 @@ class TestStages:
             ({"latency_s": None}, "row 2: missing 'latency_s'"),
             ({"completion": None}, "row 2: missing 'completion'"),
             ({"latency_s": "fast"}, "row 2: latency_s 'fast' is not a finite number >= 0"),
+            ({"model": 7}, "row 2: model 7 is not a string"),
+            ({"template_version": ["v1"]}, "row 2: template_version ['v1'] is not a string"),
+            pytest.param({"latency_s": 10**400}, f"row 2: latency_s {10**400} is not a finite number >= 0",
+                         id="latency_s-past-the-double-range"),
         ],
     )
     def test_eval_skips_rows_without_a_usable_completion_or_latency(
@@ -293,6 +301,17 @@ class TestStages:
         report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
         assert (report.evaluated, report.total_submitted) == (1, 1)
         assert f"skipped 1 malformed row(s) (first: {message})" in caplog.text
+
+    def test_eval_csv_quotes_a_model_name_holding_a_comma(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep", "--model", "org,model-7b") == 0
+        with open(tmp_path / "rep.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 7 and rows and all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows} == {"org,model-7b"}
+        assert run("report", "--in", tmp_path / "rep.json", "--format", "csv", "--out", tmp_path / "again.csv") == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "rep.csv").read_bytes()
 
     def test_eval_takes_the_model_from_the_first_row_that_names_one(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"
@@ -366,6 +385,9 @@ class TestStages:
             ({"target": [[0, 1, 2, True, 4, 5]] * 4}, "window holds a non-numeric cell (True)"),
             ({"target": [[0, 1, 2, 2**64, 4, 5]] * 4}, "integer cell 18446744073709551616 outside the int64 range"),
             (truncated, "Invalid control character at: line 1 column 23 (char 22)"),
+            ({"input": [[2**70 + 60 * k, 1, 2, 3, 4, 5] for k in range(16)],
+              "target": [[2**70 + 60 * k, 1, 2, 3, 4, 5] for k in range(16, 20)]},
+             f"window timestamp {2**70} outside the int64 range"),
         ],
     )
     def test_stages_reject_a_malformed_window(self, pipeline_dir, tmp_path, caplog, defect, message):
@@ -408,8 +430,7 @@ class TestStages:
 
     def test_report_json_round_trips_at_horizon_10(self, pipeline_dir, tmp_path):
         windows, pred = tmp_path / "w10.jsonl", tmp_path / "pred.jsonl"
-        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 10, "--allow-any-horizon",
-                   "--out", windows) == 0
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 10, "--out", windows) == 0
         assert run("predict", "--in", windows, "--out", pred, "--backend", "mock") == 0
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
         text = (tmp_path / "rep.json").read_text()
@@ -481,13 +502,17 @@ class TestErrorsAndConfig:
         assert "records mix horizons: [1, 4]" in caplog.text
         assert not (tmp_path / "data.jsonl").exists()
 
-    def test_unsupported_horizon_exits_1(self, tmp_path):
-        raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"
+    def test_unsupported_horizon_exits_1(self, tmp_path, caplog):
+        raw, clean, out = tmp_path / "raw.csv", tmp_path / "clean.csv", tmp_path / "w.jsonl"
         run("synth", "--flights", 2, "--seed", 0, "--out", raw)
         run("ingest", "--in", raw, "--out", clean)
-        assert run("sample", "--in", clean, "--horizon", 3, "--out", tmp_path / "w.jsonl") == 1
-        assert run("sample", "--in", clean, "--horizon", 3, "--out", tmp_path / "w.jsonl",
-                   "--allow-any-horizon") == 0
+        assert run("sample", "--in", clean, "--horizon", 3, "--out", out) == 0
+        windows = read_windows_jsonl(out)
+        assert windows and {w.horizon for w in windows} == {3}
+        out.unlink()
+        assert run("sample", "--in", clean, "--horizon", 0, "--out", out) == 1
+        assert "unsupported horizon 0: must be >= 1" in caplog.text
+        assert not out.exists()
 
     def test_config_file_supplies_defaults_flags_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -552,6 +577,32 @@ class TestErrorsAndConfig:
                        "--out", pipeline_dir / "w.jsonl") == 1
             assert f"invalid int value for horizon in config file: {value!r}" in caplog.text
 
+    def test_config_value_of_a_flag_must_be_true_or_false(self, pipeline_dir, tmp_path, caplog):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        flags = {
+            "ingest": ("--in", pipeline_dir / "raw.csv", "--out", out),
+            "prompt": ("--in", pipeline_dir / "windows.jsonl", "--out", out),
+            "eval": ("--pred", pred, "--out-prefix", out),
+        }
+        for command, key, value in (("eval", "no_latency", "false"), ("ingest", "strict", "no"),
+                                    ("prompt", "inference", 1), ("eval", "no_latency", None)):
+            config.write_text(json.dumps({key: value}))
+            caplog.clear()
+            assert run("--config", config, command, *flags[command]) == 1
+            assert f"{key} in config file must be true or false, not {value!r}" in caplog.text
+            assert not list(tmp_path.glob("out*"))
+
+    def test_config_value_of_a_text_option_is_its_text(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": 5}))
+        assert run("--config", config, "eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        assert MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text())).model == "5"
+        assert (tmp_path / "rep.csv").read_text().splitlines()[1].startswith("5,4,")
+
     def test_out_of_choices_backend_from_config_is_rejected_up_front(self, tmp_path, caplog):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"backend": "oracle"}))
@@ -596,7 +647,7 @@ class TestErrorsAndConfig:
         commands = {
             "synth": (["--out", raw], {"flights": 20, "seed": 0, "manifest": None, "out": raw}),
             "ingest": (io_flags, {**io_values, "strict": False}),
-            "sample": (io_flags, {**io_values, "horizon": 1, "stride": None, "allow_any_horizon": False}),
+            "sample": (io_flags, {**io_values, "horizon": 1, "stride": None}),
             "prompt": (io_flags, {**io_values, "inference": False}),
             "predict": (io_flags, {
                 **io_values, "backend": "mock", "mock_behavior": "kinematic", "base_url": None, "model": None,

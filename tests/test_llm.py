@@ -30,9 +30,9 @@ from flightcast.prompts import (
     parse_completion,
     serialize_values,
 )
-from flightcast.windowing import INPUT_LENGTH, Window, read_jsonl, write_windows_jsonl
+from flightcast.windowing import INPUT_LENGTH, Window, write_windows_jsonl
 
-from conftest import canonical_window, cruise_window
+from conftest import canonical_window, cruise_window, read_jsonl
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

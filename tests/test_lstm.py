@@ -253,10 +253,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             lstm_train([], TrainConfig())
 
-    def test_mixed_horizons_rejected(self, rng):
-        windows = [cruise_window(rng, 1), cruise_window(rng, 4)]
-        with pytest.raises(ValueError, match="horizons"):
-            lstm_train(windows, TrainConfig())
+    def test_mixed_horizons_train_as_their_h1_cut(self, rng):
+        mixed = [cruise_window(rng, h) for h in (1, 4, 8) * 3]
+        cut = [Window.from_columns(w.callsign, w.timestamps[: INPUT_LENGTH + 1], w.values[:, : INPUT_LENGTH + 1])
+               for w in mixed]
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=3, hidden_dim=4)
+        assert lstm_train(mixed, cfg).vector.tobytes() == lstm_train(cut, cfg).vector.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

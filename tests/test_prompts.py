@@ -22,9 +22,9 @@ from flightcast.prompts import (
     serialize_values,
     serialized_tokens,
 )
-from flightcast.windowing import INPUT_LENGTH, Window, read_jsonl
+from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, make_waypoint, random_window, reference_parse_completion
+from conftest import cruise_window, make_waypoint, random_window, read_jsonl, reference_parse_completion
 
 
 def column(**attributes) -> np.ndarray:

@@ -16,7 +16,6 @@ from flightcast.ingest import clean_trajectories, read_adsb_csv, write_trajector
 from flightcast.windowing import (
     CANONICAL_ROW,
     INPUT_LENGTH,
-    SUPPORTED_HORIZONS,
     Window,
     default_stride,
     read_windows_jsonl,
@@ -95,11 +94,8 @@ class TestSampleWindows:
 
     def test_unsupported_horizon(self):
         traj = minute_trajectory(range(40))
-        with pytest.raises(ValueError, match="unsupported horizon"):
-            sample_windows(traj, 3, 40)
-        assert sample_windows(traj, 3, 40, allow_any_horizon=True)
         with pytest.raises(ValueError, match="unsupported horizon 0: must be >= 1"):
-            sample_windows(traj, 0, allow_any_horizon=True)
+            sample_windows(traj, 0)
 
     def test_default_stride_is_window_plus_one(self):
         assert default_stride(1) == 18
@@ -185,7 +181,7 @@ class TestSampleWindowsProperty:
         stride = INPUT_LENGTH + horizon + extra_stride
         if columnar:
             traj = Trajectory.from_columns(traj.callsign, traj.timestamps.copy(), traj.values.copy())
-        shipped = sample_windows(traj, horizon, stride, allow_any_horizon=horizon not in (1, 4, 8))
+        shipped = sample_windows(traj, horizon, stride)
         oracle = reference_sample_windows(traj, horizon, stride)
         assert shipped == oracle
         assert repr(shipped) == repr(oracle)
@@ -234,7 +230,7 @@ CODEC_VALUES = st.one_of(
 
 @st.composite
 def codec_windows(draw, cells=CODEC_VALUES, callsigns=st.text(max_size=8)):
-    horizon = draw(st.sampled_from(SUPPORTED_HORIZONS))
+    horizon = draw(st.sampled_from((1, 4, 8)))
     n = INPUT_LENGTH + horizon
     start = draw(st.integers(TIMESTAMP_RANGE[0], TIMESTAMP_RANGE[1] - 60 * n))
     values = draw(st.lists(cells, min_size=5 * n, max_size=5 * n))
@@ -388,7 +384,7 @@ class TestCanonicalRow:
         check_row_with(LAYOUTS[layout](window_to_obj(window), number))
 
     @given(st.lists(CANONICAL_WAYPOINTS, min_size=INPUT_LENGTH + 8, max_size=40),
-           st.sampled_from(SUPPORTED_HORIZONS))
+           st.sampled_from((1, 4, 8)))
     def test_windows_cut_from_a_canonical_decimal_csv_match(self, rows, horizon):
         csv_text = io.StringIO()
         write_trajectories_csv([Trajectory.from_columns("AB 12", 60 * np.arange(len(rows)), np.array(rows).T)],
