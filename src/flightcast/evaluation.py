@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Sequence
@@ -58,13 +59,16 @@ def rmse(truth: Sequence[float], predicted: Sequence[float]) -> float:
 
 
 def mean_latency(latencies: Sequence[float]) -> float:
-    """Arithmetic mean of per-sample latencies in seconds."""
-    arr = np.asarray(latencies, dtype=np.float64)
+    """Arithmetic mean of per-sample latencies in seconds; finite, as they are."""
+    arr = np.sort(np.asarray(latencies, dtype=np.float64))
     if arr.size == 0:
         raise ValueError("empty input")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("latencies must be finite and >= 0")
-    return float(np.mean(np.sort(arr)))
+    # Where the sum overflows, each latency is divided by the count first; no mean passes the largest.
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(arr))
+        return mean if math.isfinite(mean) else min(float(np.sum(arr / arr.size)), float(arr[-1]))
 
 
 def segment_phase(window: Window) -> PhaseLabel:

@@ -149,17 +149,6 @@ def parse_header(cells: list[str]) -> Header:
     return Header(indexes=indexes, width=len(cells))
 
 
-def _check_width(cells: list[str], header: Header, row_number: int | None) -> None:
-    if len(cells) != header.width:
-        raise MalformedRowError(
-            f"malformed row{_where(row_number)}: expected {header.width} cells, got {len(cells)}"
-        )
-
-
-def _where(row_number: int | None) -> str:
-    return f" (row {row_number})" if row_number is not None else ""
-
-
 def _parse_numeric(raw: tuple[str, ...], cell_re, charset: bytes, convert, fill):
     """A numeric column: its values, then which cells parsed and the stripped
     cells, or two Nones when every cell parsed as it stood.
@@ -229,7 +218,7 @@ def _parse_rows(columns: list, row_numbers, header: Header, strict: bool) -> Rec
     timestamp = _timestamp_array(numeric[0][0])
     _log_utc_disagreements(timestamp, utc_time, ~(missing[0] | missing[1]), row_numbers, error_row)
     if error_cell is not None:
-        raise MalformedRowError(f"malformed row{_where(row_numbers[error_row])}: non-numeric {error_cell}")
+        raise MalformedRowError(f"malformed row (row {row_numbers[error_row]}): non-numeric {error_cell}")
     values = np.array([column for column, *_ in numeric[1:]], dtype=np.float64)
     return RecordTable(timestamp, utc_time, callsign, values.reshape(len(ATTRIBUTES), count), missing)
 
@@ -264,19 +253,14 @@ def _utc_texts(timestamps: np.ndarray) -> np.ndarray:
     return text.astype(object)
 
 
-def _check_utc_agreement(timestamp: int, utc_time: str, row_number: int | None) -> None:
+def _check_utc_agreement(timestamp: int, utc_time: str, row_number: int) -> None:
     try:
         parsed = datetime.strptime(utc_time, _UTC_FORMAT)
     except ValueError:
-        logger.debug("unparseable utc_time %r%s", utc_time, _where(row_number))
+        logger.debug("unparseable utc_time %r (row %d)", utc_time, row_number)
         return
     if int(parsed.replace(tzinfo=timezone.utc).timestamp()) != timestamp:
-        logger.warning(
-            "utc_time %r disagrees with timestamp %d%s",
-            utc_time,
-            timestamp,
-            _where(row_number),
-        )
+        logger.warning("utc_time %r disagrees with timestamp %d (row %d)", utc_time, timestamp, row_number)
 
 
 @dataclass
@@ -446,39 +430,38 @@ def aggregate_minutes(traj: Trajectory) -> Trajectory:
 def _record_chunks(source: Iterator[str], width: int) -> Iterator[tuple[list | None, list | None]]:
     """The records after the header, one chunk of ``_CHUNK_ROWS`` lines at a time.
 
-    Yields ``(columns, None)`` when every record of the chunk has ``width``
-    cells, else ``(None, rows)`` with one cell list per record. A chunk
-    that csv.reader reads gives as many records as it has lines, read on
-    from ``source`` where a quoted field runs past the chunk's end. Where
-    csv.reader raises, the records before the error are yielded first, so
-    that they are checked as a one-pass reader checks them.
+    Yields ``(columns, None)`` for a plain chunk: one with no quote, CR or
+    NUL, no line longer than ``csv.field_size_limit()``, and ``width``
+    cells on every line. Any other chunk is read by csv.reader, which reads
+    on from ``source`` where a quoted field runs past the chunk's end, and
+    yields ``(None, rows)``: one cell list per record, as many records as
+    the chunk has lines. Where csv.reader raises, the records before the
+    error are yielded first, so that they are checked as a one-pass reader
+    checks them.
     """
     while lines := list(islice(source, _CHUNK_ROWS)):
         text = "".join(lines)
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
-            del text
-            rows = []
-            try:
-                rows.extend(islice(csv.reader(chain(lines, source)), len(lines)))
-            except csv.Error:
-                yield None, rows
-                raise
+        plain = not ('"' in text or "\r" in text or "\0" in text) and max(map(len, lines)) <= csv.field_size_limit()
+        if plain and list(map(str.count, lines, repeat(","))).count(width - 1) == len(lines):
             del lines
-            yield None, rows
-            continue
-        rows = text.split("\n")
-        if text.endswith("\n"):
-            rows.pop()
-        del lines, text
-        if list(map(str.count, rows, repeat(","))).count(width - 1) == len(rows):
-            cells = ",".join(rows).split(",")
-            del rows
+            cells = text.replace("\n", ",").split(",")
+            if text.endswith("\n"):
+                cells.pop()  # the empty cell after the last line end
+            del text
             columns = [cells[j::width] for j in range(width)]
             del cells
             yield columns, None
             del columns  # not held while the next chunk is read
-        else:
-            yield None, [row.split(",") if row else [] for row in rows]
+            continue
+        del text
+        rows = []
+        try:
+            rows.extend(islice(csv.reader(chain(lines, source)), len(lines)))
+        except csv.Error:
+            yield None, rows
+            raise
+        del lines
+        yield None, rows
 
 
 def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> RecordTable:
@@ -489,18 +472,19 @@ def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> Recor
     cell in a numeric column is missing in tolerant mode and raises in
     strict mode. Rows are parsed in batches as they are read; blank lines
     are ignored. A row whose cell count differs from the header raises in
-    strict mode. In tolerant mode it is skipped, and one warning gives the
-    number skipped and the first such row.
+    strict mode, after the rows before it were checked. In tolerant mode
+    it is skipped, and one warning gives the number skipped and the first
+    such row.
 
     A file is read as UTF-8. One leading byte order mark (U+FEFF), as
     Excel's "CSV UTF-8" export writes, is dropped from the first line of
-    a file and of a stream alike. The rows are what csv.reader reads. Only
-    a batch that holds a quote, a CR or a NUL (which csv.reader refuses
-    before Python 3.11), or a line longer than ``csv.field_size_limit()``,
-    goes through csv.reader; the package's own writers quote callsigns
-    that need it. None of the CSV quoting rules apply to any other batch,
-    so it is cut at its commas and newlines with ``str.split``, which
-    gives the same cells at a fraction of the cost.
+    a file and of a stream alike. The rows are what csv.reader reads. A
+    batch that holds no quote, CR or NUL (which csv.reader refuses before
+    Python 3.11), no line longer than ``csv.field_size_limit()``, and the
+    header's width on every line, is cut at its commas and newlines with
+    ``str.split``: none of the CSV quoting rules apply to it, so this gives
+    csv.reader's cells at a fraction of the cost. csv.reader reads every
+    other batch; the package's own writers quote callsigns that need it.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -514,32 +498,29 @@ def read_adsb_csv(source: str | Path | TextIO, *, strict: bool = False) -> Recor
     skipped, first_skipped = 0, None
     next_row = 2
     for columns, rows in _record_chunks(source, header.width):
-        count = len(rows) if columns is None else len(columns[0])
-        numbers = range(next_row, next_row + count)
-        next_row += count
+        numbers = range(next_row, next_row + (len(rows) if columns is None else len(columns[0])))
+        next_row = numbers.stop
         if columns is None:
-            if list(map(len, rows)).count(header.width) != count:
-                odd = [i for i, cells in enumerate(rows) if cells and len(cells) != header.width]
-                end = odd[0] if odd and strict else count
-                keep = [i for i in range(end) if len(rows[i]) == header.width]
-                kept, kept_numbers = [rows[i] for i in keep], [numbers[i] for i in keep]
-                if end < count:  # strict: a cell in the rows before it may raise first
-                    _parse_rows(_transpose(kept, header.width), kept_numbers, header, strict)
-                    _check_width(rows[end], header, numbers[end])
-                if odd and not skipped:
-                    first_skipped = numbers[odd[0]]
-                skipped += len(odd)
-                rows, numbers = kept, kept_numbers
-            columns = _transpose(rows, header.width)
+            odd = [i for i, cells in enumerate(rows) if cells and len(cells) != header.width]
+            if odd and not skipped:
+                first_skipped = numbers[odd[0]], len(rows[odd[0]])
+            skipped += len(odd)
+            end = odd[0] if odd and strict else len(rows)
+            keep = [i for i in range(end) if len(rows[i]) == header.width]
+            columns = _transpose([rows[i] for i in keep], header.width)
+            numbers = [numbers[i] for i in keep]
             del rows
         tables.append(_parse_rows(columns, numbers, header, strict))
         del columns  # not held while the next chunk is read
+        if strict and skipped:  # raised once the rows before it are checked
+            row, width = first_skipped
+            raise MalformedRowError(f"malformed row (row {row}): expected {header.width} cells, got {width}")
     if skipped:
         logger.warning(
             "skipped %d row(s) whose cell count differs from the header's %d (first: row %d)",
             skipped,
             header.width,
-            first_skipped,
+            first_skipped[0],
         )
     return RecordTable.concat(tables) if tables else _parse_rows(_transpose([], header.width), [], header, strict)
 

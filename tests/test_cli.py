@@ -281,6 +281,8 @@ class TestStages:
             ({"latency_s": "fast"}, "row 2: latency_s 'fast' is not a finite number >= 0"),
             ({"model": 7}, "row 2: model 7 is not a string"),
             ({"template_version": ["v1"]}, "row 2: template_version ['v1'] is not a string"),
+            ({"model": "a\rb"}, "row 2: model 'a\\rb' is not one line of text"),
+            ({"template_version": "v1\n"}, "row 2: template_version 'v1\\n' is not one line of text"),
             pytest.param({"latency_s": 10**400}, f"row 2: latency_s {10**400} is not a finite number >= 0",
                          id="latency_s-past-the-double-range"),
         ],
@@ -312,6 +314,27 @@ class TestStages:
         assert {row[0] for row in rows} == {"org,model-7b"}
         assert run("report", "--in", tmp_path / "rep.json", "--format", "csv", "--out", tmp_path / "again.csv") == 0
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "rep.csv").read_bytes()
+
+    def test_eval_refuses_a_model_name_holding_a_line_break(self, pipeline_dir, tmp_path, caplog):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "out" / "rep", "--model", "a\rb") == 1
+        assert "model 'a\\rb' is not one line of text" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_mean_latency_stays_finite_where_the_sum_overflows(self, pipeline_dir, tmp_path):
+        windows, pred = tmp_path / "windows-h3.jsonl", tmp_path / "pred.jsonl"
+        assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 3, "--out", windows) == 0
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "kinematic") == 0
+        rows = [{**row, "latency_s": 1.7e308} for row in list(read_jsonl(pred))[:2]]
+        pred.write_text(jsonl_text(rows))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=refuse)
+        assert (report["counts"]["evaluated"], report["mean_latency_s"]) == (2, 1.7e308)
 
     def test_eval_takes_the_model_from_the_first_row_that_names_one(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"

@@ -49,6 +49,11 @@ class TestMetricPrimitives:
         assert mean_latency([1.0]) == 1.0
         assert mean_latency([1.0, 3.0]) == 2.0
         assert mean_latency([0.0, 0.0]) == 0.0
+        # Where the sum overflows, each latency is divided by the count first.
+        largest = np.finfo(np.float64).max
+        assert mean_latency([1.7e308, 1.7e308]) == 1.7e308
+        assert mean_latency([1.7e308, 0.0]) == 0.85e308
+        assert mean_latency([largest] * 3) == largest
 
     def test_errors(self):
         with pytest.raises(ValueError):

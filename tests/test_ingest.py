@@ -661,9 +661,12 @@ class TestChunkedReaderProperty:
         assert shipped == oracle
 
     def test_only_the_header_and_chunks_that_need_quoting_rules_go_through_csv_reader(self, monkeypatch):
-        text = "".join(line for line in dirty_feed_text(12, 3).splitlines(True) if '"' not in line)
+        """A chunk also goes through csv.reader where one of its rows is short or long."""
+        lines = dirty_feed_text(12, 3).splitlines(True)
+        text = "".join(line for line in lines if '"' not in line and line.count(",") == 7)
         header, first, *rest = text.splitlines(True)
         cells = first.rstrip("\n").split(",")
+        short = header + first + ",".join(cells[:7]) + "\n" + "".join(rest)
         cells[2] = 'Q,"X'
         quoted = header + first + csv_line(cells) + "\n" + "".join(rest)
         calls = []
@@ -680,6 +683,8 @@ class TestChunkedReaderProperty:
         assert len(calls) == 3  # its header, then the chunk holding the quoted callsign
         assert len(mixed) == len(plain) + 1
         assert mixed.callsign[1] == 'Q,"X'
+        assert len(read_adsb_csv(io.StringIO(short))) == len(plain)
+        assert len(calls) == 5  # its header, then the chunk holding the short row
 
 
 VALID_CELLS = {
