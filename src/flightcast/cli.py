@@ -335,6 +335,8 @@ def _cmd_report(cfg: dict) -> int:
     report = evaluation.MetricsReport.from_dict(
         json.loads(Path(cfg["input"]).read_text(encoding="utf-8"))
     )
+    _check_one_line("model", report.model)
+    _check_one_line("template_version", report.template_version)
     text = evaluation.emit_report(report, cfg["format"])
     if cfg["out"]:
         Path(cfg["out"]).write_text(text, encoding="utf-8")

@@ -322,6 +322,17 @@ class TestStages:
         assert "model 'a\\rb' is not one line of text" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_report_refuses_a_saved_report_whose_model_holds_a_line_break(self, pipeline_dir, tmp_path, caplog):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        saved = json.loads((tmp_path / "rep.json").read_text())
+        for key in ("model", "template_version"):
+            (tmp_path / "rep-cr.json").write_text(json.dumps({**saved, key: "a\rb"}))
+            assert run("report", "--in", tmp_path / "rep-cr.json", "--format", "csv", "--out", tmp_path / "cr.csv") == 1
+            assert f"{key} 'a\\rb' is not one line of text" in caplog.text
+            assert not (tmp_path / "cr.csv").exists()
+
     def test_eval_mean_latency_stays_finite_where_the_sum_overflows(self, pipeline_dir, tmp_path):
         windows, pred = tmp_path / "windows-h3.jsonl", tmp_path / "pred.jsonl"
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 3, "--out", windows) == 0

@@ -1,14 +1,20 @@
 import json
+import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flightcast
 from flightcast import llm
 from flightcast.cli import main
 from flightcast.evaluation import MetricsReport
@@ -45,30 +51,43 @@ class _ChatHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         type(self).seen.append(
-            {"auth": self.headers.get("Authorization"), "request": request}
+            {"auth": self.headers.get("Authorization"), "path": self.path, "request": request}
         )
         model = request["model"]
-        if model == "error":
+        if model in ("error", "error-latin1"):
             self.send_response(500)
             self.end_headers()
-            self.wfile.write(b"backend exploded")
+            self.wfile.write(b"backend exploded" if model == "error" else b"caf\xe9 exploded")
             return
         user = request["messages"][1]["content"]
         if model == "flaky" and user not in type(self).dropped:
             type(self).dropped.add(user)
             self.close_connection = True  # hang up without a reply, once per prompt
             return
+        # "busy:<status>:<Retry-After>" answers that status once per prompt, "always-busy:…" every time.
+        kind, _, rest = model.partition(":")
+        if kind == "always-busy" or (kind == "busy" and model + user not in type(self).dropped):
+            type(self).dropped.add(model + user)
+            status, _, retry_after = rest.partition(":")
+            self.send_response(int(status))
+            if retry_after:
+                self.send_header("Retry-After", retry_after)
+            self.end_headers()
+            self.wfile.write(b"come back later")
+            return
         if model == "slow":
             time.sleep(1.0)
         if model == "junk":
             payload = b"this is not json"
-        else:  # echo: answer with the user message content; "number" answers 42
+        else:  # echo: answer with the user message content in UTF-8; "number" answers 42
             content = 42 if model == "number" else user
             payload = json.dumps(
-                {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                {"choices": [{"message": {"role": "assistant", "content": content}}]}, ensure_ascii=False
             ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
+        if model == "sized":  # any other reply ends where the server closes the connection
+            self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -170,6 +189,83 @@ class TestComplete:
         for limit in (0, -3):
             with pytest.raises(ValueError, match="in flight"):
                 EndpointConfig(base_url="x", model="m", max_in_flight=limit)
+
+    def test_temperature_must_be_finite_and_non_negative(self):
+        for temperature in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="^temperature"):
+                EndpointConfig(base_url="http://h", model="m", temperature=temperature)
+
+    def test_timeout_must_be_positive_and_at_most_the_thread_timeout_limit(self):
+        for timeout in (math.nan, math.inf, 1e300, threading.TIMEOUT_MAX * 2, 0, -1.0):
+            with pytest.raises(ValueError, match="^timeout_s"):
+                EndpointConfig(base_url="http://h", model="m", timeout_s=timeout)
+        assert EndpointConfig(base_url="http://h", model="m", timeout_s=threading.TIMEOUT_MAX).timeout_s > 0
+
+    def test_max_tokens_must_be_positive(self):
+        for max_tokens in (0, -1):
+            with pytest.raises(ValueError, match="^max_tokens"):
+                EndpointConfig(base_url="http://h", model="m", max_tokens=max_tokens)
+
+    def test_base_url_must_be_http_or_https(self):
+        for url in ("localhost:8000/v1", "ftp://h/v1", "file:///tmp", ""):
+            with pytest.raises(ValueError, match="^base_url"):
+                EndpointConfig(base_url=url, model="m")
+        for url in ("http://h/v1", "https://h/v1", "HTTP://h"):
+            assert EndpointConfig(base_url=url, model="m").base_url == url
+
+    def test_base_url_with_a_trailing_slash(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url + "/v1/", model="echo")
+        _ChatHandler.seen.clear()
+        complete(inference_record(), cfg)
+        assert _ChatHandler.seen[-1]["path"] == "/v1/chat/completions"
+
+    def test_non_ascii_reply_is_verbatim(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url, model="echo")
+        payload = "caf\u00e9 \u2708 \u6771\u4eac \U0001f6eb (1.0, 2.0)"
+        assert complete(inference_record(payload), cfg).text == payload
+
+    def test_error_body_that_is_not_utf8_still_yields_an_excerpt(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url, model="error-latin1")
+        with pytest.raises(EndpointError, match="^endpoint returned status 500: caf\ufffd exploded$"):
+            complete(inference_record(), cfg)
+
+    def test_reply_with_a_content_length_or_ended_by_the_connection_closing(self, endpoint_url):
+        for model in ("sized", "echo"):
+            cfg = EndpointConfig(base_url=endpoint_url, model=model)
+            assert complete(inference_record("payload-" + model), cfg).text == "payload-" + model
+
+    def test_importing_the_cli_does_not_import_requests(self):
+        src = Path(flightcast.__file__).parents[1]
+        code = "import sys, flightcast.cli; sys.exit('requests' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    def test_too_many_requests_is_retried_after_retry_after(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url, model="busy:429:0", retries=1)
+        result = complete(inference_record("busy-429"), cfg)
+        assert (result.text, result.attempts) == ("busy-429", 2)
+
+    def test_unavailable_without_a_numeric_retry_after_uses_the_backoff(self, endpoint_url, monkeypatch):
+        backoffs = []
+        monkeypatch.setattr(llm, "_backoff_sleep", lambda cfg, attempt: backoffs.append(attempt))
+        for retry_after in ("", "Wed, 21 Oct 2015 07:28:00 GMT"):
+            cfg = EndpointConfig(base_url=endpoint_url, model=f"busy:503:{retry_after}", retries=2)
+            assert complete(inference_record("busy-503"), cfg).attempts == 2
+        assert backoffs == [1, 1]
+
+    def test_retry_after_is_capped_at_the_timeout_and_the_last_status_raises(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url, model="always-busy:429:100", retries=2, timeout_s=0.1)
+        start = time.perf_counter()
+        with pytest.raises(EndpointError, match="^endpoint returned status 429: come back later") as excinfo:
+            complete(inference_record(), cfg)
+        assert excinfo.value.attempts == 3
+        assert 0.2 <= time.perf_counter() - start < 5  # two pauses of 0.1 s, not of the 100 s asked for
+
+    def test_other_error_statuses_are_not_retried(self, endpoint_url):
+        cfg = EndpointConfig(base_url=endpoint_url, model="busy:502:0", retries=2)
+        with pytest.raises(EndpointError, match="^endpoint returned status 502") as excinfo:
+            complete(inference_record("busy-502"), cfg)
+        assert excinfo.value.attempts == 1
 
     def test_complete_many_preserves_order(self, endpoint_url):
         cfg = EndpointConfig(base_url=endpoint_url, model="echo", max_in_flight=4)
@@ -292,6 +388,18 @@ class TestCliEndpoint:
         rows = self.predict(tmp_path, rng, endpoint_url, "flaky", "--retries", 2)
         assert [row["attempts"] for row in rows] == [2, 2, 2]
         assert all(row["completion"] for row in rows)
+
+    def test_bad_settings_exit_1_before_any_request(self, endpoint_url, tmp_path, rng):
+        windows = tmp_path / "windows.jsonl"
+        write_windows_jsonl([cruise_window(rng, 4)], windows)
+        _ChatHandler.seen.clear()
+        bad = (("--temperature", "nan"), ("--timeout", "inf"), ("--max-tokens", 0),
+               ("--base-url", endpoint_url.removeprefix("http://")))
+        for flag, value in bad:
+            argv = ["predict", "--in", windows, "--out", tmp_path / "pred.jsonl", "--backend", "endpoint",
+                    "--base-url", endpoint_url, "--model", "echo", flag, value]
+            assert main([str(a) for a in argv]) == 1
+        assert _ChatHandler.seen == [] and not (tmp_path / "pred.jsonl").exists()
 
     def test_non_string_completion_is_a_format_failure(self, endpoint_url, tmp_path, rng):
         rows = self.predict(tmp_path, rng, endpoint_url, "number")
