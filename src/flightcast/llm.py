@@ -70,8 +70,15 @@ class EndpointConfig:
             raise ValueError(f"max_tokens must be >= 1, not {self.max_tokens!r}")
         if self.max_in_flight < 1:
             raise ValueError("max in flight must be >= 1")
-        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https"):
             raise ValueError(f"base_url must be an http:// or https:// URL, not {self.base_url!r}")
+        if not parts.hostname or " " in parts.hostname or not parts.hostname.isprintable():
+            raise ValueError(f"base_url must name a host, not {self.base_url!r}")
+        try:
+            parts.port  # raises ValueError for a port that is not a number in 0..65535
+        except ValueError as exc:
+            raise ValueError(f"base_url has a bad port ({exc}): {self.base_url!r}") from None
         if self.auth_token is None:
             self.auth_token = os.environ.get(TOKEN_ENV_VAR)
 

@@ -3,6 +3,7 @@
 Everything is plain numpy in float64: forward recurrence, exact gradients
 through the gate algebra, and an Adam loop over one flat weight vector
 whose named arrays are views (model files still store the named arrays).
+Every pass runs on a ``Tape`` of arrays allocated once per batch shape.
 The model predicts the next waypoint from the previous 16; longer horizons
 roll the model forward on its own output. Feature scaling is z-score with
 statistics taken from the training inputs and stored inside the
@@ -11,6 +12,7 @@ parameters, so a saved model is self-contained.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -46,8 +48,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         # Zero is allowed so a no-op training run can serve as a smoke test.
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a finite number >= 0, not {self.learning_rate!r}")
         if self.hidden_dim < 1:
             raise ValueError("hidden dim must be >= 1")
 
@@ -55,8 +57,8 @@ class TrainConfig:
 def _views(vector: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Views into a flat vector, shaped like ``like``'s arrays and laid out in sorted-name order."""
     names = sorted(like)
-    blocks = np.split(vector, np.cumsum([np.size(like[k]) for k in names])[:-1])
-    return {k: block.reshape(np.shape(like[k])) for k, block in zip(names, blocks)}
+    ends = itertools.accumulate(np.size(like[k]) for k in names)
+    return {k: vector[end - np.size(like[k]) : end].reshape(np.shape(like[k])) for k, end in zip(names, ends)}
 
 
 class LstmParams:
@@ -160,131 +162,156 @@ def denormalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * params.norm_std + params.norm_mean
 
 
-def _forward_batch(
-    params: LstmParams, x: np.ndarray, record: bool = False
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Run the recurrence over x of shape (batch, steps, input_dim).
+def _gates(array: np.ndarray) -> list[np.ndarray]:
+    """The i, f, o and g blocks of fused gate rows along the last axis."""
+    hidden = array.shape[-1] // 4
+    return [array[..., k * hidden : (k + 1) * hidden] for k in range(4)]
 
-    Returns the prediction and the time-major activations ``(h, c, act,
-    tanh_c)``: hidden and cell states (steps + 1, batch, H) from the zero
-    state, fused i|f|o|g gate activations (steps, batch, 4H) and tanh of
-    each new cell state (steps, batch, H). With ``record`` every step keeps
-    its slot for the backward pass; without it the arrays are rings of one
-    or two slots that hold only the running state, so memory stays
-    O(batch x hidden) whatever the length of x.
 
-    One tanh activates all four gates: sigmoid(a) = 0.5 + 0.5 tanh(a / 2),
-    and the i, f and o rows of the weights are halved up front (exact in
-    binary floating point), so their pre-activations arrive already halved.
+class Tape:
+    """The arrays of every pass over inputs of one (batch, steps) shape, and each step's views.
+
+    Time-major: input ``x``, states ``h`` and ``c`` from the zero state,
+    fused i|f|o|g gate rows after ``tanh``, the same rows as sigmoids in
+    ``sig`` (0.5 tanh + 0.5, contiguous; its g block goes unused), ``tanh_c``.
+    A recording tape keeps all steps (steps + 1 state slots), the gate
+    derivatives and the flat ``gradient``; an inference tape is a ring of
+    two state slots and one gate slot, O(batch x hidden) at any length.
     """
-    a = params.arrays
-    hidden = params.hidden_dim
-    batch, steps = x.shape[0], x.shape[1]
-    scale = np.ones((4 * hidden, 1))
-    scale[: 3 * hidden] = 0.5
-    w_t, u_t, b = (a["w"] * scale).T, (a["u"] * scale).T, a["b"] * scale[:, 0]
-    slots = steps if record else 1
-    h = np.zeros((slots + 1, batch, hidden))
-    c = np.zeros((slots + 1, batch, hidden))
-    act = np.empty((slots, batch, 4 * hidden))
-    tanh_c = np.empty((slots, batch, hidden))
-    # Pre-activations sum x w, then b, then h u on both paths, so both give
-    # the same bits. Recording projects every step's input at once into the
-    # slots it fills anyway; the ring projects per step, since hoisting there
-    # would allocate (steps, batch, 4H) for a rollout of many windows.
-    if record:
-        np.matmul(x.transpose(1, 0, 2), w_t, out=act)
-        act += b
-    for t in range(steps):
-        # Slot t + 1 follows slot t; in a ring the two alternate.
-        z, tc = act[t % slots], tanh_c[t % slots]
-        h_prev, h_new = h[t % (slots + 1)], h[(t + 1) % (slots + 1)]
-        c_prev, c_new = c[t % (slots + 1)], c[(t + 1) % (slots + 1)]
-        if not record:
-            np.matmul(x[:, t, :], w_t, out=z)
-            z += b
-        z += h_prev @ u_t
+
+    def __init__(self, params: LstmParams, batch: int, steps: int, record: bool = True):
+        dim, hidden = params.input_dim, params.hidden_dim
+        slots = steps if record else 1
+        self.record = record
+        self.x = np.empty((steps, batch, dim))
+        self.h, self.c = np.zeros((2, slots + 1, batch, hidden))
+        self.tanh, self.sig = np.empty((2, slots, batch, 4 * hidden))
+        self.tanh_c = np.empty((slots, batch, hidden))
+        self.scale = np.ones((4 * hidden, 1))  # halves the i, f and o rows of w, u and b on each pass
+        self.scale[: 3 * hidden] = 0.5
+        self.w, self.u, self.b = np.empty((4 * hidden, dim)), np.empty((4 * hidden, hidden)), np.empty(4 * hidden)
+        self.w_t, self.u_t = self.w.T, self.u.T
+        self.prediction, self.diff, self.d_prediction = np.empty((3, batch, dim))
+        # Views come from iterating whole arrays, which is cheaper than slicing per step.
+        gates = list(zip(self.tanh, self.sig, *_gates(self.sig)[:3], _gates(self.tanh)[3], self.tanh_c))
+        h, c, state = list(self.h), list(self.c), (lambda t: t % (slots + 1))
+        self.steps = [(x_t, *gates[t % slots], h[state(t)], h[state(t + 1)], c[state(t)], c[state(t + 1)])
+                      for t, x_t in enumerate(self.x)]
+        self.h_last = h[state(steps)]
+        if record:
+            self.factors, self.da = np.empty((2, steps, batch, 4 * hidden))
+            self.dc_dh = np.empty((steps, batch, hidden))
+            self.dh, self.dc = np.empty((2, batch, hidden))
+            self.gradient = np.empty_like(params.vector)
+            self.grads = _views(self.gradient, params.arrays)
+            factors, da = (array.reshape(steps, batch, 4, hidden) for array in (self.factors, self.da))
+            self.back_steps = list(zip(self.dc_dh, _gates(self.sig)[1], factors, factors[:, :, 2], da,
+                                       da[:, :, 2], self.da))[::-1]
+            self.dc_wide = self.dc[:, None, :]
+
+
+def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
+    """Run the recurrence over x of shape (batch, steps, input_dim) on ``tape``.
+
+    Returns the tape's prediction array. One tanh activates all four gates:
+    sigmoid(a) = 0.5 + 0.5 tanh(a / 2), and the i, f and o rows of the
+    weights are halved up front (exact in binary floating point).
+    """
+    t, a = tape, params.arrays
+    np.multiply(a["w"], t.scale, out=t.w)
+    np.multiply(a["u"], t.scale, out=t.u)
+    np.multiply(a["b"], t.scale[:, 0], out=t.b)
+    np.copyto(t.x, x.transpose(1, 0, 2))
+    t.h[0], t.c[0] = 0.0, 0.0
+    # Pre-activations sum x w, then b, then h u on both kinds of tape, so
+    # both give the same bits. Recording projects every step's input at
+    # once into the slots it fills anyway; the ring projects per step.
+    if t.record:
+        np.matmul(t.x, t.w_t, out=t.tanh)
+        t.tanh += t.b
+    for x_t, z, sig, i, f, o, g, tanh_c, h_prev, h_new, c_prev, c_new in t.steps:
+        if not t.record:
+            np.matmul(x_t, t.w_t, out=z)
+            z += t.b
+        z += np.matmul(h_prev, t.u_t, out=sig)  # sig and tanh_c serve as scratch until written
         np.tanh(z, out=z)
-        ifo = z[:, : 3 * hidden]
-        ifo *= 0.5
-        ifo += 0.5
-        np.multiply(z[:, hidden : 2 * hidden], c_prev, out=c_new)
-        c_new += z[:, :hidden] * z[:, 3 * hidden :]
-        np.tanh(c_new, out=tc)
-        np.multiply(z[:, 2 * hidden : 3 * hidden], tc, out=h_new)
-    return h[steps % (slots + 1)] @ a["w_out"].T + a["b_out"], (h, c, act, tanh_c)
+        np.multiply(z, 0.5, out=sig)
+        sig += 0.5
+        np.multiply(f, c_prev, out=c_new)
+        c_new += np.multiply(i, g, out=tanh_c)
+        np.tanh(c_new, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_new)
+    np.matmul(t.h_last, a["w_out"].T, out=t.prediction)
+    t.prediction += a["b_out"]
+    return t.prediction
 
 
-def _backward_batch(
-    params: LstmParams, x: np.ndarray, recorded: tuple[np.ndarray, ...], d_prediction: np.ndarray
-) -> np.ndarray:
-    """Exact flat gradient, laid out like ``params.vector``, of a recorded forward pass."""
-    a, hidden = params.arrays, params.hidden_dim
-    h, c, act, tanh_c = recorded
-    steps, batch = act.shape[:2]
-    gates = act.reshape(steps, batch, 4, hidden)
-    i, f, o, g = (gates[:, :, k] for k in range(4))
+def _backward(params: LstmParams, tape: Tape, d_prediction: np.ndarray) -> np.ndarray:
+    """Exact flat gradient, laid out like ``params.vector``, of the pass recorded on ``tape``."""
+    t, u = tape, params.arrays["u"]
+    (i, _, o, _), g = _gates(t.sig), _gates(t.tanh)[3]
     # Every step's local derivatives at once: gate k's pre-activation
-    # gradient is factors[..., k, :] times dc (dh for the o gate).
-    factors = np.empty_like(gates)
-    ifo = gates[:, :, :3]
-    np.multiply(ifo, 1.0 - ifo, out=factors[:, :, :3])
-    factors[:, :, 0] *= g
-    factors[:, :, 1] *= c[:-1]
-    factors[:, :, 2] *= tanh_c
-    np.multiply(1.0 - g**2, i, out=factors[:, :, 3])
-    dc_dh = o * (1.0 - tanh_c**2)  # dc picks up dh times this
+    # gradient is factor k times dc (dh for the o gate).
+    np.multiply(t.sig, np.subtract(1.0, t.sig, out=t.factors), out=t.factors)
+    factor_i, factor_f, factor_o, factor_g = _gates(t.factors)
+    factor_i *= g
+    factor_f *= t.c[:-1]
+    factor_o *= t.tanh_c
+    np.subtract(1.0, np.square(g, out=factor_g), out=factor_g)
+    factor_g *= i
+    np.subtract(1.0, np.square(t.tanh_c, out=t.dc_dh), out=t.dc_dh)
+    t.dc_dh *= o  # dc picks up dh times this
 
-    dh = d_prediction @ a["w_out"]
-    dc = np.zeros_like(dh)
-    da = np.empty_like(gates)
-    for t in reversed(range(steps)):
-        dc += dh * dc_dh[t]
-        np.multiply(dc[:, None, :], factors[t], out=da[t])
-        np.multiply(dh, factors[t, :, 2], out=da[t, :, 2])
-        dh = da[t].reshape(batch, 4 * hidden) @ a["u"]
-        dc *= f[t]
+    dh, dc = np.matmul(d_prediction, params.arrays["w_out"], out=t.dh), t.dc
+    dc.fill(0.0)
+    for dc_dh, f_t, factors, factor_o, da, da_o, da_row in t.back_steps:
+        dc += np.multiply(dh, dc_dh, out=dc_dh)  # each step's dc_dh is read once
+        np.multiply(t.dc_wide, factors, out=da)
+        np.multiply(dh, factor_o, out=da_o)
+        np.matmul(da_row, u, out=dh)
+        dc *= f_t
     # Weight gradients sum over every (step, sample) pair, so they wait for the whole da.
-    da = da.reshape(steps * batch, 4 * hidden)
-    grads = {
-        "w": da.T @ x.transpose(1, 0, 2).reshape(steps * batch, params.input_dim),
-        "u": da.T @ h[:-1].reshape(steps * batch, hidden),
-        "b": da.sum(axis=0),
-        "w_out": d_prediction.T @ h[-1],
-        "b_out": d_prediction.sum(axis=0),
-    }
-    return np.concatenate([np.ravel(grads[k]) for k in sorted(grads)])
+    da, grads = t.da.reshape(-1, u.shape[0]), t.grads
+    np.matmul(da.T, t.x.reshape(len(da), -1), out=grads["w"])
+    np.matmul(da.T, t.h[:-1].reshape(len(da), -1), out=grads["u"])
+    np.sum(da, axis=0, out=grads["b"])
+    np.matmul(d_prediction.T, t.h_last, out=grads["w_out"])
+    np.sum(d_prediction, axis=0, out=grads["b_out"])
+    return t.gradient
 
 
-def lstm_forward(params: LstmParams, x: np.ndarray) -> np.ndarray:
+def lstm_forward(params: LstmParams, x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Next-step predictions for normalized x of shape (batch, steps, input_dim).
 
-    Returns a (batch, input_dim) array. Keeps no activations: training
-    goes through :func:`lstm_loss_gradients`.
+    Returns a (batch, input_dim) array, which the next pass on the same
+    ``tape`` (an inference tape of x's shape; a fresh one by default)
+    overwrites. Training goes through :func:`lstm_loss_gradients`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected input of shape (batch, steps, input_dim), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in input sequence")
-    return _forward_batch(params, x)[0]
+    return _forward(params, tape or Tape(params, x.shape[0], x.shape[1], record=False), x)
 
 
 def lstm_loss_gradients(
-    params: LstmParams, inputs: np.ndarray, targets: np.ndarray
+    params: LstmParams, inputs: np.ndarray, targets: np.ndarray, tape: Tape | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over a normalized batch and its exact flat gradient.
 
     inputs has shape (batch, steps, input_dim), targets (batch, input_dim);
-    the loss is averaged over both batch and attribute dimensions.
+    the loss is averaged over both batch and attribute dimensions. The
+    gradient is ``tape``'s array (a recording tape of the inputs' shape;
+    a fresh one by default), which its next pass overwrites.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    prediction, recorded = _forward_batch(params, inputs, record=True)
-    diff = prediction - targets
-    loss = float(np.mean(diff**2))
-    d_prediction = 2.0 * diff / diff.size
-    return loss, _backward_batch(params, inputs, recorded, d_prediction)
+    t = tape or Tape(params, inputs.shape[0], inputs.shape[1])
+    diff = np.subtract(_forward(params, t, inputs), targets, out=t.diff)
+    loss = float(np.mean(np.square(diff, out=t.d_prediction)))
+    np.multiply(2.0, diff, out=t.d_prediction)
+    t.d_prediction /= diff.size
+    return loss, _backward(params, t, t.d_prediction)
 
 
 def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
@@ -294,7 +321,8 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
 
     Normalization statistics are computed from the training inputs before
     any update. Deterministic for a fixed (windows, cfg): a single seeded
-    generator drives initialization and every shuffle.
+    generator drives initialization and every shuffle. The batches of one
+    size share a tape; Adam updates in place through two scratch vectors.
     """
     if not windows:
         raise ValueError("training set is empty")
@@ -311,23 +339,26 @@ def lstm_train(windows: Sequence[Window], cfg: TrainConfig) -> LstmParams:
     y = normalize(params, y_raw)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
+    m, v, s, r = np.zeros((4, params.vector.size))
     step = 0
     n = len(windows)
+    # A full batch and, where the batch size does not divide n, the last one.
+    tapes = {k: Tape(params, k, INPUT_LENGTH) for k in {min(cfg.batch_size, n), n % cfg.batch_size} - {0}}
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grad = lstm_loss_gradients(params, x[batch], y[batch])
+            loss, grad = lstm_loss_gradients(params, x[batch], y[batch], tapes[len(batch)])
             epoch_loss += loss * len(batch)
             step += 1
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += np.multiply(1.0 - beta1, grad, out=s)
             v *= beta2
-            v += (1.0 - beta2) * grad**2
-            m_hat, v_hat = m / (1.0 - beta1**step), v / (1.0 - beta2**step)
-            params.vector -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            v += np.multiply(1.0 - beta2, np.square(grad, out=s), out=s)
+            np.multiply(cfg.learning_rate, np.divide(m, 1.0 - beta1**step, out=s), out=s)
+            np.add(np.sqrt(np.divide(v, 1.0 - beta2**step, out=r), out=r), eps, out=r)
+            params.vector -= np.divide(s, r, out=s)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training diverged at epoch {epoch}")
@@ -345,7 +376,8 @@ def lstm_predict(params: LstmParams, inputs: np.ndarray, horizon: int) -> np.nda
     """
     sequence = np.ascontiguousarray(inputs.transpose(0, 2, 1))
     raw = np.empty((len(inputs), horizon, ATTR_DIM))
+    tape = Tape(params, *sequence.shape[:2], record=False)
     for step in range(horizon):
-        raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence)))
+        raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence), tape))
         sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
     return round_values(raw, CANONICAL_DECIMALS).transpose(0, 2, 1)

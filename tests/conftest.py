@@ -40,7 +40,7 @@ from flightcast.ingest import (
     read_adsb_csv,
 )
 from flightcast.predictors.baselines import KM_PER_DEGREE, POLAR_LATITUDE_LIMIT
-from flightcast.predictors.lstm import LstmParams, _forward_batch, _views
+from flightcast.predictors.lstm import LstmParams, _views, lstm_forward
 from flightcast.prompts import PLAUSIBILITY_RADIUS_DEG, FailureKind, extract_tuples
 from flightcast.synth import (
     LANDING_SPEED_KMH,
@@ -583,7 +583,7 @@ def _reference_backward_batch(params: LstmParams, steps: list, h_final: np.ndarr
 
 def lstm_loss(params: LstmParams, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Forward-only batch MSE; what finite-difference probes call."""
-    prediction, _ = _forward_batch(params, np.asarray(inputs, dtype=np.float64))
+    prediction = lstm_forward(params, inputs)
     return float(np.mean((prediction - np.asarray(targets, dtype=np.float64)) ** 2))
 
 

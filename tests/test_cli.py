@@ -193,6 +193,15 @@ class TestStages:
         assert {row["attempts"] for row in read_jsonl(pred)} == {1}
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_train_lstm_refuses_a_non_finite_learning_rate_before_training(self, pipeline_dir, tmp_path,
+                                                                           caplog, rate):
+        model = tmp_path / "model.json"
+        caplog.set_level(logging.INFO)
+        assert run("train-lstm", "--in", pipeline_dir / "windows.jsonl", "--out", model, "--lr", rate) == 1
+        assert f"learning_rate must be a finite number >= 0, not {rate}" in caplog.text
+        assert "epoch 1/" not in caplog.text and not model.exists()
+
     def test_non_finite_model_file_names_the_array(self, pipeline_dir, tmp_path, caplog):
         single = tmp_path / "win1.jsonl"
         model = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -84,12 +85,14 @@ class _ChatHandler(BaseHTTPRequestHandler):
             payload = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": content}}]}, ensure_ascii=False
             ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        if model == "sized":  # any other reply ends where the server closes the connection
-            self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        # By the time "slow" answers, its client has timed out and closed the socket: drop the reply quietly.
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            if model == "sized":  # any other reply ends where the server closes the connection
+                self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
     def log_message(self, *args):
         pass
@@ -212,6 +215,16 @@ class TestComplete:
                 EndpointConfig(base_url=url, model="m")
         for url in ("http://h/v1", "https://h/v1", "HTTP://h"):
             assert EndpointConfig(base_url=url, model="m").base_url == url
+
+    @pytest.mark.parametrize("url, message", [
+        ("http://", "base_url must name a host, not 'http://'"),
+        ("http://bad host/", "base_url must name a host, not 'http://bad host/'"),
+        ("http://127.0.0.1:abc", r"base_url has a bad port \(.*\): 'http://127.0.0.1:abc'"),
+        ("http://127.0.0.1:99999", r"base_url has a bad port \(.*\): 'http://127.0.0.1:99999'"),
+    ])
+    def test_base_url_without_a_host_or_with_a_bad_port_is_refused(self, url, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EndpointConfig(base_url=url, model="m")
 
     def test_base_url_with_a_trailing_slash(self, endpoint_url):
         cfg = EndpointConfig(base_url=endpoint_url + "/v1/", model="echo")
@@ -394,7 +407,7 @@ class TestCliEndpoint:
         write_windows_jsonl([cruise_window(rng, 4)], windows)
         _ChatHandler.seen.clear()
         bad = (("--temperature", "nan"), ("--timeout", "inf"), ("--max-tokens", 0),
-               ("--base-url", endpoint_url.removeprefix("http://")))
+               ("--base-url", endpoint_url.removeprefix("http://")), ("--base-url", "http://"))
         for flag, value in bad:
             argv = ["predict", "--in", windows, "--out", tmp_path / "pred.jsonl", "--backend", "endpoint",
                     "--base-url", endpoint_url, "--model", "echo", flag, value]

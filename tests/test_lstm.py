@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,7 +14,8 @@ from flightcast.predictors.lstm import (
     ATTR_DIM,
     FORMAT_TAG,
     LstmParams,
-    _forward_batch,
+    Tape,
+    _forward,
     denormalize,
     lstm_forward,
     lstm_loss_gradients,
@@ -84,7 +85,7 @@ edge_values = st.sampled_from(
 
 
 def recorded_gates(x: np.ndarray) -> np.ndarray:
-    """The i, f and o activations _forward_batch records for pre-activations x, one per row.
+    """The i, f and o activations a recording tape holds for pre-activations x, one per row.
 
     One input, one hidden unit, unit input weights and nothing else: each
     element of x becomes one sample whose every gate pre-activation is that
@@ -93,8 +94,9 @@ def recorded_gates(x: np.ndarray) -> np.ndarray:
     params = LstmParams.initialize(1, 1, np.random.default_rng(0))
     params.vector[:] = 0.0
     params.arrays["w"][:] = 1.0
-    _, (_, _, act, _) = _forward_batch(params, np.reshape(x, (-1, 1, 1)), record=True)
-    return act[0, :, :3].T.reshape((3,) + np.shape(x))
+    tape = Tape(params, np.size(x), 1)
+    _forward(params, tape, np.reshape(x, (-1, 1, 1)))
+    return tape.sig[0, :, :3].T.reshape((3,) + np.shape(x))
 
 
 class TestSigmoid:
@@ -195,15 +197,67 @@ class TestAgainstPerStepReference:
     @given(BATCHES)
     def test_forward_equals_the_recording_pass_bitwise(self, batch):
         params, x, _ = batch
-        prediction, _ = _forward_batch(params, x, record=True)
+        prediction = _forward(params, Tape(params, *x.shape[:2]), x)
         assert np.array_equal(lstm_forward(params, x).view(np.uint64), prediction.view(np.uint64))
 
     def test_forward_keeps_only_the_running_state(self):
         params, x, _ = random_batch(3, 4, 64, 1.0, 0)
-        _, history = _forward_batch(params, x)
-        assert [len(array) for array in history] == [2, 2, 1, 1]
-        _, history = _forward_batch(params, x, record=True)
-        assert [len(array) for array in history] == [65, 65, 64, 64]
+        for record, lengths in ((False, [2, 2, 1, 1, 1]), (True, [65, 65, 64, 64, 64])):
+            tape = Tape(params, 3, 64, record)
+            _forward(params, tape, x)
+            assert [len(array) for array in (tape.h, tape.c, tape.tanh, tape.sig, tape.tanh_c)] == lengths
+
+
+def reference_train(windows, cfg: TrainConfig) -> LstmParams:
+    """lstm_train's loop with a fresh tape for every batch and Adam written with new arrays."""
+    x_raw = np.array([w.values[:, :INPUT_LENGTH].T for w in windows])
+    y_raw = np.array([w.values[:, INPUT_LENGTH] for w in windows])
+    std = x_raw.reshape(-1, ATTR_DIM).std(axis=0)
+    std[std == 0.0] = 1.0
+    rng = np.random.default_rng(cfg.seed)
+    params = LstmParams.initialize(ATTR_DIM, cfg.hidden_dim, rng, x_raw.reshape(-1, ATTR_DIM).mean(axis=0), std)
+    x, y = normalize(params, x_raw), normalize(params, y_raw)
+    m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(windows))
+        for start in range(0, len(windows), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            _, grad = lstm_loss_gradients(params, x[batch], y[batch])
+            step += 1
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad**2
+            params.vector -= cfg.learning_rate * (m / (1.0 - 0.9**step)) / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+    return params
+
+
+class TestTape:
+    @given(BATCHES, st.integers(0, 2**32 - 1))
+    def test_a_reused_tape_leaves_nothing_behind(self, batch, seed):
+        params, x_a, y_a = batch
+        rng = np.random.default_rng(seed)
+        x_b, y_b = rng.normal(size=x_a.shape), rng.normal(size=y_a.shape)
+        fresh_loss, fresh_gradient = lstm_loss_gradients(params, x_b, y_b)
+        tape = Tape(params, *x_a.shape[:2])
+        lstm_loss_gradients(params, x_a, y_a, tape)
+        loss, gradient = lstm_loss_gradients(params, x_b, y_b, tape)
+        assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+        assert gradient.tobytes() == fresh_gradient.tobytes()
+        # A ring's state slots take turns, so the zero state of a second pass must be written afresh.
+        ring = Tape(params, *x_a.shape[:2], record=False)
+        lstm_forward(params, x_a, ring)
+        assert lstm_forward(params, x_b, ring).tobytes() == lstm_forward(params, x_b).tobytes()
+
+    @settings(max_examples=12)
+    @given(st.integers(2, 13), st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_training_with_a_partial_last_batch_is_repeatable_and_leaves_nothing_behind(self, n, size, hidden, seed):
+        assume(n % size != 0)
+        rng = np.random.default_rng(seed)
+        windows = [cruise_window(rng, 1) for _ in range(n)]
+        cfg = TrainConfig(epochs=3, batch_size=size, learning_rate=1e-2, seed=seed, hidden_dim=hidden)
+        trained = lstm_train(windows, cfg).vector.tobytes()
+        assert lstm_train(windows, cfg).vector.tobytes() == trained
+        assert reference_train(windows, cfg).vector.tobytes() == trained
 
 
 class TestTrain:
@@ -269,6 +323,11 @@ class TestTrain:
             TrainConfig(learning_rate=-1e-4)
         with pytest.raises(ValueError, match="hidden dim must be >= 1"):
             TrainConfig(hidden_dim=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1e-4])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match=rf"^learning_rate must be a finite number >= 0, not {rate!r}$"):
+            TrainConfig(learning_rate=rate)
 
     def test_divergence_is_reported_with_its_epoch(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
