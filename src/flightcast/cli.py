@@ -267,14 +267,6 @@ def _cmd_train_lstm(cfg: dict) -> int:
     return 0
 
 
-def _check_one_line(key: str, value) -> None:
-    """Raise ValueError unless ``value`` is a string without CR or LF, as a report's one-line fields are."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} {value!r} is not a string")
-    if "\r" in value or "\n" in value:
-        raise ValueError(f"{key} {value!r} is not one line of text")
-
-
 def _check_prediction(row: dict) -> None:
     """Raise ValueError unless the row has a completion, a latency_s that is a finite number >= 0,
     and a one-line string model and template_version if it names them.
@@ -288,11 +280,11 @@ def _check_prediction(row: dict) -> None:
     if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not 0 <= latency <= sys.float_info.max:
         raise ValueError(f"latency_s {latency!r} is not a finite number >= 0")
     for key in ("model", "template_version"):
-        _check_one_line(key, row.get(key, ""))
+        evaluation.check_one_line(key, row.get(key, ""))
 
 
 def _cmd_eval(cfg: dict) -> int:
-    _check_one_line("model", cfg["model"] or "")
+    evaluation.check_one_line("model", cfg["model"] or "")
     scorable, skipped = [], []
     for number, line in windowing.numbered_lines(cfg["pred"]):
         try:
@@ -332,11 +324,7 @@ def _cmd_eval(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
-    report = evaluation.MetricsReport.from_dict(
-        json.loads(Path(cfg["input"]).read_text(encoding="utf-8"))
-    )
-    _check_one_line("model", report.model)
-    _check_one_line("template_version", report.template_version)
+    report = evaluation.MetricsReport.from_dict(json.loads(Path(cfg["input"]).read_text(encoding="utf-8")))
     text = evaluation.emit_report(report, cfg["format"])
     if cfg["out"]:
         Path(cfg["out"]).write_text(text, encoding="utf-8")

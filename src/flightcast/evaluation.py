@@ -5,6 +5,8 @@ metrics (severe deviations too, since they would poison the averages),
 but every submitted sample contributes to mean latency because the model
 spent the time either way. Multi-step predictions are pooled across steps
 for the headline numbers; a per-step breakdown rides along in the CSV.
+Every pool slices one array of absolute errors, and every score is finite.
+The report's rules are checked in one place, ``MetricsReport.__post_init__``.
 """
 
 from __future__ import annotations
@@ -33,29 +35,58 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
-def _as_finite_arrays(truth: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(truth, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
+@dataclass(frozen=True)
+class AttributeStats:
+    mae: float
+    rmse: float
+
+
+def check_one_line(key: str, value) -> None:
+    """Raise ValueError unless ``value`` is a string without CR or LF, as a report's one-line fields are."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} {value!r} is not a string")
+    if "\r" in value or "\n" in value:
+        raise ValueError(f"{key} {value!r} is not one line of text")
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of a sorted 1-D array of finite values >= 0, so sample order cannot perturb its last bits.
+    Where the sum overflows, each value is divided by the count first; no mean passes the largest."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+        return mean if math.isfinite(mean) else min(float(np.sum(values / values.size)), float(values[-1]))
+
+
+def _stats(errors: np.ndarray) -> AttributeStats:
+    """MAE and RMSE of a 1-D array of absolute errors from one sorted copy (its squares are sorted too).
+    Only where the squares overflow is RMSE taken from the errors scaled by the largest."""
+    errors = np.sort(errors)
+    with np.errstate(over="ignore"):
+        rmse = math.sqrt(_mean(np.square(errors)))
+    if rmse == math.inf and errors[-1] < math.inf:
+        rmse = float(errors[-1]) * math.sqrt(_mean(np.square(errors / errors[-1])))
+    return AttributeStats(mae=_mean(errors), rmse=rmse)
+
+
+def _errors(truth: Sequence[float], predicted: Sequence[float]) -> np.ndarray:
+    t, p = (np.asarray(values, dtype=np.float64) for values in (truth, predicted))
     if t.shape != p.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {p.shape}")
     if t.size == 0:
         raise ValueError("empty input")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
         raise ValueError("non-finite value in input")
-    return t, p
+    return np.abs(t - p)
 
 
 def mae(truth: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute error. Sorted before summing so that sample order
-    can never perturb the last bits of the result."""
-    t, p = _as_finite_arrays(truth, predicted)
-    return float(np.mean(np.sort(np.abs(t - p))))
+    """Mean absolute error; like every score here, summed sorted, so sample order cannot perturb it."""
+    return _stats(_errors(truth, predicted)).mae
 
 
 def rmse(truth: Sequence[float], predicted: Sequence[float]) -> float:
     """Root mean squared error, order-independent like :func:`mae`."""
-    t, p = _as_finite_arrays(truth, predicted)
-    return float(np.sqrt(np.mean(np.sort((t - p) ** 2))))
+    return _stats(_errors(truth, predicted)).rmse
 
 
 def mean_latency(latencies: Sequence[float]) -> float:
@@ -65,10 +96,7 @@ def mean_latency(latencies: Sequence[float]) -> float:
         raise ValueError("empty input")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("latencies must be finite and >= 0")
-    # Where the sum overflows, each latency is divided by the count first; no mean passes the largest.
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(arr))
-        return mean if math.isfinite(mean) else min(float(np.sum(arr / arr.size)), float(arr[-1]))
+    return _mean(arr)
 
 
 def segment_phase(window: Window) -> PhaseLabel:
@@ -80,12 +108,6 @@ def segment_phase(window: Window) -> PhaseLabel:
     if rate < -PHASE_RATE_THRESHOLD_MS:
         return PhaseLabel.LANDING
     return PhaseLabel.CRUISE
-
-
-@dataclass(frozen=True)
-class AttributeStats:
-    mae: float
-    rmse: float
 
 
 @dataclass
@@ -114,6 +136,19 @@ class MetricsReport:
     phases: dict[str, PhaseReport] = field(default_factory=dict)
     per_step: dict[int, dict[str, AttributeStats]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        check_one_line("model", self.model)
+        check_one_line("template_version", self.template_version)
+        if self.mean_latency_s is not None and not 0 <= self.mean_latency_s < math.inf:
+            raise ValueError(f"mean_latency_s {self.mean_latency_s!r} is not a finite number >= 0")
+        pools = [self.attributes or {}, *(p.attributes for p in self.phases.values()), *self.per_step.values()]
+        for name, s in (item for stats in pools for item in stats.items()):
+            if not (math.isfinite(s.mae) and math.isfinite(s.rmse)):
+                raise ValueError(f"non-finite MAE or RMSE for {name}: {s.mae}, {s.rmse}")
+            # RMSE >= MAE >= 0, with last-bit slack for the all-errors-equal case where they coincide.
+            if s.mae < 0.0 or s.rmse < s.mae - 1e-12 * max(1.0, s.mae):
+                raise ValueError(f"MAE < 0 or RMSE < MAE for {name}: MAE {s.mae}, RMSE {s.rmse}")
+
     @property
     def total_submitted(self) -> int:
         return sum(getattr(self, name) for name in _COUNTS)
@@ -134,23 +169,18 @@ class MetricsReport:
         obj = {**obj, **obj["counts"]}
         values = {f.name: obj[f.name] for f in fields(cls)}
         values["attributes"] = stats(values["attributes"])
-        values["phases"] = {
-            name: PhaseReport(p["samples"], stats(p["attributes"])) for name, p in obj["phases"].items()
-        }
+        values["phases"] = {name: PhaseReport(p["samples"], stats(p["attributes"]))
+                            for name, p in obj["phases"].items()}
         # The file's keys are text, sorted as text ("1", "10", "2"); steps go back in numeric order.
         per_step = sorted(obj["per_step"].items(), key=lambda item: int(item[0]))
         values["per_step"] = {int(k): stats(v) for k, v in per_step}
         return cls(**values)
 
 
-def _pool_stats(truth: np.ndarray, predicted: np.ndarray) -> dict[str, AttributeStats]:
-    """Per-attribute MAE/RMSE over every pair of two (samples, 5, ...) arrays."""
-    truth = truth.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
-    predicted = predicted.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
-    return {
-        name: AttributeStats(mae=mae(truth[row], predicted[row]), rmse=rmse(truth[row], predicted[row]))
-        for row, name in enumerate(ATTRIBUTES)
-    }
+def _pool_stats(errors: np.ndarray) -> dict[str, AttributeStats]:
+    """Per-attribute MAE/RMSE over every entry of a (samples, 5, ...) error array, one 1-D row each."""
+    rows = errors.swapaxes(0, 1).reshape(len(ATTRIBUTES), -1)
+    return {name: _stats(row) for name, row in zip(ATTRIBUTES, rows)}
 
 
 def evaluate(
@@ -184,12 +214,12 @@ def evaluate(
             )
         scored.append((window, outcome))
 
-    # (samples, attributes, steps) arrays; every pool below is a slice of them.
+    # The (samples, attributes, steps) absolute errors, formed once; every pool below is a slice of them.
     shape = (len(scored), len(ATTRIBUTES), horizon)
     truth = np.array([w.values[:, INPUT_LENGTH:] for w, _ in scored], dtype=np.float64).reshape(shape)
-    predicted = np.array([o.values for _, o in scored], dtype=np.float64).reshape(shape)
+    errors = np.abs(truth - np.array([o.values for _, o in scored], dtype=np.float64).reshape(shape))
     phases = np.array([segment_phase(w).value for w, _ in scored])
-    pooled = truth.size > 0
+    pooled = errors.size > 0
 
     latencies = [latency for _, _, latency in samples]
     return MetricsReport(
@@ -201,16 +231,16 @@ def evaluate(
         failed_missing=counts[FailureKind.MISSING_TRAJECTORY],
         failed_format=counts[FailureKind.UNEXPECTED_FORMAT],
         mean_latency_s=mean_latency(latencies) if latencies else None,
-        attributes=_pool_stats(truth, predicted) if pooled else None,
+        attributes=_pool_stats(errors) if pooled else None,
         phases={
             name: PhaseReport(
                 samples=int(np.count_nonzero(phases == name)),
-                attributes=_pool_stats(truth[phases == name], predicted[phases == name]),
+                attributes=_pool_stats(errors[phases == name]),
             )
             for name in (sorted(set(phases.tolist())) if pooled else ())
         },
         per_step={
-            step: _pool_stats(truth[..., step - 1], predicted[..., step - 1])
+            step: _pool_stats(errors[..., step - 1])
             for step in (range(1, horizon + 1) if scored else ())
         },
     )
@@ -241,27 +271,9 @@ _HEADLINE_ATTRS = ATTRIBUTES[:3]
 _EXTENDED_ATTRS = ATTRIBUTES[3:]
 
 
-def _check_stats(stats: dict[str, AttributeStats] | None) -> None:
-    if stats is None:
-        return
-    for name, s in stats.items():
-        # Mathematically RMSE >= MAE; allow last-bit float slack for the
-        # degenerate all-errors-equal case where they coincide.
-        tolerance = 1e-12 * max(1.0, s.mae)
-        assert s.mae >= 0.0 and s.rmse >= s.mae - tolerance, (
-            f"RMSE < MAE for {name}: {s.rmse} < {s.mae}"
-        )
-
-
 def emit_report(report: MetricsReport, fmt: ReportFormat | str = ReportFormat.TABLE) -> str:
     """Render a report as a human table, plottable CSV, or JSON."""
     fmt = ReportFormat(fmt) if isinstance(fmt, str) else fmt
-    _check_stats(report.attributes)
-    for phase in report.phases.values():
-        _check_stats(phase.attributes)
-    for stats in report.per_step.values():
-        _check_stats(stats)
-
     if fmt is ReportFormat.JSON:
         return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if fmt is ReportFormat.CSV:

@@ -44,6 +44,9 @@ MOCK_SECONDS_PER_TOKEN = 0.001
 #: Statuses that ask the client to come back later; ``complete`` retries them.
 _RETRY_STATUSES = frozenset({429, 503})
 
+#: Delay before the first retry, seconds; it doubles with each further attempt.
+_BACKOFF_BASE_S = 1.0
+
 
 @dataclass
 class EndpointConfig:
@@ -56,7 +59,6 @@ class EndpointConfig:
     timeout_s: float = 30.0
     retries: int = 2
     auth_token: str | None = None
-    backoff_base_s: float = 1.0
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
@@ -140,13 +142,13 @@ def complete(record: PromptRecord, cfg: EndpointConfig) -> CompletionResult:
                 reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
                 failure = "timeout" if isinstance(reason, TimeoutError) else "endpoint unreachable"
                 raise EndpointError(f"{failure} after {attempt} attempt(s): {exc}", attempt) from exc
-            _backoff_sleep(cfg, attempt)
+            _backoff_sleep(attempt)
             continue
         latency = time.perf_counter() - start
         if status in _RETRY_STATUSES and attempt < attempts:
             delay = _retry_after_s(reply_headers.get("Retry-After"))
             if delay is None:
-                _backoff_sleep(cfg, attempt)
+                _backoff_sleep(attempt)
             else:
                 time.sleep(min(delay, cfg.timeout_s))
             continue
@@ -183,8 +185,8 @@ def _retry_after_s(value: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
-def _backoff_sleep(cfg: EndpointConfig, attempt: int) -> None:
-    delay = cfg.backoff_base_s * 2 ** (attempt - 1)
+def _backoff_sleep(attempt: int) -> None:
+    delay = _BACKOFF_BASE_S * 2 ** (attempt - 1)
     delay += random.uniform(0, delay * 0.1)
     logger.debug("retrying in %.2fs (attempt %d failed)", delay, attempt)
     time.sleep(delay)

@@ -209,6 +209,14 @@ class Tape:
                                        da[:, :, 2], self.da))[::-1]
             self.dc_wide = self.dc[:, None, :]
 
+    def checked(self, x: np.ndarray, record: bool) -> "Tape":
+        """This tape; ValueError naming its kind, batch and steps if x, or a training pass on it, does not fit."""
+        steps, batch, dim = self.x.shape
+        if x.shape != (batch, steps, dim) or record and not self.record:
+            raise ValueError(f"{'recording' if self.record else 'inference'} tape of batch {batch}, {steps} steps"
+                             f" does not fit {'a training' if record else 'an'} input of shape {x.shape}")
+        return self
+
 
 def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
     """Run the recurrence over x of shape (batch, steps, input_dim) on ``tape``.
@@ -292,7 +300,7 @@ def lstm_forward(params: LstmParams, x: np.ndarray, tape: Tape | None = None) ->
         raise ValueError(f"expected input of shape (batch, steps, input_dim), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite value in input sequence")
-    return _forward(params, tape or Tape(params, x.shape[0], x.shape[1], record=False), x)
+    return _forward(params, tape.checked(x, False) if tape else Tape(params, x.shape[0], x.shape[1], record=False), x)
 
 
 def lstm_loss_gradients(
@@ -306,7 +314,7 @@ def lstm_loss_gradients(
     a fresh one by default), which its next pass overwrites.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    t = tape or Tape(params, inputs.shape[0], inputs.shape[1])
+    t = tape.checked(inputs, True) if tape else Tape(params, inputs.shape[0], inputs.shape[1])
     diff = np.subtract(_forward(params, t, inputs), targets, out=t.diff)
     loss = float(np.mean(np.square(diff, out=t.d_prediction)))
     np.multiply(2.0, diff, out=t.d_prediction)

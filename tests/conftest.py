@@ -597,6 +597,27 @@ def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
     return float(np.mean(diff**2)), _reference_backward_batch(params, steps, h_final, d_prediction)
 
 
+# --- Reference scores ----------------------------------------------------------
+# MAE and RMSE as flightcast.evaluation took them before it had an overflow
+# fallback: one sorted mean each. Wherever these are finite, the scores must
+# equal them bit for bit.
+
+
+def reference_mae(errors) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.sort(np.abs(np.asarray(errors, dtype=np.float64)))))
+
+
+def reference_rmse(errors) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(np.sort(np.asarray(errors, dtype=np.float64) ** 2))))
+
+
+def not_json(constant):
+    """A ``json.loads`` ``parse_constant`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 # --- Reference parse -----------------------------------------------------------
 # The per-waypoint severity check and parse that flightcast.prompts' block
 # code must reproduce: the same class, the same diagnostic, and values equal

@@ -3,17 +3,23 @@ import csv
 import hashlib
 import json
 import logging
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flightcast
 from flightcast.cli import main
 from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
 from flightcast.llm import mock_complete
-from flightcast.prompts import TEMPLATE_VERSION
-from flightcast.windowing import read_windows_jsonl, window_from_obj, window_to_obj
+from flightcast.prompts import TEMPLATE_VERSION, serialize_values
+from flightcast.windowing import INPUT_LENGTH, read_windows_jsonl, window_from_obj, window_to_obj
 
-from conftest import json_text, read_jsonl
+from conftest import json_text, not_json, read_jsonl
 
 
 def run(*args) -> int:
@@ -349,12 +355,37 @@ class TestStages:
         rows = [{**row, "latency_s": 1.7e308} for row in list(read_jsonl(pred))[:2]]
         pred.write_text(jsonl_text(rows))
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
-
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=refuse)
+        report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=not_json)
         assert (report["counts"]["evaluated"], report["mean_latency_s"]) == (2, 1.7e308)
+
+    def test_eval_rmse_stays_finite_where_the_squared_errors_overflow(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        rows = list(read_jsonl(pred))
+        block = window_from_obj(rows[0]).values[:, INPUT_LENGTH:].copy()
+        block[2] = 1e200  # within altitude's bounds, so the reply is scored
+        rows[0]["completion"] = serialize_values(block)
+        pred.write_text(jsonl_text(rows))
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=not_json)
+        altitude = report["attributes"]["altitude"]
+        assert report["counts"]["evaluated"] == len(rows)
+        assert math.isfinite(altitude["rmse"]) and altitude["rmse"] >= altitude["mae"] > 1e198
+        assert "inf" not in (tmp_path / "rep.csv").read_text()
+
+    def test_report_under_python_O_refuses_a_saved_report_whose_rmse_is_below_its_mae(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        saved = json.loads((tmp_path / "rep.json").read_text())
+        saved["attributes"]["longitude"].update(mae=1.0, rmse=0.5)
+        (tmp_path / "rep-low.json").write_text(json.dumps(saved))
+        env = {**os.environ, "PYTHONPATH": str(Path(flightcast.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-m", "flightcast", "report", "--in", str(tmp_path / "rep-low.json")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "RMSE < MAE for longitude" in done.stderr
+        assert done.stdout == ""
 
     def test_eval_takes_the_model_from_the_first_row_that_names_one(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"

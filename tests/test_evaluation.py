@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flightcast.domain import ATTRIBUTES, PhaseLabel, Waypoint
@@ -23,7 +24,10 @@ from flightcast.evaluation import (
 from flightcast.prompts import FailureKind, ParseOutcome
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window
+from conftest import cruise_window, not_json, reference_mae, reference_rmse
+
+
+LARGEST = float(np.finfo(np.float64).max)
 
 
 def brute_mae(truth, pred):
@@ -75,6 +79,20 @@ class TestMetricPrimitives:
             assert mae(truth, pred) == pytest.approx(brute_mae(truth, pred), abs=1e-12)
             assert rmse(truth, pred) == pytest.approx(brute_rmse(truth, pred), abs=1e-12)
             assert rmse(truth, pred) >= mae(truth, pred)
+
+    @given(st.lists(st.one_of(st.floats(-LARGEST, LARGEST), st.floats(1e150, LARGEST)), min_size=1, max_size=40))
+    @example([LARGEST, LARGEST])
+    @example([1e200, 0.0, 1.0])
+    @example([1e154, 1e154])
+    def test_scores_stay_finite_up_to_the_largest_error(self, errors):
+        truth = [0.0] * len(errors)
+        scores = mae(truth, errors), rmse(truth, errors)
+        assert all(math.isfinite(score) for score in scores)
+        assert scores[1] >= scores[0] - 1e-12 * max(1.0, scores[0])
+        # Only where the plain sorted mean overflows may a score differ from it.
+        for score, reference in zip(scores, (reference_mae(errors), reference_rmse(errors))):
+            if math.isfinite(reference):
+                assert np.float64(score).tobytes() == np.float64(reference).tobytes()
 
 
 class TestSegmentPhase:
@@ -368,7 +386,41 @@ class TestEmitReport:
     def test_rmse_not_below_mae_everywhere(self, rng):
         report = self.make_report(rng)
         for fmt in ReportFormat:
-            emit_report(report, fmt)  # assertion inside must not fire
+            emit_report(report, fmt)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["attributes"]["longitude"].update(rmse=math.nan), "non-finite MAE or RMSE for longitude"),
+            (lambda obj: obj["phases"]["cruise"]["attributes"]["altitude"].update(mae=math.inf),
+             "non-finite MAE or RMSE for altitude"),
+            (lambda obj: obj["per_step"]["2"]["heading"].update(rmse=-math.inf), "non-finite MAE or RMSE for heading"),
+            (lambda obj: obj["attributes"]["latitude"].update(mae=1.0, rmse=0.5), "RMSE < MAE for latitude"),
+            (lambda obj: obj["per_step"]["4"]["velocity"].update(mae=-1.0), "MAE < 0 or RMSE < MAE for velocity"),
+            (lambda obj: obj.update(model="a\rb"), "model 'a\\rb' is not one line of text"),
+            (lambda obj: obj.update(template_version=None), "template_version None is not a string"),
+            (lambda obj: obj.update(mean_latency_s=-0.5), "mean_latency_s -0.5 is not a finite number >= 0"),
+            (lambda obj: obj.update(mean_latency_s=math.inf), "mean_latency_s inf is not a finite number >= 0"),
+        ],
+    )
+    def test_from_dict_refuses_a_report_that_breaks_a_rule(self, rng, edit, message):
+        obj = json.loads(emit_report(self.make_report(rng), ReportFormat.JSON))
+        edit(obj)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MetricsReport.from_dict(obj)
+
+    @pytest.mark.parametrize("key", ["model", "template_version"])
+    def test_evaluate_refuses_a_name_of_more_than_one_line(self, rng, key):
+        with pytest.raises(ValueError, match=re.escape(f"{key} 'a\\rb' is not one line of text")):
+            evaluate([success_sample(cruise_window(rng, 1))], **{key: "a\rb"})
+
+    def test_evaluate_keeps_rmse_finite_where_the_squared_errors_overflow(self, rng):
+        windows = [cruise_window(rng, 4) for _ in range(3)]
+        missed = windows[1].values[:, INPUT_LENGTH:] + np.array([[0.0], [0.0], [1e200], [0.0], [0.0]])
+        report = evaluate([success_sample(windows[0]), success_sample(windows[1], missed), success_sample(windows[2])])
+        for stats in (report.attributes, report.phases["cruise"].attributes, *report.per_step.values()):
+            assert math.isfinite(stats["altitude"].rmse) and stats["altitude"].rmse >= stats["altitude"].mae > 0
+        assert json.loads(emit_report(report, ReportFormat.JSON), parse_constant=not_json)
 
     def test_unavailable_metrics_render(self, rng):
         report = evaluate([failed_sample(cruise_window(rng, 1), FailureKind.MISSING_TRAJECTORY)])

@@ -149,13 +149,14 @@ class TestComplete:
         with pytest.raises(EndpointError, match="malformed response"):
             complete(inference_record(), cfg)
 
-    def test_unreachable_retries_then_fails(self):
-        cfg = EndpointConfig(
-            base_url=closed_port_url(), model="echo", retries=1, backoff_base_s=0.01
-        )
+    def test_unreachable_retries_then_fails(self, monkeypatch):
+        backoffs = []
+        monkeypatch.setattr(llm, "_backoff_sleep", backoffs.append)
+        cfg = EndpointConfig(base_url=closed_port_url(), model="echo", retries=1)
         with pytest.raises(EndpointError, match="unreachable after 2") as excinfo:
             complete(inference_record(), cfg)
         assert excinfo.value.attempts == 2
+        assert backoffs == [1]
 
     def test_timeout(self, endpoint_url):
         cfg = EndpointConfig(
@@ -260,7 +261,7 @@ class TestComplete:
 
     def test_unavailable_without_a_numeric_retry_after_uses_the_backoff(self, endpoint_url, monkeypatch):
         backoffs = []
-        monkeypatch.setattr(llm, "_backoff_sleep", lambda cfg, attempt: backoffs.append(attempt))
+        monkeypatch.setattr(llm, "_backoff_sleep", backoffs.append)
         for retry_after in ("", "Wed, 21 Oct 2015 07:28:00 GMT"):
             cfg = EndpointConfig(base_url=endpoint_url, model=f"busy:503:{retry_after}", retries=2)
             assert complete(inference_record("busy-503"), cfg).attempts == 2
@@ -397,7 +398,7 @@ class TestCliEndpoint:
         assert [row["attempts"] for row in self.predict(tmp_path, rng, endpoint_url, "echo")] == [1, 1, 1]
 
     def test_rows_count_retried_attempts(self, endpoint_url, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(llm, "_backoff_sleep", lambda cfg, attempt: None)
+        monkeypatch.setattr(llm, "_backoff_sleep", lambda attempt: None)
         rows = self.predict(tmp_path, rng, endpoint_url, "flaky", "--retries", 2)
         assert [row["attempts"] for row in rows] == [2, 2, 2]
         assert all(row["completion"] for row in rows)

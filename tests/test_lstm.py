@@ -248,6 +248,22 @@ class TestTape:
         lstm_forward(params, x_a, ring)
         assert lstm_forward(params, x_b, ring).tobytes() == lstm_forward(params, x_b).tobytes()
 
+    def test_a_tape_that_does_not_fit_the_input_is_named(self):
+        params, x, y = random_batch(3, 4, 16, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^inference tape of batch 3, 16 steps does not fit a training "
+                                             r"input of shape \(3, 16, 5\)$"):
+            lstm_loss_gradients(params, x, y, Tape(params, 3, 16, record=False))
+        for batch, steps, record in ((2, 16, True), (3, 8, True), (4, 16, False)):
+            kind = "recording" if record else "inference"
+            tape = Tape(params, batch, steps, record)
+            with pytest.raises(ValueError, match=rf"^{kind} tape of batch {batch}, {steps} steps does not fit an "
+                                                 r"input of shape \(3, 16, 5\)$"):
+                lstm_forward(params, x, tape)
+            if record:
+                with pytest.raises(ValueError, match=rf"^{kind} tape of batch {batch}, {steps} steps does not fit a "
+                                                     r"training input of shape \(3, 16, 5\)$"):
+                    lstm_loss_gradients(params, x, y, tape)
+
     @settings(max_examples=12)
     @given(st.integers(2, 13), st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_training_with_a_partial_last_batch_is_repeatable_and_leaves_nothing_behind(self, n, size, hidden, seed):
