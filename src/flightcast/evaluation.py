@@ -116,8 +116,15 @@ class PhaseReport:
     attributes: dict[str, AttributeStats]
 
 
-#: The MetricsReport fields that count samples, nested under "counts" in its JSON form.
-_COUNTS = ("evaluated", "excluded_severe", "failed_missing", "failed_format")
+#: The MetricsReport field that counts each parse outcome's failure (None: parsed and scored).
+_COUNT_OF = {
+    None: "evaluated",
+    FailureKind.SEVERE_DEVIATION: "excluded_severe",
+    FailureKind.MISSING_TRAJECTORY: "failed_missing",
+    FailureKind.UNEXPECTED_FORMAT: "failed_format",
+}
+#: The MetricsReport fields that count samples, in report order; nested under "counts" in its JSON form.
+_COUNTS = tuple(_COUNT_OF.values())
 
 
 @dataclass
@@ -139,15 +146,25 @@ class MetricsReport:
     def __post_init__(self) -> None:
         check_one_line("model", self.model)
         check_one_line("template_version", self.template_version)
+        integers = {name: getattr(self, name) for name in ("horizon", *_COUNTS)}
+        integers.update({f"phase {name} samples": p.samples for name, p in self.phases.items()})
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} {value!r} is not an integer >= 0")
         if self.mean_latency_s is not None and not 0 <= self.mean_latency_s < math.inf:
             raise ValueError(f"mean_latency_s {self.mean_latency_s!r} is not a finite number >= 0")
-        pools = [self.attributes or {}, *(p.attributes for p in self.phases.values()), *self.per_step.values()]
-        for name, s in (item for stats in pools for item in stats.items()):
-            if not (math.isfinite(s.mae) and math.isfinite(s.rmse)):
-                raise ValueError(f"non-finite MAE or RMSE for {name}: {s.mae}, {s.rmse}")
-            # RMSE >= MAE >= 0, with last-bit slack for the all-errors-equal case where they coincide.
-            if s.mae < 0.0 or s.rmse < s.mae - 1e-12 * max(1.0, s.mae):
-                raise ValueError(f"MAE < 0 or RMSE < MAE for {name}: MAE {s.mae}, RMSE {s.rmse}")
+        pools = {} if self.attributes is None else {"attributes": self.attributes}
+        pools.update({f"phase {name}": p.attributes for name, p in self.phases.items()})
+        pools.update({f"step {step}": stats for step, stats in self.per_step.items()})
+        for pool, stats in pools.items():
+            if not isinstance(stats, dict) or stats.keys() != set(ATTRIBUTES):
+                raise ValueError(f"{pool} does not hold exactly the attributes {', '.join(ATTRIBUTES)}")
+            for name, s in stats.items():
+                if not (math.isfinite(s.mae) and math.isfinite(s.rmse)):
+                    raise ValueError(f"non-finite MAE or RMSE for {name}: {s.mae}, {s.rmse}")
+                # RMSE >= MAE >= 0, with last-bit slack for the all-errors-equal case where they coincide.
+                if s.mae < 0.0 or s.rmse < s.mae - 1e-12 * max(1.0, s.mae):
+                    raise ValueError(f"MAE < 0 or RMSE < MAE for {name}: MAE {s.mae}, RMSE {s.rmse}")
 
     @property
     def total_submitted(self) -> int:
@@ -202,11 +219,11 @@ def evaluate(
         raise ValueError(f"samples mix horizons: {sorted(horizons)}")
     horizon = horizons.pop() if horizons else 0
 
-    counts = {kind: 0 for kind in FailureKind}
+    counts = dict.fromkeys(_COUNTS, 0)
     scored = []
     for window, outcome, _latency in samples:
+        counts[_COUNT_OF[outcome.failure]] += 1
         if not outcome.ok:
-            counts[outcome.failure] += 1
             continue
         if outcome.values.shape != (len(ATTRIBUTES), window.horizon):
             raise ValueError(
@@ -226,10 +243,7 @@ def evaluate(
         model=model,
         horizon=horizon,
         template_version=template_version,
-        evaluated=len(scored),
-        excluded_severe=counts[FailureKind.SEVERE_DEVIATION],
-        failed_missing=counts[FailureKind.MISSING_TRAJECTORY],
-        failed_format=counts[FailureKind.UNEXPECTED_FORMAT],
+        **counts,
         mean_latency_s=mean_latency(latencies) if latencies else None,
         attributes=_pool_stats(errors) if pooled else None,
         phases={
@@ -273,7 +287,7 @@ _EXTENDED_ATTRS = ATTRIBUTES[3:]
 
 def emit_report(report: MetricsReport, fmt: ReportFormat | str = ReportFormat.TABLE) -> str:
     """Render a report as a human table, plottable CSV, or JSON."""
-    fmt = ReportFormat(fmt) if isinstance(fmt, str) else fmt
+    fmt = ReportFormat(fmt)
     if fmt is ReportFormat.JSON:
         return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if fmt is ReportFormat.CSV:
@@ -314,10 +328,16 @@ def _render_csv(report: MetricsReport) -> str:
     return out.getvalue()
 
 
+def _number(value: float) -> str:
+    """A table number: ``.4f`` where that is at most 14 characters (below about 1e9), ``.4e`` otherwise."""
+    text = f"{value:.4f}"
+    return text if len(text) <= 14 else f"{value:.4e}"
+
+
 def _format_stat_cells(stats: dict[str, AttributeStats] | None, names: Sequence[str]) -> list[str]:
     if stats is None:
         return ["-" for _ in range(2 * len(names))]
-    return [f"{stats[n].mae:.4f}" for n in names] + [f"{stats[n].rmse:.4f}" for n in names]
+    return [_number(stats[n].mae) for n in names] + [_number(stats[n].rmse) for n in names]
 
 
 def _render_table(report: MetricsReport) -> str:
@@ -331,7 +351,8 @@ def _render_table(report: MetricsReport) -> str:
         "RMSE lat",
         "RMSE alt",
     ]
-    rows = [["entire", str(report.evaluated)] + _format_stat_cells(report.attributes, _HEADLINE_ATTRS)]
+    scored = getattr(report, _COUNT_OF[None])  # the samples parsed and scored: the entire pool
+    rows = [["entire", str(scored)] + _format_stat_cells(report.attributes, _HEADLINE_ATTRS)]
     for label in PhaseLabel:
         phase = report.phases.get(label.value)
         if phase is not None:
@@ -355,10 +376,6 @@ def _render_table(report: MetricsReport) -> str:
         else "extended: -"
     )
     if report.mean_latency_s is not None:
-        lines.append(f"mean latency: {report.mean_latency_s:.4f} s")
-    lines.append(
-        "samples: evaluated={0} excluded-severe={1} failed-missing={2} failed-format={3}".format(
-            report.evaluated, report.excluded_severe, report.failed_missing, report.failed_format
-        )
-    )
+        lines.append(f"mean latency: {_number(report.mean_latency_s)} s")
+    lines.append("samples: " + " ".join(f"{name.replace('_', '-')}={getattr(report, name)}" for name in _COUNTS))
     return "\n".join(lines) + "\n"

@@ -560,37 +560,19 @@ def _plain_float_texts(column: np.ndarray) -> list[str]:
     return [format(Decimal(text), "f") if "e" in text else text for text in map(repr, column.tolist())]
 
 
-#: Cells csv.writer never quotes; any other cell goes through _csv_cell.
-_PLAIN_CELLS = re.compile(r"[\w .:+-]*")
-
-
-def _text_cells(column: np.ndarray) -> list[str]:
-    """A callsign or utc_time column as csv cells; None is an empty cell."""
-    texts = ["" if text is None else text for text in column.tolist()]
-    if _PLAIN_CELLS.fullmatch("".join(texts)):
-        return texts
-    return [text if _PLAIN_CELLS.fullmatch(text) else _csv_cell(text) for text in texts]
-
-
-_RECORD_ROW = ",".join(["{}"] * len(REQUIRED_COLUMNS)) + "\n"
-
-
 def write_records_csv(table: RecordTable, target: str | Path | TextIO) -> None:
-    """Write raw records (full float precision, a missing cell empty)."""
+    """Write raw records through csv.writer (full float precision, a missing cell empty)."""
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
             write_records_csv(table, fh)
             return
-    columns = [
-        list(map(str, table.timestamp.tolist())),
-        _text_cells(table.utc_time),
-        _text_cells(table.callsign),
-        *map(_plain_float_texts, table.values),
-    ]
+    columns = [table.timestamp.tolist(), table.utc_time.tolist(), table.callsign.tolist(),
+               *map(_plain_float_texts, table.values)]
     for column, row in np.argwhere(table.missing).tolist():
         columns[column][row] = ""
-    target.write(",".join(REQUIRED_COLUMNS) + "\n")
-    target.writelines(map(_RECORD_ROW.format, *columns))
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS)
+    writer.writerows(zip(*columns))
 
 
 def records_to_csv_text(table: RecordTable) -> str:

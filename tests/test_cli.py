@@ -348,6 +348,27 @@ class TestStages:
             assert f"{key} 'a\\rb' is not one line of text" in caplog.text
             assert not (tmp_path / "cr.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.update(horizon="4\nx"), "horizon '4\\nx' is not an integer >= 0"),
+            (lambda obj: obj["counts"].update(evaluated="many"), "evaluated 'many' is not an integer >= 0"),
+            (lambda obj: obj["attributes"].pop("latitude"), "attributes does not hold exactly the attributes"),
+        ],
+    )
+    def test_report_refuses_a_saved_report_that_breaks_a_rule(self, pipeline_dir, tmp_path, caplog, capsys,
+                                                              edit, message):
+        pred = tmp_path / "pred.jsonl"
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        saved = json.loads((tmp_path / "rep.json").read_text())
+        edit(saved)
+        (tmp_path / "rep-bad.json").write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert run("report", "--in", tmp_path / "rep-bad.json") == 1
+        assert message in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_eval_mean_latency_stays_finite_where_the_sum_overflows(self, pipeline_dir, tmp_path):
         windows, pred = tmp_path / "windows-h3.jsonl", tmp_path / "pred.jsonl"
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 3, "--out", windows) == 0
@@ -358,7 +379,7 @@ class TestStages:
         report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=not_json)
         assert (report["counts"]["evaluated"], report["mean_latency_s"]) == (2, 1.7e308)
 
-    def test_eval_rmse_stays_finite_where_the_squared_errors_overflow(self, pipeline_dir, tmp_path):
+    def test_eval_rmse_stays_finite_where_the_squared_errors_overflow(self, pipeline_dir, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "kinematic") == 0
         rows = list(read_jsonl(pred))
@@ -366,7 +387,10 @@ class TestStages:
         block[2] = 1e200  # within altitude's bounds, so the reply is scored
         rows[0]["completion"] = serialize_values(block)
         pred.write_text(jsonl_text(rows))
+        capsys.readouterr()
         assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
+        for table in (capsys.readouterr().out, (tmp_path / "rep.txt").read_text()):
+            assert "e+" in table and max(map(len, table.splitlines())) <= 120
         report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=not_json)
         altitude = report["attributes"]["altitude"]
         assert report["counts"]["evaluated"] == len(rows)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flightcast.domain import ATTRIBUTES, PhaseLabel, Waypoint
 from flightcast.evaluation import (
+    AttributeStats,
     MetricsReport,
     ReportFormat,
     emit_report,
@@ -401,6 +402,20 @@ class TestEmitReport:
             (lambda obj: obj.update(template_version=None), "template_version None is not a string"),
             (lambda obj: obj.update(mean_latency_s=-0.5), "mean_latency_s -0.5 is not a finite number >= 0"),
             (lambda obj: obj.update(mean_latency_s=math.inf), "mean_latency_s inf is not a finite number >= 0"),
+            (lambda obj: obj.update(horizon="4\nx"), "horizon '4\\nx' is not an integer >= 0"),
+            (lambda obj: obj.update(horizon=-1), "horizon -1 is not an integer >= 0"),
+            (lambda obj: obj.update(horizon=True), "horizon True is not an integer >= 0"),
+            (lambda obj: obj.update(horizon=4.0), "horizon 4.0 is not an integer >= 0"),
+            (lambda obj: obj["counts"].update(excluded_severe=-3), "excluded_severe -3 is not an integer >= 0"),
+            (lambda obj: obj["counts"].update(failed_format="many"), "failed_format 'many' is not an integer >= 0"),
+            (lambda obj: obj["counts"].update(evaluated=False), "evaluated False is not an integer >= 0"),
+            (lambda obj: obj["phases"]["cruise"].update(samples="6\nx"),
+             "phase cruise samples '6\\nx' is not an integer >= 0"),
+            (lambda obj: obj["attributes"].pop("latitude"), "attributes does not hold exactly the attributes"),
+            (lambda obj: obj["phases"]["cruise"]["attributes"].pop("heading"),
+             "phase cruise does not hold exactly the attributes"),
+            (lambda obj: obj["per_step"]["3"].update(speed={"mae": 1.0, "rmse": 1.0}),
+             "step 3 does not hold exactly the attributes"),
         ],
     )
     def test_from_dict_refuses_a_report_that_breaks_a_rule(self, rng, edit, message):
@@ -422,9 +437,44 @@ class TestEmitReport:
             assert math.isfinite(stats["altitude"].rmse) and stats["altitude"].rmse >= stats["altitude"].mae > 0
         assert json.loads(emit_report(report, ReportFormat.JSON), parse_constant=not_json)
 
+    def test_a_table_number_past_14_characters_is_written_in_scientific_notation(self, rng):
+        report = self.make_report(rng)
+        for latency, text in [(999999999.0, "999999999.0000"), (1e9, "1.0000e+09"), (1e300, "1.0000e+300")]:
+            report.mean_latency_s = latency
+            assert f"mean latency: {text} s\n" in emit_report(report, ReportFormat.TABLE)
+        report.attributes["altitude"] = AttributeStats(mae=4e199, rmse=2e200)
+        table = emit_report(report, ReportFormat.TABLE)
+        assert "4.0000e+199" in table and "2.0000e+200" in table
+        assert max(map(len, table.splitlines())) <= 120
+
     def test_unavailable_metrics_render(self, rng):
         report = evaluate([failed_sample(cruise_window(rng, 1), FailureKind.MISSING_TRAJECTORY)])
         table = emit_report(report, ReportFormat.TABLE)
         assert "failed-missing=1" in table
         csv_text = emit_report(report, ReportFormat.CSV)
         assert "latency" in csv_text  # latency row still present
+
+    def test_table_text_is_pinned(self):
+        def window(start: int, rate: float) -> Window:
+            return Window("PIN", tuple(
+                Waypoint(start + 60 * i, 100.0 + 0.125 * i, 30.0 - 0.0625 * i, 6000.0 + rate * i, 800.0, 45.0)
+                for i in range(INPUT_LENGTH + 2)
+            ))
+
+        offsets = np.array([[0.25], [-0.125], [40.0], [-8.0], [3.0]])
+        scored = [window(0, 0.0), window(6000, 0.0), window(12000, 300.0), window(18000, 300.0)]
+        kinds = [FailureKind.SEVERE_DEVIATION] * 3 + [FailureKind.MISSING_TRAJECTORY] * 2
+        kinds.append(FailureKind.UNEXPECTED_FORMAT)
+        samples = [success_sample(w, w.values[:, INPUT_LENGTH:] + k * offsets) for k, w in enumerate(scored, 1)]
+        samples += [failed_sample(window(0, 0.0), kind, latency=1.25) for kind in kinds]
+        report = evaluate(samples, model="pin-model", template_version="v1")
+        assert emit_report(report, ReportFormat.TABLE) == (
+            "model=pin-model  horizon=2  template=v1\n"
+            "   phase  samples  MAE lon  MAE lat   MAE alt  RMSE lon  RMSE lat  RMSE alt\n"
+            "  entire        4   0.6250   0.3125  100.0000    0.6847    0.3423  109.5445\n"
+            "take-off        2   0.8750   0.4375  140.0000    0.8839    0.4419  141.4214\n"
+            "  cruise        2   0.3750   0.1875   60.0000    0.3953    0.1976   63.2456\n"
+            "extended: MAE vel=20.0000 hdg=7.5000  RMSE vel=21.9089 hdg=8.2158\n"
+            "mean latency: 0.9500 s\n"
+            "samples: evaluated=4 excluded-severe=3 failed-missing=2 failed-format=1\n"
+        )
