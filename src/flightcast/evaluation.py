@@ -49,6 +49,11 @@ def check_one_line(key: str, value) -> None:
         raise ValueError(f"{key} {value!r} is not one line of text")
 
 
+def _is_number(value) -> bool:
+    """True for an int or float that is not a bool, as a report's scores and latency are."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _mean(values: np.ndarray) -> float:
     """Mean of a sorted 1-D array of finite values >= 0, so sample order cannot perturb its last bits.
     Where the sum overflows, each value is divided by the count first; no mean passes the largest."""
@@ -151,8 +156,12 @@ class MetricsReport:
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} {value!r} is not an integer >= 0")
-        if self.mean_latency_s is not None and not 0 <= self.mean_latency_s < math.inf:
-            raise ValueError(f"mean_latency_s {self.mean_latency_s!r} is not a finite number >= 0")
+        latency = self.mean_latency_s
+        if latency is not None and not (_is_number(latency) and 0 <= latency < math.inf):
+            raise ValueError(f"mean_latency_s {latency!r} is not a finite number >= 0")
+        for step in self.per_step:
+            if isinstance(step, bool) or not isinstance(step, int) or not 1 <= step <= self.horizon:
+                raise ValueError(f"step {step!r} is not an integer in 1..{self.horizon}")
         pools = {} if self.attributes is None else {"attributes": self.attributes}
         pools.update({f"phase {name}": p.attributes for name, p in self.phases.items()})
         pools.update({f"step {step}": stats for step, stats in self.per_step.items()})
@@ -160,6 +169,8 @@ class MetricsReport:
             if not isinstance(stats, dict) or stats.keys() != set(ATTRIBUTES):
                 raise ValueError(f"{pool} does not hold exactly the attributes {', '.join(ATTRIBUTES)}")
             for name, s in stats.items():
+                if not (_is_number(s.mae) and _is_number(s.rmse)):
+                    raise ValueError(f"MAE or RMSE for {name} is not a number: {s.mae!r}, {s.rmse!r}")
                 if not (math.isfinite(s.mae) and math.isfinite(s.rmse)):
                     raise ValueError(f"non-finite MAE or RMSE for {name}: {s.mae}, {s.rmse}")
                 # RMSE >= MAE >= 0, with last-bit slack for the all-errors-equal case where they coincide.

@@ -209,9 +209,10 @@ def _parse_rows(columns: list, row_numbers, header: Header, strict: bool) -> Rec
             row = next((i for i, ok in enumerate(parsed) if not ok and cells[i]), count)
             if row < error_row:
                 error_row, error_cell = row, f"{name} cell {cells[row]!r}"
+    # Equal stripped cells share one str (an empty one reads None); the memo lives as long as the chunk.
     utc_time, callsign = (
-        _object_array([cell.strip() or None for cell in columns[header.indexes[name]]])
-        for name in ("utc_time", "callsign")
+        _object_array([shared.setdefault(cell, cell) for cell in map(str.strip, columns[header.indexes[name]])])
+        for name, shared in (("utc_time", {"": None}), ("callsign", {"": None}))
     )
     missing[1] = np.equal(utc_time, None)
     missing[2] = np.equal(callsign, None)
@@ -334,7 +335,7 @@ def clean_trajectories(table: RecordTable) -> CleaningResult:
     ends = np.append(starts[1:], count)
 
     incomplete = np.logical_or.reduceat(table.missing.any(axis=0)[rows], starts)
-    reason = validate_columns(timestamp[rows], table.values[:, rows])
+    reason = validate_columns(timestamp, table.values)[rows]  # per-element checks: no gathered copy of the values
     first_bad = np.minimum.reduceat(np.where(reason > 0, position, count), starts)
     invalid = ~incomplete & (first_bad < ends)
     candidate_rank = rank[rows[starts]]
@@ -355,7 +356,9 @@ def clean_trajectories(table: RecordTable) -> CleaningResult:
     offsets = np.cumsum(lengths) - lengths
     taken = rows[np.arange(lengths.sum()) + np.repeat(starts[kept] - offsets, lengths)]
     stamps = timestamp[taken].astype(np.int64, copy=False)  # kept rows are in range
-    rounded = round_attributes(table.values[:, taken])
+    rounded = np.empty((len(ATTRIBUTES), len(taken)))
+    for at in range(0, len(taken), _CHUNK_ROWS):  # a batch at a time: round_values' buffers stay batch-sized
+        rounded[:, at : at + _CHUNK_ROWS] = round_attributes(table.values[:, taken[at : at + _CHUNK_ROWS]])
     trajectories = [
         Trajectory.from_columns(names[r], stamps[offset:end], rounded[:, offset:end])
         for r, offset, end in zip(candidate_rank[kept].tolist(), offsets.tolist(), (offsets + lengths).tolist())

@@ -402,6 +402,16 @@ class TestEmitReport:
             (lambda obj: obj.update(template_version=None), "template_version None is not a string"),
             (lambda obj: obj.update(mean_latency_s=-0.5), "mean_latency_s -0.5 is not a finite number >= 0"),
             (lambda obj: obj.update(mean_latency_s=math.inf), "mean_latency_s inf is not a finite number >= 0"),
+            (lambda obj: obj.update(mean_latency_s=True), "mean_latency_s True is not a finite number >= 0"),
+            (lambda obj: obj.update(mean_latency_s="x"), "mean_latency_s 'x' is not a finite number >= 0"),
+            (lambda obj: obj["attributes"]["longitude"].update(mae=False),
+             "MAE or RMSE for longitude is not a number: False"),
+            (lambda obj: obj["phases"]["cruise"]["attributes"]["heading"].update(rmse="0.5"),
+             "MAE or RMSE for heading is not a number"),
+            (lambda obj: obj["per_step"]["3"]["altitude"].update(mae=None), "MAE or RMSE for altitude is not a number"),
+            (lambda obj: obj["per_step"].update({"0": obj["per_step"].pop("1")}), "step 0 is not an integer in 1..4"),
+            (lambda obj: obj["per_step"].update({"-2": obj["per_step"].pop("2")}), "step -2 is not an integer in 1..4"),
+            (lambda obj: obj["per_step"].update({"5": obj["per_step"]["4"]}), "step 5 is not an integer in 1..4"),
             (lambda obj: obj.update(horizon="4\nx"), "horizon '4\\nx' is not an integer >= 0"),
             (lambda obj: obj.update(horizon=-1), "horizon -1 is not an integer >= 0"),
             (lambda obj: obj.update(horizon=True), "horizon True is not an integer >= 0"),

@@ -100,6 +100,26 @@ class TestParseRecord:
         assert r.latitude == 45.5
         assert r.altitude == 0.5
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])  # cut with str.split, or read by csv.reader
+    def test_equal_text_cells_of_a_chunk_share_one_str(self, line_end):
+        rows = [
+            f"{60 * i},{datetime_utc_text(60 * i)},{callsign},1.0,2.0,3.0,4.0,5.0"
+            for i in range(40)
+            for callsign in ("A1", " B2 " if i % 2 else "B2", "C3")
+        ]
+        table = read_adsb_csv(io.StringIO(line_end.join([CSV_HEADER, *rows, ""])))
+        assert len(table) == 120
+        assert sorted(set(table.callsign)) == ["A1", "B2", "C3"]
+        assert len({id(c) for c in table.callsign}) == 3
+        assert len({id(t) for t in table.utc_time}) == len(set(table.utc_time)) == 40
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_blank_text_cells_are_missing_and_others_are_stripped(self, line_end):
+        rows = [f"60,{cell},{cell},1.0,2.0,3.0,4.0,5.0" for cell in (" A1 ", "", "   ")]
+        table = read_adsb_csv(io.StringIO(line_end.join([CSV_HEADER, *rows, ""])))
+        assert table.callsign.tolist() == table.utc_time.tolist() == ["A1", None, None]
+        assert table.missing[1:3].tolist() == [[False, True, True]] * 2
+
     def test_header_case_insensitive_extra_columns_ignored(self):
         header = "Timestamp,UTC_TIME,Callsign,Longitude,Latitude,Altitude,Velocity,Heading,Extra"
         r = read_row("1,x,CS,1.0,2.0,3.0,4.0,5.0,junk", header)
