@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import evaluation, ingest, llm, prompts, synth, windowing
-from .domain import round_attributes
+from .domain import check_number, check_object, check_one_line, round_attributes
 from .predictors import (
     LstmParams,
     TrainConfig,
@@ -267,30 +267,17 @@ def _cmd_train_lstm(cfg: dict) -> int:
     return 0
 
 
-def _check_prediction(row: dict) -> None:
-    """Raise ValueError unless the row has a completion, a latency_s that is a finite number >= 0,
-    and a one-line string model and template_version if it names them.
-
-    A completion that is not a string passes: it scores as an unexpected format.
-    """
-    for key in ("completion", "latency_s"):
-        if key not in row:
-            raise ValueError(f"missing {key!r}")
-    latency = row["latency_s"]  # compared exactly: an int past the double range fails
-    if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not 0 <= latency <= sys.float_info.max:
-        raise ValueError(f"latency_s {latency!r} is not a finite number >= 0")
-    for key in ("model", "template_version"):
-        evaluation.check_one_line(key, row.get(key, ""))
-
-
 def _cmd_eval(cfg: dict) -> int:
-    evaluation.check_one_line("model", cfg["model"] or "")
     scorable, skipped = [], []
     for number, line in windowing.numbered_lines(cfg["pred"]):
         try:
             row = json.loads(line)
             window = windowing.window_from_obj(row)
-            _check_prediction(row)
+            # A completion that is not a string passes: it scores as an unexpected format.
+            check_object("prediction row", row, "completion", "latency_s")
+            check_number("latency_s", row["latency_s"])
+            for key in ("model", "template_version"):
+                check_one_line(key, row.get(key, ""))
         except ValueError as exc:
             skipped.append(f"row {number}: {exc}")
         else:

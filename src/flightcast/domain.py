@@ -1,13 +1,15 @@
-"""Core value types shared across the pipeline.
+"""Core value types and input rules shared across the pipeline.
 
 Waypoints and trajectories are immutable values: safe to copy, hash, and
-share between threads. Validation never raises; it returns a verdict so
-that dirty upstream data can be counted instead of crashing the pipeline.
+share between threads. ``validate_columns`` never raises; its verdicts let
+dirty upstream data be counted instead of crashing the pipeline. The
+``check_*`` rules raise ValueError naming the config, row or report field.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -157,6 +159,37 @@ def validate_columns(timestamp: np.ndarray, values: np.ndarray) -> np.ndarray:
     passed[0] = (TIMESTAMP_RANGE[0] <= timestamp) & (timestamp <= TIMESTAMP_RANGE[1])
     passed[1:-1] = (_LOWER_BOUNDS <= values) & (values <= _UPPER_BOUNDS)
     return _REASON_CODES[passed.argmin(axis=0)]
+
+
+def check_number(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int or float, not a bool, in 0..the largest double.
+    An int is compared exactly, so one past the double range fails; NaN fails every comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name} {value!r} is not a finite number >= 0")
+
+
+def check_integer(name: str, value, low: int = 0) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} {value!r} is not an integer >= {low}")
+
+
+def check_object(name: str, value, *keys) -> dict:
+    """Return ``value`` if it is a JSON object (a dict) holding every one of ``keys``, else raise ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} is not a JSON object (got {type(value).__name__})")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
+def check_one_line(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a string without CR or LF."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} {value!r} is not a string")
+    if "\r" in value or "\n" in value:
+        raise ValueError(f"{name} {value!r} is not one line of text")
 
 
 # Powers of ten that round_values scales by; each one is an exact double.

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import ATTRIBUTES, PhaseLabel
+from .domain import ATTRIBUTES, PhaseLabel, check_integer, check_number, check_object, check_one_line
 from .prompts import FailureKind, ParseOutcome
 from .windowing import INPUT_LENGTH, STEP_SECONDS, Window
 
@@ -39,19 +39,6 @@ class ReportFormat(Enum):
 class AttributeStats:
     mae: float
     rmse: float
-
-
-def check_one_line(key: str, value) -> None:
-    """Raise ValueError unless ``value`` is a string without CR or LF, as a report's one-line fields are."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} {value!r} is not a string")
-    if "\r" in value or "\n" in value:
-        raise ValueError(f"{key} {value!r} is not one line of text")
-
-
-def _is_number(value) -> bool:
-    """True for an int or float that is not a bool, as a report's scores and latency are."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -154,13 +141,12 @@ class MetricsReport:
         integers = {name: getattr(self, name) for name in ("horizon", *_COUNTS)}
         integers.update({f"phase {name} samples": p.samples for name, p in self.phases.items()})
         for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} {value!r} is not an integer >= 0")
-        latency = self.mean_latency_s
-        if latency is not None and not (_is_number(latency) and 0 <= latency < math.inf):
-            raise ValueError(f"mean_latency_s {latency!r} is not a finite number >= 0")
+            check_integer(name, value)
+        if self.mean_latency_s is not None:
+            check_number("mean_latency_s", self.mean_latency_s)
         for step in self.per_step:
-            if isinstance(step, bool) or not isinstance(step, int) or not 1 <= step <= self.horizon:
+            check_integer("step", step, 1)
+            if step > self.horizon:
                 raise ValueError(f"step {step!r} is not an integer in 1..{self.horizon}")
         pools = {} if self.attributes is None else {"attributes": self.attributes}
         pools.update({f"phase {name}": p.attributes for name, p in self.phases.items()})
@@ -169,13 +155,11 @@ class MetricsReport:
             if not isinstance(stats, dict) or stats.keys() != set(ATTRIBUTES):
                 raise ValueError(f"{pool} does not hold exactly the attributes {', '.join(ATTRIBUTES)}")
             for name, s in stats.items():
-                if not (_is_number(s.mae) and _is_number(s.rmse)):
-                    raise ValueError(f"MAE or RMSE for {name} is not a number: {s.mae!r}, {s.rmse!r}")
-                if not (math.isfinite(s.mae) and math.isfinite(s.rmse)):
-                    raise ValueError(f"non-finite MAE or RMSE for {name}: {s.mae}, {s.rmse}")
-                # RMSE >= MAE >= 0, with last-bit slack for the all-errors-equal case where they coincide.
-                if s.mae < 0.0 or s.rmse < s.mae - 1e-12 * max(1.0, s.mae):
-                    raise ValueError(f"MAE < 0 or RMSE < MAE for {name}: MAE {s.mae}, RMSE {s.rmse}")
+                check_number(f"{pool} {name} MAE", s.mae)
+                check_number(f"{pool} {name} RMSE", s.rmse)
+                # RMSE >= MAE, with last-bit slack for the all-errors-equal case where they coincide.
+                if s.rmse < s.mae - 1e-12 * max(1.0, s.mae):
+                    raise ValueError(f"{pool} RMSE < MAE for {name}: MAE {s.mae}, RMSE {s.rmse}")
 
     @property
     def total_submitted(self) -> int:
@@ -190,18 +174,26 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MetricsReport":
-        """Read :meth:`to_dict`'s form back; keys that name no field are ignored."""
-        def stats(data) -> dict[str, AttributeStats] | None:
-            return None if data is None else {k: AttributeStats(v["mae"], v["rmse"]) for k, v in data.items()}
+        """Read :meth:`to_dict`'s form back; keys that name no field are ignored. A missing key, a part
+        that is not a JSON object, or a step key other than ``str(step)`` raises ValueError naming it."""
+        def stats(pool: str, data) -> dict[str, AttributeStats]:
+            scores = {k: check_object(f"{pool} {k}", v, "mae", "rmse") for k, v in check_object(pool, data).items()}
+            return {k: AttributeStats(s["mae"], s["rmse"]) for k, s in scores.items()}
 
-        obj = {**obj, **obj["counts"]}
+        obj = check_object("report", obj, "counts", *(f.name for f in fields(cls) if f.name not in _COUNTS))
+        obj = {**obj, **check_object("counts", obj["counts"], *_COUNTS)}
         values = {f.name: obj[f.name] for f in fields(cls)}
-        values["attributes"] = stats(values["attributes"])
-        values["phases"] = {name: PhaseReport(p["samples"], stats(p["attributes"]))
-                            for name, p in obj["phases"].items()}
+        values["attributes"] = None if obj["attributes"] is None else stats("attributes", obj["attributes"])
+        phases = {name: check_object(f"phase {name}", p, "samples", "attributes")
+                  for name, p in check_object("phases", obj["phases"]).items()}
+        values["phases"] = {name: PhaseReport(p["samples"], stats(f"phase {name}", p["attributes"]))
+                            for name, p in phases.items()}
+        steps = check_object("per_step", obj["per_step"])
+        for key in steps:  # only the text str(step) writes, so no two keys name one step
+            if not (key.isdecimal() and str(int(key)) == key):
+                raise ValueError(f"per_step key {key!r} is not a whole number as str() writes it")
         # The file's keys are text, sorted as text ("1", "10", "2"); steps go back in numeric order.
-        per_step = sorted(obj["per_step"].items(), key=lambda item: int(item[0]))
-        values["per_step"] = {int(k): stats(v) for k, v in per_step}
+        values["per_step"] = {int(k): stats(f"step {k}", steps[k]) for k in sorted(steps, key=int)}
         return cls(**values)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import round_attributes
+from .domain import check_integer, check_number, round_attributes
 from .predictors import forecast_windows, predict_kinematic
 from .prompts import PromptRecord, estimate_tokens, serialize_values, serialized_tokens
 from .windowing import INPUT_LENGTH, Window
@@ -62,16 +62,12 @@ class EndpointConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retry count must be >= 0")
+        check_integer("retries", self.retries)
         if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
             raise ValueError(f"timeout_s must be > 0 and <= threading.TIMEOUT_MAX, not {self.timeout_s!r}")
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be a finite number >= 0, not {self.temperature!r}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, not {self.max_tokens!r}")
-        if self.max_in_flight < 1:
-            raise ValueError("max in flight must be >= 1")
+        check_number("temperature", self.temperature)
+        check_integer("max_tokens", self.max_tokens, 1)
+        check_integer("max_in_flight", self.max_in_flight, 1)
         parts = urllib.parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"base_url must be an http:// or https:// URL, not {self.base_url!r}")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, round_values
+from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, check_integer, check_number, round_values
 from ..windowing import INPUT_LENGTH, Window
 
 logger = logging.getLogger(__name__)
@@ -43,15 +43,9 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        # Zero is allowed so a no-op training run can serve as a smoke test.
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a finite number >= 0, not {self.learning_rate!r}")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden dim must be >= 1")
+        for name in ("epochs", "batch_size", "hidden_dim"):
+            check_integer(name, getattr(self, name), 1)
+        check_number("learning_rate", self.learning_rate)  # 0 allowed: a no-op run serves as a smoke test
 
 
 def _views(vector: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ATTRIBUTES, LATITUDE_RANGE, LONGITUDE_RANGE, MIN_ALTITUDE_M, wrap_heading
+from .domain import (ATTRIBUTES, LATITUDE_RANGE, LONGITUDE_RANGE, MIN_ALTITUDE_M, check_integer, check_number,
+                     wrap_heading)
 from .ingest import REQUIRED_COLUMNS, RecordTable, _utc_texts
 from .predictors import kinematic_track
 
@@ -97,15 +98,12 @@ def validate_spec(spec: FlightSpec) -> None:
         raise ValueError("cruise_duration_min must be >= 1")
     if spec.cruise_speed_kmh <= 0:
         raise ValueError("cruise_speed_kmh must be > 0")
-    interval = spec.sample_interval_s
-    if isinstance(interval, bool) or not isinstance(interval, (int, np.integer)) or interval < 1:
-        raise ValueError("sample_interval_s must be an integer >= 1")
+    check_integer("sample_interval_s", spec.sample_interval_s, 1)
     for turn in spec.turns:
         if turn.duration_min < 1:
             raise ValueError("turns: duration_min must be >= 1")
     for name in ATTRIBUTES:
-        if getattr(spec.noise, name) < 0:
-            raise ValueError(f"noise.{name} must be >= 0")
+        check_number(f"noise.{name}", getattr(spec.noise, name))
 
 
 def _phase_minutes(spec: FlightSpec) -> tuple[float, float, float]:
@@ -190,8 +188,7 @@ def generate_corpus(count: int, base_seed: int) -> tuple[RecordTable, list[Fligh
     and regenerating from it reproduces the corpus byte for byte. The
     table holds the flights one after another, in spec order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_integer("count", count, 1)
     specs: list[FlightSpec] = []
     for i in range(count):
         draw = np.random.default_rng([base_seed, i])

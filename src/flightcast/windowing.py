@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .domain import ATTRIBUTES, Trajectory, Waypoint
+from .domain import ATTRIBUTES, Trajectory, Waypoint, check_integer, check_object
 
 INPUT_LENGTH = 16
 STEP_SECONDS = 60
@@ -61,8 +61,7 @@ def sample_windows(traj: Trajectory, horizon: int, stride: int | None = None) ->
     first waypoint past the break, which maximizes yield without ever
     spanning a gap. Each window's columns are views of the trajectory's.
     """
-    if horizon < 1:
-        raise ValueError(f"unsupported horizon {horizon}: must be >= 1")
+    check_integer("horizon", horizon, 1)
     window_size = INPUT_LENGTH + horizon
     if stride is None:
         stride = default_stride(horizon)
@@ -108,11 +107,7 @@ def window_from_obj(obj: dict) -> Window:
     past 64 bits), and int64 timestamps exactly ``STEP_SECONDS`` apart, as
     :func:`sample_windows` cuts them.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"window row is not a JSON object (got {type(obj).__name__})")
-    missing = [key for key in ("callsign", "input", "target") if key not in obj]
-    if missing:
-        raise ValueError(f"window row lacks {', '.join(map(repr, missing))}")
+    check_object("window row", obj, "callsign", "input", "target")
     callsign = obj["callsign"]
     if not isinstance(callsign, str):
         raise ValueError(f"window callsign {callsign!r} is not a string")

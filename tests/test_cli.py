@@ -205,7 +205,7 @@ class TestStages:
         model = tmp_path / "model.json"
         caplog.set_level(logging.INFO)
         assert run("train-lstm", "--in", pipeline_dir / "windows.jsonl", "--out", model, "--lr", rate) == 1
-        assert f"learning_rate must be a finite number >= 0, not {rate}" in caplog.text
+        assert f"learning_rate {rate} is not a finite number >= 0" in caplog.text
         assert "epoch 1/" not in caplog.text and not model.exists()
 
     def test_non_finite_model_file_names_the_array(self, pipeline_dir, tmp_path, caplog):
@@ -291,8 +291,8 @@ class TestStages:
     @pytest.mark.parametrize(
         "defect, message",
         [
-            ({"latency_s": None}, "row 2: missing 'latency_s'"),
-            ({"completion": None}, "row 2: missing 'completion'"),
+            ({"latency_s": None}, "row 2: prediction row lacks 'latency_s'"),
+            ({"completion": None}, "row 2: prediction row lacks 'completion'"),
             ({"latency_s": "fast"}, "row 2: latency_s 'fast' is not a finite number >= 0"),
             ({"model": 7}, "row 2: model 7 is not a string"),
             ({"template_version": ["v1"]}, "row 2: template_version ['v1'] is not a string"),
@@ -354,6 +354,10 @@ class TestStages:
             (lambda obj: obj.update(horizon="4\nx"), "horizon '4\\nx' is not an integer >= 0"),
             (lambda obj: obj["counts"].update(evaluated="many"), "evaluated 'many' is not an integer >= 0"),
             (lambda obj: obj["attributes"].pop("latitude"), "attributes does not hold exactly the attributes"),
+            (lambda obj: obj.pop("counts"), "report lacks 'counts'"),
+            (lambda obj: obj["attributes"].update(longitude=[0.5, 0.7]), "attributes longitude is not a JSON object"),
+            pytest.param(lambda obj: obj.update(mean_latency_s=10**400),
+                         f"mean_latency_s {10**400} is not a finite number >= 0", id="latency-past-the-double-range"),
         ],
     )
     def test_report_refuses_a_saved_report_that_breaks_a_rule(self, pipeline_dir, tmp_path, caplog, capsys,
@@ -609,7 +613,7 @@ class TestErrorsAndConfig:
         assert windows and {w.horizon for w in windows} == {3}
         out.unlink()
         assert run("sample", "--in", clean, "--horizon", 0, "--out", out) == 1
-        assert "unsupported horizon 0: must be >= 1" in caplog.text
+        assert "horizon 0 is not an integer >= 1" in caplog.text
         assert not out.exists()
 
     def test_config_file_supplies_defaults_flags_override(self, tmp_path):

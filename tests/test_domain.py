@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import struct
 import sys
 from decimal import InvalidOperation
@@ -15,6 +16,9 @@ from flightcast.domain import (
     INVALID_REASONS,
     Trajectory,
     Waypoint,
+    check_integer,
+    check_number,
+    check_one_line,
     round_attributes,
     round_value,
     round_values,
@@ -440,3 +444,39 @@ class TestTrajectory:
     def test_columns_must_match_in_length(self):
         with pytest.raises(ValueError, match="shape"):
             Trajectory.from_columns("T", np.zeros(3, dtype=np.int64), np.zeros((5, 2)))
+
+
+#: Values that neither check_number nor check_integer accepts.
+REFUSED_BY_BOTH = (True, False, None, "1", math.nan, math.inf, -math.inf, -1, -0.5, [1])
+
+
+class TestChecks:
+    @pytest.mark.parametrize(
+        "check, accepted, refused, rule",
+        [
+            (check_number, (0, 0.0, sys.float_info.max, 10**300, np.float64(1.5)), (10**400, np.int64(3)),
+             "is not a finite number >= 0"),
+            (check_integer, (0, 7, 10**300, 10**400), (0.0, 1.0, sys.float_info.max, np.float64(1.5), np.int64(3), "3"),
+             "is not an integer >= 0"),
+        ],
+        ids=["check_number", "check_integer"],
+    )
+    def test_accepts_and_refuses(self, check, accepted, refused, rule):
+        for value in accepted:
+            check("field", value)
+        for value in (*REFUSED_BY_BOTH, *refused):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'field {value!r} {rule}')}$"):
+                check("field", value)
+
+    def test_check_integer_takes_a_lower_bound(self):
+        check_integer("epochs", 1, 1)
+        with pytest.raises(ValueError, match="^epochs 0 is not an integer >= 1$"):
+            check_integer("epochs", 0, 1)
+
+    def test_check_one_line(self):
+        check_one_line("model", "org,model-7b")
+        with pytest.raises(ValueError, match=re.escape("model 7 is not a string")):
+            check_one_line("model", 7)
+        for text in ("a\rb", "v1\n"):
+            with pytest.raises(ValueError, match=re.escape(f"model {text!r} is not one line of text")):
+                check_one_line("model", text)

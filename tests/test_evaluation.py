@@ -392,25 +392,37 @@ class TestEmitReport:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda obj: obj["attributes"]["longitude"].update(rmse=math.nan), "non-finite MAE or RMSE for longitude"),
+            (lambda obj: obj["attributes"]["longitude"].update(rmse=math.nan),
+             "attributes longitude RMSE nan is not a finite number >= 0"),
             (lambda obj: obj["phases"]["cruise"]["attributes"]["altitude"].update(mae=math.inf),
-             "non-finite MAE or RMSE for altitude"),
-            (lambda obj: obj["per_step"]["2"]["heading"].update(rmse=-math.inf), "non-finite MAE or RMSE for heading"),
+             "phase cruise altitude MAE inf is not a finite number >= 0"),
+            (lambda obj: obj["per_step"]["2"]["heading"].update(rmse=-math.inf),
+             "step 2 heading RMSE -inf is not a finite number >= 0"),
             (lambda obj: obj["attributes"]["latitude"].update(mae=1.0, rmse=0.5), "RMSE < MAE for latitude"),
-            (lambda obj: obj["per_step"]["4"]["velocity"].update(mae=-1.0), "MAE < 0 or RMSE < MAE for velocity"),
+            (lambda obj: obj["per_step"]["4"]["velocity"].update(mae=-1.0),
+             "step 4 velocity MAE -1.0 is not a finite number >= 0"),
             (lambda obj: obj.update(model="a\rb"), "model 'a\\rb' is not one line of text"),
             (lambda obj: obj.update(template_version=None), "template_version None is not a string"),
             (lambda obj: obj.update(mean_latency_s=-0.5), "mean_latency_s -0.5 is not a finite number >= 0"),
             (lambda obj: obj.update(mean_latency_s=math.inf), "mean_latency_s inf is not a finite number >= 0"),
             (lambda obj: obj.update(mean_latency_s=True), "mean_latency_s True is not a finite number >= 0"),
             (lambda obj: obj.update(mean_latency_s="x"), "mean_latency_s 'x' is not a finite number >= 0"),
+            pytest.param(lambda obj: obj.update(mean_latency_s=10**400),
+                         f"mean_latency_s {10**400} is not a finite number >= 0", id="latency-past-the-double-range"),
             (lambda obj: obj["attributes"]["longitude"].update(mae=False),
-             "MAE or RMSE for longitude is not a number: False"),
+             "attributes longitude MAE False is not a finite number >= 0"),
+            pytest.param(lambda obj: obj["attributes"]["longitude"].update(mae=10**400, rmse=10**400),
+                         f"attributes longitude MAE {10**400} is not a finite number >= 0",
+                         id="mae-past-the-double-range"),
             (lambda obj: obj["phases"]["cruise"]["attributes"]["heading"].update(rmse="0.5"),
-             "MAE or RMSE for heading is not a number"),
-            (lambda obj: obj["per_step"]["3"]["altitude"].update(mae=None), "MAE or RMSE for altitude is not a number"),
-            (lambda obj: obj["per_step"].update({"0": obj["per_step"].pop("1")}), "step 0 is not an integer in 1..4"),
-            (lambda obj: obj["per_step"].update({"-2": obj["per_step"].pop("2")}), "step -2 is not an integer in 1..4"),
+             "phase cruise heading RMSE '0.5' is not a finite number >= 0"),
+            (lambda obj: obj["per_step"]["3"]["altitude"].update(mae=None),
+             "step 3 altitude MAE None is not a finite number >= 0"),
+            (lambda obj: obj["per_step"].update({"0": obj["per_step"].pop("1")}), "step 0 is not an integer >= 1"),
+            (lambda obj: obj["per_step"].update({"-2": obj["per_step"].pop("2")}),
+             "per_step key '-2' is not a whole number as str() writes it"),
+            *((lambda obj, key=key: obj["per_step"].update({key: {a: {"mae": 9.0, "rmse": 9.0} for a in ATTRIBUTES}}),
+               f"per_step key {key!r} is not a whole number as str() writes it") for key in ("03", "+3", " 3", "x")),
             (lambda obj: obj["per_step"].update({"5": obj["per_step"]["4"]}), "step 5 is not an integer in 1..4"),
             (lambda obj: obj.update(horizon="4\nx"), "horizon '4\\nx' is not an integer >= 0"),
             (lambda obj: obj.update(horizon=-1), "horizon -1 is not an integer >= 0"),

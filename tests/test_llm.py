@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -191,7 +192,7 @@ class TestComplete:
         with pytest.raises(ValueError):
             EndpointConfig(base_url="x", model="m", temperature=-0.1)
         for limit in (0, -3):
-            with pytest.raises(ValueError, match="in flight"):
+            with pytest.raises(ValueError, match="max_in_flight"):
                 EndpointConfig(base_url="x", model="m", max_in_flight=limit)
 
     def test_temperature_must_be_finite_and_non_negative(self):
@@ -209,6 +210,22 @@ class TestComplete:
         for max_tokens in (0, -1):
             with pytest.raises(ValueError, match="^max_tokens"):
                 EndpointConfig(base_url="http://h", model="m", max_tokens=max_tokens)
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            pytest.param("temperature", 10**400, "a finite number >= 0", id="temperature-past-the-double-range"),
+            ("temperature", "0", "a finite number >= 0"),
+            ("retries", True, "an integer >= 0"),
+            ("max_tokens", 1.5, "an integer >= 1"),
+            ("max_tokens", 2.0, "an integer >= 1"),
+            ("max_tokens", True, "an integer >= 1"),
+            ("max_in_flight", 2.0, "an integer >= 1"),
+        ],
+    )
+    def test_config_refuses_a_value_of_the_wrong_kind_naming_the_field(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {value!r} is not {rule}')}$"):
+            EndpointConfig(base_url="http://h", model="m", **{field: value})
 
     def test_base_url_must_be_http_or_https(self):
         for url in ("localhost:8000/v1", "ftp://h/v1", "file:///tmp", ""):

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -337,13 +338,28 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1e-4)
-        with pytest.raises(ValueError, match="hidden dim must be >= 1"):
+        with pytest.raises(ValueError, match="hidden_dim 0 is not an integer >= 1"):
             TrainConfig(hidden_dim=0)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1e-4])
     def test_learning_rate_must_be_finite_and_non_negative(self, rate):
-        with pytest.raises(ValueError, match=rf"^learning_rate must be a finite number >= 0, not {rate!r}$"):
+        with pytest.raises(ValueError, match=rf"^learning_rate {rate!r} is not a finite number >= 0$"):
             TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("epochs", True, "an integer >= 1"),
+            ("epochs", 2.5, "an integer >= 1"),
+            ("epochs", 3.0, "an integer >= 1"),
+            ("batch_size", "4", "an integer >= 1"),
+            ("hidden_dim", True, "an integer >= 1"),
+            pytest.param("learning_rate", 10**400, "a finite number >= 0", id="learning_rate-past-the-double-range"),
+        ],
+    )
+    def test_config_refuses_a_value_of_the_wrong_kind_naming_the_field(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {value!r} is not {rule}')}$"):
+            TrainConfig(**{field: value})
 
     def test_divergence_is_reported_with_its_epoch(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]

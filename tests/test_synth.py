@@ -46,10 +46,12 @@ class TestSpecValidation:
             ({"cruise_duration_min": 0.5}, "cruise_duration"),
             ({"sample_interval_s": 0}, "sample_interval"),
             ({"noise": NoiseStd(altitude=-1.0)}, "noise.altitude"),
+            ({"noise": NoiseStd(velocity=float("nan"))}, "noise.velocity nan is not a finite number >= 0"),
             ({"turns": (TurnEvent(5.0, 30.0, 0.2),)}, "duration_min"),
-            ({"sample_interval_s": 7.5}, "sample_interval_s must be an integer"),
-            ({"sample_interval_s": 10.0}, "sample_interval_s must be an integer"),
-            ({"sample_interval_s": True}, "sample_interval_s must be an integer"),
+            ({"sample_interval_s": 7.5}, "sample_interval_s 7.5 is not an integer"),
+            ({"sample_interval_s": 10.0}, "sample_interval_s 10.0 is not an integer"),
+            ({"sample_interval_s": True}, "sample_interval_s True is not an integer"),
+            ({"sample_interval_s": np.int64(10)}, r"sample_interval_s np.int64\(10\) is not an integer"),
             # A drop past the cruise altitude would leave a negative landing phase.
             ({"drop": DropEvent(20.0, 20000.0)}, "drop.drop_m"),
             ({"drop": DropEvent(20.0, 10000.0)}, "drop.drop_m"),
@@ -164,8 +166,13 @@ class TestGenerateCorpus:
         assert records_to_csv_text(regenerated) == records_to_csv_text(records)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="count must be >= 1"):
+        with pytest.raises(ValueError, match="count 0 is not an integer >= 1"):
             generate_corpus(0, base_seed=0)
+
+    @pytest.mark.parametrize("count", [True, 2.0])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^count {count!r} is not an integer >= 1$"):
+            generate_corpus(count, base_seed=0)
 
     def test_unique_callsigns_and_seeds(self):
         _, specs = generate_corpus(10, base_seed=0)

@@ -94,8 +94,13 @@ class TestSampleWindows:
 
     def test_unsupported_horizon(self):
         traj = minute_trajectory(range(40))
-        with pytest.raises(ValueError, match="unsupported horizon 0: must be >= 1"):
+        with pytest.raises(ValueError, match="horizon 0 is not an integer >= 1"):
             sample_windows(traj, 0)
+
+    @pytest.mark.parametrize("horizon", [True, 2.0])
+    def test_a_horizon_that_is_not_an_integer_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon {horizon!r} is not an integer >= 1$"):
+            sample_windows(minute_trajectory(range(40)), horizon)
 
     def test_default_stride_is_window_plus_one(self):
         assert default_stride(1) == 18
