@@ -167,8 +167,7 @@ def _cmd_synth(cfg: dict) -> int:
 def _cmd_ingest(cfg: dict) -> int:
     records = ingest.read_adsb_csv(cfg["input"], strict=cfg["strict"])
     result = ingest.clean_trajectories(records)
-    aggregated = [ingest.aggregate_minutes(t) for t in result.trajectories]
-    ingest.write_trajectories_csv(aggregated, cfg["out"])
+    ingest.write_trajectories_csv(ingest.aggregate_trajectories(result.trajectories), cfg["out"])
     print(json.dumps({"cleaning": result.summary()}), file=sys.stderr)
     return 0
 

@@ -196,6 +196,7 @@ def check_one_line(name: str, value) -> None:
 _SCALES = np.array([float(10**d) for d in range(16)])
 # Above this, |x|·10^d no longer has a fractional part to round.
 _FAST_LIMIT = 2.0**52
+_TIE_LIMIT = 2.0**48  # below it an exact tie rounds up in numpy; see round_values
 # Decimal counts of attribute rows, shaped to broadcast over a (5, n) block.
 _ATTRIBUTE_DECIMALS = np.array(CANONICAL_DECIMALS)[:, None]
 
@@ -218,18 +219,21 @@ def round_values(values: np.ndarray, decimals) -> np.ndarray:
     ``decimals`` is an int or an integer array that broadcasts to the
     shape of ``values``, one decimal count per element. With
     ``m = floor(|x|·10^d)``, a value that is not the double nearest the
-    tie ``(m + 1/2)/10^d`` has its shortest repr on the same side of the
-    tie, so comparing against that double decides the rounding exactly,
-    and ``n/10^d`` is the correctly rounded value of the decimal result.
-    Only the elements that argument does not reach (exact ties,
-    ``|x|·10^d >= 2^52``, non-finite input, or a decimal count outside
-    0..15) go through ``round_value`` one by one.
+    tie ``T = (m + 1/2)/10^d`` has its shortest repr on the same side of
+    the tie, so comparing against that double decides the rounding
+    exactly, and ``n/10^d`` is the correctly rounded value of the decimal
+    result. A value that is that double rounds to ``m + 1`` where
+    ``m < 2^48``: there ``|x| < 2^48/10^d``, so doubles near x lie less
+    than ``2^-4/10^d < 10^-(d+1)`` apart, no other decimal of d+1 places
+    is within half that of x, and repr(x) is T's own text. Only the other
+    elements (ties with ``m >= 2^48``, ``|x|·10^d >= 2^52``, non-finite
+    input, or a decimal count outside 0..15) go through ``round_value``.
     """
     x = np.asarray(values, dtype=np.float64)
     d = np.asarray(decimals)
     in_range = (0 <= d) & (d <= 15)
     scale = _SCALES[np.where(in_range, d, 0)]
-    # m and tie are the only value-sized buffers; |x| > tie is x > tie or x < -tie.
+    # m and tie are the only value-sized buffers; |x| >= tie is x >= tie or x <= -tie.
     m = np.abs(x)
     with np.errstate(over="ignore"):
         m *= scale
@@ -239,11 +243,11 @@ def round_values(values: np.ndarray, decimals) -> np.ndarray:
     tie = 2.0 * m
     tie += 1.0
     tie /= 2.0 * scale
-    above = x > tie
-    fast &= x != tie
+    above = x >= tie
+    fast &= (x != tie) | (m < _TIE_LIMIT)
     np.negative(tie, out=tie)
-    above |= x < tie
-    fast &= x != tie
+    above |= x <= tie
+    fast &= (x != tie) | (m < _TIE_LIMIT)
     m += above
     m /= scale
     out = np.copysign(m, x, out=m)

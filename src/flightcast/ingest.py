@@ -19,12 +19,13 @@ import csv
 import io
 import logging
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -49,8 +50,8 @@ REQUIRED_COLUMNS = ("timestamp", "utc_time", "callsign", *ATTRIBUTES)
 #: Numeric columns in the order their cells are checked, each with its cell
 #: grammar, the characters a cell of that grammar is made of, the
 #: conversion, and what a cell that does not parse reads in the column.
-_NUMERIC_CELLS = (("timestamp", re.compile(r"^[+-]?\d+$"), b"+-0123456789", int, 0),) + tuple(
-    (name, DECIMAL_RE, b"+-.0123456789", float, math.nan) for name in ATTRIBUTES
+_NUMERIC_CELLS = (("timestamp", re.compile(r"^[+-]?\d+$"), "+-0123456789", int, 0),) + tuple(
+    (name, DECIMAL_RE, "+-.0123456789", float, math.nan) for name in ATTRIBUTES
 )
 
 _UTC_FORMAT = "%Y-%m-%d %H:%M:%S"
@@ -149,37 +150,49 @@ def parse_header(cells: list[str]) -> Header:
     return Header(indexes=indexes, width=len(cells))
 
 
-def _parse_numeric(raw: tuple[str, ...], cell_re, charset: bytes, convert, fill):
-    """A numeric column: its values, then which cells parsed and the stripped
-    cells, or two Nones when every cell parsed as it stood.
+def _parse_numeric(raw, cell_re, charset: str, convert, fill) -> tuple[list, dict[int, str]]:
+    """A numeric column: its values, and the stripped text of each cell that
+    did not parse (reading ``fill``), by row.
 
     Made of ASCII digits, signs and points only, a cell matches its grammar
-    exactly when ``convert`` accepts it, so a column of such cells is
-    converted without a per-cell match. Cells that do not parse read ``fill``.
+    exactly when ``convert`` accepts it, and ``strip`` leaves it as it is.
+    So one ``convert`` pass reads the column. Only an empty cell, a cell
+    with another character (each takes a stand-in in that pass) and a cell
+    ``convert`` refuses are stripped and matched on their own.
     """
     joined = "".join(raw)
-    if joined.isascii() and not joined.encode().translate(None, charset):
+    if joined.isascii() and not joined.encode().translate(None, charset.encode()):
         try:
-            return list(map(convert, raw)), None, None
+            return list(map(convert, raw)), {}
         except ValueError:
             pass
-    cells = list(map(str.strip, raw))
-    parsed = [cell_re.match(cell) is not None for cell in cells]
-    return [_convert_cell(convert, c) if ok else fill for c, ok in zip(cells, parsed)], parsed, cells
-
-
-def _convert_cell(convert, cell: str):
-    """``convert`` of a cell that matches its grammar.
-
-    Of such cells ``int`` refuses only those with more digits than
-    ``sys.get_int_max_str_digits()``; they saturate at the largest
-    magnitude ``int`` still renders as text, which is out of any range.
-    """
-    try:
-        return convert(cell)
-    except ValueError:
-        bound = 10 ** sys.get_int_max_str_digits() - 1
-        return max(-bound, min(bound, int(Decimal(cell))))
+    # strip(charset) leaves text only in a cell with another character.
+    other = set(compress(count(), map(str.strip, raw, repeat(charset))))
+    other.update(compress(count(), map(operator.not_, raw)))
+    cells = list(raw)
+    for i in other:
+        cells[i] = "0"  # a stand-in convert accepts; the cell itself is matched below
+    values, rest = [], iter(cells)
+    while True:  # list.extend keeps what it appended before a refusal; the map goes on after that cell
+        try:
+            values.extend(map(convert, rest))
+            break
+        except ValueError:
+            other.add(len(values))
+            values.append(fill)
+    unparsed = {}
+    for i in sorted(other):
+        cell = raw[i].strip()
+        if not cell_re.match(cell):
+            values[i] = fill
+            unparsed[i] = cell
+            continue
+        try:
+            values[i] = convert(cell)
+        except ValueError:  # int refuses more digits than sys.get_int_max_str_digits(): saturate, out of any range
+            bound = 10 ** sys.get_int_max_str_digits() - 1
+            values[i] = max(-bound, min(bound, int(Decimal(cell))))
+    return values, unparsed
 
 
 def _transpose(rows: list[list[str]], width: int) -> list:
@@ -201,14 +214,11 @@ def _parse_rows(columns: list, row_numbers, header: Header, strict: bool) -> Rec
     ]
     missing = np.zeros((len(REQUIRED_COLUMNS), count), dtype=bool)
     error_row, error_cell = count, None
-    for (name, *_), (_, parsed, cells) in zip(_NUMERIC_CELLS, numeric):
-        if parsed is None:
-            continue
-        missing[REQUIRED_COLUMNS.index(name)] = np.logical_not(parsed)
-        if strict:
-            row = next((i for i, ok in enumerate(parsed) if not ok and cells[i]), count)
-            if row < error_row:
-                error_row, error_cell = row, f"{name} cell {cells[row]!r}"
+    for (name, *_), (_, unparsed) in zip(_NUMERIC_CELLS, numeric):
+        missing[REQUIRED_COLUMNS.index(name), list(unparsed)] = True
+        row = next((i for i, cell in unparsed.items() if cell), count) if strict else count
+        if row < error_row:
+            error_row, error_cell = row, f"{name} cell {unparsed[row]!r}"
     # Equal stripped cells share one str (an empty one reads None); the memo lives as long as the chunk.
     utc_time, callsign = (
         _object_array([shared.setdefault(cell, cell) for cell in map(str.strip, columns[header.indexes[name]])])
@@ -228,12 +238,14 @@ def _log_utc_disagreements(timestamp, utc_time, present, row_numbers, stop: int)
     # The Unix timestamp is authoritative; a disagreeing UTC column is
     # only worth a log line. strptime reads the canonical rendering of any
     # timestamp in TIMESTAMP_RANGE back to the same second, so only rows
-    # whose text differs from it need strptime.
+    # whose text differs from it need strptime. Many aircraft report in
+    # the same second, so each distinct second is rendered once.
     rows = np.flatnonzero(present[:stop])
     stamps = timestamp[rows]
     canonical = np.full(len(rows), None, dtype=object)
     in_range = (TIMESTAMP_RANGE[0] <= stamps) & (stamps <= TIMESTAMP_RANGE[1])
-    canonical[in_range] = _utc_texts(stamps[in_range].astype(np.int64))
+    distinct, inverse = np.unique(stamps[in_range].astype(np.int64), return_inverse=True)
+    canonical[in_range] = _utc_texts(distinct)[inverse]
     for row in rows[np.not_equal(canonical, utc_time[rows])].tolist():
         _check_utc_agreement(int(timestamp[row]), utc_time[row], row_numbers[row])
 
@@ -387,15 +399,16 @@ def _bucket_sums(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
     return sums
 
 
-def _minute_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket timestamps and the unrounded (5, buckets) minute means."""
-    if not len(traj):
-        return np.zeros(0, dtype=np.int64), np.zeros((len(ATTRIBUTES), 0))
-    bucket, values = traj.timestamps // 60, traj.values
-    if (bucket[1:] < bucket[:-1]).any():
-        order = np.argsort(bucket, kind="stable")
+def _minute_columns(trajectories: list[Trajectory]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket timestamps, unrounded (5, buckets) minute means and the bucket each trajectory but the first
+    starts at; a stable sort by (trajectory, minute) adds each trajectory's waypoints in its own order."""
+    owner = np.repeat(np.arange(len(trajectories)), [len(t) for t in trajectories])
+    bucket = np.concatenate([t.timestamps for t in trajectories]) // 60
+    values = np.hstack([t.values for t in trajectories])
+    if ((bucket[1:] < bucket[:-1]) & (owner[1:] == owner[:-1])).any():
+        order = np.lexsort((bucket, owner))
         bucket, values = bucket[order], values[:, order]
-    starts = np.flatnonzero(_run_starts(bucket))
+    starts = np.flatnonzero(_run_starts(owner, bucket))
     counts = np.diff(np.append(starts, len(bucket)))
     single = counts == 1
 
@@ -414,17 +427,35 @@ def _minute_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     heading[~single] = np.degrees(angles)
     with np.errstate(invalid="ignore"):
         heading = wrap_heading(heading)
-    return bucket[starts] * 60, np.vstack([sums[:4] / counts, heading])
+    cuts = np.searchsorted(owner[starts], np.arange(1, len(trajectories)))
+    return bucket[starts] * 60, np.vstack([sums[:4] / counts, heading]), cuts
+
+
+def aggregate_trajectories(trajectories: Iterable[Trajectory]) -> list[Trajectory]:
+    """Aggregate cleaned trajectories to one canonical waypoint per minute each.
+
+    Empty minutes yield no waypoint; the resulting gaps are handled by
+    windowing, not here. The work runs a batch of trajectories at a time,
+    at most ``_CHUNK_ROWS`` waypoints (or one longer trajectory).
+    """
+    batches, size = [[]], 0
+    for traj in trajectories:
+        if batches[-1] and size + len(traj) > _CHUNK_ROWS:
+            batches.append([])
+            size = 0
+        batches[-1].append(traj)
+        size += len(traj)
+    out = []
+    for batch in filter(None, batches):
+        timestamps, means, cuts = _minute_columns(batch)
+        out += map(Trajectory.from_columns, [t.callsign for t in batch], np.split(timestamps, cuts),
+                   np.split(round_attributes(means), cuts, axis=1))
+    return out
 
 
 def aggregate_minutes(traj: Trajectory) -> Trajectory:
-    """Aggregate a cleaned trajectory to one canonical waypoint per minute.
-
-    Empty minutes yield no waypoint; the resulting gaps are handled by
-    windowing, not here.
-    """
-    timestamps, means = _minute_columns(traj)
-    return Trajectory.from_columns(traj.callsign, timestamps, round_attributes(means))
+    """:func:`aggregate_trajectories` of one trajectory."""
+    return aggregate_trajectories([traj])[0]
 
 
 # --- CSV I/O ---------------------------------------------------------------

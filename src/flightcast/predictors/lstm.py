@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, check_integer, check_number, round_values
+from ..domain import ATTRIBUTES, CANONICAL_DECIMALS, check_integer, check_number, check_object, round_values
 from ..windowing import INPUT_LENGTH, Window
 
 logger = logging.getLogger(__name__)
@@ -117,16 +117,19 @@ class LstmParams:
     def load(cls, path: str | Path) -> "LstmParams":
         """Read a model file of format ``FORMAT_TAG``; any other format raises.
 
-        Raises ValueError naming the first array whose shape does not fit
-        the file's ``input_dim`` and ``hidden_dim``, or that holds a
-        non-finite value (``json`` reads ``NaN`` and ``Infinity``).
+        Raises ValueError naming a missing key, a dimension that is not an
+        integer >= 1, or the first array whose shape does not fit the dims
+        or that holds a non-finite value (``json`` reads ``NaN`` and ``Infinity``).
         """
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = check_object("model file", json.loads(Path(path).read_text(encoding="utf-8")))
         fmt = obj.get("format")
         if fmt != FORMAT_TAG:
             raise ValueError(f"unrecognized model file format: {fmt!r}")
+        check_object("model file", obj, "input_dim", "hidden_dim", "arrays", "norm_mean", "norm_std")
         dim, hidden = obj["input_dim"], obj["hidden_dim"]
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in obj["arrays"].items()}
+        check_integer("input_dim", dim, 1)
+        check_integer("hidden_dim", hidden, 1)
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in check_object("arrays", obj["arrays"]).items()}
         arrays["norm_mean"] = np.asarray(obj["norm_mean"], dtype=np.float64)
         arrays["norm_std"] = np.asarray(obj["norm_std"], dtype=np.float64)
         shapes = {"w_out": (dim, hidden), "b_out": (dim,), "norm_mean": (dim,), "norm_std": (dim,),

@@ -14,7 +14,8 @@ A flight is computed as numpy columns and returned as an
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,19 +86,20 @@ class FlightSpec:
 
 
 def validate_spec(spec: FlightSpec) -> None:
-    """Raise ValueError naming the first offending field."""
-    if spec.climb_rate_m_per_min <= 0:
-        raise ValueError("climb_rate_m_per_min must be > 0")
-    if spec.descent_rate_m_per_min <= 0:
-        raise ValueError("descent_rate_m_per_min must be > 0")
-    if spec.cruise_altitude_m <= 0:
-        raise ValueError("cruise_altitude_m must be > 0")
+    """Raise ValueError naming the first offending field; every float field must be finite."""
+    floats = [(f.name, getattr(spec, f.name)) for f in fields(spec) if f.type == "float"]
+    floats += [(f"turns: {f.name}", getattr(turn, f.name)) for turn in spec.turns for f in fields(turn)]
+    floats += [(f"drop.{f.name}", getattr(spec.drop, f.name)) for f in fields(DropEvent) if spec.drop is not None]
+    for name, value in floats:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value!r} is not a finite number")
+    for name in ("climb_rate_m_per_min", "descent_rate_m_per_min", "cruise_altitude_m", "cruise_speed_kmh"):
+        if getattr(spec, name) <= 0:
+            raise ValueError(f"{name} must be > 0")
     if spec.drop is not None and not 0 <= spec.drop.drop_m < spec.cruise_altitude_m:
         raise ValueError("drop.drop_m must be >= 0 and below cruise_altitude_m")
     if spec.cruise_duration_min < 1:
         raise ValueError("cruise_duration_min must be >= 1")
-    if spec.cruise_speed_kmh <= 0:
-        raise ValueError("cruise_speed_kmh must be > 0")
     check_integer("sample_interval_s", spec.sample_interval_s, 1)
     for turn in spec.turns:
         if turn.duration_min < 1:

@@ -297,7 +297,7 @@ def reference_circular_mean(angles: list[float]) -> float:
 
 def minute_means(traj: Trajectory) -> list[tuple[int, tuple[float, float, float, float, float]]]:
     """ingest's unrounded minute-bucket aggregates, as (bucket_timestamp, values)."""
-    timestamps, means = _minute_columns(traj)
+    timestamps, means, _ = _minute_columns([traj])
     return list(zip(timestamps.tolist(), zip(*means.tolist())))
 
 

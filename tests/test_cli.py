@@ -10,12 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flightcast
 from flightcast.cli import main
 from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
 from flightcast.llm import mock_complete
+from flightcast.predictors import LstmParams
 from flightcast.prompts import TEMPLATE_VERSION, serialize_values
 from flightcast.windowing import INPUT_LENGTH, read_windows_jsonl, window_from_obj, window_to_obj
 
@@ -222,6 +224,26 @@ class TestStages:
                    "--backend", "lstm", "--model-file", model) == 1
         assert "array 'w_out' holds a non-finite value" in caplog.text
         assert "input sequence" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda obj: [obj], "model file is not a JSON object (got list)"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "arrays"}, "model file lacks 'arrays'"),
+            (lambda obj: {**obj, "arrays": [1.0]}, "arrays is not a JSON object (got list)"),
+            (lambda obj: {**obj, "input_dim": 5.0}, "input_dim 5.0 is not an integer >= 1"),
+            (lambda obj: {**obj, "hidden_dim": "4"}, "hidden_dim '4' is not an integer >= 1"),
+            (lambda obj: {**obj, "hidden_dim": 0}, "hidden_dim 0 is not an integer >= 1"),
+        ],
+        ids=["array", "no-arrays", "arrays-array", "float-dim", "text-dim", "zero-dim"],
+    )
+    def test_malformed_model_file_names_the_problem(self, pipeline_dir, tmp_path, caplog, edit, message):
+        model = tmp_path / "model.json"
+        LstmParams.initialize(5, 4, np.random.default_rng(0)).save(model)
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", tmp_path / "p.jsonl",
+                   "--backend", "lstm", "--model-file", model) == 1
+        assert message in [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
 
     def test_eval_excludes_a_reply_number_too_long_for_a_double(self, pipeline_dir, tmp_path):
         pred = tmp_path / "pred.jsonl"

@@ -273,6 +273,33 @@ class TestRoundValuesMatchesRoundValue:
         got = round_values(np.array(values, dtype=np.float64), decimals)
         assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
 
+    @given(
+        st.integers(0, 15).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.tuples(
+                        st.one_of(
+                            st.integers(0, 2**48 - 1),
+                            st.integers(2**48, 2**52 - 1),
+                            st.sampled_from((0, 1, 2**48 - 2, 2**48 - 1, 2**48, 2**48 + 1)),
+                        ),
+                        st.sampled_from((1.0, -1.0)),
+                    ),
+                    min_size=1,
+                    max_size=16,
+                ),
+            )
+        )
+    )
+    def test_exact_ties_on_both_sides_of_two_to_the_48(self, case):
+        """An exact tie (2m+1)/(2·10^d) rounds as round_value does, whether numpy or Decimal settles it."""
+        decimals, draws = case
+        values = [sign * (2 * m + 1) / (2 * 10.0**decimals) for m, sign in draws]
+        got = round_values(np.array(values), decimals)
+        assert [bits(v) for v in got.tolist()] == [bits(round_value(v, decimals)) for v in values]
+        assert [bits(v) for v in got.tolist()] == [bits(decimal_round_value(v, decimals)) for v in values]
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinity_raises(self, value):
         with pytest.raises(InvalidOperation):

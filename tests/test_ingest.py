@@ -17,6 +17,7 @@ from flightcast.ingest import (
     MalformedRowError,
     RawRecord,
     aggregate_minutes,
+    aggregate_trajectories,
     clean_trajectories,
     parse_header,
     read_adsb_csv,
@@ -796,3 +797,71 @@ class TestAggregationProperty:
         traj = Trajectory("X", tuple(waypoints))
         assert repr(minute_means(traj)) == repr(reference_minute_means(traj))
         assert repr(aggregate_minutes(traj)) == repr(reference_aggregate_minutes(traj))
+
+
+class TestBatchAggregation:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # set again per draw
+    @given(chunk_rows=st.sampled_from((1, 7, 40)), waypoint_lists=st.lists(st.lists(WAYPOINTS, max_size=12)))
+    def test_equals_per_trajectory_aggregation(self, monkeypatch, chunk_rows, waypoint_lists):
+        """Unsorted timestamps, one-fix minutes, empty trajectories and batches that straddle _CHUNK_ROWS."""
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        trajectories = [Trajectory(f"T{i}", tuple(waypoints)) for i, waypoints in enumerate(waypoint_lists)]
+        batched = repr(aggregate_trajectories(trajectories))
+        assert batched == repr([aggregate_minutes(t) for t in trajectories])
+        assert batched == repr([reference_aggregate_minutes(t) for t in trajectories])
+
+
+#: Cells a numeric column must read one by one: empty, padded, exponent, NaN,
+#: non-ASCII digits, underscores, two signs, two points, more digits than int converts.
+ODD_CELLS = ("", " 12.5 ", "1e5", "NaN", "\u0661\u0662", "1_0", "+-1", "1.2.3", "9" * 4301)
+
+
+def numeric_cells(plain):
+    return st.one_of(*[st.sampled_from(plain)] * 4, st.sampled_from(ODD_CELLS))
+
+
+NUMERIC_ROWS = st.tuples(
+    numeric_cells(("60", "-120", "1727926166", "+7")),
+    *[numeric_cells(("1.5", "-20.25", "100", ".5", "7.", "+0"))] * 5,
+).map(lambda c: [c[0], "1970-01-01 00:01:00", "A1", *c[1:]])
+
+
+class TestBadCellsAlone:
+    """Each odd cell reads as the per-cell reference (strip, grammar, convert) reads it, and only it."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # set again per draw, cleared per draw
+    @given(chunk_rows=st.sampled_from((3, ingest._CHUNK_ROWS)), rows=st.lists(NUMERIC_ROWS, max_size=20))
+    def test_matches_the_per_cell_reference(self, strict, monkeypatch, caplog, chunk_rows, rows):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        text = CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)
+        shipped = read_outcome(lambda t, s: read_adsb_csv(io.StringIO(t), strict=s), text, strict, caplog)
+        oracle = read_outcome(reference_read_adsb_csv, text, strict, caplog)
+        assert shipped == oracle
+        if not strict:
+            table = read_adsb_csv(io.StringIO(text))
+            assert np.array_equal(table.missing, records_table(reference_read_adsb_csv(text)).missing)
+
+
+class TestUtcWarningsForSharedSeconds:
+    @pytest.mark.parametrize("chunk_rows", [64, ingest._CHUNK_ROWS])
+    def test_same_warnings_for_the_same_rows_in_the_same_order(self, chunk_rows, monkeypatch, caplog):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
+        rng = random.Random(5)
+        rows = []
+        for i in range(400):  # 400 reports in five distinct seconds
+            timestamp = 1727926166 + 60 * rng.randrange(5)
+            utc_time = rng.choice([
+                padded_utc_text(timestamp), padded_utc_text(timestamp + 1), datetime_utc_text(timestamp - 3600),
+                "yesterday", padded_utc_text(timestamp), padded_utc_text(timestamp),
+            ])
+            rows.append(f"{timestamp},{utc_time},A{i % 7},1.0,2.0,3.0,4.0,5.0")
+        text = csv_source(*rows).getvalue()
+        read_adsb_csv(io.StringIO(text))
+        shipped = ingest_log(caplog)
+        caplog.clear()
+        reference_read_adsb_csv(text)
+        assert shipped == ingest_log(caplog)
+        assert sum(level == "WARNING" for level, _ in shipped) > 100

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestSpecValidation:
     )
     def test_invalid_specs_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
+            validate_spec(FlightSpec(seed=0, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({name: math.nan}, name) for name in (
+            "origin_longitude", "origin_latitude", "initial_heading", "cruise_altitude_m", "cruise_speed_kmh",
+            "climb_rate_m_per_min", "descent_rate_m_per_min", "cruise_duration_min",
+        )]
+        + [({"turns": (TurnEvent(**{"minute": 5.0, "delta_deg": 30.0, "duration_min": 2.0, name: math.nan}),)},
+            f"turns: {name}") for name in ("minute", "delta_deg", "duration_min")]
+        + [({"drop": DropEvent(**{"minute": 20.0, "drop_m": 100.0, name: math.nan})}, f"drop.{name}")
+           for name in ("minute", "drop_m")],
+    )
+    def test_a_nan_float_field_is_refused_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} nan is not a finite number$"):
             validate_spec(FlightSpec(seed=0, **kwargs))
 
 
