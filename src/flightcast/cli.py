@@ -268,10 +268,10 @@ def _cmd_train_lstm(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     scorable, skipped = [], []
-    for number, line in windowing.numbered_lines(cfg["pred"]):
+    for number, _, row, window in windowing.window_rows(cfg["pred"]):
         try:
-            row = json.loads(line)
-            window = windowing.window_from_obj(row)
+            if isinstance(window, ValueError):
+                raise window
             # A completion that is not a string passes: it scores as an unexpected format.
             check_object("prediction row", row, "completion", "latency_s")
             check_number("latency_s", row["latency_s"])
@@ -286,10 +286,8 @@ def _cmd_eval(cfg: dict) -> int:
     if cfg["few_shot"] is not None:
         scorable = evaluation.few_shot_split(scorable, cfg["few_shot"], cfg["seed"])
 
-    samples = [
-        (window, prompts.parse_completion(row["completion"], window.horizon, window), row["latency_s"])
-        for window, row in scorable
-    ]
+    outcomes = prompts.parse_completions([row["completion"] for _, row in scorable], [w for w, _ in scorable])
+    samples = [(window, outcome, row["latency_s"]) for (window, row), outcome in zip(scorable, outcomes)]
     model_id = cfg["model"] or next((row["model"] for _, row in scorable if "model" in row), "")
     template = next((row["template_version"] for _, row in scorable if "template_version" in row), "")
     report = evaluation.evaluate(samples, model=model_id, template_version=template)

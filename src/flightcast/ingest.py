@@ -152,41 +152,41 @@ def parse_header(cells: list[str]) -> Header:
 
 def _parse_numeric(raw, cell_re, charset: str, convert, fill) -> tuple[list, dict[int, str]]:
     """A numeric column: its values, and the stripped text of each cell that
-    did not parse (reading ``fill``), by row.
+    did not parse (reading ``fill``), keyed by row.
 
     Made of ASCII digits, signs and points only, a cell matches its grammar
     exactly when ``convert`` accepts it, and ``strip`` leaves it as it is.
-    So one ``convert`` pass reads the column. Only an empty cell, a cell
-    with another character (each takes a stand-in in that pass) and a cell
-    ``convert`` refuses are stripped and matched on their own.
+    So one ``convert`` pass reads the column. An empty cell and a cell with
+    another character take ``str(fill)``, which ``convert`` reads as ``fill``,
+    in that pass. Only a cell with another character and a cell ``convert``
+    refuses are then stripped and matched on their own.
     """
     joined = "".join(raw)
     if joined.isascii() and not joined.encode().translate(None, charset.encode()):
-        try:
-            return list(map(convert, raw)), {}
-        except ValueError:
-            pass
-    # strip(charset) leaves text only in a cell with another character.
-    other = set(compress(count(), map(str.strip, raw, repeat(charset))))
-    other.update(compress(count(), map(operator.not_, raw)))
-    cells = list(raw)
-    for i in other:
-        cells[i] = "0"  # a stand-in convert accepts; the cell itself is matched below
+        other = []
+    else:  # strip(charset) leaves text only in a cell with another character
+        other = list(compress(count(), map(str.strip, raw, repeat(charset))))
+    empty = list(compress(count(), map(operator.not_, raw))) if "" in raw else []
+    cells = raw
+    if other or empty:
+        cells, stand_in = list(raw), str(fill)
+        for i in chain(other, empty):
+            cells[i] = stand_in
     values, rest = [], iter(cells)
     while True:  # list.extend keeps what it appended before a refusal; the map goes on after that cell
         try:
             values.extend(map(convert, rest))
             break
         except ValueError:
-            other.add(len(values))
+            other.append(len(values))
             values.append(fill)
-    unparsed = {}
-    for i in sorted(other):
-        cell = raw[i].strip()
-        if not cell_re.match(cell):
-            values[i] = fill
-            unparsed[i] = cell
-            continue
+    # Each of these reads fill already; a stripped cell that matches the grammar is converted alone.
+    texts = list(map(str.strip, map(raw.__getitem__, other)))
+    matched = list(map(cell_re.match, texts))
+    unmatched = list(map(operator.not_, matched))
+    unparsed = dict.fromkeys(empty, "")
+    unparsed.update(zip(compress(other, unmatched), compress(texts, unmatched)))
+    for i, cell in zip(compress(other, matched), compress(texts, matched)):
         try:
             values[i] = convert(cell)
         except ValueError:  # int refuses more digits than sys.get_int_max_str_digits(): saturate, out of any range
@@ -216,7 +216,7 @@ def _parse_rows(columns: list, row_numbers, header: Header, strict: bool) -> Rec
     error_row, error_cell = count, None
     for (name, *_), (_, unparsed) in zip(_NUMERIC_CELLS, numeric):
         missing[REQUIRED_COLUMNS.index(name), list(unparsed)] = True
-        row = next((i for i, cell in unparsed.items() if cell), count) if strict else count
+        row = min((i for i, cell in unparsed.items() if cell), default=count) if strict else count
         if row < error_row:
             error_row, error_cell = row, f"{name} cell {unparsed[row]!r}"
     # Equal stripped cells share one str (an empty one reads None); the memo lives as long as the chunk.

@@ -16,8 +16,9 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +51,8 @@ _SYSTEM_TEMPLATE = (
 
 _HORIZON_RE = re.compile(r"[Pp]redict the next (\d+) waypoint")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
+#: Items joined and each followed by a comma, all of them numbers of DECIMAL_RE's grammar (no item holds a comma).
+_ITEMS_RE = re.compile("(?:" + DECIMAL_RE.pattern.removeprefix("^").removesuffix("$") + ",)*")
 
 
 @dataclass(frozen=True)
@@ -129,21 +132,22 @@ def extract_tuples(text: str) -> list[list[str]]:
     candidates = []
     for match in _TUPLE_RE.finditer(text):
         items = [item.strip().strip("`*_").strip() for item in match.group(1).split(",")]
-        if any(DECIMAL_RE.match(item) for item in items):
+        if any(map(DECIMAL_RE.match, items)):
             candidates.append(items)
     return candidates
 
 
-def classify_severe(values: np.ndarray, context: Window) -> np.ndarray:
+def classify_severe(values: np.ndarray, last: np.ndarray) -> np.ndarray:
     """One flag per column of a (5, n) block: True where that step is too implausible to score.
 
-    Flags any non-finite attribute (a number too long for a double reads
-    as infinity), coordinates ``validate_columns`` rejects, positions farther than
-    ``PLAUSIBILITY_RADIUS_DEG`` from the last observed waypoint, and the
-    characteristic sign-flip failure (longitude or latitude coming back
-    with the opposite sign when the aircraft is clearly away from zero).
+    ``last`` holds the last observed longitude and latitude, as a (2, 1) column
+    for the whole block or as (2, n), one column per step. Flags any non-finite
+    attribute (a number too long for a double reads as infinity), coordinates
+    ``validate_columns`` rejects, positions farther than ``PLAUSIBILITY_RADIUS_DEG``
+    from the last observed waypoint, and the characteristic sign-flip failure
+    (longitude or latitude coming back with the opposite sign when the aircraft
+    is clearly away from zero).
     """
-    last = context.values[:2, INPUT_LENGTH - 1 : INPUT_LENGTH]
     position = values[:2]
     reason = validate_columns(np.zeros(values.shape[1], dtype=np.int64), values)
     out_of_box = (reason == 2) | (reason == 3)  # longitude or latitude out of range
@@ -153,15 +157,9 @@ def classify_severe(values: np.ndarray, context: Window) -> np.ndarray:
     return out_of_box | (far | flipped).any(axis=0) | ~np.isfinite(values).all(axis=0)
 
 
-def parse_completion(text: str, horizon: int, context: Window) -> ParseOutcome:
-    """Parse arbitrary model output into a (5, horizon) block or a failure class.
-
-    Never raises. Classification: no numeric tuples at all is a missing
-    trajectory; a completion that is not text, too few tuples, wrong
-    arity, or non-numeric fields is an unexpected format; an implausible
-    parsed step is a severe deviation. Tuples beyond the requested
-    horizon are ignored.
-    """
+def _scan(text, horizon: int) -> tuple[list[str], str] | ParseOutcome:
+    """The items of a reply's first ``horizon`` tuples, in order, and its diagnostic,
+    if it passes every rule but the severe one; else its failure."""
     if not isinstance(text, str):
         return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
                             diagnostic=f"completion is {type(text).__name__}, not text")
@@ -171,30 +169,61 @@ def parse_completion(text: str, horizon: int, context: Window) -> ParseOutcome:
     if len(candidates) < horizon:
         return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
                             diagnostic=f"found {len(candidates)} tuple(s), expected {horizon}")
+    head = candidates[:horizon]
+    items = list(chain.from_iterable(head))
+    if set(map(len, head)) != {5} or not _ITEMS_RE.fullmatch(",".join(items) + ","):
+        for step, row in enumerate(head, start=1):
+            if len(row) != 5:
+                return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                                    diagnostic=f"tuple {step} has {len(row)} fields, expected 5")
+            bad = [item for item in row if not DECIMAL_RE.match(item)]
+            if bad:
+                return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
+                                    diagnostic=f"tuple {step} has non-numeric field {bad[0]!r}")
+    extra = len(candidates) - horizon
+    return items, f"ignored {extra} extra tuple(s)" if extra else ""
 
-    rows = []
-    for step, items in enumerate(candidates[:horizon], start=1):
-        if len(items) != 5:
-            return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
-                                diagnostic=f"tuple {step} has {len(items)} fields, expected 5")
-        bad = [item for item in items if not DECIMAL_RE.match(item)]
-        if bad:
-            return ParseOutcome(failure=FailureKind.UNEXPECTED_FORMAT,
-                                diagnostic=f"tuple {step} has non-numeric field {bad[0]!r}")
-        rows.append([float(item) for item in items])
 
-    values = np.array(rows, dtype=np.float64).reshape(-1, 5).T
-    severe = classify_severe(values, context)
-    if severe.any():
-        return ParseOutcome(
-            failure=FailureKind.SEVERE_DEVIATION,
-            diagnostic=f"waypoint {int(severe.argmax()) + 1} deviates implausibly from the last observed position",
-        )
+def parse_completions(texts: Sequence, windows: Sequence[Window],
+                      horizons: Sequence[int] | None = None) -> list[ParseOutcome]:
+    """Parse each model output into a (5, horizon) block or a failure class, against its window.
 
-    diagnostic = ""
-    if len(candidates) > horizon:
-        diagnostic = f"ignored {len(candidates) - horizon} extra tuple(s)"
-    return ParseOutcome(values=values, diagnostic=diagnostic)
+    Never raises. Reply i is asked for ``horizons[i]`` tuples, its window's horizon
+    by default. Classification: no numeric tuples at all is a missing trajectory; a
+    completion that is not text, too few tuples, wrong arity, or non-numeric fields
+    is an unexpected format; a parsed step that ``classify_severe`` flags against
+    its window's last observed position is a severe deviation. Tuples beyond the
+    requested horizon are ignored. Each text is scanned alone; the cells of every
+    reply that passes the text rules are converted in one pass and classified in
+    one ``classify_severe`` call, each step against its own window's last position.
+    """
+    if horizons is None:
+        horizons = [window.horizon for window in windows]
+    scanned = [_scan(text, horizon) for text, horizon in zip(texts, horizons)]
+    blocks = [k for k, scan in enumerate(scanned) if type(scan) is tuple]
+    if not blocks:
+        return scanned
+    steps = [horizons[k] for k in blocks]
+    cells = list(chain.from_iterable(scanned[k][0] for k in blocks))
+    values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 5).T
+    last = np.array([windows[k].values[:2, INPUT_LENGTH - 1] for k in blocks]).T
+    severe = classify_severe(values, np.repeat(last, steps, axis=1))
+    for k, end, horizon in zip(blocks, accumulate(steps), steps):
+        flags = severe[end - horizon : end]
+        if flags.any():
+            scanned[k] = ParseOutcome(
+                failure=FailureKind.SEVERE_DEVIATION,
+                diagnostic=f"waypoint {int(flags.argmax()) + 1} deviates implausibly from the last observed position",
+            )
+        else:
+            scanned[k] = ParseOutcome(values=values[:, end - horizon : end], diagnostic=scanned[k][1])
+    return scanned
+
+
+def parse_completion(text: str, horizon: int, context: Window) -> ParseOutcome:
+    """Parse one model output into a (5, horizon) block or a failure class, as
+    :func:`parse_completions` parses a batch; it is that batch's one-reply case."""
+    return parse_completions([text], [context], [horizon])[0]
 
 
 # --- Dataset emission --------------------------------------------------------

@@ -97,16 +97,8 @@ def window_to_obj(window: Window) -> dict:
     }
 
 
-def window_from_obj(obj: dict) -> Window:
-    """Read :func:`window_to_obj`'s form back.
-
-    Raises ValueError naming the defect unless the row is an object with a
-    string callsign, 16 input rows, some target rows (as many as its ``horizon``
-    says, if it has that key), every row an array of a timestamp and five
-    attributes, finite number cells (not ``true`` or ``false``, nor an integer
-    past 64 bits), and int64 timestamps exactly ``STEP_SECONDS`` apart, as
-    :func:`sample_windows` cuts them.
-    """
+def _waypoint_rows(obj) -> list:
+    """A row's input rows and then its target rows, if the row has a window's shape; else ValueError."""
     check_object("window row", obj, "callsign", "input", "target")
     callsign = obj["callsign"]
     if not isinstance(callsign, str):
@@ -124,28 +116,92 @@ def window_from_obj(obj: dict) -> Window:
     horizon = obj.get("horizon", len(targets))
     if type(horizon) is not int or horizon != len(targets):  # a bool is an int too
         raise ValueError(f"window horizon {horizon!r} does not match its {len(targets)} target rows")
-    cells = [row[1:] for row in rows]
+    return rows
+
+
+def _decode(objs: list) -> tuple[list[Window], ValueError | None]:
+    """The windows of the rows of ``objs`` up to the first that breaks a rule of
+    :func:`window_from_obj`, and the error naming that row's defect (None if none does).
+
+    Each rule after the row's shape runs once, over one stack of the rows still in
+    question, in the order :func:`window_from_obj` states them. The first row a rule
+    refuses ends the rows in question, so the row refused last is the first bad row, and
+    it broke no rule before the one that names it. Each window's columns are views of the stack.
+    """
+    rows, error = [], None
+    for obj in objs:
+        try:
+            rows.append(_waypoint_rows(obj))
+        except ValueError as exc:
+            error = exc
+            break
+    ends = np.cumsum([len(r) for r in rows], dtype=np.int64)
+    width = len(ATTRIBUTES)
+    cells = list(chain.from_iterable(chain.from_iterable(rows)))
+    stamps = cells[:: 1 + width]
+    del cells[:: 1 + width]
+
+    def refuse(waypoint: int, message: str) -> int:
+        """Keep the rows before the one holding ``waypoint``; return how many waypoints they hold."""
+        nonlocal rows, ends, error
+        rows = rows[: int(np.searchsorted(ends, waypoint, side="right"))]
+        ends = ends[: len(rows)]
+        error = ValueError(message)
+        return int(ends[-1]) if rows else 0
+
+    types = set(map(type, cells))
     # float64 would read null as NaN and true as 1.0; only an int or a float is a number here.
-    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
-        cell = next(c for c in chain.from_iterable(cells) if type(c) not in (int, float))
-        raise ValueError(f"window holds a non-numeric cell ({cell!r})")
-    values = np.array(cells)
-    if values.dtype.kind not in "iuf":  # object: some int fits no 64-bit integer
-        cell = next(c for c in chain.from_iterable(cells) if type(c) is int and not -(2**63) <= c < 2**63)
-        raise ValueError(f"window holds integer cell {cell} outside the int64 range")
-    if not np.isfinite(values).all():  # JSON NaN or Infinity
-        raise ValueError("window holds a non-finite cell")
-    timestamps = [row[0] for row in rows]
-    for t in timestamps:
-        if type(t) is not int:  # a bool is an int too, and int64 would truncate a float
-            raise ValueError(f"window timestamp {t!r} is not an integer")
-    for a, b in zip(timestamps, timestamps[1:]):
-        if b - a != STEP_SECONDS:
-            raise ValueError(f"window timestamps {a} and {b} are not {STEP_SECONDS} s apart")
-    for t in (timestamps[0], timestamps[-1]):  # the rest lie between them
-        if not -(2**63) <= t < 2**63:
-            raise ValueError(f"window timestamp {t} outside the int64 range")
-    return Window.from_columns(callsign, timestamps, values.T)
+    if not types <= {int, float}:
+        k = next(k for k, c in enumerate(cells) if type(c) not in (int, float))
+        del cells[refuse(k // width, f"window holds a non-numeric cell ({cells[k]!r})") * width :]
+    if int in types:  # an int fits a 64-bit integer, signed or not, as numpy reads it
+        k = next((k for k, c in enumerate(cells) if type(c) is int and not -(2**63) <= c < 2**64), None)
+        if k is not None:
+            del cells[refuse(k // width, f"window holds integer cell {cells[k]} outside the int64 range") * width :]
+    values = np.array(cells, dtype=np.float64).reshape(-1, width)
+    finite = np.isfinite(values).all(axis=1)  # JSON NaN or Infinity
+    if not finite.all():
+        values = values[: refuse(int(finite.argmin()), "window holds a non-finite cell")]
+    del stamps[len(values) :]
+    if not set(map(type, stamps)) <= {int}:  # a bool is an int too, and int64 would truncate a float
+        k = next(k for k, t in enumerate(stamps) if type(t) is not int)
+        del stamps[refuse(k, f"window timestamp {stamps[k]!r} is not an integer") :]
+    try:
+        timestamps = np.array(stamps, dtype=np.int64)
+    except OverflowError:  # past int64: compared as Python ints, and refused below
+        timestamps = np.array(stamps, dtype=object)
+    # An int64 difference can wrap round to STEP_SECONDS; a real step also rises.
+    gaps = (np.diff(timestamps) != STEP_SECONDS) | (timestamps[1:] < timestamps[:-1])
+    gaps[ends[:-1] - 1] = False  # from one window to the next
+    if gaps.any():
+        k = int(gaps.argmax())
+        refuse(k, f"window timestamps {stamps[k]} and {stamps[k + 1]} are not {STEP_SECONDS} s apart")
+    if timestamps.dtype == object:
+        for k in np.stack([ends - [len(r) for r in rows], ends - 1], axis=1).ravel():
+            if not -(2**63) <= stamps[k] < 2**63:  # the first and last of each window; the rest lie between
+                refuse(k, f"window timestamp {stamps[k]} outside the int64 range")
+                break
+    windows = [
+        Window.from_columns(obj["callsign"], timestamps[end - len(r) : end], values[end - len(r) : end].T)
+        for obj, r, end in zip(objs, rows, ends.tolist())
+    ]
+    return windows, error
+
+
+def window_from_obj(obj: dict) -> Window:
+    """Read :func:`window_to_obj`'s form back.
+
+    Raises ValueError naming the defect unless the row is an object with a
+    string callsign, 16 input rows, some target rows (as many as its ``horizon``
+    says, if it has that key), every row an array of a timestamp and five
+    attributes, finite number cells (not ``true`` or ``false``, nor an integer
+    past 64 bits), and int64 timestamps exactly ``STEP_SECONDS`` apart, as
+    :func:`sample_windows` cuts them. It is the one-row case of the readers' decoder.
+    """
+    windows, error = _decode([obj])
+    if error is not None:
+        raise error
+    return windows[0]
 
 
 #: ``json.dumps(window_to_obj(window))`` of the window :func:`window_from_obj` reads from a
@@ -179,26 +235,55 @@ def write_jsonl(objs: Iterable, target: str | Path | TextIO) -> None:
         target.write("\n")
 
 
-def numbered_lines(source: str | Path | TextIO) -> Iterator[tuple[int, str]]:
-    """Yield each non-blank line with its row number, counting non-blank lines from 1."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from numbered_lines(fh)
-        return
-    yield from enumerate(filter(str.strip, source), start=1)
-
-
 def write_windows_jsonl(windows: Iterable[Window], target: str | Path | TextIO) -> None:
     write_jsonl(map(window_to_obj, windows), target)
 
 
+#: Rows decoded as one stack. It bounds the decoded JSON rows a reader holds at once.
+_GROUP_ROWS = 64
+
+
+def _decoded(group: list) -> Iterator[tuple[int, str, object, Window | ValueError]]:
+    """Each ``(number, line, obj)`` of ``group`` with its window or the error that refuses it."""
+    while group:
+        windows, error = _decode([obj for _, _, obj in group])
+        yield from ((*row, window) for row, window in zip(group, windows))
+        if error is None:
+            return
+        yield (*group[len(windows)], error)
+        group = group[len(windows) + 1 :]
+
+
+def window_rows(source: str | Path | TextIO) -> Iterator[tuple[int, str, object, Window | ValueError]]:
+    """Each non-blank line of a windows or predictions file: its row number (counting non-blank lines
+    from 1), its text, the JSON value it holds (None if it is not JSON), and the window
+    :func:`window_from_obj` reads from it, or in its place the ValueError naming why
+    it reads none. Rows are decoded ``_GROUP_ROWS`` at a time, as one stack.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield from window_rows(fh)
+        return
+    group = []
+    for number, line in enumerate(filter(str.strip, source), start=1):
+        try:
+            group.append((number, line, json.loads(line)))
+        except ValueError as exc:  # the rows before it come first
+            yield from _decoded(group)
+            group = []
+            yield number, line, None, exc
+        if len(group) == _GROUP_ROWS:
+            yield from _decoded(group)
+            group = []
+    yield from _decoded(group)
+
+
 def _window_lines(source: str | Path | TextIO) -> Iterator[tuple[str, Window]]:
     """Each windows line beside its window; a bad row raises ValueError starting ``row N: ``."""
-    for number, line in numbered_lines(source):
-        try:
-            yield line, window_from_obj(json.loads(line))
-        except ValueError as exc:
-            raise ValueError(f"row {number}: {exc}") from exc
+    for number, line, _, window in window_rows(source):
+        if isinstance(window, ValueError):
+            raise ValueError(f"row {number}: {window}") from window
+        yield line, window
 
 
 def read_window_rows(source: str | Path | TextIO) -> list[tuple[str, Window]]:

@@ -9,11 +9,13 @@ import re
 import sys
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from flightcast.domain import (
     ATTRIBUTES,
@@ -24,6 +26,7 @@ from flightcast.domain import (
     TIMESTAMP_RANGE,
     Trajectory,
     Waypoint,
+    check_object,
     round_attributes,
 )
 from flightcast.ingest import (
@@ -52,7 +55,7 @@ from flightcast.synth import (
     _phase_minutes,
     validate_spec,
 )
-from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window
+from flightcast.windowing import INPUT_LENGTH, STEP_SECONDS, Window, window_to_obj
 
 # Properties draw the same examples on every run and never time out, so a
 # slow or loaded machine cannot make them flaky.
@@ -510,6 +513,128 @@ def reference_sample_windows(traj: Trajectory, horizon: int, stride: int) -> lis
         else:
             k = break_at + 1
     return windows
+
+
+def reference_window_from_obj(obj) -> Window:
+    """One row's window, its rules checked on that row alone, in the order and with the messages
+    ``window_from_obj`` states; the readers' stacked decoder must give the same window and error."""
+    check_object("window row", obj, "callsign", "input", "target")
+    callsign = obj["callsign"]
+    if not isinstance(callsign, str):
+        raise ValueError(f"window callsign {callsign!r} is not a string")
+    inputs, targets = obj["input"], obj["target"]
+    if not isinstance(inputs, list) or not isinstance(targets, list):
+        raise ValueError("window input and target must be arrays of waypoint rows")
+    if len(inputs) != INPUT_LENGTH:
+        raise ValueError(f"window input holds {len(inputs)} rows, expected {INPUT_LENGTH}")
+    if not targets:
+        raise ValueError("window target is empty")
+    rows = inputs + targets
+    if not all(isinstance(row, list) and len(row) == 1 + len(ATTRIBUTES) for row in rows):
+        raise ValueError(f"window holds a waypoint row that is not an array of {1 + len(ATTRIBUTES)} cells")
+    horizon = obj.get("horizon", len(targets))
+    if type(horizon) is not int or horizon != len(targets):
+        raise ValueError(f"window horizon {horizon!r} does not match its {len(targets)} target rows")
+    cells = [row[1:] for row in rows]
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        cell = next(c for c in chain.from_iterable(cells) if type(c) not in (int, float))
+        raise ValueError(f"window holds a non-numeric cell ({cell!r})")
+    values = np.array(cells)
+    if values.dtype.kind not in "iuf":  # object: some int fits no 64-bit integer
+        cell = next(c for c in chain.from_iterable(cells) if type(c) is int and not -(2**63) <= c < 2**63)
+        raise ValueError(f"window holds integer cell {cell} outside the int64 range")
+    if not np.isfinite(values).all():
+        raise ValueError("window holds a non-finite cell")
+    timestamps = [row[0] for row in rows]
+    for t in timestamps:
+        if type(t) is not int:
+            raise ValueError(f"window timestamp {t!r} is not an integer")
+    for a, b in zip(timestamps, timestamps[1:]):
+        if b - a != STEP_SECONDS:
+            raise ValueError(f"window timestamps {a} and {b} are not {STEP_SECONDS} s apart")
+    for t in (timestamps[0], timestamps[-1]):
+        if not -(2**63) <= t < 2**63:
+            raise ValueError(f"window timestamp {t} outside the int64 range")
+    return Window.from_columns(callsign, timestamps, values.T)
+
+
+def reference_window_rows(text: str) -> list:
+    """``(row number, window or the message refusing it)`` of each non-blank line, read one row at a time."""
+    out = []
+    for number, line in enumerate(filter(str.strip, io.StringIO(text)), start=1):
+        try:
+            out.append((number, reference_window_from_obj(json.loads(line))))
+        except ValueError as exc:
+            out.append((number, str(exc)))
+    return out
+
+
+#: Integers at the 64-bit bounds: numpy reads a cell in [-2**63, 2**64) and refuses the rest.
+BOUND_INTEGERS = (-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64 - 1, 2**64)
+
+
+def with_defect(data, obj: dict, defect: str) -> str:
+    """The text of a windows row, ``obj`` with one defect ``window_from_obj`` names."""
+    rows = obj["input"] + obj["target"]
+    row = data.draw(st.integers(0, len(rows) - 1))
+    cell = data.draw(st.integers(1, 5))
+    if defect == "missing key":
+        del obj[data.draw(st.sampled_from(("callsign", "input", "target")))]
+    elif defect in ("bool cell", "null cell", "NaN cell", "integer cell"):
+        bad = {"bool cell": st.booleans(), "null cell": st.none(), "NaN cell": st.just(math.nan),
+               "integer cell": st.sampled_from(BOUND_INTEGERS)}[defect]
+        rows[row][cell] = data.draw(bad)
+    elif defect == "integer cells":  # every cell an int, as a writer that drops ".0" leaves them
+        for r in rows:
+            r[1:] = map(round, r[1:])
+    elif defect == "timestamps past int64":
+        for k, r in enumerate(rows):
+            r[0] = data.draw(st.sampled_from((2**63, 2**70))) + 60 * k if k == 0 else rows[0][0] + 60 * k
+    elif defect == "int64 wrap":  # 60 s apart once the difference wraps round 64 bits
+        top = data.draw(st.integers(0, len(rows) - 2))
+        for k, r in enumerate(rows):
+            r[0] = 2**63 - 1 - 60 * (top - k) if k <= top else -(2**63) + 59 + 60 * (k - top - 1)
+    elif defect == "61 s gap":
+        for r in rows[max(row, 1) :]:
+            r[0] += 1
+    elif defect == "wrong horizon":
+        obj["horizon"] = len(obj["target"]) + data.draw(st.sampled_from((-1, 1)))
+    elif defect == "horizon true":
+        obj["horizon"] = True
+    text = json.dumps(obj)
+    return text[: len(text) // 2] if defect == "not JSON" else text
+
+
+DEFECTS = ("missing key", "bool cell", "null cell", "NaN cell", "integer cell", "integer cells",
+           "timestamps past int64", "int64 wrap", "61 s gap", "wrong horizon", "horizon true", "not JSON")
+
+
+@st.composite
+def window_files(draw, horizons=(1, 4), max_rows=150):
+    """A windows file of up to ``max_rows`` rows, most of them over more rows than one decoded group,
+    mixing valid rows with up to six that each carry one defect, and blank lines (not rows) here and there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, max_rows))
+    defects = draw(st.dictionaries(st.integers(0, count - 1), st.sampled_from(DEFECTS), max_size=6))
+    data = draw(st.data())
+    lengths = INPUT_LENGTH + rng.choice(horizons, size=count)
+    values = rng.uniform(-180.0, 180.0, size=(5, lengths.sum()))
+    lines = []
+    for k, (end, length) in enumerate(zip(np.cumsum(lengths).tolist(), lengths.tolist())):
+        start = 60 * int(rng.integers(0, 10**8))
+        window = Window.from_columns(f"W{k}", start + 60 * np.arange(length), values[:, end - length : end])
+        obj = window_to_obj(window)
+        lines.append(with_defect(data, obj, defects[k]) if k in defects else json.dumps(obj))
+        if rng.integers(20) == 0:
+            lines.append("  ")
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_same_window(got: Window, want: Window) -> None:
+    """Equal bit for bit: the callsign, and the timestamps and values with their dtypes."""
+    assert type(got) is Window and got.callsign == want.callsign
+    assert got.timestamps.dtype == want.timestamps.dtype and got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.values.dtype == want.values.dtype and got.values.tobytes() == want.values.tobytes()
 
 
 class Text(str):

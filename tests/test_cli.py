@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import flightcast
 from flightcast.cli import main
@@ -21,7 +22,7 @@ from flightcast.predictors import LstmParams
 from flightcast.prompts import TEMPLATE_VERSION, serialize_values
 from flightcast.windowing import INPUT_LENGTH, read_windows_jsonl, window_from_obj, window_to_obj
 
-from conftest import json_text, not_json, read_jsonl
+from conftest import json_text, not_json, read_jsonl, reference_window_rows, window_files
 
 
 def run(*args) -> int:
@@ -309,6 +310,33 @@ class TestStages:
             caplog.clear()
             assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep") == 0
             assert f"skipped 1 malformed row(s) (first: row 2: {message})" in caplog.text
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(window_files(horizons=(4,), max_rows=140))
+    def test_eval_names_the_skipped_rows_as_the_per_row_loop_finds_them(self, tmp_path, caplog, text):
+        # Each row a prediction row; a row that is not JSON stays as it is.
+        lines = [line for line in text.splitlines() if line.strip()]
+        rows = []
+        for line in lines:
+            try:
+                row = json.loads(line)
+            except ValueError:
+                rows.append(line)
+            else:
+                rows.append(json.dumps({**row, "completion": "(1.0, 2.0, 3.0, 4.0, 5.0)", "latency_s": 0.5}))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        skipped = [f"row {number}: {message}" for number, message in reference_window_rows(pred.read_text())
+                   if isinstance(message, str)]
+        caplog.clear()
+        code = run("eval", "--pred", pred, "--out-prefix", tmp_path / "rep")
+        report = MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text()))
+        assert report.total_submitted == len(rows) - len(skipped)
+        assert code == (0 if report.evaluated else 1)
+        if skipped:
+            assert f"skipped {len(skipped)} malformed row(s) (first: {skipped[0]})" in caplog.text
+        else:
+            assert "malformed" not in caplog.text
 
     @pytest.mark.parametrize(
         "defect, message",

@@ -19,6 +19,7 @@ from flightcast.prompts import (
     estimate_tokens,
     horizon_from_system,
     parse_completion,
+    parse_completions,
     serialize_values,
     serialized_tokens,
 )
@@ -30,6 +31,11 @@ from conftest import cruise_window, make_waypoint, random_window, read_jsonl, re
 def column(**attributes) -> np.ndarray:
     """A (5, 1) block of one step with the given attributes, zero elsewhere."""
     return np.array(make_waypoint(**attributes).values())[:, None]
+
+
+def last_position(window: Window) -> np.ndarray:
+    """The window's last observed longitude and latitude, as the (2, 1) column ``classify_severe`` takes."""
+    return window.values[:2, INPUT_LENGTH - 1 : INPUT_LENGTH]
 
 
 class TestSerialize:
@@ -171,7 +177,7 @@ class TestParseCompletion:
         window = cruise_window(rng, 4)
         block = np.array(window.values[:, INPUT_LENGTH:])
         block[0, [1, 3]] *= -1.0  # steps 2 and 4 flip the longitude's sign
-        assert classify_severe(block, window).tolist() == [False, True, False, True]
+        assert classify_severe(block, last_position(window)).tolist() == [False, True, False, True]
         outcome = parse_completion(serialize_values(block), 4, window)
         assert outcome.failure is FailureKind.SEVERE_DEVIATION
         assert outcome.diagnostic.startswith("waypoint 2 deviates")
@@ -187,21 +193,22 @@ class TestClassifySevere:
     def test_sign_flip_is_severe(self, rng):
         window = self.window_at(103.2, 30.5, rng)
         predicted = column(longitude=-103.2, latitude=30.5, altitude=10000.0)
-        assert classify_severe(predicted, window).tolist() == [True]
+        assert classify_severe(predicted, last_position(window)).tolist() == [True]
 
     def test_last_input_itself_is_not_severe(self, rng):
         for _ in range(100):
             window = random_window(rng, 1)
-            assert classify_severe(window.values[:, INPUT_LENGTH - 1 : INPUT_LENGTH], window).tolist() == [False]
+            last_input = window.values[:, INPUT_LENGTH - 1 : INPUT_LENGTH]
+            assert classify_severe(last_input, last_position(window)).tolist() == [False]
 
     def test_small_step_is_not_severe(self, rng):
         window = self.window_at(103.2, 30.5, rng)
         predicted = column(longitude=104.0, latitude=30.5)
-        assert classify_severe(predicted, window).tolist() == [False]
+        assert classify_severe(predicted, last_position(window)).tolist() == [False]
 
     def test_outside_coordinate_box_is_severe(self, rng):
         window = self.window_at(179.0, 30.5, rng)
-        assert classify_severe(column(longitude=181.0, latitude=30.5), window).tolist() == [True]
+        assert classify_severe(column(longitude=181.0, latitude=30.5), last_position(window)).tolist() == [True]
 
     def test_parse_flags_severe_deviation(self, rng):
         window = self.window_at(103.2, 30.5, rng)
@@ -280,18 +287,57 @@ def replies(draw):
     return "\n".join("(" + ", ".join(row) + ")" for row in rows), horizon, context
 
 
+#: Completions that are not text, as a prediction row may hold them.
+NOT_TEXT = (None, 42, 4.5, True, ["(1.0, 2.0, 3.0, 4.0, 5.0)"], {"completion": "(1.0, 2.0, 3.0, 4.0, 5.0)"})
+
+
+@st.composite
+def reply_batches(draw):
+    """Replies as :func:`replies` draws them, of mixed horizons and contexts, some of them not text."""
+    batch = draw(st.lists(replies(), min_size=1, max_size=12))
+    return [(draw(st.sampled_from(NOT_TEXT)), horizon, context) if draw(st.integers(0, 9)) == 0
+            else (text, horizon, context) for text, horizon, context in batch]
+
+
+def assert_matches_reference(got: ParseOutcome, text, horizon: int, context: Window) -> None:
+    """The same class and diagnostic as the per-waypoint reference, and its values bit for bit."""
+    waypoints, failure, diagnostic = reference_parse_completion(text, horizon, context)
+    assert (got.ok, got.failure, got.diagnostic) == (waypoints is not None, failure, diagnostic)
+    if waypoints is not None:
+        want = np.array([w.values() for w in waypoints]).T
+        assert got.values.shape == want.shape == (5, horizon)
+        assert got.values.tobytes() == want.tobytes()
+
+
 class TestBlockParseMatchesReference:
     @settings(max_examples=400)
     @given(replies())
     def test_same_class_diagnostic_and_bits(self, reply):
-        text, horizon, context = reply
-        got = parse_completion(text, horizon, context)
-        waypoints, failure, diagnostic = reference_parse_completion(text, horizon, context)
-        assert (got.ok, got.failure, got.diagnostic) == (waypoints is not None, failure, diagnostic)
-        if waypoints is not None:
-            want = np.array([w.values() for w in waypoints]).T
-            assert got.values.shape == want.shape == (5, horizon)
-            assert got.values.tobytes() == want.tobytes()
+        assert_matches_reference(parse_completion(*reply), *reply)
+
+    @settings(max_examples=120)
+    @given(reply_batches())
+    def test_a_mixed_batch_parses_as_its_replies_do_one_by_one(self, batch):
+        texts, horizons, contexts = zip(*batch)
+        got = parse_completions(texts, contexts)
+        assert len(got) == len(batch)
+        for outcome, reply in zip(got, batch):
+            assert_matches_reference(outcome, *reply)
+
+    def test_a_batch_of_every_class_parses_as_its_replies_do_one_by_one(self, rng):
+        windows = [cruise_window(rng, 4) for _ in range(7)]
+        kept = serialize_values(windows[0].values[:, INPUT_LENGTH:])
+        flipped = np.array(windows[3].values[:, INPUT_LENGTH:])
+        flipped[0, 2] *= -1.0
+        texts = [kept, "The aircraft keeps its course.", "(1.0, 2.0)", serialize_values(flipped),
+                 serialize_values(windows[4].values[:, INPUT_LENGTH:]) + "\n(1.0, 2.0, 3.0, 4.0, 5.0)", None,
+                 serialize_values(windows[6].values[:, INPUT_LENGTH:]).replace("(", "(x, ", 1)]
+        got = parse_completions(texts, windows)
+        assert [o.failure for o in got] == [None, FailureKind.MISSING_TRAJECTORY, FailureKind.UNEXPECTED_FORMAT,
+                                            FailureKind.SEVERE_DEVIATION, None, FailureKind.UNEXPECTED_FORMAT,
+                                            FailureKind.UNEXPECTED_FORMAT]
+        for outcome, text, window in zip(got, texts, windows):
+            assert_matches_reference(outcome, text, 4, window)
 
     @pytest.mark.parametrize("last", [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

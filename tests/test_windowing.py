@@ -8,7 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flightcast.domain import CANONICAL_DECIMALS, TIMESTAMP_RANGE, Trajectory, Waypoint
@@ -18,15 +18,28 @@ from flightcast.windowing import (
     INPUT_LENGTH,
     Window,
     default_stride,
+    read_window_rows,
     read_windows_jsonl,
     row_with,
     sample_windows,
     window_from_obj,
+    window_rows,
     window_to_obj,
     write_windows_jsonl,
 )
 
-from conftest import Text, check_continuity, gap_seeded_trajectory, json_text, reference_sample_windows
+from conftest import (
+    Text,
+    assert_same_window,
+    check_continuity,
+    gap_seeded_trajectory,
+    json_text,
+    random_window,
+    reference_sample_windows,
+    reference_window_from_obj,
+    reference_window_rows,
+    window_files,
+)
 
 
 def minute_trajectory(minutes, callsign="T") -> Trajectory:
@@ -399,3 +412,49 @@ class TestCanonicalRow:
         write_windows_jsonl(sample_windows(traj, horizon), out)
         lines = out.getvalue().splitlines()
         assert lines and all(CANONICAL_ROW.fullmatch(line) for line in lines)
+
+
+# --- The stacked decoder against the per-row reference ----------------------------------
+
+class TestStackedDecodeMatchesPerRowReference:
+    @settings(max_examples=100)
+    @given(window_files())
+    def test_same_windows_and_errors_as_the_per_row_loop(self, text):
+        want = reference_window_rows(text)
+        # Row by row, as eval reads a file: each window, or the error that refuses it.
+        got = list(window_rows(io.StringIO(text)))
+        assert [number for number, *_ in got] == [number for number, _ in want]
+        for (_, _, _, window), (_, expected) in zip(got, want):
+            if isinstance(expected, str):
+                assert isinstance(window, ValueError) and str(window) == expected
+            else:
+                assert_same_window(window, expected)
+        # As the stages read a file: every window, or the first bad row's error.
+        first = next(((number, message) for number, message in want if isinstance(message, str)), None)
+        if first is not None:
+            with pytest.raises(ValueError) as caught:
+                read_window_rows(io.StringIO(text))
+            assert str(caught.value) == f"row {first[0]}: {first[1]}"
+        else:
+            rows = read_window_rows(io.StringIO(text))
+            assert [line for line, _ in rows] == list(filter(None, map(str.strip, text.splitlines())))
+            for (_, window), (_, expected) in zip(rows, want, strict=True):
+                assert_same_window(window, expected)
+
+    @given(window_files(max_rows=1))
+    def test_one_row_reads_as_the_reference_reads_it(self, text):
+        try:
+            want = reference_window_from_obj(json.loads(text))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                window_from_obj(json.loads(text))
+            assert str(caught.value) == str(exc)
+        else:
+            assert_same_window(window_from_obj(json.loads(text)), want)
+
+    def test_each_window_is_a_read_only_view_of_its_group_stack(self, rng):
+        text = "".join(json.dumps(window_to_obj(random_window(rng, 4))) + "\n" for _ in range(3))
+        windows = read_windows_jsonl(io.StringIO(text))
+        assert all(not w.values.flags.writeable and not w.timestamps.flags.writeable for w in windows)
+        assert windows[0].values.base is windows[2].values.base is not None
+        assert windows[0].timestamps.base is windows[2].timestamps.base is not None
