@@ -117,6 +117,8 @@ _COUNT_OF = {
 }
 #: The MetricsReport fields that count samples, in report order; nested under "counts" in its JSON form.
 _COUNTS = tuple(_COUNT_OF.values())
+#: The phase names eval writes, in table order.
+_PHASES = tuple(label.value for label in PhaseLabel)
 
 
 @dataclass
@@ -138,6 +140,9 @@ class MetricsReport:
     def __post_init__(self) -> None:
         check_one_line("model", self.model)
         check_one_line("template_version", self.template_version)
+        for name in self.phases:
+            if name not in _PHASES:
+                raise ValueError(f"phase {name!r} is not one of {', '.join(_PHASES)}")
         integers = {name: getattr(self, name) for name in ("horizon", *_COUNTS)}
         integers.update({f"phase {name} samples": p.samples for name, p in self.phases.items()})
         for name, value in integers.items():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from flightcast.cli import main
 from flightcast.domain import (
     ATTRIBUTES,
     DECIMAL_RE,
@@ -875,3 +876,25 @@ def gap_seeded_trajectory(rng: np.random.Generator, callsign="GAP") -> Trajector
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+# --- The CLI in process ----------------------------------------------------------
+
+
+def run(*args) -> int:
+    """One ``flightcast`` command run in process through ``cli.main``, each argument as its text."""
+    return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="session")
+def pipeline_dir(tmp_path_factory):
+    """6 synthetic flights at seed 7: ``raw.csv``, ``clean.csv`` and horizon-4 ``windows.jsonl``, built
+    once for the session. Tests read it and write under their own ``tmp_path``; a file written or changed
+    here fails the fixture's teardown at the end of the session."""
+    work = tmp_path_factory.mktemp("pipeline")
+    assert run("synth", "--flights", 6, "--seed", 7, "--out", work / "raw.csv") == 0
+    assert run("ingest", "--in", work / "raw.csv", "--out", work / "clean.csv") == 0
+    assert run("sample", "--in", work / "clean.csv", "--horizon", 4, "--out", work / "windows.jsonl") == 0
+    built = {path.name: path.read_bytes() for path in work.iterdir()}
+    yield work
+    assert {path.name: path.read_bytes() for path in work.iterdir()} == built, "a test wrote into pipeline_dir"

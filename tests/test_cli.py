@@ -15,30 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import flightcast
-from flightcast.cli import main
 from flightcast.evaluation import MetricsReport, ReportFormat, emit_report
 from flightcast.llm import mock_complete
 from flightcast.predictors import LstmParams
 from flightcast.prompts import TEMPLATE_VERSION, serialize_values
 from flightcast.windowing import INPUT_LENGTH, read_windows_jsonl, window_from_obj, window_to_obj
 
-from conftest import json_text, not_json, read_jsonl, reference_window_rows, window_files
-
-
-def run(*args) -> int:
-    return main([str(a) for a in args])
-
-
-@pytest.fixture
-def pipeline_dir(tmp_path):
-    """Raw corpus, aggregated CSV, and horizon-4 windows, built once."""
-    raw = tmp_path / "raw.csv"
-    clean = tmp_path / "clean.csv"
-    windows = tmp_path / "windows.jsonl"
-    assert run("synth", "--flights", 6, "--seed", 7, "--out", raw) == 0
-    assert run("ingest", "--in", raw, "--out", clean) == 0
-    assert run("sample", "--in", clean, "--horizon", 4, "--out", windows) == 0
-    return tmp_path
+from conftest import json_text, not_json, read_jsonl, reference_window_rows, run, window_files
 
 
 def as_array(row: dict) -> list:
@@ -92,31 +75,32 @@ class TestStages:
         assert all(w.horizon == 4 for w in windows)
         assert (pipeline_dir / "raw.csv.manifest.json").exists()
 
-    def test_ingest_reads_a_file_that_starts_with_a_byte_order_mark(self, pipeline_dir):
-        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM.
-        bom = pipeline_dir / "raw-bom.csv"
-        bom.write_bytes(codecs.BOM_UTF8 + (pipeline_dir / "raw.csv").read_bytes())
-        assert run("ingest", "--in", bom, "--out", pipeline_dir / "clean-bom.csv") == 0
-        assert (pipeline_dir / "clean-bom.csv").read_bytes() == (pipeline_dir / "clean.csv").read_bytes()
+    def test_ingest_reads_a_file_that_starts_with_a_byte_order_mark(self, pipeline_dir, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM and ends its lines with CRLF.
+        raw = (pipeline_dir / "raw.csv").read_bytes()
+        for text in (raw, raw.replace(b"\n", b"\r\n")):
+            (tmp_path / "raw-bom.csv").write_bytes(codecs.BOM_UTF8 + text)
+            assert run("ingest", "--in", tmp_path / "raw-bom.csv", "--out", tmp_path / "clean-bom.csv") == 0
+            assert (tmp_path / "clean-bom.csv").read_bytes() == (pipeline_dir / "clean.csv").read_bytes()
 
-    def test_prompt_dataset_modes(self, pipeline_dir):
-        data = pipeline_dir / "tuning.jsonl"
+    def test_prompt_dataset_modes(self, pipeline_dir, tmp_path):
+        data = tmp_path / "tuning.jsonl"
         assert run("prompt", "--in", pipeline_dir / "windows.jsonl", "--out", data,
                    "--with-assistant") == 0
         first = json.loads(data.read_text().splitlines()[0])
         assert first["assistant"]
 
-        inference = pipeline_dir / "inference.jsonl"
+        inference = tmp_path / "inference.jsonl"
         assert run("prompt", "--in", pipeline_dir / "windows.jsonl", "--out", inference,
                    "--inference") == 0
         first = json.loads(inference.read_text().splitlines()[0])
         assert first["assistant"] == ""
-        manifest = json.loads((pipeline_dir / "tuning.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "tuning.jsonl.manifest.json").read_text())
         assert manifest["horizon"] == 4
 
-    def test_predict_mock_and_eval(self, pipeline_dir):
-        pred = pipeline_dir / "pred.jsonl"
-        out = pipeline_dir / "reports" / "mock"
+    def test_predict_mock_and_eval(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        out = tmp_path / "reports" / "mock"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                    "--backend", "mock") == 0
         assert {row["attempts"] for row in read_jsonl(pred)} == {1}
@@ -144,9 +128,9 @@ class TestStages:
         assert len(rows) > len(RESPELLINGS)
         assert pred.read_text(encoding="utf-8").splitlines() == expected
 
-    def test_mock_empty_eval_counts_all_missing_and_fails(self, pipeline_dir):
-        pred = pipeline_dir / "pred_empty.jsonl"
-        out = pipeline_dir / "reports" / "empty"
+    def test_mock_empty_eval_counts_all_missing_and_fails(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred_empty.jsonl"
+        out = tmp_path / "reports" / "empty"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                    "--backend", "mock", "--mock-behavior", "empty") == 0
         total = len(pred.read_text().splitlines())
@@ -155,10 +139,10 @@ class TestStages:
         assert report.failed_missing == total
         assert report.evaluated == 0
 
-    def test_local_backends(self, pipeline_dir):
+    def test_local_backends(self, pipeline_dir, tmp_path):
         for backend in ("persistence", "kinematic"):
-            pred = pipeline_dir / f"pred_{backend}.jsonl"
-            out = pipeline_dir / "reports" / backend
+            pred = tmp_path / f"pred_{backend}.jsonl"
+            out = tmp_path / "reports" / backend
             assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                        "--backend", backend) == 0
             assert {row["attempts"] for row in read_jsonl(pred)} == {1}
@@ -235,8 +219,9 @@ class TestStages:
             (lambda obj: {**obj, "input_dim": 5.0}, "input_dim 5.0 is not an integer >= 1"),
             (lambda obj: {**obj, "hidden_dim": "4"}, "hidden_dim '4' is not an integer >= 1"),
             (lambda obj: {**obj, "hidden_dim": 0}, "hidden_dim 0 is not an integer >= 1"),
+            (lambda obj: {**obj, "format": "flightcast-lstm/1"}, "unrecognized model file format: 'flightcast-lstm/1'"),
         ],
-        ids=["array", "no-arrays", "arrays-array", "float-dim", "text-dim", "zero-dim"],
+        ids=["array", "no-arrays", "arrays-array", "float-dim", "text-dim", "zero-dim", "retired-format"],
     )
     def test_malformed_model_file_names_the_problem(self, pipeline_dir, tmp_path, caplog, edit, message):
         model = tmp_path / "model.json"
@@ -408,6 +393,11 @@ class TestStages:
             (lambda obj: obj["attributes"].update(longitude=[0.5, 0.7]), "attributes longitude is not a JSON object"),
             pytest.param(lambda obj: obj.update(mean_latency_s=10**400),
                          f"mean_latency_s {10**400} is not a finite number >= 0", id="latency-past-the-double-range"),
+            # Only the text str(step) writes: "03" beside "3" would name one step twice.
+            pytest.param(lambda obj: obj["per_step"].update({"03": obj["per_step"]["1"]}),
+                         "per_step key '03' is not a whole number as str() writes it", id="step-key-03"),
+            pytest.param(lambda obj: obj["phases"].update({"bogus\nphase": obj["phases"]["cruise"]}),
+                         "phase 'bogus\\nphase' is not one of take-off, cruise, landing", id="unknown-phase"),
         ],
     )
     def test_report_refuses_a_saved_report_that_breaks_a_rule(self, pipeline_dir, tmp_path, caplog, capsys,
@@ -554,31 +544,31 @@ class TestStages:
             assert re.search(f"row 2: [^\n]*{re.escape(message)}", caplog.text)
         assert not out.exists()
 
-    def test_eval_few_shot_deterministic(self, pipeline_dir):
-        pred = pipeline_dir / "pred_fs.jsonl"
+    def test_eval_few_shot_deterministic(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred_fs.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                    "--backend", "mock") == 0
-        out_a = pipeline_dir / "fs_a"
-        out_b = pipeline_dir / "fs_b"
+        out_a = tmp_path / "fs_a"
+        out_b = tmp_path / "fs_b"
         assert run("eval", "--pred", pred, "--out-prefix", out_a,
                    "--few-shot", 0.5, "--seed", 1) == 0
         assert run("eval", "--pred", pred, "--out-prefix", out_b,
                    "--few-shot", 0.5, "--seed", 1) == 0
-        assert (pipeline_dir / "fs_a.json").read_bytes() == (pipeline_dir / "fs_b.json").read_bytes()
+        assert (tmp_path / "fs_a.json").read_bytes() == (tmp_path / "fs_b.json").read_bytes()
 
-    def test_report_reformat(self, pipeline_dir, capsys):
-        pred = pipeline_dir / "pred_r.jsonl"
-        out = pipeline_dir / "rep_r"
+    def test_report_reformat(self, pipeline_dir, tmp_path, capsys):
+        pred = tmp_path / "pred_r.jsonl"
+        out = tmp_path / "rep_r"
         run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred, "--backend", "mock")
         run("eval", "--pred", pred, "--out-prefix", out)
         capsys.readouterr()
-        assert run("report", "--in", pipeline_dir / "rep_r.json", "--format", "csv") == 0
+        assert run("report", "--in", tmp_path / "rep_r.json", "--format", "csv") == 0
         text = capsys.readouterr().out
         assert text.startswith("model,horizon,phase,step,attribute,metric,value")
-        json_text = (pipeline_dir / "rep_r.json").read_text()
-        assert run("report", "--in", pipeline_dir / "rep_r.json", "--format", "json",
-                   "--out", pipeline_dir / "again.json") == 0
-        assert (pipeline_dir / "again.json").read_text() == json_text
+        json_text = (tmp_path / "rep_r.json").read_text()
+        assert run("report", "--in", tmp_path / "rep_r.json", "--format", "json",
+                   "--out", tmp_path / "again.json") == 0
+        assert (tmp_path / "again.json").read_text() == json_text
 
     def test_report_json_round_trips_at_horizon_10(self, pipeline_dir, tmp_path):
         windows, pred = tmp_path / "w10.jsonl", tmp_path / "pred.jsonl"
@@ -654,10 +644,8 @@ class TestErrorsAndConfig:
         assert "records mix horizons: [1, 4]" in caplog.text
         assert not (tmp_path / "data.jsonl").exists()
 
-    def test_unsupported_horizon_exits_1(self, tmp_path, caplog):
-        raw, clean, out = tmp_path / "raw.csv", tmp_path / "clean.csv", tmp_path / "w.jsonl"
-        run("synth", "--flights", 2, "--seed", 0, "--out", raw)
-        run("ingest", "--in", raw, "--out", clean)
+    def test_unsupported_horizon_exits_1(self, pipeline_dir, tmp_path, caplog):
+        clean, out = pipeline_dir / "clean.csv", tmp_path / "w.jsonl"
         assert run("sample", "--in", clean, "--horizon", 3, "--out", out) == 0
         windows = read_windows_jsonl(out)
         assert windows and {w.horizon for w in windows} == {3}
@@ -681,17 +669,17 @@ class TestErrorsAndConfig:
         manifest2 = json.loads((tmp_path / "flag_wins.csv.manifest.json").read_text())
         assert len(manifest2) == 4
 
-    def test_unknown_backend_from_config_exits_1(self, pipeline_dir, caplog):
-        config = pipeline_dir / "config.json"
+    def test_unknown_backend_from_config_exits_1(self, pipeline_dir, tmp_path, caplog):
+        config = tmp_path / "config.json"
         config.write_text(json.dumps({"backend": "oracle"}))
         assert run("--config", config, "predict", "--in", pipeline_dir / "windows.jsonl",
-                   "--out", pipeline_dir / "p.jsonl") == 1
+                   "--out", tmp_path / "p.jsonl") == 1
         assert "unknown backend 'oracle'" in caplog.text
 
-    def test_string_horizon_from_config_is_converted(self, pipeline_dir):
-        config = pipeline_dir / "config.json"
+    def test_string_horizon_from_config_is_converted(self, pipeline_dir, tmp_path):
+        config = tmp_path / "config.json"
         config.write_text(json.dumps({"horizon": "8", "stride": "30"}))
-        from_config, from_flags = pipeline_dir / "w_config.jsonl", pipeline_dir / "w_flags.jsonl"
+        from_config, from_flags = tmp_path / "w_config.jsonl", tmp_path / "w_flags.jsonl"
         assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
                    "--out", from_config) == 0
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", 8, "--stride", 30,
@@ -699,18 +687,18 @@ class TestErrorsAndConfig:
         assert from_config.read_text() == from_flags.read_text()
         assert {w.horizon for w in read_windows_jsonl(from_config)} == {8}
 
-    def test_string_seed_from_config_is_converted(self, pipeline_dir):
-        pred = pipeline_dir / "pred_seed.jsonl"
+    def test_string_seed_from_config_is_converted(self, pipeline_dir, tmp_path):
+        pred = tmp_path / "pred_seed.jsonl"
         assert run("predict", "--in", pipeline_dir / "windows.jsonl", "--out", pred,
                    "--backend", "mock") == 0
-        config = pipeline_dir / "config.json"
+        config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": "3", "few_shot": "0.5"}))
         assert run("--config", config, "eval", "--pred", pred,
-                   "--out-prefix", pipeline_dir / "from_config") == 0
+                   "--out-prefix", tmp_path / "from_config") == 0
         assert run("eval", "--pred", pred, "--seed", 3, "--few-shot", 0.5,
-                   "--out-prefix", pipeline_dir / "from_flags") == 0
-        assert ((pipeline_dir / "from_config.csv").read_text()
-                == (pipeline_dir / "from_flags.csv").read_text())
+                   "--out-prefix", tmp_path / "from_flags") == 0
+        assert ((tmp_path / "from_config.csv").read_text()
+                == (tmp_path / "from_flags.csv").read_text())
 
     def test_config_that_is_not_an_object_exits_1(self, tmp_path, caplog):
         config, out = tmp_path / "config.json", tmp_path / "w.jsonl"
@@ -721,12 +709,12 @@ class TestErrorsAndConfig:
             assert "config file must hold a JSON object" in caplog.text
         assert not out.exists()
 
-    def test_config_value_of_the_wrong_type_exits_1(self, pipeline_dir, caplog):
-        config = pipeline_dir / "config.json"
+    def test_config_value_of_the_wrong_type_exits_1(self, pipeline_dir, tmp_path, caplog):
+        config = tmp_path / "config.json"
         for value in ("four", 4.5, True):
             config.write_text(json.dumps({"horizon": value}))
             assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
-                       "--out", pipeline_dir / "w.jsonl") == 1
+                       "--out", tmp_path / "w.jsonl") == 1
             assert f"invalid int value for horizon in config file: {value!r}" in caplog.text
 
     def test_config_value_of_a_flag_must_be_true_or_false(self, pipeline_dir, tmp_path, caplog):
@@ -781,10 +769,10 @@ class TestErrorsAndConfig:
         assert "unknown key(s) in config file, defined by no option of any command: 'horizn'" in caplog.text
         assert not out.exists()
 
-    def test_config_keys_of_other_commands_are_accepted(self, pipeline_dir):
-        config = pipeline_dir / "config.json"
+    def test_config_keys_of_other_commands_are_accepted(self, pipeline_dir, tmp_path):
+        config = tmp_path / "config.json"
         config.write_text(json.dumps({"horizon": 8, "epochs": 3, "backend": "kinematic", "flights": 2}))
-        from_config, from_flags = pipeline_dir / "w_config.jsonl", pipeline_dir / "w_flags.jsonl"
+        from_config, from_flags = tmp_path / "w_config.jsonl", tmp_path / "w_flags.jsonl"
         assert run("--config", config, "sample", "--in", pipeline_dir / "clean.csv",
                    "--out", from_config) == 0
         assert run("sample", "--in", pipeline_dir / "clean.csv", "--out", from_flags, "--horizon", 8) == 0
@@ -838,6 +826,23 @@ class TestErrorsAndConfig:
         assert MetricsReport.from_dict(json.loads((tmp_path / "rep.json").read_text())).mean_latency_s is None
         assert "latency" not in (tmp_path / "rep.txt").read_text()
 
-    def test_endpoint_backend_requires_url_and_model(self, pipeline_dir):
+    def test_endpoint_backend_requires_url_and_model(self, pipeline_dir, tmp_path):
         assert run("predict", "--in", pipeline_dir / "windows.jsonl",
-                   "--out", pipeline_dir / "p.jsonl", "--backend", "endpoint") == 1
+                   "--out", tmp_path / "p.jsonl", "--backend", "endpoint") == 1
+
+    def test_lstm_backend_requires_a_model_file(self, pipeline_dir, tmp_path, caplog):
+        assert run("predict", "--in", pipeline_dir / "windows.jsonl",
+                   "--out", tmp_path / "p.jsonl", "--backend", "lstm") == 1
+        assert "lstm backend requires --model-file" in caplog.text
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_python_m_flightcast_exits_with_mains_status_and_2_on_an_unknown_command(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(flightcast.__file__).parents[1])}
+        commands = (("synth", "--flights", 2, "--out", tmp_path / "raw.csv"),
+                    ("ingest", "--in", tmp_path / "missing.csv", "--out", tmp_path / "clean.csv"),
+                    ("frobnicate",))
+        codes = [subprocess.run([sys.executable, "-m", "flightcast", *map(str, args)], env=env, capture_output=True,
+                                timeout=60).returncode for args in commands]
+        assert codes == [0, 1, 2]
+        assert run("synth", "--flights", 2, "--out", tmp_path / "raw-in-process.csv") == 0
+        assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "raw-in-process.csv").read_bytes()

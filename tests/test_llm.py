@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import flightcast
 from flightcast import llm
-from flightcast.cli import main
 from flightcast.evaluation import MetricsReport
 from flightcast.llm import (
     EndpointConfig,
@@ -38,9 +37,9 @@ from flightcast.prompts import (
     parse_completion,
     serialize_values,
 )
-from flightcast.windowing import INPUT_LENGTH, Window, write_windows_jsonl
+from flightcast.windowing import INPUT_LENGTH, Window, window_from_obj, write_windows_jsonl
 
-from conftest import canonical_window, cruise_window, read_jsonl
+from conftest import canonical_window, cruise_window, read_jsonl, run
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -48,6 +47,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     seen: list[dict] = []
     dropped: set[str] = set()
+    replies: dict[str, str] = {}  # model "table": the reply to each user message
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
         length = int(self.headers.get("Content-Length", 0))
@@ -82,7 +82,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         if model == "junk":
             payload = b"this is not json"
         else:  # echo: answer with the user message content in UTF-8; "number" answers 42
-            content = 42 if model == "number" else user
+            content = 42 if model == "number" else type(self).replies[user] if model == "table" else user
             payload = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": content}}]}, ensure_ascii=False
             ).encode()
@@ -106,6 +106,7 @@ def endpoint_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def inference_record(user="hello (1.0, 2.0) world") -> PromptRecord:
@@ -406,9 +407,8 @@ class TestCliEndpoint:
         windows = tmp_path / "windows.jsonl"
         write_windows_jsonl([cruise_window(rng, 4) for _ in range(3)], windows)
         pred = tmp_path / "pred.jsonl"
-        argv = ["predict", "--in", windows, "--out", pred, "--backend", "endpoint",
-                "--base-url", url, "--model", model, *extra]
-        assert main([str(a) for a in argv]) == 0
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "endpoint",
+                   "--base-url", url, "--model", model, *extra) == 0
         return list(read_jsonl(pred))
 
     def test_rows_keep_attempts(self, endpoint_url, tmp_path, rng):
@@ -420,22 +420,37 @@ class TestCliEndpoint:
         assert [row["attempts"] for row in rows] == [2, 2, 2]
         assert all(row["completion"] for row in rows)
 
-    def test_bad_settings_exit_1_before_any_request(self, endpoint_url, tmp_path, rng):
+    def test_bad_settings_exit_1_before_any_request(self, endpoint_url, tmp_path, rng, caplog):
         windows = tmp_path / "windows.jsonl"
         write_windows_jsonl([cruise_window(rng, 4)], windows)
         _ChatHandler.seen.clear()
         bad = (("--temperature", "nan"), ("--timeout", "inf"), ("--max-tokens", 0),
                ("--base-url", endpoint_url.removeprefix("http://")), ("--base-url", "http://"))
         for flag, value in bad:
-            argv = ["predict", "--in", windows, "--out", tmp_path / "pred.jsonl", "--backend", "endpoint",
-                    "--base-url", endpoint_url, "--model", "echo", flag, value]
-            assert main([str(a) for a in argv]) == 1
+            assert run("predict", "--in", windows, "--out", tmp_path / "pred.jsonl", "--backend", "endpoint",
+                       "--base-url", endpoint_url, "--model", "echo", flag, value) == 1
         assert _ChatHandler.seen == [] and not (tmp_path / "pred.jsonl").exists()
+        assert "temperature nan is not a finite number >= 0" in caplog.text
+
+    def test_kinematic_replies_give_the_kinematic_completions_in_one_attempt(self, endpoint_url, pipeline_dir,
+                                                                             tmp_path):
+        # The server answers each prompt with the kinematic backend's completion for its window.
+        windows, kinematic, pred = pipeline_dir / "windows.jsonl", tmp_path / "kinematic.jsonl", tmp_path / "pred.jsonl"
+        assert run("predict", "--in", windows, "--out", kinematic, "--backend", "kinematic") == 0
+        expected = list(read_jsonl(kinematic))
+        _ChatHandler.replies = {build_prompt(window_from_obj(row), include_assistant=False).user: row["completion"]
+                                for row in expected}
+        assert run("predict", "--in", windows, "--out", pred, "--backend", "endpoint",
+                   "--base-url", endpoint_url, "--model", "table") == 0
+        assert run("eval", "--pred", pred, "--out-prefix", tmp_path / "report") == 0
+        rows = list(read_jsonl(pred))
+        assert rows and {row["attempts"] for row in rows} == {1}
+        assert [row["completion"] for row in rows] == [row["completion"] for row in expected]
 
     def test_non_string_completion_is_a_format_failure(self, endpoint_url, tmp_path, rng):
         rows = self.predict(tmp_path, rng, endpoint_url, "number")
         assert [row["completion"] for row in rows] == [42, 42, 42]
         prefix = tmp_path / "report"
-        assert main(["eval", "--pred", str(tmp_path / "pred.jsonl"), "--out-prefix", str(prefix)]) == 1  # none scored
+        assert run("eval", "--pred", tmp_path / "pred.jsonl", "--out-prefix", prefix) == 1  # none scored
         report = MetricsReport.from_dict(json.loads((tmp_path / "report.json").read_text()))
         assert (report.failed_format, report.evaluated) == (3, 0)
