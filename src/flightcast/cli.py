@@ -165,16 +165,14 @@ def _cmd_synth(cfg: dict) -> int:
 
 
 def _cmd_ingest(cfg: dict) -> int:
-    records = ingest.read_adsb_csv(cfg["input"], strict=cfg["strict"])
-    result = ingest.clean_trajectories(records)
+    result = ingest.clean_trajectories(ingest.read_adsb_csv(cfg["input"], strict=cfg["strict"]))
     ingest.write_trajectories_csv(ingest.aggregate_trajectories(result.trajectories), cfg["out"])
     print(json.dumps({"cleaning": result.summary()}), file=sys.stderr)
     return 0
 
 
 def _cmd_sample(cfg: dict) -> int:
-    records = ingest.read_adsb_csv(cfg["input"])
-    result = ingest.clean_trajectories(records)
+    result = ingest.clean_trajectories(ingest.read_adsb_csv(cfg["input"]))
     windows = []
     for traj in result.trajectories:
         windows.extend(windowing.sample_windows(traj, cfg["horizon"], cfg["stride"]))

@@ -274,6 +274,7 @@ def few_shot_split(dataset: Sequence, proportion: float, seed: int) -> list:
     The subset size is round(proportion * N) with halves rounding up;
     proportion 1 returns the whole dataset unchanged.
     """
+    check_integer("seed", seed)
     if not (0.0 < proportion <= 1.0):
         raise ValueError(f"proportion {proportion} out of range (0, 1]")
     items = list(dataset)

@@ -304,6 +304,18 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _batches(lengths: list[int]) -> Iterator[slice]:
+    """Consecutive runs of items of at most ``_CHUNK_ROWS`` rows in all (or one longer item)."""
+    start, size = 0, 0
+    for i, length in enumerate(lengths):
+        if i > start and size + length > _CHUNK_ROWS:
+            yield slice(start, i)
+            start, size = i, 0
+        size += length
+    if start < len(lengths):
+        yield slice(start, len(lengths))
+
+
 def _callsign_ranks(callsigns: np.ndarray) -> tuple[list, np.ndarray]:
     """Sorted distinct callsigns (None last) and each row's index into them."""
     row_callsigns = callsigns.tolist()
@@ -341,19 +353,25 @@ def clean_trajectories(table: RecordTable) -> CleaningResult:
     position = np.arange(count)
     same_stamp = np.where(_run_starts(rank[order], no_timestamp[order], key[order]), position, 0)
     layer = position - np.maximum.accumulate(same_stamp)
+    del same_stamp
     by_candidate = np.lexsort((layer, rank[order]))
     rows = order[by_candidate]
+    del order
     starts = np.flatnonzero(_run_starts(rank[rows], layer[by_candidate]))
+    del layer, by_candidate
     ends = np.append(starts[1:], count)
 
     incomplete = np.logical_or.reduceat(table.missing.any(axis=0)[rows], starts)
     reason = validate_columns(timestamp, table.values)[rows]  # per-element checks: no gathered copy of the values
     first_bad = np.minimum.reduceat(np.where(reason > 0, position, count), starts)
+    del position
     invalid = ~incomplete & (first_bad < ends)
     candidate_rank = rank[rows[starts]]
+    del rank
     for candidate in np.flatnonzero(invalid).tolist():
         bad = reason[first_bad[candidate]]
         logger.debug("dropping %s: %s", names[candidate_rank[candidate]], INVALID_REASONS[bad - 1])
+    del reason
 
     first, last = key[rows[starts]], key[rows[ends - 1]]
     valid = np.flatnonzero(~incomplete & ~invalid)
@@ -364,17 +382,16 @@ def clean_trajectories(table: RecordTable) -> CleaningResult:
 
     kept = np.flatnonzero(~incomplete & ~invalid & ~duplicate)
     kept = kept[np.lexsort((first[kept], candidate_rank[kept]))]
-    lengths = (ends - starts)[kept]
-    offsets = np.cumsum(lengths) - lengths
-    taken = rows[np.arange(lengths.sum()) + np.repeat(starts[kept] - offsets, lengths)]
-    stamps = timestamp[taken].astype(np.int64, copy=False)  # kept rows are in range
-    rounded = np.empty((len(ATTRIBUTES), len(taken)))
-    for at in range(0, len(taken), _CHUNK_ROWS):  # a batch at a time: round_values' buffers stay batch-sized
-        rounded[:, at : at + _CHUNK_ROWS] = round_attributes(table.values[:, taken[at : at + _CHUNK_ROWS]])
-    trajectories = [
-        Trajectory.from_columns(names[r], stamps[offset:end], rounded[:, offset:end])
-        for r, offset, end in zip(candidate_rank[kept].tolist(), offsets.tolist(), (offsets + lengths).tolist())
-    ]
+    spans = list(zip(starts[kept].tolist(), ends[kept].tolist()))
+    kept_names = [names[r] for r in candidate_rank[kept].tolist()]
+    lengths = [end - start for start, end in spans]
+    trajectories = []
+    for batch in _batches(lengths):
+        taken = np.concatenate([rows[start:end] for start, end in spans[batch]])
+        cuts = np.cumsum(lengths[batch])[:-1]
+        trajectories += map(Trajectory.from_columns, kept_names[batch],
+                            np.split(timestamp[taken].astype(np.int64, copy=False), cuts),  # kept rows are in range
+                            np.split(round_attributes(table.values[:, taken]), cuts, axis=1))
     return CleaningResult(
         trajectories,
         kept=len(kept),
@@ -438,17 +455,11 @@ def aggregate_trajectories(trajectories: Iterable[Trajectory]) -> list[Trajector
     windowing, not here. The work runs a batch of trajectories at a time,
     at most ``_CHUNK_ROWS`` waypoints (or one longer trajectory).
     """
-    batches, size = [[]], 0
-    for traj in trajectories:
-        if batches[-1] and size + len(traj) > _CHUNK_ROWS:
-            batches.append([])
-            size = 0
-        batches[-1].append(traj)
-        size += len(traj)
+    trajectories = list(trajectories)
     out = []
-    for batch in filter(None, batches):
-        timestamps, means, cuts = _minute_columns(batch)
-        out += map(Trajectory.from_columns, [t.callsign for t in batch], np.split(timestamps, cuts),
+    for batch in _batches(list(map(len, trajectories))):
+        timestamps, means, cuts = _minute_columns(trajectories[batch])
+        out += map(Trajectory.from_columns, [t.callsign for t in trajectories[batch]], np.split(timestamps, cuts),
                    np.split(round_attributes(means), cuts, axis=1))
     return out
 

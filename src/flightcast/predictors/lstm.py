@@ -45,6 +45,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "hidden_dim"):
             check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed)
         check_number("learning_rate", self.learning_rate)  # 0 allowed: a no-op run serves as a smoke test
 
 
@@ -118,8 +119,10 @@ class LstmParams:
         """Read a model file of format ``FORMAT_TAG``; any other format raises.
 
         Raises ValueError naming a missing key, a dimension that is not an
-        integer >= 1, or the first array whose shape does not fit the dims
-        or that holds a non-finite value (``json`` reads ``NaN`` and ``Infinity``).
+        integer >= 1, the first array with a cell that is not an int or a
+        float (``true``, ``null``, a string, or a row of a ragged array), or
+        the first array whose shape does not fit the dims or that holds a
+        non-finite value (``json`` reads ``NaN`` and ``Infinity``).
         """
         obj = check_object("model file", json.loads(Path(path).read_text(encoding="utf-8")))
         fmt = obj.get("format")
@@ -129,9 +132,9 @@ class LstmParams:
         dim, hidden = obj["input_dim"], obj["hidden_dim"]
         check_integer("input_dim", dim, 1)
         check_integer("hidden_dim", hidden, 1)
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in check_object("arrays", obj["arrays"]).items()}
-        arrays["norm_mean"] = np.asarray(obj["norm_mean"], dtype=np.float64)
-        arrays["norm_std"] = np.asarray(obj["norm_std"], dtype=np.float64)
+        arrays = {k: _number_array(k, v) for k, v in check_object("arrays", obj["arrays"]).items()}
+        arrays["norm_mean"] = _number_array("norm_mean", obj["norm_mean"])
+        arrays["norm_std"] = _number_array("norm_std", obj["norm_std"])
         shapes = {"w_out": (dim, hidden), "b_out": (dim,), "norm_mean": (dim,), "norm_std": (dim,),
                   "w": (4 * hidden, dim), "u": (4 * hidden, hidden), "b": (4 * hidden,)}
         unexpected = sorted(arrays.keys() - shapes.keys())
@@ -149,6 +152,16 @@ class LstmParams:
                 raise ValueError(f"array {name!r} holds a non-finite value")
         norm_mean, norm_std = arrays.pop("norm_mean"), arrays.pop("norm_std")
         return cls(dim, hidden, arrays, norm_mean, norm_std)
+
+
+def _number_array(name: str, value) -> np.ndarray:
+    """A JSON array as float64; ValueError naming it for a cell that is not an int or a float (nor a bool)."""
+    cells = np.asarray(value, dtype=object)  # a ragged array holds a list where its rows part ways
+    if not set(map(type, cells.flat)) <= {int, float}:  # type, not isinstance: a bool is an int too
+        cell = next(c for c in cells.flat if type(c) not in (int, float))
+        what = "a ragged row" if isinstance(cell, list) else f"a non-numeric cell ({cell!r})"
+        raise ValueError(f"array {name!r} holds {what}")
+    return cells.astype(np.float64)
 
 
 def normalize(params: LstmParams, values: np.ndarray) -> np.ndarray:

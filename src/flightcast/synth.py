@@ -191,6 +191,7 @@ def generate_corpus(count: int, base_seed: int) -> tuple[RecordTable, list[Fligh
     table holds the flights one after another, in spec order.
     """
     check_integer("count", count, 1)
+    check_integer("seed", base_seed)
     specs: list[FlightSpec] = []
     for i in range(count):
         draw = np.random.default_rng([base_seed, i])

@@ -195,6 +195,12 @@ class TestStages:
         assert f"learning_rate {rate} is not a finite number >= 0" in caplog.text
         assert "epoch 1/" not in caplog.text and not model.exists()
 
+    def test_train_lstm_refuses_a_negative_seed_naming_it(self, pipeline_dir, tmp_path, caplog):
+        model = tmp_path / "model.json"
+        assert run("train-lstm", "--in", pipeline_dir / "windows.jsonl", "--out", model, "--seed", -1) == 1
+        assert "seed -1 is not an integer >= 0" in [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert not model.exists()
+
     def test_non_finite_model_file_names_the_array(self, pipeline_dir, tmp_path, caplog):
         single = tmp_path / "win1.jsonl"
         model = tmp_path / "model.json"
@@ -220,8 +226,17 @@ class TestStages:
             (lambda obj: {**obj, "hidden_dim": "4"}, "hidden_dim '4' is not an integer >= 1"),
             (lambda obj: {**obj, "hidden_dim": 0}, "hidden_dim 0 is not an integer >= 1"),
             (lambda obj: {**obj, "format": "flightcast-lstm/1"}, "unrecognized model file format: 'flightcast-lstm/1'"),
+            (lambda obj: {**obj, "arrays": {**obj["arrays"], "b": [True, *obj["arrays"]["b"][1:]]}},
+             "array 'b' holds a non-numeric cell (True)"),
+            (lambda obj: {**obj, "norm_std": ["1.5", *obj["norm_std"][1:]]},
+             "array 'norm_std' holds a non-numeric cell ('1.5')"),
+            (lambda obj: {**obj, "norm_mean": [None, *obj["norm_mean"][1:]]},
+             "array 'norm_mean' holds a non-numeric cell (None)"),
+            (lambda obj: {**obj, "arrays": {**obj["arrays"], "w": [obj["arrays"]["w"][0][:3], *obj["arrays"]["w"][1:]]}},
+             "array 'w' holds a ragged row"),
         ],
-        ids=["array", "no-arrays", "arrays-array", "float-dim", "text-dim", "zero-dim", "retired-format"],
+        ids=["array", "no-arrays", "arrays-array", "float-dim", "text-dim", "zero-dim", "retired-format",
+             "true-cell", "text-cell", "null-cell", "ragged-row"],
     )
     def test_malformed_model_file_names_the_problem(self, pipeline_dir, tmp_path, caplog, edit, message):
         model = tmp_path / "model.json"

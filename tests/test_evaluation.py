@@ -321,6 +321,11 @@ class TestFewShotSplit:
         with pytest.raises(ValueError):
             few_shot_split([1, 2], 1.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_a_seed_that_is_not_an_integer_from_0_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer >= 0$"):
+            few_shot_split(list(range(10)), 1.0, seed=seed)
+
     def test_rounds_to_zero(self):
         with pytest.raises(ValueError, match="zero"):
             few_shot_split(list(range(10)), 0.01, seed=0)

@@ -4,6 +4,7 @@ import logging
 import math
 import random
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -209,6 +210,22 @@ class TestCleanTrajectories:
         assert again.summary()["kept"] == result.kept
         assert again.incomplete == again.invalid == again.duplicate == 0
         assert again.trajectories == result.trajectories
+
+    def test_traced_peak_stays_within_two_and_a_half_tables(self, tmp_path):
+        # Each row-length sort key and index array is freed at its last use, so the high-water
+        # mark is the table, the kept rows' columns and one batch of rounding, not the keys besides.
+        raw = tmp_path / "raw.csv"
+        write_records_csv(synth.generate_corpus(80, 3)[0], raw)
+        tracemalloc.start()
+        try:
+            table = read_adsb_csv(raw)
+            tracemalloc.reset_peak()
+            clean_trajectories(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (table.timestamp, table.utc_time, table.callsign, table.values, table.missing)
+        assert peak <= 2.5 * sum(column.nbytes for column in columns)
 
 
 class TestAggregateMinutes:

@@ -354,6 +354,8 @@ class TestTrain:
             ("epochs", 3.0, "an integer >= 1"),
             ("batch_size", "4", "an integer >= 1"),
             ("hidden_dim", True, "an integer >= 1"),
+            ("seed", -1, "an integer >= 0"),
+            ("seed", True, "an integer >= 0"),
             pytest.param("learning_rate", 10**400, "a finite number >= 0", id="learning_rate-past-the-double-range"),
         ],
     )

@@ -190,6 +190,11 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match=f"^count {count!r} is not an integer >= 1$"):
             generate_corpus(count, base_seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_a_seed_that_is_not_an_integer_from_0_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer >= 0$"):
+            generate_corpus(2, seed)
+
     def test_unique_callsigns_and_seeds(self):
         _, specs = generate_corpus(10, base_seed=0)
         assert len({s.callsign for s in specs}) == 10
