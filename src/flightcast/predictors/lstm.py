@@ -3,7 +3,8 @@
 Everything is plain numpy in float64: forward recurrence, exact gradients
 through the gate algebra, and an Adam loop over one flat weight vector
 whose named arrays are views (model files still store the named arrays).
-Every pass runs on a ``Tape`` of arrays allocated once per batch shape.
+Every pass runs on a ``Tape`` of arrays allocated once per batch shape,
+laid out gate-major so that each gate of a step is one contiguous block.
 The model predicts the next waypoint from the previous 16; longer horizons
 roll the model forward on its own output. Feature scaling is z-score with
 statistics taken from the training inputs and stored inside the
@@ -120,9 +121,10 @@ class LstmParams:
 
         Raises ValueError naming a missing key, a dimension that is not an
         integer >= 1, the first array with a cell that is not an int or a
-        float (``true``, ``null``, a string, or a row of a ragged array), or
-        the first array whose shape does not fit the dims or that holds a
-        non-finite value (``json`` reads ``NaN`` and ``Infinity``).
+        float (``true``, ``null``, a string, or a row of a ragged array) or
+        that is an integer past the double range, or the first array whose
+        shape does not fit the dims or that holds a non-finite value
+        (``json`` reads ``NaN`` and ``Infinity``).
         """
         obj = check_object("model file", json.loads(Path(path).read_text(encoding="utf-8")))
         fmt = obj.get("format")
@@ -155,13 +157,17 @@ class LstmParams:
 
 
 def _number_array(name: str, value) -> np.ndarray:
-    """A JSON array as float64; ValueError naming it for a cell that is not an int or a float (nor a bool)."""
+    """A JSON array as float64; ValueError naming it for a cell that is not an int or a float (nor a bool), or
+    that is past the double range."""
     cells = np.asarray(value, dtype=object)  # a ragged array holds a list where its rows part ways
     if not set(map(type, cells.flat)) <= {int, float}:  # type, not isinstance: a bool is an int too
         cell = next(c for c in cells.flat if type(c) not in (int, float))
         what = "a ragged row" if isinstance(cell, list) else f"a non-numeric cell ({cell!r})"
         raise ValueError(f"array {name!r} holds {what}")
-    return cells.astype(np.float64)
+    try:
+        return cells.astype(np.float64)
+    except OverflowError:  # json reads an integer of any size
+        raise ValueError(f"array {name!r} holds a number past the double range") from None
 
 
 def normalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
@@ -172,21 +178,20 @@ def denormalize(params: LstmParams, values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * params.norm_std + params.norm_mean
 
 
-def _gates(array: np.ndarray) -> list[np.ndarray]:
-    """The i, f, o and g blocks of fused gate rows along the last axis."""
-    hidden = array.shape[-1] // 4
-    return [array[..., k * hidden : (k + 1) * hidden] for k in range(4)]
-
-
 class Tape:
     """The arrays of every pass over inputs of one (batch, steps) shape, and each step's views.
 
-    Time-major: input ``x``, states ``h`` and ``c`` from the zero state,
-    fused i|f|o|g gate rows after ``tanh``, the same rows as sigmoids in
-    ``sig`` (0.5 tanh + 0.5, contiguous; its g block goes unused), ``tanh_c``.
-    A recording tape keeps all steps (steps + 1 state slots), the gate
+    Time-major and gate-major: input ``x``, hidden states ``h`` from the
+    zero state, and per step one (5, batch, H) block of ``gates`` holding
+    the i, f, o and g pre-activations as the matmuls write them (then their
+    ``tanh``, in place) and, in slot 4, the cell state ``c`` entering the
+    step. The sigmoids of i, f and o (0.5 tanh + 0.5) are a contiguous
+    (3, batch, H) block of ``sig``, and ``tanh_c`` is tanh of the new cell,
+    so every elementwise op of a step reads and writes whole contiguous
+    blocks: the cell update multiplies [i|f] by [g|c] in one call. A
+    recording tape keeps all steps (steps + 1 state slots), the gate
     derivatives and the flat ``gradient``; an inference tape is a ring of
-    two state slots and one gate slot, O(batch x hidden) at any length.
+    two state slots and one sigmoid slot, O(batch x hidden) at any length.
     """
 
     def __init__(self, params: LstmParams, batch: int, steps: int, record: bool = True):
@@ -194,30 +199,39 @@ class Tape:
         slots = steps if record else 1
         self.record = record
         self.x = np.empty((steps, batch, dim))
-        self.h, self.c = np.zeros((2, slots + 1, batch, hidden))
-        self.tanh, self.sig = np.empty((2, slots, batch, 4 * hidden))
+        self.h = np.zeros((slots + 1, batch, hidden))
+        self.gates = np.empty((slots + 1, 5, batch, hidden))
+        self.c = self.gates[:, 4]
+        self.sig = np.empty((slots, 3, batch, hidden))
         self.tanh_c = np.empty((slots, batch, hidden))
+        self.products = np.empty((4, batch, hidden))  # h u per gate; then i g and f c
         self.scale = np.ones((4 * hidden, 1))  # halves the i, f and o rows of w, u and b on each pass
         self.scale[: 3 * hidden] = 0.5
         self.w, self.u, self.b = np.empty((4 * hidden, dim)), np.empty((4 * hidden, hidden)), np.empty(4 * hidden)
-        self.w_t, self.u_t = self.w.T, self.u.T
+        # Gate k's (in, H) weights, so a matmul writes each gate as its own block.
+        self.w_gates, self.u_gates = (m.reshape(4, hidden, -1).transpose(0, 2, 1) for m in (self.w, self.u))
+        self.b_gates = self.b.reshape(4, 1, hidden)
         self.prediction, self.diff, self.d_prediction = np.empty((3, batch, dim))
         # Views come from iterating whole arrays, which is cheaper than slicing per step.
-        gates = list(zip(self.tanh, self.sig, *_gates(self.sig)[:3], _gates(self.tanh)[3], self.tanh_c))
-        h, c, state = list(self.h), list(self.c), (lambda t: t % (slots + 1))
-        self.steps = [(x_t, *gates[t % slots], h[state(t)], h[state(t + 1)], c[state(t)], c[state(t + 1)])
-                      for t, x_t in enumerate(self.x)]
+        sig = [(s, s[:2], s[2], tanh_c) for s, tanh_c in zip(self.sig, self.tanh_c)]
+        h, gates, state = list(self.h), list(self.gates), (lambda t: t % (slots + 1))
+        self.steps = [(x_t, gates[state(t)][:4], gates[state(t)][:3], *sig[t % slots], gates[state(t)][3:],
+                       h[state(t)], h[state(t + 1)], gates[state(t + 1)][4]) for t, x_t in enumerate(self.x)]
         self.h_last = h[state(steps)]
+        self.cell_terms = self.products[:2]
+        self.i_g, self.f_c = self.cell_terms
         if record:
-            self.factors, self.da = np.empty((2, steps, batch, 4 * hidden))
+            self.x_wide, self.projected = self.x[:, None], self.gates[:-1, :4]
+            self.factors = np.empty((steps, 4, batch, hidden))
+            self.da = np.empty((steps, batch, 4 * hidden))
             self.dc_dh = np.empty((steps, batch, hidden))
             self.dh, self.dc = np.empty((2, batch, hidden))
             self.gradient = np.empty_like(params.vector)
             self.grads = _views(self.gradient, params.arrays)
-            factors, da = (array.reshape(steps, batch, 4, hidden) for array in (self.factors, self.da))
-            self.back_steps = list(zip(self.dc_dh, _gates(self.sig)[1], factors, factors[:, :, 2], da,
-                                       da[:, :, 2], self.da))[::-1]
-            self.dc_wide = self.dc[:, None, :]
+            # Each step's da is written gate by gate into the row layout that dh = da u reads.
+            da = self.da.reshape(steps, batch, 4, hidden).transpose(0, 2, 1, 3)
+            self.back_steps = list(zip(self.dc_dh, self.sig[:, 1], self.factors, self.factors[:, 2], da,
+                                       da[:, 2], self.da))[::-1]
 
     def checked(self, x: np.ndarray, record: bool) -> "Tape":
         """This tape; ValueError naming its kind, batch and steps if x, or a training pass on it, does not fit."""
@@ -226,6 +240,10 @@ class Tape:
             raise ValueError(f"{'recording' if self.record else 'inference'} tape of batch {batch}, {steps} steps"
                              f" does not fit {'a training' if record else 'an'} input of shape {x.shape}")
         return self
+
+
+# 0-d arrays: a ufunc takes one with less overhead than a Python float.
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
@@ -243,22 +261,26 @@ def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
     t.h[0], t.c[0] = 0.0, 0.0
     # Pre-activations sum x w, then b, then h u on both kinds of tape, so
     # both give the same bits. Recording projects every step's input at
-    # once into the slots it fills anyway; the ring projects per step.
+    # once into the blocks it fills anyway; the ring projects per step.
     if t.record:
-        np.matmul(t.x, t.w_t, out=t.tanh)
-        t.tanh += t.b
-    for x_t, z, sig, i, f, o, g, tanh_c, h_prev, h_new, c_prev, c_new in t.steps:
-        if not t.record:
-            np.matmul(x_t, t.w_t, out=z)
-            z += t.b
-        z += np.matmul(h_prev, t.u_t, out=sig)  # sig and tanh_c serve as scratch until written
-        np.tanh(z, out=z)
-        np.multiply(z, 0.5, out=sig)
-        sig += 0.5
-        np.multiply(f, c_prev, out=c_new)
-        c_new += np.multiply(i, g, out=tanh_c)
-        np.tanh(c_new, out=tanh_c)
-        np.multiply(o, tanh_c, out=h_new)
+        np.matmul(t.x_wide, t.w_gates, out=t.projected)
+        t.projected += t.b_gates
+    # A step is a few calls on small blocks, so call overhead sets its time:
+    # the loop reads every function and array from a local name.
+    matmul, tanh, multiply, add, half = np.matmul, np.tanh, np.multiply, np.add, _HALF
+    ring, u_gates, products, cell_terms, i_g, f_c = not t.record, t.u_gates, t.products, t.cell_terms, t.i_g, t.f_c
+    for x_t, z, z_ifo, sig, i_f, o, tanh_c, g_c, h_prev, h_new, c_new in t.steps:
+        if ring:
+            matmul(x_t, t.w_gates, out=z)
+            z += t.b_gates
+        z += matmul(h_prev, u_gates, out=products)
+        tanh(z, out=z)
+        multiply(z_ifo, half, out=sig)
+        sig += half
+        multiply(i_f, g_c, out=cell_terms)
+        add(i_g, f_c, out=c_new)
+        tanh(c_new, out=tanh_c)
+        multiply(o, tanh_c, out=h_new)
     np.matmul(t.h_last, a["w_out"].T, out=t.prediction)
     t.prediction += a["b_out"]
     return t.prediction
@@ -267,26 +289,26 @@ def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
 def _backward(params: LstmParams, tape: Tape, d_prediction: np.ndarray) -> np.ndarray:
     """Exact flat gradient, laid out like ``params.vector``, of the pass recorded on ``tape``."""
     t, u = tape, params.arrays["u"]
-    (i, _, o, _), g = _gates(t.sig), _gates(t.tanh)[3]
+    (i, _, o), g = t.sig.transpose(1, 0, 2, 3), t.gates[:-1, 3]
     # Every step's local derivatives at once: gate k's pre-activation
     # gradient is factor k times dc (dh for the o gate).
-    np.multiply(t.sig, np.subtract(1.0, t.sig, out=t.factors), out=t.factors)
-    factor_i, factor_f, factor_o, factor_g = _gates(t.factors)
-    factor_i *= g
-    factor_f *= t.c[:-1]
+    sig_factors, factor_o, factor_g = t.factors[:, :3], t.factors[:, 2], t.factors[:, 3]
+    np.multiply(t.sig, np.subtract(_ONE, t.sig, out=sig_factors), out=sig_factors)
+    t.factors[:, :2] *= t.gates[:-1, 3:]  # i by g, f by c
     factor_o *= t.tanh_c
-    np.subtract(1.0, np.square(g, out=factor_g), out=factor_g)
+    np.subtract(_ONE, np.square(g, out=factor_g), out=factor_g)
     factor_g *= i
-    np.subtract(1.0, np.square(t.tanh_c, out=t.dc_dh), out=t.dc_dh)
+    np.subtract(_ONE, np.square(t.tanh_c, out=t.dc_dh), out=t.dc_dh)
     t.dc_dh *= o  # dc picks up dh times this
 
     dh, dc = np.matmul(d_prediction, params.arrays["w_out"], out=t.dh), t.dc
     dc.fill(0.0)
+    multiply, matmul = np.multiply, np.matmul  # local names, as in the forward loop
     for dc_dh, f_t, factors, factor_o, da, da_o, da_row in t.back_steps:
-        dc += np.multiply(dh, dc_dh, out=dc_dh)  # each step's dc_dh is read once
-        np.multiply(t.dc_wide, factors, out=da)
-        np.multiply(dh, factor_o, out=da_o)
-        np.matmul(da_row, u, out=dh)
+        dc += multiply(dh, dc_dh, out=dc_dh)  # each step's dc_dh is read once
+        multiply(dc, factors, out=da)
+        multiply(dh, factor_o, out=da_o)
+        matmul(da_row, u, out=dh)
         dc *= f_t
     # Weight gradients sum over every (step, sample) pair, so they wait for the whole da.
     da, grads = t.da.reshape(-1, u.shape[0]), t.grads

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -97,7 +97,7 @@ def recorded_gates(x: np.ndarray) -> np.ndarray:
     params.arrays["w"][:] = 1.0
     tape = Tape(params, np.size(x), 1)
     _forward(params, tape, np.reshape(x, (-1, 1, 1)))
-    return tape.sig[0, :, :3].T.reshape((3,) + np.shape(x))
+    return tape.sig[0, :, :, 0].reshape((3,) + np.shape(x))
 
 
 class TestSigmoid:
@@ -196,6 +196,7 @@ class TestAgainstPerStepReference:
                                    atol=1e-12 * np.abs(reference_gradient).max())
 
     @given(BATCHES)
+    @example(random_batch(170, 32, 16, 1.0, 0))  # the shape the lstm workload rolls out
     def test_forward_equals_the_recording_pass_bitwise(self, batch):
         params, x, _ = batch
         prediction = _forward(params, Tape(params, *x.shape[:2]), x)
@@ -203,10 +204,10 @@ class TestAgainstPerStepReference:
 
     def test_forward_keeps_only_the_running_state(self):
         params, x, _ = random_batch(3, 4, 64, 1.0, 0)
-        for record, lengths in ((False, [2, 2, 1, 1, 1]), (True, [65, 65, 64, 64, 64])):
+        for record, lengths in ((False, [2, 2, 2, 1, 1]), (True, [65, 65, 65, 64, 64])):
             tape = Tape(params, 3, 64, record)
             _forward(params, tape, x)
-            assert [len(array) for array in (tape.h, tape.c, tape.tanh, tape.sig, tape.tanh_c)] == lengths
+            assert [len(array) for array in (tape.h, tape.c, tape.gates, tape.sig, tape.tanh_c)] == lengths
 
 
 def reference_train(windows, cfg: TrainConfig) -> LstmParams:
@@ -416,6 +417,13 @@ class TestPredict:
         assert blocks(batch) == [lstm_predict(params, window_inputs([w]), w.horizon)[0].tolist() for w in mixed]
         assert [out.shape for out in batch] == [(ATTR_DIM, h) for h in (8, 1, 4, 1, 8, 4)]
 
+    def test_rollout_of_170_windows_equals_their_one_window_rollouts(self, rng):
+        windows = [cruise_window(rng, 1) for _ in range(8)]
+        params = lstm_train(windows, TrainConfig(epochs=2, seed=1, hidden_dim=32))
+        inputs = window_inputs([cruise_window(rng, 8) for _ in range(170)])
+        together = lstm_predict(params, inputs, 8)
+        assert together.tolist() == [lstm_predict(params, one[None], 8)[0].tolist() for one in inputs]
+
     def test_mixed_horizons_keep_their_own_steps(self, rng):
         windows = [cruise_window(rng, 1) for _ in range(8)]
         params = lstm_train(windows, TrainConfig(epochs=1, seed=1, hidden_dim=2))
@@ -477,6 +485,20 @@ class TestPersistenceFile:
         edit(obj["arrays"])
         model.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=f"^{message}$"):
+            LstmParams.load(model)
+
+    @pytest.mark.parametrize("name, path, value", [
+        pytest.param("norm_std", ("norm_std",), 10**400, id="norm_std"),
+        pytest.param("u", ("arrays", "u", 0), -10**400, id="u"),
+    ])
+    def test_number_past_the_double_range_rejected(self, tmp_path, name, path, value):
+        # json reads an integer of any size as an int, which float64 cannot hold.
+        model = tmp_path / "model.json"
+        LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0)).save(model)
+        obj = json.loads(model.read_text())
+        functools.reduce(operator.getitem, path, obj)[0] = value
+        model.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^array '{name}' holds a number past the double range$"):
             LstmParams.load(model)
 
     @pytest.mark.parametrize("name, path, value", [
