@@ -58,6 +58,8 @@ _UTC_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 #: CSV rows parsed per batch; bounds the memory the row lists take.
 _CHUNK_ROWS = 8192
+#: Cells per block that _parse_numeric scans for a character outside a column's charset.
+_SCAN_CELLS = 64
 
 
 class MalformedRowError(ValueError):
@@ -159,13 +161,19 @@ def _parse_numeric(raw, cell_re, charset: str, convert, fill) -> tuple[list, dic
     So one ``convert`` pass reads the column. An empty cell and a cell with
     another character take ``str(fill)``, which ``convert`` reads as ``fill``,
     in that pass. Only a cell with another character and a cell ``convert``
-    refuses are then stripped and matched on their own.
+    refuses are then stripped and matched on their own. Where the column
+    holds few other characters, only the blocks that hold one are stripped.
     """
-    joined = "".join(raw)
-    if joined.isascii() and not joined.encode().translate(None, charset.encode()):
+    joined, kept = "".join(raw), charset.encode()
+    others = joined.encode().translate(None, kept) if joined.isascii() else None
+    if others == b"":
         other = []
-    else:  # strip(charset) leaves text only in a cell with another character
+    elif others is None or len(others) * _SCAN_CELLS > len(raw):  # strip(charset) leaves text only in such a cell
         other = list(compress(count(), map(str.strip, raw, repeat(charset))))
+    else:  # a cell may hold a newline or a NUL, so blocks are cut by cell, not by any separator
+        blocks = (raw[k : k + _SCAN_CELLS] for k in range(0, len(raw), _SCAN_CELLS))
+        other = [k * _SCAN_CELLS + i for k, block in enumerate(blocks) if "".join(block).encode().translate(None, kept)
+                 for i in compress(count(), map(str.strip, block, repeat(charset)))]
     empty = list(compress(count(), map(operator.not_, raw))) if "" in raw else []
     cells = raw
     if other or empty:

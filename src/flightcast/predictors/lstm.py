@@ -211,6 +211,7 @@ class Tape:
         # Gate k's (in, H) weights, so a matmul writes each gate as its own block.
         self.w_gates, self.u_gates = (m.reshape(4, hidden, -1).transpose(0, 2, 1) for m in (self.w, self.u))
         self.b_gates = self.b.reshape(4, 1, hidden)
+        self.bias = None if record else np.empty((4, batch, hidden))  # b, broadcast once per inference pass
         self.prediction, self.diff, self.d_prediction = np.empty((3, batch, dim))
         # Views come from iterating whole arrays, which is cheaper than slicing per step.
         sig = [(s, s[:2], s[2], tanh_c) for s, tanh_c in zip(self.sig, self.tanh_c)]
@@ -265,6 +266,8 @@ def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
     if t.record:
         np.matmul(t.x_wide, t.w_gates, out=t.projected)
         t.projected += t.b_gates
+    else:
+        np.copyto(t.bias, t.b_gates)
     # A step is a few calls on small blocks, so call overhead sets its time:
     # the loop reads every function and array from a local name.
     matmul, tanh, multiply, add, half = np.matmul, np.tanh, np.multiply, np.add, _HALF
@@ -272,7 +275,7 @@ def _forward(params: LstmParams, tape: Tape, x: np.ndarray) -> np.ndarray:
     for x_t, z, z_ifo, sig, i_f, o, tanh_c, g_c, h_prev, h_new, c_new in t.steps:
         if ring:
             matmul(x_t, t.w_gates, out=z)
-            z += t.b_gates
+            z += t.bias  # a block of z's own shape: a broadcast add costs twice as much
         z += matmul(h_prev, u_gates, out=products)
         tanh(z, out=z)
         multiply(z_ifo, half, out=sig)
@@ -326,6 +329,9 @@ def lstm_forward(params: LstmParams, x: np.ndarray, tape: Tape | None = None) ->
     Returns a (batch, input_dim) array, which the next pass on the same
     ``tape`` (an inference tape of x's shape; a fresh one by default)
     overwrites. Training goes through :func:`lstm_loss_gradients`.
+    A window's raw bits depend on its batch: numpy hands a one-row product
+    to gemv and a larger one to gemm, which round differently, so forecasts
+    are batch-invariant only after rounding to canonical decimals.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -410,14 +416,19 @@ def lstm_predict(params: LstmParams, inputs: np.ndarray, horizon: int) -> np.nda
     """Iterative rollout of a stack of windows at once: predict, append, slide, repeat.
 
     ``inputs`` is an (n, 5, 16) stack of windows' input columns in
-    ATTRIBUTES order. Each prediction is denormalized and appended to the
-    raw sequence (the oldest step drops off). Returns the (n, 5, horizon)
-    forecasts, rounded to canonical precision.
+    ATTRIBUTES order. The stack is normalized once, and so is each
+    prediction as it joins the sequence (the oldest step drops off): each
+    step reads a slice of one normalized array, on one inference tape that
+    broadcasts the gate bias once per pass. Returns the (n, 5, horizon)
+    forecasts, denormalized and rounded to canonical precision.
     """
-    sequence = np.ascontiguousarray(inputs.transpose(0, 2, 1))
-    raw = np.empty((len(inputs), horizon, ATTR_DIM))
-    tape = Tape(params, *sequence.shape[:2], record=False)
+    n, _, steps = inputs.shape
+    raw = np.empty((n, horizon, ATTR_DIM))
+    # The inputs, then each forecast: step k reads rows k to k + steps - 1.
+    sequence = np.empty((n, steps + horizon, ATTR_DIM))
+    sequence[:, :steps] = normalize(params, inputs.transpose(0, 2, 1))
+    tape = Tape(params, n, steps, record=False)
     for step in range(horizon):
-        raw[:, step] = denormalize(params, lstm_forward(params, normalize(params, sequence), tape))
-        sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
+        raw[:, step] = denormalize(params, lstm_forward(params, sequence[:, step : step + steps], tape))
+        sequence[:, steps + step] = normalize(params, raw[:, step])
     return round_values(raw, CANONICAL_DECIMALS).transpose(0, 2, 1)

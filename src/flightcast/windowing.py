@@ -207,10 +207,11 @@ def window_from_obj(obj: dict) -> Window:
 #: ``json.dumps(window_to_obj(window))`` of the window :func:`window_from_obj` reads from a
 #: matching row: json's layout, a callsign json leaves unescaped, and cells ``repr`` writes
 #: back as they are (plain notation, no superfluous zero, 0 or >= 1e-4, <= 15 digits: DBL_DIG).
-_CELL = r"-?(?:[1-9][0-9]{0,5}\.(?:0|[0-9]{0,8}[1-9])|0\.(?:0|(?!0000)[0-9]{0,8}[1-9]))"
-_ROW = rf"\[(?:0|-?[1-9][0-9]*)(?:, {_CELL}){{5}}\]"
-CANONICAL_ROW = re.compile(rf'\{{"callsign": "[ !#-\[\]-~]*", "horizon": [1-9][0-9]*, '
-                           rf'"input": \[{_ROW}(?:, {_ROW}){{15}}\], "target": \[{_ROW}(?:, {_ROW})*\]\}}')
+#: Every repeat is possessive (never backtracks); a lookbehind checks that fraction digits do not end in 0.
+_CELL = r"-?+(?:[1-9][0-9]{0,5}+\.(?:[0-9]{1,9}+(?<=[1-9])|0)|0\.(?:(?!0000)[0-9]{1,9}+(?<=[1-9])|0))"
+_ROW = rf"\[(?:0|-?+[1-9][0-9]*+)(?:, {_CELL}){{5}}+\]"
+CANONICAL_ROW = re.compile(rf'\{{"callsign": "[ !#-\[\]-~]*+", "horizon": [1-9][0-9]*+, '
+                           rf'"input": \[{_ROW}(?:, {_ROW}){{15}}+\], "target": \[{_ROW}(?:, {_ROW})*+\]\}}')
 _ENCODER = json.JSONEncoder(check_circular=False)  # json.dumps's; every row is built fresh
 
 

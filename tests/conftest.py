@@ -570,6 +570,16 @@ def reference_window_rows(text: str) -> list:
     return out
 
 
+#: ``windowing.CANONICAL_ROW`` written with backtracking repeats: the language its possessive form must match.
+_REFERENCE_CELL = r"-?(?:[1-9][0-9]{0,5}\.(?:0|[0-9]{0,8}[1-9])|0\.(?:0|(?!0000)[0-9]{0,8}[1-9]))"
+_REFERENCE_ROW = rf"\[(?:0|-?[1-9][0-9]*)(?:, {_REFERENCE_CELL}){{5}}\]"
+REFERENCE_CANONICAL_ROW = re.compile(
+    rf'\{{"callsign": "[ !#-\[\]-~]*", "horizon": [1-9][0-9]*, '
+    rf'"input": \[{_REFERENCE_ROW}(?:, {_REFERENCE_ROW}){{15}}\], '
+    rf'"target": \[{_REFERENCE_ROW}(?:, {_REFERENCE_ROW})*\]\}}'
+)
+
+
 #: Integers at the 64-bit bounds: numpy reads a cell in [-2**63, 2**64) and refuses the rest.
 BOUND_INTEGERS = (-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64 - 1, 2**64)
 
@@ -721,6 +731,18 @@ def reference_loss_gradients(params: LstmParams, inputs: np.ndarray,
     diff = prediction - targets
     d_prediction = 2.0 * diff / diff.size
     return float(np.mean(diff**2)), _reference_backward_batch(params, steps, h_final, d_prediction)
+
+
+def reference_lstm_rollout(params: LstmParams, inputs: np.ndarray, horizon: int, forward=lstm_forward) -> np.ndarray:
+    """``lstm_predict``'s raw (n, 5, horizon) forecasts, unrounded, taken as it took them before it
+    normalized each row once: every step re-normalizes the whole slid raw window and runs ``forward``."""
+    sequence = inputs.transpose(0, 2, 1)
+    raw = np.empty((len(inputs), horizon, inputs.shape[1]))
+    for step in range(horizon):
+        out = forward(params, (sequence - params.norm_mean) / params.norm_std)
+        raw[:, step] = out * params.norm_std + params.norm_mean
+        sequence = np.concatenate([sequence[:, 1:], raw[:, step, None]], axis=1)
+    return raw.transpose(0, 2, 1)
 
 
 # --- Reference scores ----------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flightcast.domain import Waypoint
-from flightcast.predictors import TrainConfig, forecast_windows, lstm_predict, lstm_train
+from flightcast.predictors import TrainConfig, forecast_windows, lstm, lstm_predict, lstm_train
 from flightcast.predictors.lstm import (
     ATTR_DIM,
     FORMAT_TAG,
@@ -24,7 +24,14 @@ from flightcast.predictors.lstm import (
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
-from conftest import cruise_window, lstm_loss, reference_loss_gradients, reference_sigmoid, window_inputs
+from conftest import (
+    cruise_window,
+    lstm_loss,
+    reference_loss_gradients,
+    reference_lstm_rollout,
+    reference_sigmoid,
+    window_inputs,
+)
 
 
 def constant_windows(n=8, horizon=1, value=(103.2, 30.5, 10000.0, 900.0, 90.0)):
@@ -175,8 +182,10 @@ def random_batch(batch, hidden, steps, weight_scale, seed):
     """Params, inputs and targets; a large weight scale drives gates into saturation."""
     rng = np.random.default_rng(seed)
     params = LstmParams.initialize(ATTR_DIM, hidden, rng)
+    x, y = rng.normal(size=(batch, steps, ATTR_DIM)), rng.normal(size=(batch, ATTR_DIM))
+    params.arrays["b"][:] = rng.normal(size=4 * hidden)  # initialize leaves it zero, which hides a stale bias
     params.vector *= weight_scale
-    return params, rng.normal(size=(batch, steps, ATTR_DIM)), rng.normal(size=(batch, ATTR_DIM))
+    return params, x, y
 
 
 BATCHES = st.builds(random_batch, st.integers(1, 9), st.integers(1, 33), st.integers(1, 16),
@@ -249,6 +258,14 @@ class TestTape:
         ring = Tape(params, *x_a.shape[:2], record=False)
         lstm_forward(params, x_a, ring)
         assert lstm_forward(params, x_b, ring).tobytes() == lstm_forward(params, x_b).tobytes()
+
+    @given(BATCHES, st.integers(0, 2**32 - 1))
+    def test_a_ring_run_under_two_parameter_sets_equals_fresh_tapes(self, batch, seed):
+        params_a, x, _ = batch
+        params_b, _, _ = random_batch(len(x), params_a.hidden_dim, 1, 1.0, seed)
+        ring = Tape(params_a, *x.shape[:2], record=False)
+        for params in (params_a, params_b, params_a):
+            assert lstm_forward(params, x, ring).tobytes() == lstm_forward(params, x).tobytes()
 
     def test_a_tape_that_does_not_fit_the_input_is_named(self):
         params, x, y = random_batch(3, 4, 16, 1.0, 0)
@@ -441,6 +458,44 @@ class TestPredict:
     def test_window_without_targets_rolls_out_nothing(self, rng):
         params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
         assert lstm_predict(params, window_inputs([cruise_window(rng, 1)]), 0).shape == (1, ATTR_DIM, 0)
+
+    @pytest.mark.parametrize("horizon", [1, 4, 8])
+    @pytest.mark.parametrize("batch", [1, 2, 170])
+    def test_rollout_equals_the_one_that_re_normalizes_the_slid_window_bitwise(self, batch, horizon, monkeypatch):
+        rng = np.random.default_rng(batch + horizon)
+        params, _, _ = random_batch(1, 32, 1, 1.0, batch * horizon)
+        params.norm_mean[:], params.norm_std[:] = (100.0, 30.0, 9000.0, 800.0, 90.0), (5.0, 2.0, 300.0, 40.0, 30.0)
+        inputs = window_inputs([cruise_window(rng, horizon) for _ in range(batch)])
+        monkeypatch.setattr(lstm, "round_values", lambda values, decimals: values)
+        got = lstm_predict(params, inputs, horizon)
+        assert got.shape == (batch, ATTR_DIM, horizon)
+        assert got.tobytes() == reference_lstm_rollout(params, inputs, horizon).tobytes()
+
+    @pytest.mark.parametrize("horizon", [1, 2, 8])
+    def test_an_overflowing_forecast_raises_at_the_same_step(self, horizon, rng, monkeypatch):
+        params = LstmParams.initialize(ATTR_DIM, 4, np.random.default_rng(0))
+        params.norm_std[0], params.arrays["b_out"][0] = 1e300, 1e10  # the first longitude is past the double range
+        inputs = window_inputs([cruise_window(rng, horizon) for _ in range(3)])
+        calls, forward = [], lstm.lstm_forward
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(lstm, "round_values", lambda values, decimals: values)
+        monkeypatch.setattr(lstm, "lstm_forward", counted)
+        outcomes = []
+        for rollout in (lstm_predict, functools.partial(reference_lstm_rollout, forward=counted)):
+            calls.clear()
+            with np.errstate(over="ignore"):
+                try:
+                    outcomes.append((rollout(params, inputs, horizon).tobytes(), len(calls)))
+                except ValueError as exc:
+                    outcomes.append((str(exc), len(calls)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == min(horizon, 2)
+        if horizon > 1:
+            assert outcomes[0][0] == "non-finite value in input sequence"
 
 
 class TestPersistenceFile:

@@ -29,6 +29,7 @@ from flightcast.windowing import (
 )
 
 from conftest import (
+    REFERENCE_CANONICAL_ROW,
     Text,
     assert_same_window,
     check_continuity,
@@ -379,6 +380,30 @@ def check_row_with(text: str) -> None:
     assert row_with(text, window, keys) == json.dumps({**window_to_obj(window), **keys})
 
 
+def _with_cell(obj: dict, row: list, column: int, text: str) -> str:
+    row[column] = Text(text)
+    return json_text(obj)
+
+
+def _with_leading_zero(cell: str) -> str:
+    sign = "-" if cell.startswith("-") else ""
+    return sign + "0" + cell[len(sign) :]
+
+
+#: A canonical row's text and its mutants at the edges of ``CANONICAL_ROW``, each made from a
+#: window's object, one of its waypoint rows and a cell column of that row.
+ROW_MUTANTS = {
+    "as json writes it": lambda obj, row, column: json_text(obj),
+    "trailing zero": lambda obj, row, column: _with_cell(obj, row, column, repr(row[column]) + "0"),
+    "leading zero": lambda obj, row, column: _with_cell(obj, row, column, _with_leading_zero(repr(row[column]))),
+    "16 digits": lambda obj, row, column: _with_cell(obj, row, column, "%#.16g" % row[column]),
+    "1e-05": lambda obj, row, column: _with_cell(obj, row, column, "1e-05"),
+    "int attribute cell": lambda obj, row, column: _with_cell(obj, row, column, "%.0f" % row[column]),
+    "escaped callsign": lambda obj, row, column: LAYOUTS["escaped"](obj, repr),
+    "missing horizon": lambda obj, row, column: LAYOUTS["no horizon"](obj, repr),
+}
+
+
 PLAIN_WINDOW = Window.from_columns("AB12", 60 * np.arange(20), np.full((5, 20), 1.5))
 
 
@@ -412,6 +437,16 @@ class TestCanonicalRow:
         write_windows_jsonl(sample_windows(traj, horizon), out)
         lines = out.getvalue().splitlines()
         assert lines and all(CANONICAL_ROW.fullmatch(line) for line in lines)
+
+    @given(st.one_of(codec_windows(PLAIN_VALUES, PRINTABLE_CALLSIGNS), codec_windows(DECIMAL_VALUES)),
+           st.sampled_from(sorted(ROW_MUTANTS)), st.integers(0, 5 * 24), st.data())
+    def test_the_possessive_pattern_matches_what_the_backtracking_one_matches(self, window, mutant, at, data):
+        obj = window_to_obj(window)
+        rows = obj["input"] + obj["target"]
+        row, column = rows[at // 5 % len(rows)], 1 + at % 5
+        text = ROW_MUTANTS[mutant](obj, row, column)
+        for candidate in (text, text[: data.draw(st.integers(0, len(text)))]):
+            assert bool(CANONICAL_ROW.fullmatch(candidate)) == bool(REFERENCE_CANONICAL_ROW.fullmatch(candidate))
 
 
 # --- The stacked decoder against the per-row reference ----------------------------------
