@@ -161,18 +161,16 @@ def _parse_numeric(raw, cell_re, charset: str, convert, fill) -> tuple[list, dic
     So one ``convert`` pass reads the column. An empty cell and a cell with
     another character take ``str(fill)``, which ``convert`` reads as ``fill``,
     in that pass. Only a cell with another character and a cell ``convert``
-    refuses are then stripped and matched on their own. Where the column
-    holds few other characters, only the blocks that hold one are stripped.
+    refuses are then stripped and matched on their own. Another character is
+    looked for in blocks of cells, and only a block that holds one is stripped.
     """
-    joined, kept = "".join(raw), charset.encode()
-    others = joined.encode().translate(None, kept) if joined.isascii() else None
-    if others == b"":
+    kept = charset.encode()
+    if not "".join(raw).encode("utf-8", "surrogatepass").translate(None, kept):
         other = []
-    elif others is None or len(others) * _SCAN_CELLS > len(raw):  # strip(charset) leaves text only in such a cell
-        other = list(compress(count(), map(str.strip, raw, repeat(charset))))
-    else:  # a cell may hold a newline or a NUL, so blocks are cut by cell, not by any separator
+    else:  # blocks are cut by cell, as a cell may hold a newline or a NUL; strip(charset) empties all other cells
         blocks = (raw[k : k + _SCAN_CELLS] for k in range(0, len(raw), _SCAN_CELLS))
-        other = [k * _SCAN_CELLS + i for k, block in enumerate(blocks) if "".join(block).encode().translate(None, kept)
+        other = [k * _SCAN_CELLS + i for k, block in enumerate(blocks)
+                 if "".join(block).encode("utf-8", "surrogatepass").translate(None, kept)
                  for i in compress(count(), map(str.strip, block, repeat(charset)))]
     empty = list(compress(count(), map(operator.not_, raw))) if "" in raw else []
     cells = raw

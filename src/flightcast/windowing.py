@@ -207,11 +207,12 @@ def window_from_obj(obj: dict) -> Window:
 #: ``json.dumps(window_to_obj(window))`` of the window :func:`window_from_obj` reads from a
 #: matching row: json's layout, a callsign json leaves unescaped, and cells ``repr`` writes
 #: back as they are (plain notation, no superfluous zero, 0 or >= 1e-4, <= 15 digits: DBL_DIG).
-#: Every repeat is possessive (never backtracks); a lookbehind checks that fraction digits do not end in 0.
-_CELL = r"-?+(?:[1-9][0-9]{0,5}+\.(?:[0-9]{1,9}+(?<=[1-9])|0)|0\.(?:(?!0000)[0-9]{1,9}+(?<=[1-9])|0))"
-_ROW = rf"\[(?:0|-?+[1-9][0-9]*+)(?:, {_CELL}){{5}}+\]"
-CANONICAL_ROW = re.compile(rf'\{{"callsign": "[ !#-\[\]-~]*+", "horizon": [1-9][0-9]*+, '
-                           rf'"input": \[{_ROW}(?:, {_ROW}){{15}}+\], "target": \[{_ROW}(?:, {_ROW})*+\]\}}')
+#: A lookbehind checks that fraction digits do not end in 0, and a row's five cells are written
+#: out, so no repeat gives back a digit on a matching row (possessive repeats need Python 3.11).
+_CELL = r"-?(?:[1-9][0-9]{0,5}\.(?:[0-9]{1,9}(?<=[1-9])|0)|0\.(?:(?!0000)[0-9]{1,9}(?<=[1-9])|0))"
+_ROW = rf"\[(?:0|-?[1-9][0-9]*){(', ' + _CELL) * 5}\]"
+CANONICAL_ROW = re.compile(rf'\{{"callsign": "[ !#-\[\]-~]*", "horizon": [1-9][0-9]*, '
+                           rf'"input": \[{_ROW}(?:, {_ROW}){{15}}\], "target": \[{_ROW}(?:, {_ROW})*\]\}}')
 _ENCODER = json.JSONEncoder(check_circular=False)  # json.dumps's; every row is built fresh
 
 

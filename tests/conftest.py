@@ -570,7 +570,7 @@ def reference_window_rows(text: str) -> list:
     return out
 
 
-#: ``windowing.CANONICAL_ROW`` written with backtracking repeats: the language its possessive form must match.
+#: ``windowing.CANONICAL_ROW`` as it was written before its lookbehinds: the language it must match.
 _REFERENCE_CELL = r"-?(?:[1-9][0-9]{0,5}\.(?:0|[0-9]{0,8}[1-9])|0\.(?:0|(?!0000)[0-9]{0,8}[1-9]))"
 _REFERENCE_ROW = rf"\[(?:0|-?[1-9][0-9]*)(?:, {_REFERENCE_CELL}){{5}}\]"
 REFERENCE_CANONICAL_ROW = re.compile(

@@ -634,15 +634,16 @@ class TestReferenceDifferential:
     @pytest.mark.parametrize("scan_cells", [ingest._SCAN_CELLS, 4])
     @pytest.mark.parametrize("chunk_rows", [ingest._CHUNK_ROWS, 97])
     @pytest.mark.parametrize("column", [0, 5])
-    @pytest.mark.parametrize("bad", ["1e5", " 7e1 ", "1.5\n", "N\0L", "n/a", "3é"])
-    def test_off_charset_cells_first_in_the_middle_last_and_adjacent(self, bad, column, chunk_rows, scan_cells,
-                                                                    strict, monkeypatch, caplog):
-        """Few such cells are found block by block and many cell by cell; a block edge splits no cell."""
+    @pytest.mark.parametrize("every_row", [False, True])
+    @pytest.mark.parametrize("bad", ["1e5", " 7e1 ", "1.5\n", "N\0L", "n/a", "3é", "4\ud800"])
+    def test_off_charset_cells_first_in_the_middle_last_and_adjacent(self, bad, every_row, column, chunk_rows,
+                                                                    scan_cells, strict, monkeypatch, caplog):
+        """Each block of cells holding such a cell is stripped cell by cell; a block edge splits no cell."""
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(ingest, "_SCAN_CELLS", scan_cells)
         caplog.set_level(logging.DEBUG, logger="flightcast.ingest")
         count = 300
-        bad_rows = {0, scan_cells - 1, scan_cells, count // 2, count // 2 + 1, count - 1}
+        bad_rows = range(count) if every_row else {0, scan_cells - 1, scan_cells, count // 2, count // 2 + 1, count - 1}
         rows = [[str(60 * k), "", "A1", "1.5", "-2.25", "3000", "400.0", "90.0"] for k in range(count)]
         for k in bad_rows:
             rows[k][column] = bad

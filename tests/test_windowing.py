@@ -440,7 +440,7 @@ class TestCanonicalRow:
 
     @given(st.one_of(codec_windows(PLAIN_VALUES, PRINTABLE_CALLSIGNS), codec_windows(DECIMAL_VALUES)),
            st.sampled_from(sorted(ROW_MUTANTS)), st.integers(0, 5 * 24), st.data())
-    def test_the_possessive_pattern_matches_what_the_backtracking_one_matches(self, window, mutant, at, data):
+    def test_the_pattern_matches_what_the_backtracking_one_matches(self, window, mutant, at, data):
         obj = window_to_obj(window)
         rows = obj["input"] + obj["target"]
         row, column = rows[at // 5 % len(rows)], 1 + at % 5
