@@ -3,7 +3,8 @@
 The mock backend answers each window as a served model would answer its
 inference prompt (here with a mix of scripted behaviors to exercise the
 failure taxonomy), completions are parsed and classified, and the report pools per-attribute MAE/RMSE,
-breaks them down by flight phase, tracks latency, and counts failures.
+breaks them down by flight phase, tracks latency (zero here: the mock is
+not timed), and counts failures.
 Run:
 
     python demos/05_full_evaluation.py

@@ -338,9 +338,10 @@ def _render_csv(report: MetricsReport) -> str:
 
 
 def _number(value: float) -> str:
-    """A table number: ``.4f`` where that is at most 14 characters (below about 1e9), ``.4e`` otherwise."""
+    """A table number: ``.4f`` where that is at most 14 characters (below about 1e9) and
+    shows a nonzero digit of a nonzero value, ``.4e`` otherwise, so 2e-05 never reads 0.0000."""
     text = f"{value:.4f}"
-    return text if len(text) <= 14 else f"{value:.4e}"
+    return text if len(text) <= 14 and (value == 0 or text.strip("-0.")) else f"{value:.4e}"
 
 
 def _format_stat_cells(stats: dict[str, AttributeStats] | None, names: Sequence[str]) -> list[str]:

@@ -5,8 +5,8 @@ through the standard library's ``urllib.request`` and measures wall-clock
 latency per request. The mock backend answers
 windows in-process, one result for each as a served model would give for
 its prompt, with one of four scripted behaviors (a kinematic prediction
-and the three classic failure modes) and a synthetic latency derived from
-token counts, so every downstream latency assertion is reproducible.
+and the three classic failure modes). The mock is a test double and is
+not timed: its results carry a latency of 0.0.
 """
 
 from __future__ import annotations
@@ -27,19 +27,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .domain import check_integer, check_number, round_attributes
 from .predictors import forecast_windows, predict_kinematic
-from .prompts import PromptRecord, estimate_tokens, serialize_values, serialized_tokens
-from .windowing import INPUT_LENGTH, Window
+from .prompts import PromptRecord, serialize_values
+from .windowing import Window
 
 logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "FTP_LLM_TOKEN"
-
-#: Synthetic cost of one token in the mock backend, seconds.
-MOCK_SECONDS_PER_TOKEN = 0.001
 
 #: Statuses that ask the client to come back later; ``complete`` retries them.
 _RETRY_STATUSES = frozenset({429, 503})
@@ -218,17 +213,10 @@ def mock_complete(
     KINEMATIC dead-reckons from each window's input columns, all windows
     in one forecast; EMPTY returns nothing; GARBLED returns prose with a
     single 3-field tuple; SIGN_FLIP returns the kinematic answer with
-    longitude signs negated. Latency is synthetic: one millisecond per
-    :func:`estimate_tokens` token of the prompt's user text (the window's
-    serialized inputs) plus the response text. The prompt's count, and a
-    forecast reply's, is :func:`serialized_tokens` of the block the text
-    is written from, so no prompt text is written and no text is scanned.
+    longitude signs negated. Every result has latency 0.0 and one attempt.
     """
-    if not windows:
-        return []
     if behavior in (MockBehavior.EMPTY, MockBehavior.GARBLED):
-        text = "" if behavior is MockBehavior.EMPTY else _GARBLED_TEXT
-        texts, reply_tokens = [text] * len(windows), estimate_tokens(text)
+        texts = ["" if behavior is MockBehavior.EMPTY else _GARBLED_TEXT] * len(windows)
     else:
         blocks = forecast_windows(lambda inputs, horizon: round_attributes(predict_kinematic(inputs, horizon)),
                                   windows)
@@ -236,7 +224,4 @@ def mock_complete(
             for block in blocks:
                 block[0] = -block[0]
         texts = list(map(serialize_values, blocks))
-        reply_tokens = np.array(list(map(serialized_tokens, blocks)))
-    prompt_tokens = serialized_tokens(np.array([w.values[:, :INPUT_LENGTH] for w in windows]))
-    latencies = ((prompt_tokens + reply_tokens) * MOCK_SECONDS_PER_TOKEN).tolist()
-    return [CompletionResult(text, latency, 1) for text, latency in zip(texts, latencies)]
+    return [CompletionResult(text, 0.0, 1) for text in texts]

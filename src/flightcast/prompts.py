@@ -257,32 +257,3 @@ def emit_dataset(records: Iterable[PromptRecord], path: str | Path) -> dict:
     manifest_path = path.with_name(path.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
-
-
-# --- Token counting ----------------------------------------------------------
-
-
-_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?|[A-Za-z]+|.", re.DOTALL)
-
-
-def estimate_tokens(text: str) -> int:
-    """Crude token count for latency analysis; never used for truncation.
-
-    A number such as "103.25" counts 1, a run of letters counts 1, and
-    every other character (punctuation and whitespace alike) counts 1.
-    """
-    return len(_TOKEN_RE.findall(text))
-
-
-def serialized_tokens(values: np.ndarray) -> np.ndarray:
-    """``estimate_tokens(serialize_values(block))`` for each (5, n) block of a (..., 5, n) stack.
-
-    Counted from the shape and sign bits alone: a row is "(", ")", four
-    ", " pairs and five numbers, 15 tokens, and n rows add n - 1 newlines.
-    Fixed-point formatting never writes an exponent, so a cell adds one "-"
-    token when its sign bit is set (-0.0, values that round to -0.00000 and
-    -inf alike), unless it is a NaN, which prints "nan" whatever its sign.
-    """
-    n = values.shape[-1]
-    signs = (np.signbit(values) & ~np.isnan(values)).sum(axis=(-2, -1))
-    return signs + (16 * n - 1 if n else 0)

@@ -157,8 +157,8 @@ class TestStages:
         assert pred.read_text() == ""
 
     def test_mock_and_kinematic_forecast_alike_at_mixed_horizons(self, pipeline_dir, tmp_path):
-        # The mock reads each window back from its prompt text, the kinematic backend from its
-        # columns; both forecast the whole file in one call, to its largest horizon.
+        # The mock and the kinematic backend both dead-reckon from each window's own columns,
+        # forecasting the whole file in one call to its largest horizon.
         mixed = tmp_path / "mixed.jsonl"
         for horizon in (1, 8):
             assert run("sample", "--in", pipeline_dir / "clean.csv", "--horizon", horizon,

@@ -474,6 +474,16 @@ class TestEmitReport:
         assert "4.0000e+199" in table and "2.0000e+200" in table
         assert max(map(len, table.splitlines())) <= 120
 
+    def test_a_table_number_too_small_for_four_decimals_is_written_in_scientific_notation(self, rng):
+        report = self.make_report(rng)
+        for latency, text in [(2.02e-05, "2.0200e-05"), (4.9e-05, "4.9000e-05"), (0.0, "0.0000"),
+                              (5e-05, "0.0001"), (1e-4, "0.0001")]:
+            report.mean_latency_s = latency
+            assert f"mean latency: {text} s\n" in emit_report(report, ReportFormat.TABLE)
+        report.attributes["altitude"] = AttributeStats(mae=3e-06, rmse=4e-06)
+        table = emit_report(report, ReportFormat.TABLE)
+        assert "3.0000e-06" in table and "4.0000e-06" in table
+
     def test_unavailable_metrics_render(self, rng):
         report = evaluate([failed_sample(cruise_window(rng, 1), FailureKind.MISSING_TRAJECTORY)])
         table = emit_report(report, ReportFormat.TABLE)

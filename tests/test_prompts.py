@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from flightcast.prompts import (
     PLAUSIBILITY_RADIUS_DEG,
@@ -16,12 +15,10 @@ from flightcast.prompts import (
     build_prompt,
     classify_severe,
     emit_dataset,
-    estimate_tokens,
     horizon_from_system,
     parse_completion,
     parse_completions,
     serialize_values,
-    serialized_tokens,
 )
 from flightcast.windowing import INPUT_LENGTH, Window
 
@@ -390,51 +387,3 @@ class TestEmitDataset:
         records = [build_prompt(random_window(rng, horizon), True) for horizon in (4, 1, 4)]
         with pytest.raises(ValueError, match=r"records mix horizons: \[1, 4\]"):
             emit_dataset(records, tmp_path / "x.jsonl")
-
-
-class TestEstimateTokens:
-    def test_number_is_one_token(self):
-        assert estimate_tokens("103.25") == 1
-
-    def test_word_is_one_token(self):
-        # "climb", "to", "8000", "m" and three spaces
-        assert estimate_tokens("climb to 8000 m") == 7
-
-    def test_empty(self):
-        assert estimate_tokens("") == 0
-
-    def test_small_tuple(self):
-        # 2 numbers + "(" + "," + " " + ")" = 6
-        assert estimate_tokens("(1.0, 2.0)") == 6
-
-
-# Cells whose printed sign is easy to get wrong: -0.0 and tiny negatives print "-0.00000" (or
-# "-0.000", "-0.00"), a NaN prints "nan" whatever its sign bit, and -inf prints "-inf".
-TOKEN_EDGES = (0.0, -0.0, -1e-9, -4e-4, 1e-9, np.nan, -np.nan,
-               np.inf, -np.inf, 1e300, -1e300, -103.25)
-
-
-@st.composite
-def value_stacks(draw):
-    """A float64 (..., 5, n) stack with 0-2 leading axes and n = 0..9."""
-    leading = draw(st.lists(st.integers(0, 3), max_size=2))
-    n = draw(st.integers(0, 9))
-    cells = st.one_of(st.sampled_from(TOKEN_EDGES), st.floats(-1e6, 1e6))
-    return draw(arrays(np.float64, (*leading, 5, n), elements=cells))
-
-
-class TestSerializedTokens:
-    @settings(max_examples=300)
-    @given(value_stacks())
-    def test_counts_what_estimate_tokens_counts_in_the_text(self, stack):
-        got = serialized_tokens(stack)
-        assert np.shape(got) == stack.shape[:-2]
-        want = [estimate_tokens(serialize_values(stack[index])) for index in np.ndindex(stack.shape[:-2])]
-        assert np.ravel(got).tolist() == want
-
-    def test_a_row_is_sixteen_tokens_with_its_newline(self):
-        assert serialized_tokens(np.zeros((5, 0))) == 0
-        assert serialized_tokens(np.zeros((5, 1))) == 15
-        assert serialized_tokens(np.zeros((5, 3))) == 47
-        # -0.0 prints "-0.00000" and a negative NaN prints "nan": one sign token between them.
-        assert serialized_tokens(np.array([[-0.0], [-np.nan], [0.0], [0.0], [0.0]])) == 16
