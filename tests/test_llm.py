@@ -338,12 +338,16 @@ class TestMockComplete:
         window = cruise_window(rng, 4)
         assert mock_complete([window, window]) == mock_complete([window]) * 2
 
-    def test_every_result_is_untimed_and_one_attempt(self, rng):
+    @pytest.mark.parametrize("behavior", list(MockBehavior), ids=lambda b: b.value)
+    def test_every_result_is_untimed_and_one_attempt(self, rng, behavior):
         windows = [cruise_window(rng, horizon) for horizon in (4, 1, 8, 4)]
-        for behavior in MockBehavior:
-            results = mock_complete(windows, behavior)
-            assert len(results) == len(windows)
-            assert all(r.latency_s == 0.0 and r.attempts == 1 for r in results)
+        results = mock_complete(windows, behavior)
+        assert len(results) == len(windows)
+        assert all(r.latency_s == 0.0 and r.attempts == 1 for r in results)
+
+    @pytest.mark.parametrize("behavior", list(MockBehavior), ids=lambda b: b.value)
+    def test_no_windows_give_no_results(self, behavior):
+        assert mock_complete([], behavior) == []
 
     def test_kinematic_forecasts_a_window_from_its_own_values(self, rng):
         # The last input longitude sits 4e-6 degrees off canonical precision, which the prompt
